@@ -4,9 +4,8 @@ Five subcommands: ``spectrum``, ``spatial``, ``transport``, ``adiabaticity``
 run the four scan kinds; ``fit`` extracts thermal parameters from a measured
 spectrum CSV.  Every subcommand takes ``--config <json>`` or ``--preset
 <name>``, an optional ``--out`` (written as CSV or JSON by extension,
-default CSV on stdout), ``--seed`` to override the config seed, and
-``--threads`` to bound scan parallelism.  Logs go to standard error only,
-so stdout stays pipeable.
+default CSV on stdout) and ``--seed`` to override the config seed.  Logs
+go to standard error only, so stdout stays pipeable.
 
 Exit codes: 0 success, 2 configuration or validation failure, 3 numeric
 failure (integration or quadrature did not meet its tolerance).
@@ -40,7 +39,7 @@ __all__ = ["main", "run_scan"]
 log = logging.getLogger("apsim")
 
 
-def run_scan(cfg: RunConfig, *, threads: int = 1) -> ScanResult:
+def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
     if cfg.kind == "spectrum":
         vals = broadened_spectrum(
@@ -81,7 +80,6 @@ def run_scan(cfg: RunConfig, *, threads: int = 1) -> ScanResult:
             cfg.damping,
             t.n_ensemble,
             cfg.seed,
-            threads=threads,
             distribution=t.distribution,
             switch_on=t.switch_on,
             ramp_time=ms_to_s(t.ramp_time_ms),
@@ -140,7 +138,7 @@ def _cmd_scan(args, kind: str) -> int:
             )
     log.info("%s scan: %d grid points, seed %d", kind, len(cfg.grid), cfg.seed)
     t0 = time.perf_counter()
-    result = run_scan(cfg, threads=args.threads)
+    result = run_scan(cfg)
     log.info("scan finished in %.1f s", time.perf_counter() - t0)
     _emit_scan(result, args.out)
     return 0
@@ -189,9 +187,6 @@ def _add_common(sp: argparse.ArgumentParser, with_data: bool = False) -> None:
     )
     sp.add_argument("--out", help="output path (.csv or .json); default stdout")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sp.add_argument(
-        "--threads", type=int, default=1, help="max concurrent scan points"
-    )
     if with_data:
         sp.add_argument("--data", required=True, help="spectrum CSV to fit")
 

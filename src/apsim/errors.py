@@ -8,7 +8,8 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The Bloch integrator failed or was fed non-finite pulse values."""
+    """The Bloch integrator failed, was fed non-finite pulse values, or
+    would exceed its step budget."""
 
 
 class QuadratureError(RuntimeError):

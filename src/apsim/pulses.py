@@ -72,6 +72,8 @@ class APPulse:
     t_p: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega_max, self.delta_max, self.delta_c, self.t_p])):
+            raise ValueError("pulse parameters must be finite")
         if self.omega_max <= 0:
             raise ValueError("omega_max must be positive")
         if self.delta_max < 0:
@@ -129,6 +131,8 @@ class RectPulse:
     t_p: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega, self.delta, self.t_p])):
+            raise ValueError("pulse parameters must be finite")
         if self.t_p <= 0:
             raise ValueError("t_p must be positive")
 

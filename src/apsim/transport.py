@@ -19,7 +19,6 @@ evolve the whole ensemble.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -334,16 +333,13 @@ def transport_curve(
     damping=None,
     n_ensemble: int = 32,
     rng_seed: int = 0,
-    *,
-    threads: int = 1,
     **kwargs,
 ) -> ScanResult:
     """Transfer versus transport speed 1/tau (ms^-1).
 
-    Points are independent; `threads` bounds concurrent evaluation and the
-    output is assembled in grid order either way.  All points share the
-    same per-member detuning draws (same rng_seed), so the curve varies
-    only through the dynamics.
+    Points are evaluated one after another, in grid order.  All points
+    share the same per-member detuning draws (same rng_seed), so the curve
+    varies only through the dynamics.
     """
     grid = np.atleast_1d(np.asarray(inv_tau_per_ms, dtype=float))
     if grid.size == 0:
@@ -357,11 +353,7 @@ def transport_curve(
             p, damping, n_ensemble, rng_seed, **kwargs
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(v) for v in grid]
+    results = [one(v) for v in grid]
     return ScanResult(
         grid,
         np.array([r.p1 for r in results]),

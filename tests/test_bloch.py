@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import apsim.bloch as bloch
 from apsim.bloch import (
     GROUND,
     BlochState,
@@ -213,3 +214,61 @@ def test_non_finite_pulse_raises_integration_error():
 
     with pytest.raises(IntegrationError):
         evolve(GROUND, BrokenPulse())
+
+
+# ------------------------------------------------------------ rotation path
+
+def _stack(ref_pulse):
+    offs = khz_to_rad_per_s(np.arange(-76.0, 65.5, 1.0)) - ref_pulse.delta_c
+    return offs, np.tile(GROUND.as_array(), (offs.size, 1))
+
+
+def test_rotation_path_matches_dop853_oracle(ref_pulse):
+    offs, y0 = _stack(ref_pulse)
+    oracle = bloch._solve(ref_pulse, offs, y0, None, IntegratorConfig(1e-12, 1e-14), False)
+    want = oracle.y[:, -1].reshape(-1, 3)
+    got = evolve_offsets(ref_pulse, offs)
+    assert np.max(np.linalg.norm(got - want, axis=1)) <= 1e-8
+
+
+def test_rotation_step_is_sixth_order(ref_pulse):
+    # the error falls 2^6 = 64-fold per halving of the step, which is what
+    # the /63 in the step-doubling estimate assumes
+    offs, y0 = _stack(ref_pulse)
+    fine = bloch._rotation_pass(ref_pulse, offs, y0, 2**14)
+    err = [
+        np.max(np.linalg.norm(bloch._rotation_pass(ref_pulse, offs, y0, n) - fine, axis=1))
+        for n in (512, 1024, 2048)
+    ]
+    assert 40.0 <= err[0] / err[1] <= 90.0
+    assert 40.0 <= err[1] / err[2] <= 90.0
+
+
+def test_pairwise_composition_matches_sequential(ref_pulse):
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(4, 37, 5))
+    q /= np.linalg.norm(q, axis=0)
+    want = q[:, 0]
+    for k in range(1, q.shape[1]):
+        want = bloch._qmul(q[:, k], want)
+    np.testing.assert_allclose(bloch._compose(q), want, atol=1e-12)
+    # thousands of members split the steps into many blocks, one member
+    # takes them in a single block: the answers agree
+    offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 4001))
+    y0 = np.tile(GROUND.as_array(), (offs.size, 1))
+    many = bloch._rotation_pass(ref_pulse, offs, y0, 100)
+    assert 100 > bloch._CHUNK // offs.size
+    for i in (0, 1234, 4000):
+        one = bloch._rotation_pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 100)
+        np.testing.assert_allclose(many[i], one[0], atol=1e-12)
+
+
+def test_undamped_path_does_not_call_solve_ivp(ref_pulse, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(bloch, "solve_ivp", forbidden)
+    evolve_offsets(ref_pulse, khz_to_rad_per_s(np.array([-20.0, 0.0, 20.0])))
+    evolve(GROUND, ref_pulse)
+    with pytest.raises(AssertionError):
+        evolve(GROUND, ref_pulse, damping=DampingModel(1.0e3))

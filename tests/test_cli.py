@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -91,7 +92,38 @@ def test_argparse_failures_map_to_exit_codes(capsys):
     assert main([]) == 2
     assert main(["spectrum"]) == 2  # --config/--preset required
     assert main(["--help"]) == 0
+    # the scan thread pool is gone, and its option with it
+    assert main(["transport", "--preset", "transport_speed", "--threads", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, value", [("omega_max_khz", float("nan")),
+                                          ("delta_max_khz", float("inf"))])
+def test_non_finite_pulse_parameter_is_config_error(tmp_path, field, value):
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": {**PULSE, field: value},
+        "thermal": THERMAL,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 2
+
+
+def test_step_budget_stops_overlong_pulse(tmp_path, caplog):
+    # a 1e6 s passage needs ~1e11 rotation steps; the budget check runs on
+    # a 64-point torque estimate, before anything large is allocated
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": {**PULSE, "t_p_ms": 1e9},
+        "thermal": THERMAL,
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--config", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "step budget" in caplog.text
 
 
 def test_transport_scan_deterministic(transport_cfg, tmp_path):
@@ -111,16 +143,6 @@ def test_seed_override_changes_draws(transport_cfg, tmp_path):
     assert main(["transport", "--config", str(transport_cfg), "--seed", "1", "--out", str(a)]) == 0
     assert main(["transport", "--config", str(transport_cfg), "--seed", "2", "--out", str(b)]) == 0
     assert a.read_bytes() != b.read_bytes()
-
-
-def test_threads_do_not_change_result(transport_cfg, tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(["transport", "--config", str(transport_cfg), "--out", str(a)]) == 0
-    assert main(
-        ["transport", "--config", str(transport_cfg), "--threads", "2", "--out", str(b)]
-    ) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_adiabaticity_own_config(tmp_path, capsys):

@@ -267,13 +267,6 @@ def test_transport_curve_layout_and_monotony(plan):
     assert np.all(scan.stderr >= 0.0)
 
 
-def test_transport_curve_threaded_matches_serial(plan):
-    grid = np.array([0.5, 4.0])
-    serial = transport_curve(plan, grid, n_ensemble=4, rng_seed=1, threads=1)
-    threaded = transport_curve(plan, grid, n_ensemble=4, rng_seed=1, threads=2)
-    np.testing.assert_array_equal(serial.p1, threaded.p1)
-
-
 def test_transport_curve_validation(plan):
     with pytest.raises(ConfigError):
         transport_curve(plan, [])
