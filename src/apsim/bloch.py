@@ -14,24 +14,36 @@ transverse damping.  Population transfer to |1> is (1 + w) / 2.
 
 Without dephasing the motion is a pure rotation, and it is propagated
 as one.  A pass of n uniform steps samples the pulse once, as an array,
-at the three Gauss-Legendre nodes of every step; forms each step's
+at the three Gauss-Legendre nodes of every step and forms each step's
 sixth-order Magnus vector, whose commutators are cross products
-(Blanes, Casas & Ros, BIT 40, 434 (2000)); turns it into a unit
-quaternion; composes the quaternions by pairwise reduction; and rotates
-the initial vectors.  The step count starts at the total rotation angle
-over pi and doubles until the n- and 2n-step answers agree: for a
-sixth-order scheme the error of the 2n-step answer is about their
-difference / 63.  A pass may take at most 2^20 steps; a pulse that would
-need more raises IntegrationError before that pass is sampled.
+(Blanes, Casas & Ros, BIT 40, 434 (2000)).  A trajectory's detuning
+offset enters that vector only through a1_z, as a polynomial of degree
+<= 3, so its coefficients are formed once per pass and evaluated per
+trajectory by Horner's rule.  Each step becomes an SU(2) Cayley-Klein
+pair (a, b); the pairs are composed by pairwise reduction and rotate the
+initial vectors.
+
+Each trajectory has its own step count (step doubling; Hairer, Norsett
+& Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
+two, at least 16, that takes two steps or more per half-turn of the
+trajectory (its total rotation angle over pi, from the torque at 64
+points), and doubles until |r_n - r_n/2| / 63, the error estimate of
+the n-step state of a sixth-order scheme, meets the tolerance; passes of
+the same step count run together.  With coarser steps the estimate was
+found to miss the error by up to three orders of magnitude.  A pass may
+take at most 2^20 steps; a pulse that would need more raises
+IntegrationError before that pass is sampled.
 
 ``evolve_offsets`` propagates a whole family of trajectories that share
-a pulse but differ by a constant detuning offset in one pass, which is
-how detuning scans and transport ensembles run.
+a pulse but differ by a constant detuning offset in shared passes, which
+is how detuning scans and transport ensembles run.
 
 With dephasing, and for the sampled path of ``evolve_trajectory``, an
 adaptive explicit Runge-Kutta scheme (DOP853) with dense output
 integrates the equations above.  It is also the reference the tests hold
-the rotation path to.
+the rotation path to.  An integration may span at most 2^15 half-turns
+of its fastest trajectory; a longer one raises IntegrationError before
+it starts.
 """
 
 from __future__ import annotations
@@ -68,6 +80,10 @@ _NODES = np.array([0.5 - 0.1 * math.sqrt(15.0), 0.5, 0.5 + 0.1 * math.sqrt(15.0)
 _CHUNK = 2**15
 # work budget of the rotation path: the most steps one pass may take
 _MAX_STEPS = 2**20
+# work budget of the DOP853 path, in half-turns of the fastest trajectory
+# (or max_step steps): it takes 1.6-4 steps of about 12 right-hand-side
+# calls per half-turn, so this caps one integration at about a minute
+_MAX_DOP853_TURNS = 2**15
 
 
 @dataclass(frozen=True)
@@ -110,10 +126,12 @@ class IntegratorConfig:
     """Accuracy of the Bloch propagation.
 
     Without dephasing, rel_tol and abs_tol bound the step-doubling
-    estimate of the error of the returned states: the largest deviation
-    over trajectories must not exceed abs_tol + rel_tol * max |r|.  With
-    dephasing they bound DOP853's error per step.  max_step (s) caps the
-    step on both paths.
+    estimate of the error of each returned state by abs_tol + rel_tol *
+    max |r|, with max |r| over the whole stack: each trajectory doubles
+    its step count until its own estimate meets that bound, so the
+    largest estimate over trajectories meets it too.  With dephasing
+    they bound DOP853's error per step.  max_step (s) caps the step on
+    both paths.
     """
 
     rel_tol: float = 1e-9
@@ -161,7 +179,14 @@ def _make_rhs(pulse: PulseProgram, offsets: np.ndarray, gamma_2: float):
 def _solve(pulse, offsets, y0, damping, config, dense):
     damping = damping or DampingModel()
     config = config or IntegratorConfig()
-    rhs = _make_rhs(pulse, np.asarray(offsets, dtype=float), damping.gamma_2)
+    offsets = np.asarray(offsets, dtype=float)
+    need = float(np.max(_need(pulse, offsets, config)))
+    if not need <= _MAX_DOP853_TURNS:
+        raise IntegrationError(
+            f"step budget exceeded: the pulse spans about {need:.3g} half-turns, "
+            f"more than the {_MAX_DOP853_TURNS} DOP853 may take"
+        )
+    rhs = _make_rhs(pulse, offsets, damping.gamma_2)
     sol = solve_ivp(
         rhs,
         (0.0, pulse.duration),
@@ -187,86 +212,162 @@ def _sample(pulse: PulseProgram, t: np.ndarray):
     return om, de
 
 
-def _initial_steps(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) -> int:
-    """First step count of the rotation path, a power of two.
-
-    At least 16, the total rotation angle of the fastest trajectory over
-    pi (from the torque at 64 points) and duration / max_step.  Raises
-    IntegrationError when the step-doubling pair would exceed the budget.
-    """
+def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+    """Work each trajectory asks of either path, in steps of at most half
+    a turn: its total rotation angle over pi (from the torque at 64
+    points), or duration / max_step if that is more."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
     om, de = _sample(pulse, t)
-    reach = np.maximum(np.abs(de + offsets.min()), np.abs(de + offsets.max()))
-    angle = pulse.duration * float(np.mean(np.hypot(om, reach)))
-    need = max(16.0, angle / math.pi, pulse.duration / config.max_step)
-    if not 2.0 * need <= _MAX_STEPS:
+    angle = np.zeros(offsets.shape)
+    for om_k, de_k in zip(om, de):
+        angle += np.hypot(om_k, de_k + offsets)
+    angle *= pulse.duration / (64 * math.pi)
+    return np.maximum(angle, pulse.duration / config.max_step)
+
+
+def _initial_steps(need: np.ndarray) -> np.ndarray:
+    """First step count of each trajectory on the rotation path: the
+    smallest power of two >= 16 that takes two steps or more per half-turn
+    of it.  Raises IntegrationError when a step-doubling pair would exceed
+    the budget."""
+    most = max(16.0, 2.0 * float(np.max(need)))
+    if not 2.0 * most <= _MAX_STEPS:
         raise IntegrationError(
-            f"step budget exceeded: the pulse needs about {need:.3g} rotation "
+            f"step budget exceeded: the pulse needs about {most:.3g} rotation "
             f"steps, more than {_MAX_STEPS // 2}"
         )
-    return 2 ** math.ceil(math.log2(need))
+    return 2 ** np.ceil(np.log2(np.maximum(16.0, 2.0 * need))).astype(int)
 
 
 def _magnus6(ax, az, bx, bz, cx, cz):
-    """Sixth-order Magnus vector of one step from the Gauss-node terms
+    """Sixth-order Magnus vector of one step, as polynomials in x.
+
+    From the Gauss-node terms
 
         a1 = h T(t_2),  a2 = sqrt(15) h / 3 (T_3 - T_1),
         a3 = 10 h / 3 (T_3 - 2 T_2 + T_1),
 
-    here (ax, 0, az), (bx, 0, bz) and (cx, 0, cz), as
+    here (ax, 0, az + x), (bx, 0, bz) and (cx, 0, cz), where x = h * offset
+    is the member's share of a1_z (the offset cancels from a2 and a3),
 
         C1 = a1 x a2,  C2 = -a1 x (2 a3 + C1) / 60,
         theta = a1 + a3 / 12 + (-20 a1 - a3 + C1) x (a2 + C2) / 240.
+
+    Returns the coefficients of theta_x (degree 2), theta_y and theta_z
+    (degree 3) in x, lowest power first.
     """
-    c1y = az * bx - ax * bz
-    c2x = az * c1y / 60.0
-    c2y = (ax * cz - az * cx) / 30.0
-    c2z = -ax * c1y / 60.0
+    g0 = az * bx - ax * bz  # C1_y = g0 + bx x
+    s0 = (ax * cz - az * cx) / 30.0  # C2_y = s0 - cx / 30 x
+    f0 = bz - ax * g0 / 60.0  # (a2 + C2)_z = f0 + f1 x
+    f1 = -ax * bx / 60.0
+    p0 = bx + az * g0 / 60.0  # (a2 + C2)_x = p0 + p1 x + p2 x^2
+    p1 = (az * bx + g0) / 60.0
+    p2 = bx / 60.0
+    e0 = -20.0 * az - cz  # (-20 a1 - a3 + C1)_z = e0 - 20 x
     ex = -20.0 * ax - cx
-    ez = -20.0 * az - cz
-    fx = bx + c2x
-    fz = bz + c2z
-    return (
-        ax + cx / 12.0 + (c1y * fz - ez * c2y) / 240.0,
-        (ez * fx - ex * fz) / 240.0,
-        az + cz / 12.0 + (ex * c2y - c1y * fx) / 240.0,
+    theta_x = (
+        ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0,
+        (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0,
+        (bx * f1 - 2.0 * cx / 3.0) / 240.0,
     )
+    theta_y = (
+        (e0 * p0 - ex * f0) / 240.0,
+        (e0 * p1 - 20.0 * p0 - ex * f1) / 240.0,
+        (e0 * p2 - 20.0 * p1) / 240.0,
+        -20.0 * p2 / 240.0,
+    )
+    theta_z = (
+        az + cz / 12.0 + (ex * s0 - g0 * p0) / 240.0,
+        1.0 - (ex * cx / 30.0 + g0 * p1 + bx * p0) / 240.0,
+        -(g0 * p2 + bx * p1) / 240.0,
+        -bx * p2 / 240.0,
+    )
+    return theta_x, theta_y, theta_z
 
 
-def _quaternion(tx, ty, tz):
-    """Unit quaternions (w, x, y, z) of rotations by |theta| about theta."""
-    angle = np.sqrt(tx * tx + ty * ty + tz * tz)
-    s = 0.5 * np.sinc(angle / (2.0 * np.pi))  # sin(angle / 2) / angle
-    return np.stack([np.cos(0.5 * angle), s * tx, s * ty, s * tz])
+def _horner(coeffs, s, x, out):
+    """The polynomial with per-step coefficients coeffs[i][s] at the
+    member values x, written into out, a (steps, members) array."""
+    np.multiply(coeffs[-1][s, None], x, out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c[s, None]
+        out *= x
+    out += coeffs[0][s, None]
 
 
-def _qmul(p, q):
-    """Hamilton product p q: the rotation q followed by p."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.stack([
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    ])
+def _cayley_klein(q, out, scratch):
+    """SU(2) pairs (a, b) of the rotations by |theta| about theta = 4 q.
+
+    U = [[a, b], [-b*, a*]] = cos(phi/2) - i sin(phi/2) n.sigma, so for the
+    unit quaternion (w, x, y, z) of the rotation a = w - i z, b = -y - i x.
+    With r = phi/4 and t = tan(r), cos(2r) = (1 - t^2) / (1 + t^2) and
+    sin(2r) = 2t / (1 + t^2): one tangent instead of a sine and a cosine,
+    and |a|^2 + |b|^2 = 1 whatever the rounding of t.  q is (3, ...), the
+    pairs go to out (2, ...) and scratch is two real arrays shaped like q[0].
+    """
+    r, t = scratch
+    a, b = out
+    np.multiply(q[0], q[0], out=r)
+    np.multiply(q[1], q[1], out=t)
+    r += t
+    np.multiply(q[2], q[2], out=t)
+    r += t
+    np.sqrt(r, out=r)
+    np.tan(r, out=t)
+    u = a.real
+    np.multiply(t, t, out=u)
+    u += 1.0
+    np.divide(-2.0, u, out=u)
+    # k = -sin(2r) / r in t; q = 0 where r = 0, so any finite value will do
+    t *= u
+    t /= np.maximum(r, 1e-300, out=r)
+    np.subtract(-1.0, u, out=a.real)
+    np.multiply(t, q[2], out=a.imag)
+    np.multiply(t, q[1], out=b.real)
+    np.multiply(t, q[0], out=b.imag)
 
 
-def _compose(q):
-    """Product q[:, k-1] ... q[:, 0] of a (4, k, m) stack, by pairwise reduction."""
-    while q.shape[1] > 1:
-        k = q.shape[1]
-        paired = _qmul(q[:, 1::2], q[:, 0 : k - 1 : 2])
-        q = np.concatenate([paired, q[:, k - 1 :]], axis=1) if k % 2 else paired
-    return q[:, 0]
+def _ck_mul(a1, b1, a2, b2, out, tmp):
+    """Product U1 U2 of SU(2) pairs, the rotation U2 followed by U1, into
+    out[0], out[1]; tmp is scratch shaped like them."""
+    np.multiply(a1, a2, out=out[0])
+    np.multiply(b1, np.conjugate(b2, out=tmp), out=tmp)
+    out[0] -= tmp
+    np.multiply(a1, b2, out=out[1])
+    np.multiply(b1, np.conjugate(a2, out=tmp), out=tmp)
+    out[1] += tmp
 
 
-def _rotate(q, r):
-    """Rotate the rows of r (m, 3) by the quaternions q (4, m)."""
-    q = q / np.sqrt(np.sum(q * q, axis=0))
-    w, v = q[0][:, None], q[1:].T
-    t = 2.0 * np.cross(v, r)
-    return r + w * t + np.cross(v, t)
+def _compose(pairs):
+    """Product U[k-1] ... U[0] of the (k, m) stacks of pairs (pairs[0],
+    pairs[1]) by pairwise reduction; pairs[2:5] is scratch.  Returns views
+    into pairs."""
+    src, dst, tmp = pairs[0:2], pairs[2:4], pairs[4]
+    k = pairs.shape[1]
+    while k > 1:
+        h = k // 2
+        _ck_mul(src[0, 1 : 2 * h : 2], src[1, 1 : 2 * h : 2],
+                src[0, 0 : 2 * h : 2], src[1, 0 : 2 * h : 2], dst[:, :h], tmp[:h])
+        if k % 2:
+            dst[:, h] = src[:, k - 1]
+        src, dst = dst, src
+        k = h + k % 2
+    return src[0, 0], src[1, 0]
+
+
+def _rotate(a, b, r):
+    """Rotate the rows of r (m, 3) by the SU(2) pairs (a, b) of shape (m,)."""
+    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+    w, x, y, z = a.real / norm, -b.imag / norm, -b.real / norm, -a.imag / norm
+    ru, rv, rw = r.T
+    tu = 2.0 * (y * rw - z * rv)
+    tv = 2.0 * (z * ru - x * rw)
+    tw = 2.0 * (x * rv - y * ru)
+    out = np.empty_like(r)
+    out[:, 0] = ru + w * tu + y * tw - z * tv
+    out[:, 1] = rv + w * tv + z * tu - x * tw
+    out[:, 2] = rw + w * tw + x * tv - y * tu
+    return out
 
 
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int):
@@ -275,45 +376,72 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     om, de = _sample(pulse, ((np.arange(n)[:, None] + _NODES) * h).ravel())
     om = om.reshape(n, 3)
     de = de.reshape(n, 3)
-    # the offset is constant, so it enters a1 alone and cancels from a2, a3
-    ax = h * om[:, 1, None]
-    az = h * de[:, 1, None]
     k2 = math.sqrt(15.0) * h / 3.0
-    bx = k2 * (om[:, 2, None] - om[:, 0, None])
-    bz = k2 * (de[:, 2, None] - de[:, 0, None])
     k3 = 10.0 * h / 3.0
-    cx = k3 * (om[:, 2, None] - 2.0 * om[:, 1, None] + om[:, 0, None])
-    cz = k3 * (de[:, 2, None] - 2.0 * de[:, 1, None] + de[:, 0, None])
-    h_off = h * offsets
-    q = np.zeros((4, offsets.size))
-    q[0] = 1.0
-    block = max(1, _CHUNK // offsets.size)
+    quarter = _magnus6(
+        h * om[:, 1],
+        h * de[:, 1],
+        k2 * (om[:, 2] - om[:, 0]),
+        k2 * (de[:, 2] - de[:, 0]),
+        k3 * (om[:, 2] - 2.0 * om[:, 1] + om[:, 0]),
+        k3 * (de[:, 2] - 2.0 * de[:, 1] + de[:, 0]),
+    )
+    quarter = [[0.25 * c for c in poly] for poly in quarter]
+    x = h * offsets
+    m = offsets.size
+    block = min(n, max(1, _CHUNK // m))
+    # every block works in these buffers: fresh large temporaries would
+    # cost a page fault per page on each block
+    real = np.empty((5, block, m))
+    pairs = np.empty((5, block, m), dtype=complex)
+    acc = np.zeros((2, m), dtype=complex)
+    acc[0] = 1.0
+    nxt = np.empty((2, m), dtype=complex)
+    tmp = np.empty(m, dtype=complex)
     for lo in range(0, n, block):
-        s = slice(lo, lo + block)
-        theta = _magnus6(ax[s], az[s] + h_off, bx[s], bz[s], cx[s], cz[s])
-        q = _qmul(_compose(_quaternion(*theta)), q)
-    return _rotate(q, states)
+        k = min(block, n - lo)
+        for c, out in zip(quarter, real[:3, :k]):
+            _horner(c, slice(lo, lo + k), x, out)
+        _cayley_klein(real[:3, :k], pairs[:2, :k], real[3:, :k])
+        _ck_mul(*_compose(pairs[:, :k]), *acc, nxt, tmp)
+        acc, nxt = nxt, acc
+    return _rotate(*acc, states)
 
 
 def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
                      config: IntegratorConfig) -> np.ndarray:
-    """The rotation path: passes of n and 2n steps, doubling n until the
-    2n-step states meet the tolerance."""
-    n = _initial_steps(pulse, offsets, config)
-    coarse = _rotation_pass(pulse, offsets, states, n)
+    """The rotation path: each trajectory runs passes of n, 2n, 4n, ...
+    steps from its own first step count until its own error estimate
+    meets the tolerance, and keeps the last of them.
+
+    Passes of the same step count run together.  The tolerance scale
+    max |r| is taken over the whole stack; rotations keep every |r|, so it
+    is that of the initial states.
+    """
+    tol = config.abs_tol + config.rel_tol * float(np.max(np.linalg.norm(states, axis=1)))
+    first = _initial_steps(_need(pulse, offsets, config))
+    out = np.empty_like(states)
+    active = np.empty(0, dtype=int)  # trajectories with a coarse state
+    coarse = np.empty((0, 3))
+    n = int(first.min())
     while True:
+        members = np.concatenate([active, np.flatnonzero(first == n)])
+        if members.size:
+            fine = _rotation_pass(pulse, offsets[members], states[members], n)
+            # a sixth-order error falls 2^6-fold per halving of the step,
+            # so the n-step error is about |r_n - r_n/2| / 63
+            err = np.linalg.norm(fine[: active.size] - coarse, axis=1) / 63.0
+            done = np.concatenate([err <= tol, np.zeros(members.size - active.size, bool)])
+            out[members[done]] = fine[done]
+            active, coarse = members[~done], fine[~done]
+        if not active.size and n >= first.max():
+            return out
         n *= 2
-        fine = _rotation_pass(pulse, offsets, states, n)
-        err = float(np.max(np.linalg.norm(fine - coarse, axis=1))) / 63.0
-        tol = config.abs_tol + config.rel_tol * float(np.max(np.linalg.norm(fine, axis=1)))
-        if err <= tol:
-            return fine
-        if 2 * n > _MAX_STEPS:
+        if n > _MAX_STEPS:
             raise IntegrationError(
                 f"step budget of {_MAX_STEPS} steps reached with error "
-                f"estimate {err:.2e} > {tol:.2e}"
+                f"estimate {float(np.max(err)):.2e} > {tol:.2e}"
             )
-        coarse = fine
 
 
 def evolve(

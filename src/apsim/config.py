@@ -25,7 +25,7 @@ apply_detection  optional bool, map scan output through the detection model
 integrator  optional {"rel_tol","abs_tol","max_step_ms"} subset
 damping     optional {"gamma_2_khz"}
 convolution optional {"renormalize","method"} subset
-seed        optional integer, default 0
+seed        optional non-negative integer, default 0
 """
 
 from __future__ import annotations
@@ -85,16 +85,25 @@ def _bool(d: dict, section: str, key: str, default=False) -> bool:
     return v
 
 
+def _num_list(d: dict, section: str, key: str) -> np.ndarray:
+    vals = d[key]
+    if not isinstance(vals, list) or not vals:
+        raise ConfigError(f"{section}.{key} must be a non-empty list")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals):
+        raise ConfigError(f"{section}.{key} must hold numbers only")
+    grid = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{section}.{key} contains non-finite values")
+    return grid
+
+
 def _grid_from_range(d: dict, section: str, suffix: str) -> np.ndarray:
     values_key = f"values{suffix}"
     range_keys = {f"start{suffix}", f"stop{suffix}", f"step{suffix}"}
     if values_key in d:
         if set(d) & range_keys:
             raise ConfigError(f"{section}: give either {values_key} or a range, not both")
-        vals = d[values_key]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"{section}.{values_key} must be a non-empty list")
-        grid = np.asarray([float(v) for v in vals])
+        grid = _num_list(d, section, values_key)
     else:
         if set(d) != range_keys:
             raise ConfigError(
@@ -152,6 +161,12 @@ class RunConfig:
     renormalize: bool = False
     conv_method: str = "quad"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # numpy's SeedSequence takes non-negative integers only; checked
+        # here so that a --seed override is held to it as well
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 _TOP_KEYS = {
@@ -226,10 +241,7 @@ def load_config(source) -> RunConfig:
         grid = _grid_from_range(scan, "scan", "_um")
     elif kind == "transport":
         _check_keys(scan, "scan", {"inv_tau_per_ms"})
-        vals = scan["inv_tau_per_ms"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError("scan.inv_tau_per_ms must be a non-empty list")
-        grid = np.asarray([float(v) for v in vals])
+        grid = _num_list(scan, "scan", "inv_tau_per_ms")
         if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
             raise ConfigError("inv_tau_per_ms must be positive and increasing")
     else:  # adiabaticity

@@ -59,6 +59,8 @@ class ThermalModel:
     p_max: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.delta_ls_max, self.delta_th, self.p_max])):
+            raise ValueError("thermal model parameters must be finite")
         if self.delta_ls_max > 0:
             raise ValueError("delta_ls_max must be <= 0")
         if self.delta_th <= 0:

@@ -246,12 +246,15 @@ def test_rotation_step_is_sixth_order(ref_pulse):
 
 def test_pairwise_composition_matches_sequential(ref_pulse):
     rng = np.random.default_rng(7)
-    q = rng.normal(size=(4, 37, 5))
-    q /= np.linalg.norm(q, axis=0)
-    want = q[:, 0]
-    for k in range(1, q.shape[1]):
-        want = bloch._qmul(q[:, k], want)
-    np.testing.assert_allclose(bloch._compose(q), want, atol=1e-12)
+    pairs = np.empty((5, 37, 5), dtype=complex)
+    pairs[:2] = rng.normal(size=(2, 37, 5)) + 1j * rng.normal(size=(2, 37, 5))
+    pairs[:2] /= np.sqrt(np.sum(np.abs(pairs[:2]) ** 2, axis=0))
+    want = pairs[:2, 0].copy()
+    for k in range(1, pairs.shape[1]):
+        nxt = np.empty_like(want)
+        bloch._ck_mul(*pairs[:2, k], *want, nxt, np.empty(5, dtype=complex))
+        want = nxt
+    np.testing.assert_allclose(bloch._compose(pairs), want, atol=1e-12)
     # thousands of members split the steps into many blocks, one member
     # takes them in a single block: the answers agree
     offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 4001))
@@ -261,6 +264,43 @@ def test_pairwise_composition_matches_sequential(ref_pulse):
     for i in (0, 1234, 4000):
         one = bloch._rotation_pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 100)
         np.testing.assert_allclose(many[i], one[0], atol=1e-12)
+
+
+def test_cayley_klein_pairs_rotate_like_rotation_vectors():
+    # U = [[a, b], [-b*, a*]] turns r by |theta| about theta, and a product
+    # of pairs is the rotation on the right followed by the one on the left
+    rng = np.random.default_rng(11)
+    theta = rng.normal(size=(3, 2, 6)) * 2.0
+    a, b = pairs = np.empty((2, 2, 6), dtype=complex)
+    bloch._cayley_klein(theta / 4.0, pairs, np.empty((2, 2, 6)))
+    r = rng.normal(size=(6, 3))
+    rot = [Rotation.from_rotvec(theta[:, k].T) for k in range(2)]
+    np.testing.assert_allclose(bloch._rotate(a[0], b[0], r), rot[0].apply(r), atol=1e-12)
+    both = np.empty((2, 6), dtype=complex)
+    bloch._ck_mul(a[1], b[1], a[0], b[0], both, np.empty(6, dtype=complex))
+    np.testing.assert_allclose(bloch._rotate(*both, r), (rot[1] * rot[0]).apply(r), atol=1e-12)
+
+
+def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
+    # on a fit-like stack the far-detuned members need more steps than the
+    # rest: the first pass leaves them out, the last holds only them, and
+    # every returned state is within the tolerance of a much finer pass
+    offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, 3067)) - ref_pulse.delta_c
+    y0 = np.tile(GROUND.as_array(), (offs.size, 1))
+    sizes = []
+    rotation_pass = bloch._rotation_pass
+
+    def counted(pulse, offsets, states, n):
+        sizes.append(offsets.size)
+        return rotation_pass(pulse, offsets, states, n)
+
+    monkeypatch.setattr(bloch, "_rotation_pass", counted)
+    got = evolve_offsets(ref_pulse, offs)
+    assert 0 < sizes[0] < offs.size
+    assert 0 < sizes[-1] < offs.size
+    cfg = IntegratorConfig()
+    fine = rotation_pass(ref_pulse, offs, y0, 2**14)
+    assert np.max(np.linalg.norm(got - fine, axis=1)) <= cfg.abs_tol + cfg.rel_tol
 
 
 def test_undamped_path_does_not_call_solve_ivp(ref_pulse, monkeypatch):

@@ -126,6 +126,66 @@ def test_step_budget_stops_overlong_pulse(tmp_path, caplog):
     assert "step budget" in caplog.text
 
 
+def test_damped_step_budget_stops_overlong_pulse(tmp_path, caplog):
+    # with dephasing the DOP853 path runs; a 100 s passage spans ~7e6
+    # half-turns, and the budget check again runs before the integration
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": {**PULSE, "t_p_ms": 1e5},
+        "thermal": THERMAL,
+        "damping": {"gamma_2_khz": 0.01},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--config", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "step budget" in caplog.text
+
+
+@pytest.mark.parametrize("field, value", [("delta_th_khz", float("nan")),
+                                          ("delta_ls_max_khz", float("-inf"))])
+def test_non_finite_thermal_parameter_is_config_error(tmp_path, field, value):
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": PULSE,
+        "thermal": {**THERMAL, field: value},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 2
+
+
+def test_negative_seed_is_config_error(transport_cfg, tmp_path):
+    cfg = json.loads(transport_cfg.read_text())
+    cfg["seed"] = -1
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["transport", "--config", str(path)]) == 2
+    assert main(["transport", "--config", str(transport_cfg), "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize("kind, scan", [
+    ("spectrum", {"kind": "spectrum", "values_khz": ["a"]}),
+    ("transport", {"kind": "transport", "inv_tau_per_ms": ["x"]}),
+    ("transport", {"kind": "transport", "inv_tau_per_ms": [float("nan")]}),
+])
+def test_non_numeric_grid_value_is_config_error(tmp_path, kind, scan):
+    cfg = {
+        "scan": scan,
+        "pulse": PULSE,
+        "thermal": THERMAL,
+        "geometry": GEOMETRY,
+        "transport": {"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
+                      "spread_khz": 32.0},
+    }
+    if kind == "transport":
+        del cfg["pulse"], cfg["thermal"]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    assert main([kind, "--config", str(path)]) == 2
+
+
 def test_transport_scan_deterministic(transport_cfg, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
