@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
 from .pulses import PulseProgram
@@ -177,6 +176,8 @@ def _make_rhs(pulse: PulseProgram, offsets: np.ndarray, gamma_2: float):
 
 
 def _solve(pulse, offsets, y0, damping, config, dense):
+    from scipy.integrate import solve_ivp
+
     damping = damping or DampingModel()
     config = config or IntegratorConfig()
     offsets = np.asarray(offsets, dtype=float)

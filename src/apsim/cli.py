@@ -38,6 +38,13 @@ __all__ = ["main", "run_scan"]
 
 log = logging.getLogger("apsim")
 
+# A computed probability may leave [0, 1] by the convolution's accuracy:
+# the adaptive rule's absolute tolerance is 1e-6, and the Simpson rule
+# with renormalize=True reaches 1 + 1.1e-7 on a flat plateau at p_max = 1.
+# Detection accepts only [0, 1], so excursions up to this size are clipped
+# first; larger ones are errors and still fail.
+_P1_ROUNDOFF = 1e-6
+
 
 def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
@@ -91,7 +98,9 @@ def run_scan(cfg: RunConfig) -> ScanResult:
         result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "ms")
 
     if cfg.apply_detection:
-        p1 = apply_detection(result.p1, cfg.detection)
+        p1 = result.p1
+        roundoff = (p1 >= -_P1_ROUNDOFF) & (p1 <= 1.0 + _P1_ROUNDOFF)
+        p1 = apply_detection(np.where(roundoff, np.clip(p1, 0.0, 1.0), p1), cfg.detection)
         stderr = (
             None
             if result.stderr is None

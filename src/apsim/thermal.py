@@ -25,12 +25,10 @@ back by default.  Pass renormalize=True to divide it out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.interpolate import CubicSpline
-from scipy.special import gammainc
 
 from .errors import QuadratureError
 from .units import khz_to_rad_per_s, rad_per_s_to_khz
@@ -48,6 +46,13 @@ __all__ = [
 
 # the Gamma(3) tail beyond y = 200 carries ~1e-81 of mass
 _Y_CAP = 200.0
+
+# below this x the closed form of the Gamma(3) CDF cancels too much
+_SERIES_BELOW = 0.1
+
+# relative deviation from equal steps that SpectrumCache accepts as a
+# uniform grid (np.linspace rounding is ~1e-13 of a step)
+_UNIFORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,24 @@ def boltzmann_pdf(delta_ls, m: ThermalModel):
 
 
 def truncated_mass(m: ThermalModel) -> float:
-    """Mass of p_B between delta_ls_max and 0 (the physical window)."""
-    return float(gammainc(3.0, -m.delta_ls_max / m.delta_th))
+    """Mass of p_B between delta_ls_max and 0 (the physical window).
+
+    This is the Gamma(3) CDF at x = |delta_ls_max| / delta_th,
+    1 - exp(-x) (1 + x + x^2/2).  That form cancels to nothing as x -> 0,
+    so below x = 0.1 it is summed as exp(-x) sum_{k>=3} x^k / k!, and
+    above it written as -expm1(-x) - x exp(-x) (1 + x/2); both keep
+    about 1e-13 relative accuracy.
+    """
+    x = -m.delta_ls_max / m.delta_th
+    if x < _SERIES_BELOW:
+        term = total = x * x * x / 6.0
+        k = 3
+        while term > 1e-17 * total:
+            k += 1
+            term *= x / k
+            total += term
+        return math.exp(-x) * total
+    return -math.expm1(-x) - x * math.exp(-x) * (1.0 + 0.5 * x)
 
 
 def sample_light_shift(m: ThermalModel, rng_seed, n: int | None = None):
@@ -131,6 +152,8 @@ def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False, abs_tol: f
     -------
     callable, delta_c (rad/s, scalar or array) -> broadened probability.
     """
+    from scipy.integrate import quad
+
     r = -m.delta_ls_max / m.delta_th
     upper = min(r, _Y_CAP)
     hints = [p for p in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if p < upper]
@@ -170,21 +193,25 @@ def convolve_on_grid(
 ):
     """Vectorized fixed-grid counterpart of convolve (composite Simpson).
 
-    The shift variable is sampled at rel_step * delta_th; all spectrum
-    evaluations happen in one vectorized call, which makes this the
+    The shift variable is sampled at rel_step * delta_th over the capped
+    support; all spectrum evaluations happen in one vectorized call, and
+    the Simpson weights are folded into the kernel, which makes this the
     right inner loop for fitting.  Agreement with the adaptive path is
     covered by tests.
     """
     deltas = np.atleast_1d(np.asarray(delta_c_values, dtype=float))
-    r = -m.delta_ls_max / m.delta_th
-    n_steps = int(np.ceil(r / rel_step))
+    upper = min(-m.delta_ls_max / m.delta_th, _Y_CAP)
+    n_steps = int(np.ceil(upper / rel_step))
     n_pts = 2 * max(n_steps // 2, 32) + 1  # odd count for Simpson
-    y = np.linspace(0.0, min(r, _Y_CAP), n_pts)
-    kernel = 0.5 * y * y * np.exp(-y)
+    y = np.linspace(0.0, upper, n_pts)
+    weights = np.full(n_pts, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    weights *= (y[1] - y[0]) / 3.0
+    kernel = 0.5 * y * y * np.exp(-y) * weights
     shift = m.delta_ls_max + y * m.delta_th
     vals = np.asarray(spectrum((deltas[:, None] + shift[None, :]).ravel()))
-    vals = vals.reshape(len(deltas), n_pts)
-    out = simpson(kernel[None, :] * vals, x=y, axis=1)
+    out = vals.reshape(len(deltas), n_pts) @ kernel
     scale = m.p_max / truncated_mass(m) if renormalize else m.p_max
     out = scale * out
     return out if np.ndim(delta_c_values) else float(out[0])
@@ -228,9 +255,12 @@ class SpectrumCache:
 
     Full Bloch integration per point is far too slow inside quadratures
     and fit loops, so the spectrum is evaluated once on a grid (default
-    step delta_th / 20) and interpolated with a cubic spline.  Calls
-    outside the domain clamp to the edge values; build the cache wide
-    enough to cover every shifted evaluation.
+    step delta_th / 20) and interpolated with a not-a-knot cubic spline.
+    The knot slopes come from one tridiagonal solve at construction;
+    because the grid is uniform (equal steps within 1e-6 relative, as
+    from_pulse builds it), a call finds its interval arithmetically.
+    Calls outside the domain clamp to the edge values; build the cache
+    wide enough to cover every shifted evaluation.
     """
 
     def __init__(self, deltas, p1):
@@ -238,13 +268,24 @@ class SpectrumCache:
         p1 = np.asarray(p1, dtype=float)
         if deltas.ndim != 1 or len(deltas) < 4:
             raise ValueError("need at least 4 grid points")
-        if np.any(np.diff(deltas) <= 0):
+        if p1.shape != deltas.shape:
+            raise ValueError("need one p1 value per grid point")
+        steps = np.diff(deltas)
+        if np.any(steps <= 0):
             raise ValueError("grid must increase strictly")
         self.deltas = deltas
         self.p1 = p1
-        self._spline = CubicSpline(deltas, p1)
         self.lo = float(deltas[0])
         self.hi = float(deltas[-1])
+        h = (self.hi - self.lo) / (len(deltas) - 1)
+        if np.any(np.abs(steps - h) > _UNIFORM_TOL * h):
+            raise ValueError("grid must be uniform")
+        self._inv_h = 1.0 / h
+        slopes = _not_a_knot_slopes(p1, h)
+        # per-interval cubic in x - deltas[i], highest power first
+        secant = np.diff(p1) / h
+        t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
+        self._coef = (t / h, (secant - slopes[:-1]) / h - t, slopes[:-1], p1[:-1])
 
     @classmethod
     def from_pulse(
@@ -278,5 +319,35 @@ class SpectrumCache:
 
     def __call__(self, delta_c):
         x = np.clip(delta_c, self.lo, self.hi)
-        out = self._spline(x)
+        i = np.clip(((x - self.lo) * self._inv_h).astype(np.intp), 0, len(self.deltas) - 2)
+        dx = x - self.deltas[i]
+        c3, c2, c1, c0 = self._coef
+        out = ((c3[i] * dx + c2[i]) * dx + c1[i]) * dx + c0[i]
         return float(out) if np.ndim(delta_c) == 0 else out
+
+
+def _not_a_knot_slopes(y: np.ndarray, h: float) -> np.ndarray:
+    """First derivatives at the knots of the not-a-knot cubic spline
+    through y on a grid of step h (Thomas algorithm, no pivoting needed:
+    every pivot after the first row stays above 0.4)."""
+    secant = np.diff(y) / h
+    n = len(y)
+    # rows: s0 + 2 s1 = (5 d0 + d1) / 2;  s_{i-1} + 4 s_i + s_{i+1} =
+    # 3 (d_{i-1} + d_i);  2 s_{n-2} + s_{n-1} = (d_{n-3} + 5 d_{n-2}) / 2
+    sub = [0.0] + [1.0] * (n - 2) + [2.0]
+    diag = [1.0] + [4.0] * (n - 2) + [1.0]
+    sup = [2.0] + [1.0] * (n - 2) + [0.0]
+    rhs = [0.5 * (5.0 * secant[0] + secant[1])]
+    rhs += (3.0 * (secant[:-1] + secant[1:])).tolist()
+    rhs.append(0.5 * (secant[-2] + 5.0 * secant[-1]))
+    c = [0.0] * n
+    d = [0.0] * n
+    c[0] = sup[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        pivot = diag[i] - sub[i] * c[i - 1]
+        c[i] = sup[i] / pivot
+        d[i] = (rhs[i] - sub[i] * d[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)

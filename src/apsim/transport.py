@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .addressing import TrapGeometry
 from .bloch import GROUND, BlochState, evolve_offsets
@@ -248,9 +249,7 @@ def _draw_delta_r(plan: TransportPlan, n: int, rng_seed: int, distribution: str)
     spread = khz_to_rad_per_s(plan.spread_nu)
     out = np.empty(n)
     for i in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,))
-        )
+        rng = default_rng(SeedSequence(entropy=rng_seed, spawn_key=(i,)))
         if distribution == "uniform":
             out[i] = delta_0 + spread * (rng.uniform() - 0.5)
         elif distribution == "gaussian":

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.spatial.transform import Rotation
 
 import apsim.bloch as bloch
@@ -307,7 +308,9 @@ def test_undamped_path_does_not_call_solve_ivp(ref_pulse, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
-    monkeypatch.setattr(bloch, "solve_ivp", forbidden)
+    # bloch imports solve_ivp where the damped path needs it, so the
+    # module attribute is the name that path resolves
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", forbidden)
     evolve_offsets(ref_pulse, khz_to_rad_per_s(np.array([-20.0, 0.0, 20.0])))
     evolve(GROUND, ref_pulse)
     with pytest.raises(AssertionError):

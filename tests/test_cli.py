@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apsim
 from apsim.cli import main
 from apsim.scan import ScanResult
 
@@ -292,3 +296,108 @@ def test_fit_requires_thermal_section(tmp_path):
         f"{x},khz,0.5,\n" for x in range(12)
     ))
     assert main(["fit", "--config", str(cfg_path), "--data", str(data)]) == 2
+
+
+# ------------------------------------------------------------ fit robustness
+
+@pytest.fixture(scope="module")
+def fit_data(tmp_path_factory):
+    """A broadened spectrum at 2 kHz steps and the config that made it."""
+    tmp = tmp_path_factory.mktemp("fit")
+    cfg = {
+        "scan": {"kind": "spectrum", "start_khz": -65.0, "stop_khz": 65.0, "step_khz": 2.0},
+        "pulse": PULSE,
+        "thermal": THERMAL,
+        "convolution": {"method": "grid"},
+    }
+    data = tmp / "data.csv"
+    (tmp / "gen.json").write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(tmp / "gen.json"), "--out", str(data)]) == 0
+    return cfg, data
+
+
+@pytest.mark.parametrize(
+    "guess",
+    [
+        # an oversized shift grid once asked for tens of GiB
+        {"delta_th_khz": 17.0},
+        # these once overflowed exp in a trial step
+        {"delta_ls_max_khz": -1.0},
+        {"delta_ls_max_khz": -0.5},
+        {"delta_ls_max_khz": -0.05},
+    ],
+)
+def test_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path, guess):
+    cfg, data = fit_data
+    cfg = dict(cfg, thermal=dict(THERMAL, **guess))
+    path = tmp_path / "guess.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--config", str(path), "--data", str(data), "--out", str(out)]) in (0, 3)
+    if out.exists():
+        report = json.loads(out.read_text())
+        assert 0 < report["n_iterations"] <= 2000
+        assert all(np.isfinite(v) for v in report["params"].values())
+
+
+def test_detection_accepts_renormalized_unit_plateau(tmp_path, capsys):
+    # p_max = 1 renormalized on the grid rule reaches 1 + 1.1e-7 on the
+    # plateau; detection must see that as 1, not fail
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [-40.0, -20.0, 0.0, 20.0]},
+        "pulse": PULSE,
+        "thermal": dict(THERMAL, p_max=1.0),
+        "convolution": {"method": "grid", "renormalize": True},
+        "apply_detection": True,
+    }
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 0
+    measured = ScanResult.from_csv_text(capsys.readouterr().out)
+    assert np.max(measured.p1) == pytest.approx(0.99, abs=1e-12)
+
+
+def test_detection_rejects_large_excursion(monkeypatch, tmp_path):
+    import apsim.cli
+
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0, 1.0]},
+        "pulse": PULSE,
+        "thermal": THERMAL,
+        "convolution": {"method": "grid"},
+        "apply_detection": True,
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(
+        apsim.cli, "broadened_spectrum", lambda *a, **k: np.array([0.5, 1.0 + 1e-5])
+    )
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        main(["spectrum", "--config", str(path)])
+
+
+# ------------------------------------------------------------ start-up
+
+def test_transport_and_fit_run_without_scipy(fit_data, transport_cfg, tmp_path):
+    cfg, data = fit_data
+    fit_cfg = tmp_path / "fit.json"
+    fit_cfg.write_text(json.dumps(dict(cfg, thermal=dict(THERMAL, delta_th_khz=2.0))))
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(apsim.__file__).parents[1])!r})
+import apsim.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not loaded(), loaded()
+assert apsim.cli.main(["transport", "--config", {str(transport_cfg)!r},
+                       "--out", {str(tmp_path / "t.csv")!r}]) == 0
+assert not loaded(), loaded()
+assert apsim.cli.main(["fit", "--config", {str(fit_cfg)!r}, "--data", {str(data)!r},
+                       "--out", {str(tmp_path / "f.json")!r}]) == 0
+assert not loaded(), loaded()
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "f.json").read_text())["converged"] is True

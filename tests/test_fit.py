@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+import apsim.fit
 from apsim.errors import FitDataError
 from apsim.fit import FitResult, chi_square, fit_spectrum
 from apsim.scan import ScanResult
@@ -87,6 +89,83 @@ def test_data_validation(ref_pulse, ref_thermal):
     weird_unit = ScanResult(GRID_KHZ, np.linspace(0, 1, len(GRID_KHZ)), None, "um")
     with pytest.raises(FitDataError):
         fit_spectrum(weird_unit, ref_pulse, ref_thermal)
+
+
+# ------------------------------------------------------------ optimizer
+
+def _block_fit(clean_data, seed, pair):
+    """Noisy data and guess of one fit of the benchmark's fit block: the
+    (delta_ls_max, delta_th) guess errors take the signs of pair's bits."""
+    rng = np.random.default_rng(1000 * seed + pair)
+    signs = (1.0 if pair & 1 else -1.0, 1.0 if pair & 2 else -1.0,
+             float(rng.choice([-1.0, 1.0])))
+    noisy = clean_data.p1 + rng.normal(0.0, 0.02, size=len(clean_data))
+    guess = ThermalModel.from_khz(
+        -11.0 * (1.0 + 0.3 * signs[0]),
+        1.7 * (1.0 + 0.3 * signs[1]),
+        min(0.95 * (1.0 + 0.3 * signs[2]), 0.999),
+    )
+    return ScanResult(GRID_KHZ, noisy, None, "khz"), guess
+
+
+def _scipy_lmder(fun, x0, max_nfev):
+    """The oracle: MINPACK lmder as scipy's least_squares calls it."""
+    res = least_squares(fun, x0, method="lm", xtol=1e-6, max_nfev=max_nfev)
+    return res.x, res.fun, res.nfev, 1 if res.status > 0 else 5
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("pair", [0, 1, 2, 3])
+def test_optimizer_matches_least_squares(clean_data, ref_pulse, monkeypatch, seed, pair):
+    data, guess = _block_fit(clean_data, seed, pair)
+    got = fit_spectrum(data, ref_pulse, guess)
+    monkeypatch.setattr(apsim.fit, "_lmder", _scipy_lmder)
+    want = fit_spectrum(data, ref_pulse, guess)
+    assert got.converged == want.converged
+    for key, value in want.params.to_json_dict().items():
+        assert got.params.to_json_dict()[key] == pytest.approx(value, rel=1e-4)
+
+
+def test_n_iterations_counts_every_model_evaluation(clean_data, ref_pulse, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return convolve_on_grid(*args, **kwargs)
+
+    monkeypatch.setattr(apsim.fit, "convolve_on_grid", counting)
+    data, guess = _block_fit(clean_data, 0, 2)
+    res = fit_spectrum(data, ref_pulse, guess)
+    assert res.converged
+    # one start, then three evaluations per Jacobian and one per trial step
+    assert res.n_iterations == len(calls) > 4
+
+
+def _parabola(x):
+    return np.array([x[0] - 3.0, 10.0 * (x[1] - x[0] ** 2), x[1] - 1.0])
+
+
+def test_optimizer_stops_at_budget():
+    x, f, nfev, info = apsim.fit._lmder(_parabola, np.array([-1.2, 1.0]), 9)
+    assert info == 5 and nfev <= 9
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(f))
+
+
+def test_optimizer_rejects_non_finite_trial_points():
+    # residuals are undefined below x0 = 2.5, which fences off the minimum
+    # at x0 ~ 1; the forward differences step upward, away from the fence
+    def fenced(x):
+        return np.full(3, np.nan) if x[0] < 2.5 else _parabola(x)
+
+    start = np.array([6.0, 30.0])
+    x, f, nfev, info = apsim.fit._lmder(fenced, start, 500)
+    assert x[0] >= 2.5 and np.all(np.isfinite(f))
+    assert info in (1, 2, 3, 4) and nfev < 500
+    assert np.linalg.norm(f) < np.linalg.norm(_parabola(start))
+    # unfenced, the same start reaches scipy's least-squares minimum
+    x, f, nfev, info = apsim.fit._lmder(_parabola, start, 500)
+    assert info in (1, 2, 3, 4) and x[0] < 2.5
+    np.testing.assert_allclose(x, least_squares(_parabola, start, method="lm").x, rtol=1e-6)
 
 
 # ------------------------------------------------------------ chi square

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline
+from scipy.special import gammainc
 
 from apsim.errors import QuadratureError
 from apsim.thermal import (
@@ -73,6 +75,14 @@ def test_truncated_mass_closed_form(ref_thermal):
     assert truncated_mass(ThermalModel.from_khz(-100.0, 1.0, 0.5)) == pytest.approx(1.0)
 
 
+def test_truncated_mass_matches_gammainc():
+    # the series below x = 0.1 and the expm1 form above it, against scipy
+    for x in np.geomspace(1e-4, 200.0, 801):
+        m = ThermalModel(-x * 1.0e3, 1.0e3, 0.5)
+        assert truncated_mass(m) == pytest.approx(gammainc(3.0, x), rel=1e-12, abs=0.0)
+    assert truncated_mass(ThermalModel(0.0, 1.0e3, 0.5)) == 0.0
+
+
 # ------------------------------------------------------------ sampling
 
 def test_sampling_deterministic(ref_thermal):
@@ -107,6 +117,38 @@ def test_grid_rule_matches_adaptive(ref_cache, ref_thermal):
     adaptive = convolve(ref_cache, ref_thermal)(deltas)
     gridded = convolve_on_grid(ref_cache, deltas, ref_thermal)
     np.testing.assert_allclose(gridded, adaptive, atol=1e-5)
+
+
+class _Recording:
+    """Spectrum wrapper that keeps the last argument it was called with."""
+
+    def __init__(self, spectrum):
+        self.spectrum = spectrum
+        self.arg = None
+
+    def __call__(self, delta_c):
+        self.arg = np.asarray(delta_c)
+        return self.spectrum(delta_c)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_grid_rule_weights_match_simpson(ref_cache, ref_thermal, renormalize):
+    spectrum = _Recording(ref_cache)
+    got = convolve_on_grid(spectrum, 0.0, ref_thermal, renormalize=renormalize)
+    shift = spectrum.arg
+    y = (shift - ref_thermal.delta_ls_max) / ref_thermal.delta_th
+    expect = simpson(0.5 * y * y * np.exp(-y) * ref_cache(shift), x=y)
+    expect *= ref_thermal.p_max / (truncated_mass(ref_thermal) if renormalize else 1.0)
+    assert got == pytest.approx(expect, rel=1e-14, abs=1e-15)
+
+
+def test_grid_rule_sizes_grid_from_capped_support(ref_cache):
+    # r = 1000 scale units; only y <= 200 is integrated, at the same step
+    wide = ThermalModel(-1000.0 * 10.0, 10.0, 0.9)
+    spectrum = _Recording(ref_cache)
+    got = convolve_on_grid(spectrum, np.array([0.0, 1.0]), wide)
+    assert spectrum.arg.size == 2 * 4001
+    assert np.all(np.isfinite(got))
 
 
 def test_monte_carlo_confirms_quadrature(ref_cache, ref_thermal):
@@ -183,11 +225,30 @@ def test_cache_clamps_outside_domain(ref_cache):
     assert above == pytest.approx(ref_cache(ref_cache.hi), abs=1e-12)
 
 
+def test_cache_matches_cubic_spline(ref_cache):
+    oracle = CubicSpline(ref_cache.deltas, ref_cache.p1)
+    rng = np.random.default_rng(3)
+    probe = np.concatenate(
+        [ref_cache.deltas, rng.uniform(ref_cache.lo, ref_cache.hi, 20000)]
+    )
+    np.testing.assert_allclose(ref_cache(probe), oracle(probe), rtol=0.0, atol=1e-12)
+    assert ref_cache(float(probe[-1])) == pytest.approx(float(oracle(probe[-1])), abs=1e-12)
+    # a short grid: the not-a-knot spline through 4 points is their cubic
+    x = np.linspace(-1.0, 2.0, 4)
+    cubic = lambda t: 0.3 * t**3 - t + 0.2  # noqa: E731
+    probe = np.linspace(-1.0, 2.0, 37)
+    np.testing.assert_allclose(SpectrumCache(x, cubic(x))(probe), cubic(probe), atol=1e-14)
+
+
 def test_cache_validation():
     with pytest.raises(ValueError):
         SpectrumCache([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         SpectrumCache([0.0, 1.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="uniform"):
+        SpectrumCache([0.0, 1.0, 2.0, 3.5], [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        SpectrumCache([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         SpectrumCache.from_pulse(None, 1.0, 0.0, 1.0)
 
