@@ -117,7 +117,6 @@ def spatial_spectrum(
     config=None,
     renormalize: bool = False,
     method: str = "quad",
-    cache_step: float | None = None,
 ) -> ScanResult:
     """Broadened transfer probability versus position offset (um).
 
@@ -134,7 +133,6 @@ def spatial_spectrum(
         offset_to_detuning(dx, g),
         renormalize=renormalize,
         method=method,
-        cache_step=cache_step,
         damping=damping,
         config=config,
     )

@@ -174,6 +174,9 @@ _TOP_KEYS = {
     "apply_detection", "integrator", "damping", "convolution", "seed",
 }
 
+# the top-level keys that are not sections
+_SCALAR_KEYS = {"apply_detection", "seed"}
+
 _REQUIRED_SECTIONS = {
     "spectrum": ("pulse", "thermal"),
     "spatial": ("pulse", "thermal", "geometry"),
@@ -198,6 +201,9 @@ def load_config(source) -> RunConfig:
         raise ConfigError(f"cannot load config from {type(source).__name__}")
 
     _check_keys(raw, "config", {"scan"}, _TOP_KEYS)
+    for name in sorted(_TOP_KEYS & set(raw) - _SCALAR_KEYS):
+        if not isinstance(raw[name], dict):
+            raise ConfigError(f"{name} must be an object, got {raw[name]!r}")
     scan = dict(raw["scan"])
     if "kind" not in scan:
         raise ConfigError("scan.kind is required")
@@ -215,12 +221,11 @@ def load_config(source) -> RunConfig:
         if name not in raw:
             return None
         sec = raw[name]
-        if isinstance(sec, dict):
-            # none of the domain objects has boolean fields; JSON true/false
-            # in a numeric slot is a typo, not a 1.0/0.0
-            for k, v in sec.items():
-                if isinstance(v, bool):
-                    raise ConfigError(f"{name}.{k} must be a number, got {v!r}")
+        # none of the domain objects has boolean fields; JSON true/false
+        # in a numeric slot is a typo, not a 1.0/0.0
+        for k, v in sec.items():
+            if isinstance(v, bool):
+                raise ConfigError(f"{name}.{k} must be a number, got {v!r}")
         try:
             return build(sec)
         except ConfigError:
@@ -261,6 +266,11 @@ def load_config(source) -> RunConfig:
             {"d_um", "omega_r_khz", "delta_0_khz", "spread_khz"},
             {"n_ensemble", "distribution", "switch_on", "readout", "ramp_time_ms"},
         )
+        for key in ("omega_r_khz", "delta_0_khz", "spread_khz"):
+            # the transport plan works in rad/s; a value that overflows
+            # there would turn the dressed state into NaN
+            if not np.isfinite(khz_to_rad_per_s(_num(t, "transport", key))):
+                raise ConfigError(f"transport.{key} is not finite in rad/s: {t[key]!r}")
         transport = TransportSettings(
             d_um=_num(t, "transport", "d_um"),
             omega_r_khz=_num(t, "transport", "omega_r_khz"),

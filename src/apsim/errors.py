@@ -9,7 +9,8 @@ class ConfigError(ValueError):
 
 class IntegrationError(RuntimeError):
     """The Bloch integrator failed, was fed non-finite pulse values, or
-    would exceed its step budget."""
+    would exceed its step budget; or a spectrum cache would exceed its
+    point budget before its spline error estimate met the tolerance."""
 
 
 class QuadratureError(RuntimeError):

@@ -2,7 +2,8 @@
 
 The broadened spectrum depends on the pulse only through the bare transfer
 curve P1(delta_c), which is independent of the thermal parameters.  The
-fitter therefore batch-integrates P1 once onto a cached grid and re-runs
+fitter therefore batch-integrates P1 once onto a cached grid, sized by
+the spline's own error estimate (SpectrumCache.from_pulse), and re-runs
 only the (cheap, vectorized) convolution per optimizer step; that single
 reuse is what makes fitting interactive instead of an overnight job.
 
@@ -102,7 +103,6 @@ def fit_spectrum(
     initial_guess: ThermalModel,
     *,
     renormalize: bool = False,
-    cache_step: float | None = None,
     damping=None,
     config=None,
 ) -> FitResult:
@@ -122,16 +122,11 @@ def fit_spectrum(
 
     guess = initial_guess
     # cache footprint: widest shift support the optimizer may explore,
-    # sized from the guess (clamped extrapolation beyond is flat)
+    # sized from the guess (clamped extrapolation beyond is flat); the
+    # grid step follows the bare spectrum, not the guess
     margin = 2.0 * abs(guess.delta_ls_max) + 20.0 * guess.delta_th
-    step = guess.delta_th / 20.0 if cache_step is None else cache_step
     cache = SpectrumCache.from_pulse(
-        pulse,
-        float(deltas.min()) - margin,
-        float(deltas.max()),
-        step,
-        damping,
-        config,
+        pulse, float(deltas.min()) - margin, float(deltas.max()), damping, config
     )
 
     y = np.asarray(data.p1, dtype=float)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import IntegrationError, QuadratureError
 from .units import khz_to_rad_per_s, rad_per_s_to_khz
 
 __all__ = [
@@ -49,6 +49,19 @@ _Y_CAP = 200.0
 
 # below this x the closed form of the Gamma(3) CDF cancels too much
 _SERIES_BELOW = 0.1
+
+# largest spline error SpectrumCache.from_pulse accepts: the default
+# absolute tolerance of convolve, so the cache adds no more error than the
+# quadrature may; the kernel's mass is at most 1, so the broadened curve's
+# error is bounded by it too
+_CACHE_TOL = 1e-6
+
+# intervals of the first grid from_pulse samples: small, so that the Bloch
+# step budget fires before a large grid is allocated
+_SEED_INTERVALS = 64
+
+# work budget of from_pulse: the most grid points one cache may have
+_MAX_CACHE_POINTS = 2**16 + 1
 
 # relative deviation from equal steps that SpectrumCache accepts as a
 # uniform grid (np.linspace rounding is ~1e-13 of a step)
@@ -225,21 +238,20 @@ def broadened_spectrum(
     renormalize: bool = False,
     method: str = "quad",
     abs_tol: float = 1e-6,
-    cache_step: float | None = None,
     damping=None,
     config=None,
 ):
     """Convolved transfer probability at the given detunings (rad/s).
 
     One-stop composition used by the scan front ends: batch-integrates the
-    bare spectrum into a SpectrumCache sized for the grid plus the shift
-    support, then convolves.  method="quad" is the error-controlled
-    adaptive path; method="grid" the fixed Simpson rule.
+    bare spectrum into a SpectrumCache that covers the grid plus the shift
+    support, with a spline error of at most 1e-6, then convolves.
+    method="quad" is the error-controlled adaptive path; method="grid" the
+    fixed Simpson rule.
     """
     deltas = np.asarray(delta_c_values, dtype=float)
     cache = SpectrumCache.for_scan(
-        pulse, float(np.min(deltas)), float(np.max(deltas)), m,
-        step=cache_step, damping=damping, config=config,
+        pulse, float(np.min(deltas)), float(np.max(deltas)), m, damping, config
     )
     if method == "quad":
         return convolve(cache, m, renormalize=renormalize, abs_tol=abs_tol)(
@@ -254,13 +266,23 @@ class SpectrumCache:
     """Bare transfer spectrum precomputed on a uniform detuning grid.
 
     Full Bloch integration per point is far too slow inside quadratures
-    and fit loops, so the spectrum is evaluated once on a grid (default
-    step delta_th / 20) and interpolated with a not-a-knot cubic spline.
-    The knot slopes come from one tridiagonal solve at construction;
-    because the grid is uniform (equal steps within 1e-6 relative, as
-    from_pulse builds it), a call finds its interval arithmetically.
-    Calls outside the domain clamp to the edge values; build the cache
-    wide enough to cover every shifted evaluation.
+    and fit loops, so the spectrum is evaluated once on a grid and
+    interpolated with a not-a-knot cubic spline.  The knot slopes come
+    from one tridiagonal solve at construction; because the grid is
+    uniform (equal steps within 1e-6 relative, as from_pulse builds it),
+    a call finds its interval arithmetically.  Calls outside the domain
+    clamp to the edge values; build the cache wide enough to cover every
+    shifted evaluation.
+
+    from_pulse sizes the grid by the spline's own error.  It samples a
+    64-interval seed grid, then grids whose interval count doubles, each
+    integrating only its new midpoints.  The spline's error is O(h^4)
+    (de Boor, A Practical Guide to Splines, ch. IV), so the largest
+    deviation of the previous level's spline at the new midpoints, over
+    16, estimates the new level's error; sampling stops once that is at
+    most _CACHE_TOL.  No grid coarser than the pulse's Fourier width
+    (1/t_p in Hz) is accepted or used for an estimate: the first level at
+    or below it is reached in one jump from the seed.
     """
 
     def __init__(self, deltas, p1):
@@ -281,41 +303,61 @@ class SpectrumCache:
         if np.any(np.abs(steps - h) > _UNIFORM_TOL * h):
             raise ValueError("grid must be uniform")
         self._inv_h = 1.0 / h
-        slopes = _not_a_knot_slopes(p1, h)
-        # per-interval cubic in x - deltas[i], highest power first
-        secant = np.diff(p1) / h
-        t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
-        self._coef = (t / h, (secant - slopes[:-1]) / h - t, slopes[:-1], p1[:-1])
+        self._coef = _spline_coefficients(p1, h)
 
     @classmethod
-    def from_pulse(
-        cls,
-        pulse,
-        delta_lo: float,
-        delta_hi: float,
-        step: float,
-        damping=None,
-        config=None,
-    ) -> "SpectrumCache":
-        """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s)."""
+    def from_pulse(cls, pulse, delta_lo: float, delta_hi: float, damping=None,
+                   config=None) -> "SpectrumCache":
+        """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) on
+        nested grids until the spline error estimate is at most
+        _CACHE_TOL (see the class docstring).
+
+        Raises IntegrationError when the next grid would exceed
+        _MAX_CACHE_POINTS.
+        """
         from .bloch import detuning_spectrum
 
         if not delta_hi > delta_lo:
             raise ValueError("need delta_hi > delta_lo")
-        if not step > 0:
-            raise ValueError("step must be positive")
-        n = int(np.ceil((delta_hi - delta_lo) / step)) + 1
-        grid = np.linspace(delta_lo, delta_hi, max(n, 4))
-        p1 = detuning_spectrum(pulse, grid, damping, config)
-        return cls(grid, p1)
+        span = delta_hi - delta_lo
+        # the pulse's Fourier width, 1/t_p in Hz: no grid coarser is accepted
+        fourier = 2.0 * math.pi / pulse.duration
+        n = _SEED_INTERVALS
+        seed = np.linspace(delta_lo, delta_hi, n + 1)
+        p1 = detuning_spectrum(pulse, seed, damping, config)
+        estimate = math.inf
+        while not estimate <= _CACHE_TOL:
+            fine = 2 * n
+            while span / fine > fourier and fine < _MAX_CACHE_POINTS:
+                fine *= 2
+            if fine + 1 > _MAX_CACHE_POINTS:
+                raise IntegrationError(
+                    f"spectrum cache budget of {_MAX_CACHE_POINTS} points reached "
+                    f"with spline error estimate {estimate:.2e} > {_CACHE_TOL:.2e}"
+                )
+            grid = np.linspace(delta_lo, delta_hi, fine + 1)
+            stride = fine // n
+            new = np.arange(fine + 1) % stride != 0
+            p1_new = detuning_spectrum(pulse, grid[new], damping, config)
+            if stride == 2 and span / n <= fourier:
+                # the coarse spline at the new midpoints: its error, which
+                # the fine grid divides by 2^4
+                h = span / n
+                c3, c2, c1, c0 = _spline_coefficients(p1, h)
+                x = 0.5 * h
+                coarse = ((c3 * x + c2) * x + c1) * x + c0
+                estimate = float(np.max(np.abs(coarse - p1_new))) / 16.0
+            fine_p1 = np.empty(fine + 1)
+            fine_p1[::stride] = p1
+            fine_p1[new] = p1_new
+            n, p1 = fine, fine_p1
+        return cls(np.linspace(delta_lo, delta_hi, n + 1), p1)
 
     @classmethod
-    def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel, step=None,
+    def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel,
                  damping=None, config=None) -> "SpectrumCache":
         """Cache sized for broadened evaluation on [scan_lo, scan_hi]."""
-        step = m.delta_th / 20.0 if step is None else step
-        return cls.from_pulse(pulse, scan_lo + m.delta_ls_max, scan_hi, step,
-                              damping, config)
+        return cls.from_pulse(pulse, scan_lo + m.delta_ls_max, scan_hi, damping, config)
 
     def __call__(self, delta_c):
         x = np.clip(delta_c, self.lo, self.hi)
@@ -324,6 +366,15 @@ class SpectrumCache:
         c3, c2, c1, c0 = self._coef
         out = ((c3[i] * dx + c2[i]) * dx + c1[i]) * dx + c0[i]
         return float(out) if np.ndim(delta_c) == 0 else out
+
+
+def _spline_coefficients(y: np.ndarray, h: float):
+    """Per-interval cubics (c3, c2, c1, c0) of the not-a-knot spline
+    through y on a grid of step h, in x - x_i, highest power first."""
+    slopes = _not_a_knot_slopes(y, h)
+    secant = np.diff(y) / h
+    t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
+    return t / h, (secant - slopes[:-1]) / h - t, slopes[:-1], y[:-1]
 
 
 def _not_a_knot_slopes(y: np.ndarray, h: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -145,6 +146,70 @@ def test_damped_step_budget_stops_overlong_pulse(tmp_path, caplog):
     assert main(["spectrum", "--config", str(path)]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert "step budget" in caplog.text
+
+
+@pytest.mark.parametrize("delta_th_khz", [1e-300, 1e-4])
+def test_tiny_delta_th_runs_on_the_usual_cache(tmp_path, delta_th_khz):
+    # the cache grid follows the bare spectrum, not delta_th
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [-10.0, 0.0, 10.0]},
+        "pulse": PULSE,
+        "thermal": {**THERMAL, "delta_th_khz": delta_th_khz},
+    }
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_cache_budget_stops_with_its_estimate(tmp_path, caplog, monkeypatch):
+    import apsim.thermal
+
+    # a 0.2 ms pulse: its Fourier width (5 kHz) admits the 64-interval seed
+    # grid, so the 128-interval grid has an estimate when the cap stops the
+    # 256-interval one
+    monkeypatch.setattr(apsim.thermal, "_MAX_CACHE_POINTS", 200)
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [-100.0, 0.0, 100.0]},
+        "pulse": {**PULSE, "t_p_ms": 0.2},
+        "thermal": THERMAL,
+    }
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 3
+    assert "cache budget of 200 points" in caplog.text
+    assert re.search(r"spline error estimate \d\.\d\de-\d+ > 1\.00e-06", caplog.text)
+
+
+@pytest.mark.parametrize("section, value", [
+    ("scan", None), ("pulse", 5), ("thermal", []), ("geometry", "x"),
+    ("transport", 1.0), ("detection", None), ("integrator", []), ("damping", 0.01),
+    ("convolution", "grid"),
+])
+def test_section_that_is_not_an_object_is_config_error(tmp_path, caplog, section, value):
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": PULSE,
+        "thermal": THERMAL,
+        section: value,
+    }
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert f"{section} must be an object" in caplog.text
+
+
+@pytest.mark.parametrize("field, value", [("omega_r_khz", 1e308), ("delta_0_khz", -1e308),
+                                          ("spread_khz", 1e308)])
+def test_transport_field_overflowing_rad_per_s_is_config_error(
+    transport_cfg, tmp_path, field, value
+):
+    cfg = json.loads(transport_cfg.read_text())
+    cfg["transport"][field] = value
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["transport", "--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize("field, value", [("delta_th_khz", float("nan")),

@@ -6,7 +6,9 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
+import apsim.bloch
 from apsim.errors import QuadratureError
+from apsim.pulses import RectPulse
 from apsim.thermal import (
     SpectrumCache,
     ThermalModel,
@@ -250,7 +252,81 @@ def test_cache_validation():
     with pytest.raises(ValueError):
         SpectrumCache([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        SpectrumCache.from_pulse(None, 1.0, 0.0, 1.0)
+        SpectrumCache.from_pulse(None, 1.0, 0.0)
+
+
+def test_cache_meets_its_tolerance_against_fine_reference(ref_pulse, ref_cache):
+    # the bare spectrum sampled at 0.02 kHz, far below the cache's step
+    from apsim.bloch import detuning_spectrum
+
+    n = int(np.ceil((ref_cache.hi - ref_cache.lo) / khz_to_rad_per_s(0.02)))
+    grid = np.linspace(ref_cache.lo, ref_cache.hi, n + 1)
+    reference = SpectrumCache(grid, detuning_spectrum(ref_pulse, grid))
+    probe = np.random.default_rng(11).uniform(ref_cache.lo, ref_cache.hi, 20000)
+    assert np.max(np.abs(ref_cache(probe) - reference(probe))) <= 1e-6
+
+
+def test_cache_integrates_each_offset_once(ref_pulse, ref_thermal, monkeypatch):
+    seen = []
+    integrate = apsim.bloch.detuning_spectrum
+
+    def recording(pulse, grid, *args):
+        seen.append(np.array(grid, dtype=float))
+        return integrate(pulse, grid, *args)
+
+    monkeypatch.setattr(apsim.bloch, "detuning_spectrum", recording)
+    cache = SpectrumCache.for_scan(
+        ref_pulse, khz_to_rad_per_s(-65.0), khz_to_rad_per_s(65.0), ref_thermal
+    )
+    offsets = np.concatenate(seen)
+    assert len(seen) > 1
+    assert offsets.size == cache.deltas.size
+    np.testing.assert_array_equal(np.sort(offsets), cache.deltas)
+
+
+class _LinePulse(RectPulse):
+    """A rectangular pulse scanned by its detuning, as detuning_spectrum
+    scans a swept pulse by delta_c."""
+
+    @property
+    def delta_c(self):
+        return self.delta
+
+
+def test_cache_resolves_line_narrower_than_seed_grid():
+    from apsim.bloch import detuning_spectrum
+
+    # a 40 ms pi pulse: its line (about 20 Hz wide) sits halfway between
+    # two points of the 64-interval seed grid (62.5 Hz apart), where the
+    # seed samples see less than 0.15 of it
+    pulse = _LinePulse.from_khz(0.5 / 40.0, 0.0, 40.0)
+    span = khz_to_rad_per_s(4.0)
+    lo = -20.5 * span / 64
+    seed = detuning_spectrum(pulse, np.linspace(lo, lo + span, 65))
+    assert np.max(seed) < 0.15
+    cache = SpectrumCache.from_pulse(pulse, lo, lo + span)
+    assert cache(0.0) == pytest.approx(detuning_spectrum(pulse, 0.0), abs=1e-6)
+    assert cache(0.0) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_cache_is_never_coarser_than_fourier_width(ref_pulse):
+    # far off resonance the spectrum is flat to 1e-11, so the error
+    # estimate alone would accept 128 intervals of 0.78 kHz; the 2 ms
+    # pulse's Fourier width is 0.5 kHz
+    cache = SpectrumCache.from_pulse(
+        ref_pulse, khz_to_rad_per_s(150.0), khz_to_rad_per_s(250.0)
+    )
+    step = (cache.hi - cache.lo) / (cache.deltas.size - 1)
+    assert step <= 2.0 * math.pi / ref_pulse.duration
+
+
+def test_cache_size_does_not_depend_on_delta_th(ref_pulse):
+    # the grid follows the bare spectrum; a narrow thermal model (the old
+    # step was delta_th / 20) no longer asks for a finer or larger grid
+    lo, hi = khz_to_rad_per_s(-65.0), khz_to_rad_per_s(65.0)
+    models = [ThermalModel.from_khz(-11.0, th, 0.95) for th in (1.7, 0.3, 1e-4)]
+    sizes = {SpectrumCache.for_scan(ref_pulse, lo, hi, m).deltas.size for m in models}
+    assert len(sizes) == 1
 
 
 def test_for_scan_covers_shifted_window(ref_pulse, ref_thermal):
