@@ -116,7 +116,6 @@ def spatial_spectrum(
     damping=None,
     config=None,
     renormalize: bool = False,
-    method: str = "quad",
 ) -> ScanResult:
     """Broadened transfer probability versus position offset (um).
 
@@ -127,15 +126,8 @@ def spatial_spectrum(
     dx = np.atleast_1d(np.asarray(dx_grid, dtype=float))
     if dx.size == 0:
         raise ConfigError("dx_grid must be non-empty")
-    vals = broadened_spectrum(
-        pulse,
-        m,
-        offset_to_detuning(dx, g),
-        renormalize=renormalize,
-        method=method,
-        damping=damping,
-        config=config,
-    )
+    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g), renormalize=renormalize,
+                              damping=damping, config=config)
     return ScanResult(dx, np.asarray(vals, dtype=float), None, "um")
 
 
@@ -149,7 +141,6 @@ def crosstalk(
     damping=None,
     config=None,
     renormalize: bool = False,
-    method: str = "quad",
 ) -> float:
     """Transfer probability of a neighbor while the pulse addresses a target.
 
@@ -160,16 +151,8 @@ def crosstalk(
     tx, nx = _as_x(target_x), _as_x(neighbor_x)
     _check_in_span(tx, g, "target_x")
     _check_in_span(nx, g, "neighbor_x")
-    val = broadened_spectrum(
-        pulse,
-        m,
-        offset_to_detuning(tx - nx, g),
-        renormalize=renormalize,
-        method=method,
-        damping=damping,
-        config=config,
-    )
-    return float(val)
+    return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g),
+                                    renormalize=renormalize, damping=damping, config=config))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ __all__ = ["main", "run_scan"]
 log = logging.getLogger("apsim")
 
 # A computed probability may leave [0, 1] by the convolution's accuracy:
-# the adaptive rule's absolute tolerance is 1e-6, and the Simpson rule
-# with renormalize=True reaches 1 + 1.1e-7 on a flat plateau at p_max = 1.
+# its error estimate is held to 1e-6, and with renormalize=True a flat
+# plateau at p_max = 1 may read just above 1.
 # Detection accepts only [0, 1], so excursions up to this size are clipped
 # first; larger ones are errors and still fail.
 _P1_ROUNDOFF = 1e-6
@@ -49,15 +49,9 @@ _P1_ROUNDOFF = 1e-6
 def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
     if cfg.kind == "spectrum":
-        vals = broadened_spectrum(
-            cfg.pulse,
-            cfg.thermal,
-            khz_to_rad_per_s(cfg.grid),
-            renormalize=cfg.renormalize,
-            method=cfg.conv_method,
-            damping=cfg.damping,
-            config=cfg.integrator,
-        )
+        vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid),
+                                  renormalize=cfg.renormalize, damping=cfg.damping,
+                                  config=cfg.integrator)
         result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "khz")
     elif cfg.kind == "spatial":
         result = spatial_spectrum(
@@ -68,7 +62,6 @@ def run_scan(cfg: RunConfig) -> ScanResult:
             damping=cfg.damping,
             config=cfg.integrator,
             renormalize=cfg.renormalize,
-            method=cfg.conv_method,
         )
     elif cfg.kind == "transport":
         t = cfg.transport

@@ -24,7 +24,7 @@ detection   optional push-out model (exact keys); defaults built in
 apply_detection  optional bool, map scan output through the detection model
 integrator  optional {"rel_tol","abs_tol","max_step_ms"} subset
 damping     optional {"gamma_2_khz"}
-convolution optional {"renormalize","method"} subset
+convolution optional {"renormalize"}
 seed        optional non-negative integer, default 0
 """
 
@@ -41,12 +41,16 @@ from .bloch import DampingModel, IntegratorConfig
 from .detection import DetectionModel
 from .errors import ConfigError
 from .pulses import PulseProgram, pulse_from_json
-from .thermal import ThermalModel
+from .thermal import ThermalModel, truncated_mass
 from .units import khz_to_rad_per_s, ms_to_s
 
 __all__ = ["TransportSettings", "RunConfig", "load_config"]
 
 SCAN_KINDS = ("spectrum", "spatial", "transport", "adiabaticity")
+
+# work budget of a scan: the most grid points a range or n_points may ask
+# for, checked before the grid is allocated
+_MAX_GRID_POINTS = 2**16 + 1
 
 
 def _check_keys(d: dict, section: str, required: set, optional: set = frozenset()):
@@ -97,7 +101,7 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
     return grid
 
 
-def _grid_from_range(d: dict, section: str, suffix: str) -> np.ndarray:
+def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) -> np.ndarray:
     values_key = f"values{suffix}"
     range_keys = {f"start{suffix}", f"stop{suffix}", f"step{suffix}"}
     if values_key in d:
@@ -116,10 +120,14 @@ def _grid_from_range(d: dict, section: str, suffix: str) -> np.ndarray:
             raise ConfigError(f"{section}.step{suffix} must be positive")
         if not stop >= start:
             raise ConfigError(f"{section}: stop{suffix} must be >= start{suffix}")
-        n = int(round((stop - start) / step)) + 1
-        grid = start + step * np.arange(n)
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError(f"{section} grid contains non-finite values")
+        n = (stop - start) / step
+        if not n + 1 <= _MAX_GRID_POINTS:
+            raise ConfigError(f"{section} grid has more than {_MAX_GRID_POINTS} points")
+        grid = start + step * np.arange(int(round(n)) + 1)
+    # the scans work in rad/s, where a large finite value may overflow
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(khz_to_rad_per_s(khz_per_unit * grid))):
+            raise ConfigError(f"{section} grid is not finite in rad/s")
     if np.any(np.diff(grid) <= 0):
         raise ConfigError(f"{section} grid must increase strictly")
     return grid
@@ -159,7 +167,6 @@ class RunConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     damping: DampingModel | None = None
     renormalize: bool = False
-    conv_method: str = "quad"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -241,9 +248,9 @@ def load_config(source) -> RunConfig:
         detection = DetectionModel()
 
     if kind == "spectrum":
-        grid = _grid_from_range(scan, "scan", "_khz")
+        grid = _grid_from_range(scan, "scan", "_khz", 1.0)
     elif kind == "spatial":
-        grid = _grid_from_range(scan, "scan", "_um")
+        grid = _grid_from_range(scan, "scan", "_um", geometry.grad_nu)
     elif kind == "transport":
         _check_keys(scan, "scan", {"inv_tau_per_ms"})
         grid = _num_list(scan, "scan", "inv_tau_per_ms")
@@ -252,8 +259,8 @@ def load_config(source) -> RunConfig:
     else:  # adiabaticity
         _check_keys(scan, "scan", {"n_points"})
         n = _int(scan, "scan", "n_points")
-        if n < 2:
-            raise ConfigError("scan.n_points must be >= 2")
+        if not 2 <= n <= _MAX_GRID_POINTS:
+            raise ConfigError(f"scan.n_points must lie in 2..{_MAX_GRID_POINTS}")
         # native abscissa is time in ms across the pulse
         grid = np.linspace(0.0, pulse.duration / ms_to_s(1.0), n)
 
@@ -309,15 +316,13 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"damping: {exc}") from exc
 
     renormalize = False
-    conv_method = "quad"
     if "convolution" in raw:
         c = raw["convolution"]
-        _check_keys(c, "convolution", set(), {"renormalize", "method"})
+        _check_keys(c, "convolution", set(), {"renormalize"})
         renormalize = _bool(c, "convolution", "renormalize", False)
-        conv_method = c.get("method", "quad")
-        if conv_method not in ("quad", "grid"):
+        if renormalize and thermal is not None and truncated_mass(thermal) == 0.0:
             raise ConfigError(
-                f"convolution.method must be 'quad' or 'grid', got {conv_method!r}"
+                "convolution.renormalize: the light-shift window carries no mass"
             )
 
     return RunConfig(
@@ -332,6 +337,5 @@ def load_config(source) -> RunConfig:
         integrator=integrator,
         damping=damping,
         renormalize=renormalize,
-        conv_method=conv_method,
         seed=_int(raw, "config", "seed", 0),
     )

@@ -14,7 +14,8 @@ class IntegrationError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance.
+    """The thermal convolution reached its interval budget before its
+    error estimate met the tolerance.
 
     Carries the best estimate so callers can decide whether to accept it.
     """

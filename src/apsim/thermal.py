@@ -21,6 +21,11 @@ The integration range follows the physical support (shifts between the
 maximal value and zero); the distribution mass above zero, about
 exp(-r)(1 + r + r^2/2) with r = |delta_ls_max| / delta_th, is NOT put
 back by default.  Pass renormalize=True to divide it out.
+
+Both convolutions integrate over y = (delta_ls - delta_ls_max) / delta_th
+on [0, min(r, 200)] by composite Simpson in numpy: convolve doubles the
+interval count until its Richardson error estimate is at most 1e-6, and
+convolve_on_grid, the fit's inner loop, keeps one fixed step.
 """
 
 from __future__ import annotations
@@ -50,11 +55,18 @@ _Y_CAP = 200.0
 # below this x the closed form of the Gamma(3) CDF cancels too much
 _SERIES_BELOW = 0.1
 
-# largest spline error SpectrumCache.from_pulse accepts: the default
-# absolute tolerance of convolve, so the cache adds no more error than the
+# absolute tolerance of convolve's error estimate and largest spline error
+# SpectrumCache.from_pulse accepts: the cache adds no more error than the
 # quadrature may; the kernel's mass is at most 1, so the broadened curve's
 # error is bounded by it too
-_CACHE_TOL = 1e-6
+_TOL = 1e-6
+
+# Simpson step of convolve_on_grid in units of delta_th (convolve starts at
+# twice it), the most intervals convolve may take, and the most spectrum
+# points one call evaluates (2 MiB per array)
+_STEP = 0.05
+_MAX_INTERVALS = 2**14
+_BLOCK = 2**18
 
 # intervals of the first grid from_pulse samples: small, so that the Bloch
 # step budget fires before a large grid is allocated
@@ -145,121 +157,110 @@ def sample_light_shift(m: ThermalModel, rng_seed, n: int | None = None):
     return float(draws) if n is None else draws
 
 
-def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False, abs_tol: float = 1e-6):
+def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False):
     """Broaden a bare spectrum with the light-shift distribution.
 
-    Parameters
-    ----------
-    spectrum : callable
-        delta_c (rad/s) -> P1; must accept scalars (vectorized callables
-        such as SpectrumCache work too).
-    m : ThermalModel
-    renormalize : bool
-        Divide by the truncated mass so a flat unit spectrum maps to
-        p_max exactly.  Off by default, see the module docstring.
-    abs_tol : float
-        Absolute tolerance of the adaptive quadrature; failure to reach
-        it raises QuadratureError carrying the estimate.
+    spectrum maps an array of delta_c (rad/s) to P1 of the same shape; it
+    must be vectorized, as SpectrumCache is.  renormalize divides by the
+    truncated mass, so that a flat unit spectrum maps to p_max exactly (off
+    by default, see the module docstring).  Returns a callable, delta_c
+    (rad/s, scalar or array) -> broadened probability.
 
-    Returns
-    -------
-    callable, delta_c (rad/s, scalar or array) -> broadened probability.
+    Each call takes Romberg steps (Davis & Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., 1984, sec. 6.3): composite Simpson S_n at half
+    the interval count of convolve_on_grid (at least 64), then S_2n,
+    doubling n until the Richardson estimate max |S_2n - S_n| / 15 of the
+    result is at most _TOL, and returns (16 S_2n - S_n) / 15.  The estimate
+    assumes a smooth integrand, as the C2 spline of SpectrumCache is.  No
+    level above _MAX_INTERVALS intervals is allocated: QuadratureError
+    carries the value and the estimate instead.
     """
-    from scipy.integrate import quad
-
-    r = -m.delta_ls_max / m.delta_th
-    upper = min(r, _Y_CAP)
-    hints = [p for p in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if p < upper]
-    scale = m.p_max / truncated_mass(m) if renormalize else m.p_max
-
-    def one(delta_c: float) -> float:
-        def integrand(y):
-            # Gamma kernel in units of delta_th: y^2 e^-y / 2
-            shift = m.delta_ls_max + y * m.delta_th
-            return 0.5 * y * y * np.exp(-y) * float(spectrum(delta_c + shift))
-
-        val, err = quad(integrand, 0.0, upper, epsabs=0.1 * abs_tol, epsrel=0.0,
-                        limit=200, points=hints)
-        if err > abs_tol:
-            raise QuadratureError(
-                f"convolution quadrature reached {err:.2e} > {abs_tol:.2e}",
-                estimate=scale * val,
-                error_bound=scale * err,
-            )
-        return scale * val
+    scale = _scale(m, renormalize)
+    first = _intervals(m, 2.0 * _STEP)
 
     def broadened(delta_c):
-        if np.ndim(delta_c) == 0:
-            return one(float(delta_c))
-        return np.array([one(float(d)) for d in np.asarray(delta_c, dtype=float)])
+        n, fine = first, _simpson(spectrum, delta_c, m, first)
+        while True:
+            coarse, fine = fine, _simpson(spectrum, delta_c, m, 2 * n)
+            n *= 2
+            estimate = scale * float(np.max(np.abs(fine - coarse))) / 15.0
+            if estimate <= _TOL:
+                return _shaped(scale * (16.0 * fine - coarse) / 15.0, delta_c)
+            if 2 * n > _MAX_INTERVALS:
+                raise QuadratureError(
+                    f"convolution budget of {_MAX_INTERVALS} intervals reached "
+                    f"with error estimate {estimate:.2e} > {_TOL:.2e}",
+                    estimate=_shaped(scale * fine, delta_c),
+                    error_bound=estimate,
+                )
 
     return broadened
 
 
-def convolve_on_grid(
-    spectrum,
-    delta_c_values,
-    m: ThermalModel,
-    *,
-    renormalize: bool = False,
-    rel_step: float = 0.05,
-):
-    """Vectorized fixed-grid counterpart of convolve (composite Simpson).
+def convolve_on_grid(spectrum, delta_c_values, m: ThermalModel, *, renormalize: bool = False):
+    """Fixed-step counterpart of convolve: composite Simpson at _STEP *
+    delta_th (at least 64 intervals), within about 1e-7 of convolve.  The
+    step does not follow the spectrum, so the fit's forward-difference
+    Jacobian sees a smooth function of the thermal parameters."""
+    out = _scale(m, renormalize) * _simpson(spectrum, delta_c_values, m, _intervals(m, _STEP))
+    return _shaped(out, delta_c_values)
 
-    The shift variable is sampled at rel_step * delta_th over the capped
-    support; all spectrum evaluations happen in one vectorized call, and
-    the Simpson weights are folded into the kernel, which makes this the
-    right inner loop for fitting.  Agreement with the adaptive path is
-    covered by tests.
-    """
-    deltas = np.atleast_1d(np.asarray(delta_c_values, dtype=float))
-    upper = min(-m.delta_ls_max / m.delta_th, _Y_CAP)
-    n_steps = int(np.ceil(upper / rel_step))
-    n_pts = 2 * max(n_steps // 2, 32) + 1  # odd count for Simpson
-    y = np.linspace(0.0, upper, n_pts)
-    weights = np.full(n_pts, 2.0)
+
+def _upper(m: ThermalModel) -> float:
+    return min(-m.delta_ls_max / m.delta_th, _Y_CAP)
+
+
+def _intervals(m: ThermalModel, step: float) -> int:
+    return 2 * max(math.ceil(_upper(m) / step) // 2, 32)
+
+
+def _scale(m: ThermalModel, renormalize: bool) -> float:
+    return m.p_max / truncated_mass(m) if renormalize else m.p_max
+
+
+def _shaped(out: np.ndarray, like):
+    return out if np.ndim(like) else float(out[0])
+
+
+def _simpson(spectrum, delta_c, m: ThermalModel, n: int) -> np.ndarray:
+    """Composite Simpson on n (even) intervals of [0, _upper(m)] in units of
+    delta_th, at each delta_c, as a 1-d array.  The weights are folded into
+    the kernel y^2 e^-y / 2, and the spectrum is called once per block of at
+    most _BLOCK points."""
+    deltas = np.atleast_1d(np.asarray(delta_c, dtype=float))
+    y = np.linspace(0.0, _upper(m), n + 1)
+    weights = np.full(n + 1, 2.0)
     weights[1::2] = 4.0
     weights[[0, -1]] = 1.0
     weights *= (y[1] - y[0]) / 3.0
     kernel = 0.5 * y * y * np.exp(-y) * weights
     shift = m.delta_ls_max + y * m.delta_th
-    vals = np.asarray(spectrum((deltas[:, None] + shift[None, :]).ravel()))
-    out = vals.reshape(len(deltas), n_pts) @ kernel
-    scale = m.p_max / truncated_mass(m) if renormalize else m.p_max
-    out = scale * out
-    return out if np.ndim(delta_c_values) else float(out[0])
+    rows = max(_BLOCK // (n + 1), 1)
+    out = np.empty(len(deltas))
+    for i in range(0, len(deltas), rows):
+        block = deltas[i:i + rows]
+        vals = np.asarray(spectrum((block[:, None] + shift[None, :]).ravel()))
+        out[i:i + rows] = vals.reshape(len(block), n + 1) @ kernel
+    return out
 
 
-def broadened_spectrum(
-    pulse,
-    m: ThermalModel,
-    delta_c_values,
-    *,
-    renormalize: bool = False,
-    method: str = "quad",
-    abs_tol: float = 1e-6,
-    damping=None,
-    config=None,
-):
+def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, renormalize: bool = False,
+                       damping=None, config=None):
     """Convolved transfer probability at the given detunings (rad/s).
 
     One-stop composition used by the scan front ends: batch-integrates the
     bare spectrum into a SpectrumCache that covers the grid plus the shift
-    support, with a spline error of at most 1e-6, then convolves.
-    method="quad" is the error-controlled adaptive path; method="grid" the
-    fixed Simpson rule.
+    support, with a spline error of at most _TOL, then convolves.  When the
+    shift window carries no mass (delta_ls_max = 0) the result is zero and
+    no cache is built.
     """
     deltas = np.asarray(delta_c_values, dtype=float)
+    if truncated_mass(m) == 0.0:
+        return _scale(m, renormalize) * np.zeros_like(deltas)
     cache = SpectrumCache.for_scan(
         pulse, float(np.min(deltas)), float(np.max(deltas)), m, damping, config
     )
-    if method == "quad":
-        return convolve(cache, m, renormalize=renormalize, abs_tol=abs_tol)(
-            delta_c_values
-        )
-    if method == "grid":
-        return convolve_on_grid(cache, delta_c_values, m, renormalize=renormalize)
-    raise ValueError(f"unknown convolution method: {method!r}")
+    return convolve(cache, m, renormalize=renormalize)(delta_c_values)
 
 
 class SpectrumCache:
@@ -280,7 +281,7 @@ class SpectrumCache:
     (de Boor, A Practical Guide to Splines, ch. IV), so the largest
     deviation of the previous level's spline at the new midpoints, over
     16, estimates the new level's error; sampling stops once that is at
-    most _CACHE_TOL.  No grid coarser than the pulse's Fourier width
+    most _TOL.  No grid coarser than the pulse's Fourier width
     (1/t_p in Hz) is accepted or used for an estimate: the first level at
     or below it is reached in one jump from the seed.
     """
@@ -310,7 +311,7 @@ class SpectrumCache:
                    config=None) -> "SpectrumCache":
         """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) on
         nested grids until the spline error estimate is at most
-        _CACHE_TOL (see the class docstring).
+        _TOL (see the class docstring).
 
         Raises IntegrationError when the next grid would exceed
         _MAX_CACHE_POINTS.
@@ -326,14 +327,14 @@ class SpectrumCache:
         seed = np.linspace(delta_lo, delta_hi, n + 1)
         p1 = detuning_spectrum(pulse, seed, damping, config)
         estimate = math.inf
-        while not estimate <= _CACHE_TOL:
+        while not estimate <= _TOL:
             fine = 2 * n
             while span / fine > fourier and fine < _MAX_CACHE_POINTS:
                 fine *= 2
             if fine + 1 > _MAX_CACHE_POINTS:
                 raise IntegrationError(
                     f"spectrum cache budget of {_MAX_CACHE_POINTS} points reached "
-                    f"with spline error estimate {estimate:.2e} > {_CACHE_TOL:.2e}"
+                    f"with spline error estimate {estimate:.2e} > {_TOL:.2e}"
                 )
             grid = np.linspace(delta_lo, delta_hi, fine + 1)
             stride = fine // n

@@ -60,9 +60,9 @@ def test_spatial_spectrum_is_detuning_spectrum_in_disguise(
     ref_pulse, ref_thermal, geometry
 ):
     dx = np.array([-8.0, -2.0, 0.0, 3.0, 9.0])
-    scan = spatial_spectrum(ref_pulse, geometry, ref_thermal, dx, method="grid")
+    scan = spatial_spectrum(ref_pulse, geometry, ref_thermal, dx)
     direct = broadened_spectrum(
-        ref_pulse, ref_thermal, offset_to_detuning(dx, geometry), method="grid"
+        ref_pulse, ref_thermal, offset_to_detuning(dx, geometry)
     )
     np.testing.assert_allclose(scan.p1, direct, atol=1e-9)
     assert scan.unit == "um"
@@ -95,35 +95,32 @@ def test_plateau_width_tracks_sweep_span(ref_pulse):
 # ------------------------------------------------------------ crosstalk
 
 def test_crosstalk_on_target_is_high(ref_pulse, ref_thermal, geometry):
-    on_site = crosstalk(ref_pulse, 10.0, 10.0, geometry, ref_thermal, method="grid")
+    on_site = crosstalk(ref_pulse, 10.0, 10.0, geometry, ref_thermal)
     assert on_site > 0.85
 
 
 def test_crosstalk_far_neighbor_negligible(ref_pulse, ref_thermal, geometry):
     # 30 um at 3.2 kHz/um puts the neighbor 96 kHz away, far past the sweep
-    far = crosstalk(ref_pulse, 0.0, 30.0, geometry, ref_thermal, method="grid")
+    far = crosstalk(ref_pulse, 0.0, 30.0, geometry, ref_thermal)
     assert far < 0.01
-    also_far = crosstalk(ref_pulse, 0.0, -30.0, geometry, ref_thermal, method="grid")
+    also_far = crosstalk(ref_pulse, 0.0, -30.0, geometry, ref_thermal)
     assert also_far < 0.01
 
 
 def test_crosstalk_translation_covariance(ref_pulse, ref_thermal, geometry):
     # only the target-neighbor separation matters; dyadic shifts keep the
     # floating-point difference bit-exact, so the values must match exactly
-    base = crosstalk(ref_pulse, 4.0, 16.0, geometry, ref_thermal, method="grid")
+    base = crosstalk(ref_pulse, 4.0, 16.0, geometry, ref_thermal)
     for shift in (13.0 / 32.0, -7.0 / 32.0, 25.0):
         moved = crosstalk(
-            ref_pulse, 4.0 + shift, 16.0 + shift, geometry, ref_thermal, method="grid"
+            ref_pulse, 4.0 + shift, 16.0 + shift, geometry, ref_thermal
         )
         assert moved == base
 
 
 def test_crosstalk_accepts_atom_positions(ref_pulse, ref_thermal, geometry):
-    a = crosstalk(
-        ref_pulse, AtomPosition(0.0), AtomPosition(30.0), geometry, ref_thermal,
-        method="grid",
-    )
-    b = crosstalk(ref_pulse, 0.0, 30.0, geometry, ref_thermal, method="grid")
+    a = crosstalk(ref_pulse, AtomPosition(0.0), AtomPosition(30.0), geometry, ref_thermal)
+    b = crosstalk(ref_pulse, 0.0, 30.0, geometry, ref_thermal)
     assert a == b
 
 

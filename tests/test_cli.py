@@ -29,7 +29,6 @@ def spectrum_cfg(tmp_path):
         "scan": {"kind": "spectrum", "values_khz": [-30.0, -10.0, 0.0, 10.0, 30.0]},
         "pulse": PULSE,
         "thermal": THERMAL,
-        "convolution": {"method": "grid"},
     }
     path = tmp_path / "spectrum.json"
     path.write_text(json.dumps(cfg))
@@ -182,6 +181,57 @@ def test_cache_budget_stops_with_its_estimate(tmp_path, caplog, monkeypatch):
     assert re.search(r"spline error estimate \d\.\d\de-\d+ > 1\.00e-06", caplog.text)
 
 
+@pytest.mark.parametrize("values_khz", [[0.0], [-10.0, 0.0, 10.0]])
+def test_zero_light_shift_reads_zero(tmp_path, capsys, values_khz):
+    # delta_ls_max = 0 leaves the shift window without mass, so every
+    # point reads 0, a one-point scan included
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": values_khz},
+        "pulse": PULSE,
+        "thermal": {**THERMAL, "delta_ls_max_khz": 0.0},
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 0
+    scan = ScanResult.from_csv_text(capsys.readouterr().out)
+    assert scan.p1.tolist() == [0.0] * len(values_khz)
+
+
+def test_renormalizing_zero_light_shift_is_config_error(tmp_path, caplog):
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [-10.0, 0.0, 10.0]},
+        "pulse": PULSE,
+        "thermal": {**THERMAL, "delta_ls_max_khz": 0.0},
+        "convolution": {"renormalize": True},
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert "carries no mass" in caplog.text
+
+
+@pytest.mark.parametrize("kind, scan, grad, message", [
+    ("spectrum", {"values_khz": [1e306]}, 3.2, "not finite in rad/s"),
+    ("spectrum", {"start_khz": 0.0, "stop_khz": 1.0, "step_khz": 1e-300}, 3.2, "65537 points"),
+    ("spectrum", {"start_khz": -1e308, "stop_khz": 0.0, "step_khz": 1.0}, 3.2, "65537 points"),
+    ("spectrum", {"start_khz": -1e308, "stop_khz": 1e308, "step_khz": 1.0}, 3.2, "65537 points"),
+    ("spatial", {"start_um": -1e308, "stop_um": 0.0, "step_um": 1.0}, 3.2, "65537 points"),
+    ("spatial", {"values_um": [-1.0, 1.0]}, 1e308, "not finite in rad/s"),
+], ids=["huge-value", "tiny-step", "far-start", "infinite-span", "far-start-um", "steep-gradient"])
+def test_grid_that_overflows_or_explodes_is_config_error(tmp_path, caplog, kind, scan, grad,
+                                                          message):
+    cfg = {
+        "scan": {"kind": kind, **scan},
+        "pulse": PULSE,
+        "thermal": THERMAL,
+        "geometry": {**GEOMETRY, "grad_nu_khz_per_um": grad},
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    assert main([kind, "--config", str(path)]) == 2
+    assert message in caplog.text
+
+
 @pytest.mark.parametrize("section, value", [
     ("scan", None), ("pulse", 5), ("thermal", []), ("geometry", "x"),
     ("transport", 1.0), ("detection", None), ("integrator", []), ("damping", 0.01),
@@ -303,7 +353,6 @@ def test_detection_applied_when_requested(tmp_path, capsys):
         "scan": {"kind": "spectrum", "values_khz": [0.0, 1.0, 2.0, 3.0]},
         "pulse": PULSE,
         "thermal": THERMAL,
-        "convolution": {"method": "grid"},
         "apply_detection": True,
         "detection": {"eps_pushout": 0.99, "eps_keep": 0.99, "p_init": 0.95},
     }
@@ -328,7 +377,6 @@ def test_fit_subcommand_round_trip(tmp_path, capsys):
         "scan": {"kind": "spectrum", "start_khz": -65.0, "stop_khz": 65.0, "step_khz": 2.0},
         "pulse": PULSE,
         "thermal": THERMAL,
-        "convolution": {"method": "grid"},
     }
     cfg_path = tmp_path / "gen.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -373,7 +421,6 @@ def fit_data(tmp_path_factory):
         "scan": {"kind": "spectrum", "start_khz": -65.0, "stop_khz": 65.0, "step_khz": 2.0},
         "pulse": PULSE,
         "thermal": THERMAL,
-        "convolution": {"method": "grid"},
     }
     data = tmp / "data.csv"
     (tmp / "gen.json").write_text(json.dumps(cfg))
@@ -405,18 +452,29 @@ def test_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path, guess):
         assert all(np.isfinite(v) for v in report["params"].values())
 
 
-def test_detection_accepts_renormalized_unit_plateau(tmp_path, capsys):
-    # p_max = 1 renormalized on the grid rule reaches 1 + 1.1e-7 on the
-    # plateau; detection must see that as 1, not fail
+def test_detection_accepts_renormalized_unit_plateau(monkeypatch, tmp_path, capsys):
+    import apsim.cli
+
+    # p_max = 1 renormalized reads within the convolution's 1e-6 of 1 on
+    # the plateau, on either side; detection must see an excursion above 1
+    # as 1, not fail
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [-40.0, -20.0, 0.0, 20.0]},
         "pulse": PULSE,
         "thermal": dict(THERMAL, p_max=1.0),
-        "convolution": {"method": "grid", "renormalize": True},
-        "apply_detection": True,
+        "convolution": {"renormalize": True},
     }
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 0
+    raw = ScanResult.from_csv_text(capsys.readouterr().out)
+    assert abs(np.max(raw.p1) - 1.0) <= 1e-6
+
+    # a fixed-step Simpson rule read 1 + 1.1e-7 on this plateau
+    path.write_text(json.dumps(dict(cfg, apply_detection=True)))
+    monkeypatch.setattr(
+        apsim.cli, "broadened_spectrum", lambda *a, **k: np.append(raw.p1[:-1], 1.0 + 1.1e-7)
+    )
     assert main(["spectrum", "--config", str(path)]) == 0
     measured = ScanResult.from_csv_text(capsys.readouterr().out)
     assert np.max(measured.p1) == pytest.approx(0.99, abs=1e-12)
@@ -429,7 +487,6 @@ def test_detection_rejects_large_excursion(monkeypatch, tmp_path):
         "scan": {"kind": "spectrum", "values_khz": [0.0, 1.0]},
         "pulse": PULSE,
         "thermal": THERMAL,
-        "convolution": {"method": "grid"},
         "apply_detection": True,
     }
     path = tmp_path / "big.json"
@@ -461,6 +518,12 @@ assert apsim.cli.main(["transport", "--config", {str(transport_cfg)!r},
 assert not loaded(), loaded()
 assert apsim.cli.main(["fit", "--config", {str(fit_cfg)!r}, "--data", {str(data)!r},
                        "--out", {str(tmp_path / "f.json")!r}]) == 0
+assert not loaded(), loaded()
+assert apsim.cli.main(["spectrum", "--preset", "thermal_spectrum",
+                       "--out", {str(tmp_path / "s.csv")!r}]) == 0
+assert not loaded(), loaded()
+assert apsim.cli.main(["spatial", "--preset", "site_addressing",
+                       "--out", {str(tmp_path / "a.csv")!r}]) == 0
 assert not loaded(), loaded()
 """
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

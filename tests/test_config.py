@@ -36,7 +36,7 @@ def test_minimal_spectrum_config():
     assert rc.seed == 0
     assert rc.apply_detection is False
     assert rc.damping is None
-    assert rc.conv_method == "quad"
+    assert rc.renormalize is False
 
 
 def test_kinds_enumerated():
@@ -201,12 +201,19 @@ def test_adiabaticity_config():
         load_config(a)
 
 
+@pytest.mark.parametrize("method", ["quad", "grid"])
+def test_convolution_method_key_is_rejected(method):
+    # there is one convolution rule; the old selector is an unknown key
+    with pytest.raises(ConfigError, match="unknown convolution keys"):
+        load_config(cfg(convolution={"method": method}))
+
+
 def test_optional_sections():
     rc = load_config(
         cfg(
             integrator={"rel_tol": 1e-8, "max_step_ms": 0.01},
             damping={"gamma_2_khz": 0.2},
-            convolution={"renormalize": True, "method": "grid"},
+            convolution={"renormalize": True},
             detection={"eps_pushout": 0.98, "eps_keep": 0.97, "p_init": 0.93},
             apply_detection=True,
             seed=7,
@@ -216,12 +223,9 @@ def test_optional_sections():
     assert rc.integrator.max_step == pytest.approx(1e-5)
     assert rc.damping.gamma_2 == pytest.approx(2.0 * np.pi * 200.0)
     assert rc.renormalize is True
-    assert rc.conv_method == "grid"
     assert rc.detection.p_init == 0.93
     assert rc.apply_detection is True
     assert rc.seed == 7
 
-    with pytest.raises(ConfigError):
-        load_config(cfg(convolution={"method": "fft"}))
     with pytest.raises(ConfigError):
         load_config(cfg(damping={"gamma_2_khz": -1.0}))

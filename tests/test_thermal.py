@@ -13,7 +13,6 @@ from apsim.thermal import (
     SpectrumCache,
     ThermalModel,
     boltzmann_pdf,
-    broadened_spectrum,
     convolve,
     convolve_on_grid,
     sample_light_shift,
@@ -107,11 +106,31 @@ def test_sampling_statistics(ref_thermal):
 # ------------------------------------------------------------ convolution
 
 def test_flat_spectrum_maps_to_truncated_mass(ref_thermal):
-    flat = lambda d: 1.0  # noqa: E731
+    flat = np.ones_like
     raw = convolve(flat, ref_thermal)(0.0)
     assert raw == pytest.approx(ref_thermal.p_max * truncated_mass(ref_thermal), abs=1e-9)
     renorm = convolve(flat, ref_thermal, renormalize=True)(0.0)
     assert renorm == pytest.approx(ref_thermal.p_max, abs=1e-9)
+
+
+# quad reports roundoff at this epsabs; its answer is still far inside 1e-8
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_convolve_matches_quad_oracle(ref_cache, ref_thermal):
+    # every 8th point of the criterion-2 grid, against adaptive quadrature
+    # of the same integrand far below the rule's 1e-6 tolerance
+    deltas = khz_to_rad_per_s(np.arange(-65.0, 65.25, 0.25)[::8])
+    upper = -ref_thermal.delta_ls_max / ref_thermal.delta_th
+
+    def oracle(delta):
+        def integrand(y):
+            shift = ref_thermal.delta_ls_max + y * ref_thermal.delta_th
+            return 0.5 * y * y * np.exp(-y) * ref_cache(delta + shift)
+
+        val, _ = quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=0.0, limit=400)
+        return ref_thermal.p_max * val
+
+    got = convolve(ref_cache, ref_thermal)(deltas)
+    np.testing.assert_allclose(got, [oracle(d) for d in deltas], rtol=0.0, atol=1e-8)
 
 
 def test_grid_rule_matches_adaptive(ref_cache, ref_thermal):
@@ -142,6 +161,23 @@ def test_grid_rule_weights_match_simpson(ref_cache, ref_thermal, renormalize):
     expect = simpson(0.5 * y * y * np.exp(-y) * ref_cache(shift), x=y)
     expect *= ref_thermal.p_max / (truncated_mass(ref_thermal) if renormalize else 1.0)
     assert got == pytest.approx(expect, rel=1e-14, abs=1e-15)
+
+
+def test_rule_evaluates_long_grids_in_blocks(ref_cache, ref_thermal, monkeypatch):
+    import apsim.thermal
+
+    deltas = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 37))
+    whole = convolve(ref_cache, ref_thermal)(deltas)
+    sizes = []
+
+    def spectrum(delta_c):
+        sizes.append(np.size(delta_c))
+        return ref_cache(delta_c)
+
+    monkeypatch.setattr(apsim.thermal, "_BLOCK", 1000)
+    blocked = convolve(spectrum, ref_thermal)(deltas)
+    assert max(sizes) <= 1000 and len(sizes) > 2
+    np.testing.assert_allclose(blocked, whole, rtol=0.0, atol=1e-15)
 
 
 def test_grid_rule_sizes_grid_from_capped_support(ref_cache):
@@ -199,10 +235,9 @@ def test_narrow_distribution_approaches_pure_shift(ref_cache):
     assert narrow < 0.05
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_quadrature_failure_carries_estimate(ref_thermal):
-    # hundreds of discontinuities exhaust the subdivision budget
-    square = lambda d: float(np.sin(d / ref_thermal.delta_th * 500.0) > 0.0)  # noqa: E731
+    # hundreds of discontinuities exhaust the interval budget
+    square = lambda d: (np.sin(d / ref_thermal.delta_th * 500.0) > 0.0).astype(float)  # noqa: E731
     with pytest.raises(QuadratureError) as err:
         convolve(square, ref_thermal)(0.0)
     assert math.isfinite(err.value.estimate)
@@ -336,13 +371,3 @@ def test_for_scan_covers_shifted_window(ref_pulse, ref_thermal):
     assert cache.lo <= lo + ref_thermal.delta_ls_max + 1e-9
     assert cache.hi >= hi - 1e-9
 
-
-# ------------------------------------------------------------ front end
-
-def test_broadened_spectrum_methods_agree(ref_pulse, ref_thermal):
-    deltas = khz_to_rad_per_s(np.array([-35.0, 0.0, 35.0]))
-    a = broadened_spectrum(ref_pulse, ref_thermal, deltas, method="quad")
-    b = broadened_spectrum(ref_pulse, ref_thermal, deltas, method="grid")
-    np.testing.assert_allclose(a, b, atol=1e-5)
-    with pytest.raises(ValueError):
-        broadened_spectrum(ref_pulse, ref_thermal, deltas, method="fft")
