@@ -18,10 +18,11 @@ at the three Gauss-Legendre nodes of every step and forms each step's
 sixth-order Magnus vector, whose commutators are cross products
 (Blanes, Casas & Ros, BIT 40, 434 (2000)).  A trajectory's detuning
 offset enters that vector only through a1_z, as a polynomial of degree
-<= 3, so its coefficients are formed once per pass and evaluated per
-trajectory by Horner's rule.  Each step becomes an SU(2) Cayley-Klein
-pair (a, b); the pairs are composed by pairwise reduction and rotate the
-initial vectors.
+<= 3, so its coefficients are formed once per pass, and one matrix
+product of them with the powers of every trajectory's offset evaluates a
+block of steps.  Each step becomes an SU(2) Cayley-Klein pair (a, b);
+the pairs are composed by pairwise reduction and rotate the initial
+vectors.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -219,9 +220,9 @@ def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) ->
     points), or duration / max_step if that is more."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
     om, de = _sample(pulse, t)
-    angle = np.zeros(offsets.shape)
-    for om_k, de_k in zip(om, de):
-        angle += np.hypot(om_k, de_k + offsets)
+    torque = np.add(de[:, None], offsets)
+    np.hypot(om[:, None], torque, out=torque)
+    angle = np.add.reduce(torque, axis=0)  # row by row, in sample order
     angle *= pulse.duration / (64 * math.pi)
     return np.maximum(angle, pulse.duration / config.max_step)
 
@@ -240,7 +241,7 @@ def _initial_steps(need: np.ndarray) -> np.ndarray:
     return 2 ** np.ceil(np.log2(np.maximum(16.0, 2.0 * need))).astype(int)
 
 
-def _magnus6(ax, az, bx, bz, cx, cz):
+def _magnus6(ax, az, bx, bz, cx, cz, out):
     """Sixth-order Magnus vector of one step, as polynomials in x.
 
     From the Gauss-node terms
@@ -254,8 +255,9 @@ def _magnus6(ax, az, bx, bz, cx, cz):
         C1 = a1 x a2,  C2 = -a1 x (2 a3 + C1) / 60,
         theta = a1 + a3 / 12 + (-20 a1 - a3 + C1) x (a2 + C2) / 240.
 
-    Returns the coefficients of theta_x (degree 2), theta_y and theta_z
-    (degree 3) in x, lowest power first.
+    Writes the coefficients of theta_x (degree 2, zero cubic), theta_y and
+    theta_z (degree 3) in x, lowest power first, into out, a (3, steps, 4)
+    array: out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.
     """
     g0 = az * bx - ax * bz  # C1_y = g0 + bx x
     s0 = (ax * cz - az * cx) / 30.0  # C2_y = s0 - cx / 30 x
@@ -266,34 +268,19 @@ def _magnus6(ax, az, bx, bz, cx, cz):
     p2 = bx / 60.0
     e0 = -20.0 * az - cz  # (-20 a1 - a3 + C1)_z = e0 - 20 x
     ex = -20.0 * ax - cx
-    theta_x = (
-        ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0,
-        (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0,
-        (bx * f1 - 2.0 * cx / 3.0) / 240.0,
-    )
-    theta_y = (
-        (e0 * p0 - ex * f0) / 240.0,
-        (e0 * p1 - 20.0 * p0 - ex * f1) / 240.0,
-        (e0 * p2 - 20.0 * p1) / 240.0,
-        -20.0 * p2 / 240.0,
-    )
-    theta_z = (
-        az + cz / 12.0 + (ex * s0 - g0 * p0) / 240.0,
-        1.0 - (ex * cx / 30.0 + g0 * p1 + bx * p0) / 240.0,
-        -(g0 * p2 + bx * p1) / 240.0,
-        -bx * p2 / 240.0,
-    )
-    return theta_x, theta_y, theta_z
-
-
-def _horner(coeffs, s, x, out):
-    """The polynomial with per-step coefficients coeffs[i][s] at the
-    member values x, written into out, a (steps, members) array."""
-    np.multiply(coeffs[-1][s, None], x, out=out)
-    for c in coeffs[-2:0:-1]:
-        out += c[s, None]
-        out *= x
-    out += coeffs[0][s, None]
+    theta_x, theta_y, theta_z = out.transpose(0, 2, 1)
+    theta_x[0] = ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0
+    theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0
+    theta_x[2] = (bx * f1 - 2.0 * cx / 3.0) / 240.0
+    theta_x[3] = 0.0
+    theta_y[0] = (e0 * p0 - ex * f0) / 240.0
+    theta_y[1] = (e0 * p1 - 20.0 * p0 - ex * f1) / 240.0
+    theta_y[2] = (e0 * p2 - 20.0 * p1) / 240.0
+    theta_y[3] = -20.0 * p2 / 240.0
+    theta_z[0] = az + cz / 12.0 + (ex * s0 - g0 * p0) / 240.0
+    theta_z[1] = 1.0 - (ex * cx / 30.0 + g0 * p1 + bx * p0) / 240.0
+    theta_z[2] = -(g0 * p2 + bx * p1) / 240.0
+    theta_z[3] = -bx * p2 / 240.0
 
 
 def _cayley_klein(q, out, scratch):
@@ -374,21 +361,22 @@ def _rotate(a, b, r):
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int):
     """Final states after n uniform sixth-order Magnus steps."""
     h = pulse.duration / n
-    om, de = _sample(pulse, ((np.arange(n)[:, None] + _NODES) * h).ravel())
-    om = om.reshape(n, 3)
-    de = de.reshape(n, 3)
+    t = ((np.arange(n)[:, None] + _NODES) * h).ravel()
+    om, de = (v.reshape(n, 3) for v in _sample(pulse, t))
     k2 = math.sqrt(15.0) * h / 3.0
     k3 = 10.0 * h / 3.0
-    quarter = _magnus6(
+    coef = np.empty((3, n, 4))
+    _magnus6(
         h * om[:, 1],
         h * de[:, 1],
         k2 * (om[:, 2] - om[:, 0]),
         k2 * (de[:, 2] - de[:, 0]),
         k3 * (om[:, 2] - 2.0 * om[:, 1] + om[:, 0]),
         k3 * (de[:, 2] - 2.0 * de[:, 1] + de[:, 0]),
+        coef,
     )
-    quarter = [[0.25 * c for c in poly] for poly in quarter]
-    x = h * offsets
+    # rows x^0..x^3 of the members, with the quarter of theta folded in
+    powers = 0.25 * (h * offsets) ** np.arange(4.0)[:, None]
     m = offsets.size
     block = min(n, max(1, _CHUNK // m))
     # every block works in these buffers: fresh large temporaries would
@@ -401,8 +389,7 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     tmp = np.empty(m, dtype=complex)
     for lo in range(0, n, block):
         k = min(block, n - lo)
-        for c, out in zip(quarter, real[:3, :k]):
-            _horner(c, slice(lo, lo + k), x, out)
+        np.matmul(coef[:, lo : lo + k], powers, out=real[:3, :k])
         _cayley_klein(real[:3, :k], pairs[:2, :k], real[3:, :k])
         _ck_mul(*_compose(pairs[:, :k]), *acc, nxt, tmp)
         acc, nxt = nxt, acc

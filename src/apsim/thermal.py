@@ -357,8 +357,14 @@ class SpectrumCache:
     @classmethod
     def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel,
                  damping=None, config=None) -> "SpectrumCache":
-        """Cache sized for broadened evaluation on [scan_lo, scan_hi]."""
-        return cls.from_pulse(pulse, scan_lo + m.delta_ls_max, scan_hi, damping, config)
+        """Cache sized for broadened evaluation on [scan_lo, scan_hi]; a
+        one-point scan whose shift is lost in floating point gets one Fourier
+        width (2 pi / t_p), and at least 64 floats, around it instead."""
+        lo, hi = scan_lo + m.delta_ls_max, scan_hi
+        if not hi > lo:
+            half = max(math.pi / pulse.duration, 32.0 * float(np.spacing(abs(lo))))
+            lo, hi = lo - half, hi + half
+        return cls.from_pulse(pulse, lo, hi, damping, config)
 
     def __call__(self, delta_c):
         x = np.clip(delta_c, self.lo, self.hi)

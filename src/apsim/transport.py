@@ -245,6 +245,8 @@ def _draw_delta_r(plan: TransportPlan, n: int, rng_seed: int, distribution: str)
     draws are independent of evaluation order and identical across scan
     points sharing a seed.
     """
+    if n < 1:
+        raise ConfigError(f"n_ensemble must be >= 1, got {n}")
     delta_0 = khz_to_rad_per_s(plan.delta_0_nu)
     spread = khz_to_rad_per_s(plan.spread_nu)
     out = np.empty(n)
@@ -280,6 +282,7 @@ def transport_transfer(
     ramp_time: float = 1e-3,
     readout: str = "dressed",
     config=None,
+    draws=None,
 ) -> TransportResult:
     """Mean transfer probability over the initial-detuning ensemble.
 
@@ -287,17 +290,20 @@ def transport_transfer(
     ground state (ideal adiabatic switch-on); "ramp" starts in the bare
     ground state and prepends a sin^2 drive ramp of length ramp_time.
     readout "dressed" projects onto the final dressed state (ideal
-    adiabatic switch-off); "bare" reads (1 + w)/2 directly.
+    adiabatic switch-off); "bare" reads (1 + w)/2 directly.  draws, the
+    member detunings in rad/s, defaults to the n_ensemble members drawn
+    from rng_seed; transport_curve draws them once for all its points.
     """
-    if n_ensemble < 1:
-        raise ConfigError(f"n_ensemble must be >= 1, got {n_ensemble}")
-    draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
+    if draws is None:
+        draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
+    n_ensemble = draws.size
 
     if switch_on == "dressed":
         pulse = TransportPulse(plan)
-        states0 = np.stack(
-            [dressed_state(plan.omega_r, d).as_array() for d in draws]
-        )
+        # dressed_state of every member (omega_r > 0, so no norm is zero);
+        # math.hypot, as there: np.hypot differs from it in the last bit
+        norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
+        states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
     elif switch_on == "ramp":
         if not ramp_time > 0:
             raise ConfigError(f"ramp_time must be positive, got {ramp_time}")
@@ -337,19 +343,20 @@ def transport_curve(
     """Transfer versus transport speed 1/tau (ms^-1).
 
     Points are evaluated one after another, in grid order.  All points
-    share the same per-member detuning draws (same rng_seed), so the curve
-    varies only through the dynamics.
+    share the same per-member detuning draws, drawn once from rng_seed, so
+    the curve varies only through the dynamics.
     """
     grid = np.atleast_1d(np.asarray(inv_tau_per_ms, dtype=float))
     if grid.size == 0:
         raise ConfigError("inv_tau grid must be non-empty")
     if np.any(grid <= 0):
         raise ConfigError("inv_tau values must be positive")
+    draws = _draw_delta_r(plan, n_ensemble, rng_seed, kwargs.get("distribution", "uniform"))
 
     def one(inv_tau: float) -> TransportResult:
         p = replace(plan, tau=1e-3 / inv_tau)
         return transport_transfer(
-            p, damping, n_ensemble, rng_seed, **kwargs
+            p, damping, n_ensemble, rng_seed, draws=draws, **kwargs
         )
 
     results = [one(v) for v in grid]

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 from scipy.spatial.transform import Rotation
 
+import apsim
 import apsim.bloch as bloch
 from apsim.bloch import (
     GROUND,
@@ -265,6 +270,84 @@ def test_pairwise_composition_matches_sequential(ref_pulse):
     for i in (0, 1234, 4000):
         one = bloch._rotation_pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 100)
         np.testing.assert_allclose(many[i], one[0], atol=1e-12)
+
+
+def _direct_pass(pulse, offsets, states, n):
+    """_rotation_pass with each member's Magnus vector formed straight from
+    the formula in _magnus6's docstring, by cross products of (n, m, 3)
+    arrays, instead of from polynomials in x."""
+    h = pulse.duration / n
+    t = (np.arange(n)[:, None] + bloch._NODES) * h
+    om, de = pulse.rabi(t), pulse.detuning(t)
+    shape = (n, offsets.size, 3)
+    a1, a2, a3 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    a1[..., 0] = h * om[:, 1, None]
+    a1[..., 2] = h * de[:, 1, None] + h * offsets
+    for a, k, w in ((a2, math.sqrt(15.0) / 3.0, (-1.0, 0.0, 1.0)),
+                    (a3, 10.0 / 3.0, (1.0, -2.0, 1.0))):
+        a[..., 0] = k * h * (om @ w)[:, None]
+        a[..., 2] = k * h * (de @ w)[:, None]
+    c1 = np.cross(a1, a2)
+    c2 = -np.cross(a1, 2.0 * a3 + c1) / 60.0
+    theta = a1 + a3 / 12.0 + np.cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    pairs = np.empty((5, n, offsets.size), dtype=complex)
+    bloch._cayley_klein(np.moveaxis(theta, -1, 0) / 4.0, pairs[:2], np.empty((2,) + shape[:2]))
+    return bloch._rotate(*bloch._compose(pairs), states)
+
+
+@pytest.mark.parametrize("m, n, x_max", [(1, 100, 0.3), (32, 1500, 0.5), (512, 200, 1.2)],
+                         ids=["one-member", "tail-block", "fit-range"])
+def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
+    # the kernel evaluates each step's Magnus vector as polynomials in
+    # x = h * offset, in blocks of steps; 1500 steps of 32 members leave a
+    # short last block, and |x| <= 1.2 is the range of the fit's cache
+    assert m == 1 or n % (bloch._CHUNK // m)
+    offs = np.linspace(-x_max, x_max, m) * n / ref_pulse.duration
+    rng = np.random.default_rng(m)
+    y0 = rng.normal(size=(m, 3))
+    y0 /= np.linalg.norm(y0, axis=1)[:, None]
+    got = bloch._rotation_pass(ref_pulse, offs, y0, n)
+    np.testing.assert_allclose(got, _direct_pass(ref_pulse, offs, y0, n), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [32, 1025])
+def test_need_sums_the_samples_like_a_loop(ref_pulse, m):
+    # _need picks the power-of-two first step counts, so its vectorised sum
+    # must equal the per-sample loop bit for bit
+    offs = khz_to_rad_per_s(np.random.default_rng(m).uniform(-117.0, 65.0, m))
+    t = (np.arange(64) + 0.5) * (ref_pulse.duration / 64)
+    angle = np.zeros(m)
+    for om_k, de_k in zip(ref_pulse.rabi(t), ref_pulse.detuning(t)):
+        angle += np.hypot(om_k, de_k + offs)
+    angle *= ref_pulse.duration / (64 * math.pi)
+    assert np.array_equal(bloch._need(ref_pulse, offs, IntegratorConfig()), angle)
+
+
+def test_rotation_pass_does_not_depend_on_blas_threads():
+    # the kernel multiplies by BLAS: its states must not change with the
+    # number of BLAS threads, or a fixed seed would not fix the output
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(apsim.__file__).parents[1])!r})
+import numpy as np
+import apsim.bloch as bloch
+from apsim.pulses import APPulse
+from apsim.units import khz_to_rad_per_s
+
+pulse = APPulse.from_khz(28.0, 40.0, 0.0, 2.0)
+for m, n in ((1025, 1024), (32, 4096), (1, 2048)):
+    offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
+    y0 = np.tile([0.0, 0.0, -1.0], (m, 1))
+    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n).tobytes().hex())
+"""
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_cayley_klein_pairs_rotate_like_rotation_vectors():

@@ -197,6 +197,30 @@ def test_zero_light_shift_reads_zero(tmp_path, capsys, values_khz):
     assert scan.p1.tolist() == [0.0] * len(values_khz)
 
 
+@pytest.mark.parametrize("values_khz, thermal, code", [
+    ([100.0], {"delta_ls_max_khz": -1e-300, "delta_th_khz": 1e-300}, 0),
+    ([1e290], {}, 3),
+], ids=["shift-below-roundoff", "far-off-resonance"])
+def test_one_point_scan_with_shift_lost_in_roundoff(tmp_path, capsys, caplog, values_khz,
+                                                    thermal, code):
+    # the shift window has mass, but scan_lo + delta_ls_max == scan_lo: the
+    # cache still gets a non-empty domain around the one point, and a point
+    # too far off resonance for the step budget ends in its numeric error
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": values_khz},
+        "pulse": PULSE,
+        "thermal": {**THERMAL, **thermal},
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == code
+    if code:
+        assert "step budget" in caplog.text
+        return
+    (p1,) = ScanResult.from_csv_text(capsys.readouterr().out).p1
+    assert np.isfinite(p1) and 0.0 <= p1 <= 1.0
+
+
 def test_renormalizing_zero_light_shift_is_config_error(tmp_path, caplog):
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [-10.0, 0.0, 10.0]},

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ def test_transport_curve_layout_and_monotony(plan):
     # faster transport, less adiabatic
     assert scan.p1[0] > scan.p1[1] > scan.p1[2]
     assert np.all(scan.stderr >= 0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"distribution": "gaussian", "readout": "bare"}])
+def test_curve_points_equal_single_transfers(plan, kwargs):
+    # the curve draws its members once; each point is still the transfer
+    # that draws them itself, bit for bit
+    grid = [2.0, 8.0]
+    scan = transport_curve(plan, grid, n_ensemble=5, rng_seed=4, **kwargs)
+    for inv_tau, p1, stderr in zip(grid, scan.p1, scan.stderr):
+        one = transport_transfer(replace(plan, tau=1e-3 / inv_tau), n_ensemble=5, rng_seed=4,
+                                 **kwargs)
+        assert (one.p1, one.stderr) == (p1, stderr)
 
 
 def test_transport_curve_validation(plan):
