@@ -25,7 +25,6 @@ from .bloch import (
     detuning_spectrum,
     evolve,
     evolve_offsets,
-    evolve_trajectory,
     transfer_probability,
 )
 from .config import RunConfig, TransportSettings, load_config
@@ -44,13 +43,9 @@ from .pulses import (
     RectPulse,
     TabulatedPulse,
     adiabaticity,
-    ap_detuning,
-    ap_rabi,
-    inverted,
     max_adiabaticity,
     pulse_from_json,
     pulse_to_json,
-    time_mirrored,
 )
 from .scan import ScanResult
 from .thermal import (
@@ -64,8 +59,6 @@ from .thermal import (
     truncated_mass,
 )
 from .transport import (
-    InteractionWidth,
-    LinearSweepPulse,
     TransportPlan,
     TransportPulse,
     TransportResult,
@@ -74,7 +67,6 @@ from .transport import (
     interaction_width,
     landau_zener_oracle,
     transport_curve,
-    transport_detuning,
     transport_transfer,
 )
 from .units import khz_to_rad_per_s, ms_to_s, rad_per_s_to_khz, s_to_ms

@@ -39,8 +39,7 @@ IntegrationError before that pass is sampled.
 a pulse but differ by a constant detuning offset in shared passes, which
 is how detuning scans and transport ensembles run.
 
-With dephasing, and for the sampled path of ``evolve_trajectory``, an
-adaptive explicit Runge-Kutta scheme (DOP853) with dense output
+With dephasing an adaptive explicit Runge-Kutta scheme (DOP853)
 integrates the equations above.  It is also the reference the tests hold
 the rotation path to.  An integration may span at most 2^15 half-turns
 of its fastest trajectory; a longer one raises IntegrationError before
@@ -63,7 +62,6 @@ __all__ = [
     "IntegratorConfig",
     "GROUND",
     "evolve",
-    "evolve_trajectory",
     "evolve_offsets",
     "transfer_probability",
     "detuning_spectrum",
@@ -176,7 +174,7 @@ def _make_rhs(pulse: PulseProgram, offsets: np.ndarray, gamma_2: float):
     return rhs
 
 
-def _solve(pulse, offsets, y0, damping, config, dense):
+def _solve(pulse, offsets, y0, damping, config):
     from scipy.integrate import solve_ivp
 
     damping = damping or DampingModel()
@@ -197,7 +195,6 @@ def _solve(pulse, offsets, y0, damping, config, dense):
         rtol=config.rel_tol,
         atol=config.abs_tol,
         max_step=config.max_step,
-        dense_output=dense,
     )
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
@@ -455,24 +452,6 @@ def evolve(
     return BlochState(u, v, w)
 
 
-def evolve_trajectory(
-    state0: BlochState,
-    pulse: PulseProgram,
-    damping: DampingModel | None = None,
-    config: IntegratorConfig | None = None,
-    n_samples: int = 200,
-):
-    """Like evolve but returns (times, states) sampled along the pulse.
-
-    states has shape (n_samples, 3).  Uses DOP853's dense output, so the
-    samples do not perturb step selection.
-    """
-    sol = _solve(pulse, [0.0], state0.as_array(), damping, config, dense=True)
-    times = np.linspace(0.0, pulse.duration, n_samples)
-    states = sol.sol(times).T
-    return times, states
-
-
 def evolve_offsets(
     pulse: PulseProgram,
     delta_offsets,
@@ -513,7 +492,7 @@ def evolve_offsets(
     if n == 0:
         return states
     if damping is not None and damping.gamma_2 > 0:
-        sol = _solve(pulse, offsets, states, damping, config, dense=False)
+        sol = _solve(pulse, offsets, states, damping, config)
         return sol.y[:, -1].reshape(n, 3)
     return _rotate_adaptive(pulse, offsets, states, config)
 

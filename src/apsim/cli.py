@@ -87,8 +87,10 @@ def run_scan(cfg: RunConfig) -> ScanResult:
             config=cfg.integrator,
         )
     else:  # adiabaticity profile over the pulse
-        vals = adiabaticity(ms_to_s(cfg.grid), cfg.pulse)
-        result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "ms")
+        # sampled in seconds: the ms grid need not survive the round trip
+        # back, and its last point could land past the pulse's end
+        t = np.linspace(0.0, cfg.pulse.duration, len(cfg.grid))
+        result = ScanResult(cfg.grid, adiabaticity(t, cfg.pulse), None, "ms")
 
     if cfg.apply_detection:
         p1 = result.p1

@@ -1,11 +1,13 @@
 """Pulse programs: time-dependent Rabi frequency and detuning.
 
-A pulse program is anything with a ``duration`` (s) and four methods
-``rabi(t)``, ``detuning(t)``, ``rabi_dot(t)``, ``detuning_dot(t)``
-returning rad/s (rad/s^2 for the derivatives).  All methods accept
-scalars or numpy arrays and clamp t to [0, duration]; the module-level
-``ap_rabi`` and ``ap_detuning`` wrappers instead reject out-of-range
-arguments.
+A pulse program is anything with a ``duration`` (s) and two methods
+``rabi(t)`` and ``detuning(t)`` returning rad/s.  Both take t, a float or
+an ndarray inside [0, duration], and return values that broadcast to t's
+shape: a constant drive may return its constant.  Nothing clamps or
+checks t; the callers sample inside the pulse.  The three kinds a config
+can build, ``APPulse``, ``RectPulse`` and ``TabulatedPulse``, also have
+``rabi_dot(t)`` and ``detuning_dot(t)`` (rad/s^2) under the same
+contract, for ``adiabaticity``, which checks the range of t.
 
 ``APPulse`` is the swept passage pulse
 
@@ -31,10 +33,6 @@ __all__ = [
     "APPulse",
     "RectPulse",
     "TabulatedPulse",
-    "time_mirrored",
-    "inverted",
-    "ap_rabi",
-    "ap_detuning",
     "adiabaticity",
     "max_adiabaticity",
     "pulse_to_json",
@@ -49,14 +47,6 @@ class PulseProgram(Protocol):
     def rabi(self, t): ...
 
     def detuning(self, t): ...
-
-    def rabi_dot(self, t): ...
-
-    def detuning_dot(self, t): ...
-
-
-def _scalarize(x, t):
-    return float(x) if np.ndim(t) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -80,6 +70,10 @@ class APPulse:
             raise ValueError("delta_max must be non-negative")
         if self.t_p <= 0:
             raise ValueError("t_p must be positive")
+        # the derivatives scale with these rates; an infinite one would
+        # turn sin(0) * inf into NaN
+        if not np.isfinite(max(self.omega_max, self.delta_max) * np.pi / self.t_p):
+            raise ValueError("omega_max pi / t_p and delta_max pi / t_p must be finite")
 
     @classmethod
     def from_khz(cls, omega_max_khz, delta_max_khz, delta_c_khz, t_p_ms):
@@ -95,31 +89,29 @@ class APPulse:
         return self.t_p
 
     def _phase(self, t):
-        return np.pi * np.clip(t, 0.0, self.t_p) / self.t_p
+        return np.pi * t / self.t_p
 
     def rabi(self, t):
-        return _scalarize(self.omega_max * np.sin(self._phase(t)) ** 2, t)
+        return self.omega_max * np.sin(self._phase(t)) ** 2
 
     def detuning(self, t):
         phi = self._phase(t)
         s2 = np.sin(phi) ** 2
         # roundoff can push sin^4 past 1 at the midpoint
         radicand = np.maximum(1.0 - s2 * s2, 0.0)
-        sign = np.where(np.clip(t, 0.0, self.t_p) >= 0.5 * self.t_p, 1.0, -1.0)
-        return _scalarize(self.delta_c + sign * self.delta_max * np.sqrt(radicand), t)
+        sign = np.where(t >= 0.5 * self.t_p, 1.0, -1.0)
+        return self.delta_c + sign * self.delta_max * np.sqrt(radicand)
 
     def rabi_dot(self, t):
         phi = self._phase(t)
-        return _scalarize(self.omega_max * (np.pi / self.t_p) * np.sin(2.0 * phi), t)
+        return self.omega_max * (np.pi / self.t_p) * np.sin(2.0 * phi)
 
     def detuning_dot(self, t):
         # d/dt of the sweep simplifies to the same expression on both
         # halves: 2 delta_max (pi/t_p) sin^3(phi) / sqrt(1 + sin^2(phi)).
         phi = self._phase(t)
         s = np.sin(phi)
-        return _scalarize(
-            2.0 * self.delta_max * (np.pi / self.t_p) * s**3 / np.sqrt(1.0 + s * s), t
-        )
+        return 2.0 * self.delta_max * (np.pi / self.t_p) * s**3 / np.sqrt(1.0 + s * s)
 
 
 @dataclass(frozen=True)
@@ -145,16 +137,16 @@ class RectPulse:
         return self.t_p
 
     def rabi(self, t):
-        return _scalarize(np.full(np.shape(t), float(self.omega)), t)
+        return self.omega
 
     def detuning(self, t):
-        return _scalarize(np.full(np.shape(t), float(self.delta)), t)
+        return self.delta
 
     def rabi_dot(self, t):
-        return _scalarize(np.zeros(np.shape(t)), t)
+        return 0.0
 
     def detuning_dot(self, t):
-        return _scalarize(np.zeros(np.shape(t)), t)
+        return 0.0
 
 
 class TabulatedPulse:
@@ -182,99 +174,23 @@ class TabulatedPulse:
         self.duration = float(times[-1])
 
     def rabi(self, t):
-        return _scalarize(np.interp(np.clip(t, 0.0, self.duration), self.times, self.omegas), t)
+        return np.interp(t, self.times, self.omegas)
 
     def detuning(self, t):
-        return _scalarize(np.interp(np.clip(t, 0.0, self.duration), self.times, self.deltas), t)
+        return np.interp(t, self.times, self.deltas)
 
     def _diff(self, values, t):
         h = self.duration * 1e-6
-        hi = np.minimum(np.clip(t, 0.0, self.duration) + h, self.duration)
-        lo = np.maximum(np.clip(t, 0.0, self.duration) - h, 0.0)
+        hi = np.minimum(t + h, self.duration)
+        lo = np.maximum(t - h, 0.0)
         f = lambda x: np.interp(x, self.times, values)
         return (f(hi) - f(lo)) / (hi - lo)
 
     def rabi_dot(self, t):
-        return _scalarize(self._diff(self.omegas, t), t)
+        return self._diff(self.omegas, t)
 
     def detuning_dot(self, t):
-        return _scalarize(self._diff(self.deltas, t), t)
-
-
-class _TimeMirroredPulse:
-    """base pulse run backwards in time."""
-
-    def __init__(self, base: PulseProgram):
-        self.base = base
-        self.duration = base.duration
-
-    def _s(self, t):
-        return self.duration - np.clip(t, 0.0, self.duration)
-
-    def rabi(self, t):
-        return self.base.rabi(self._s(t))
-
-    def detuning(self, t):
-        return self.base.detuning(self._s(t))
-
-    def rabi_dot(self, t):
-        return -self.base.rabi_dot(self._s(t))
-
-    def detuning_dot(self, t):
-        return -self.base.detuning_dot(self._s(t))
-
-
-class _InvertedPulse:
-    """Exact inverse program: time-mirrored with omega and delta negated.
-
-    Evolving under base then under inverted(base) returns any state to
-    its start (for gamma_2 = 0); negating the detuning alone does not.
-    """
-
-    def __init__(self, base: PulseProgram):
-        self.base = base
-        self.duration = base.duration
-
-    def _s(self, t):
-        return self.duration - np.clip(t, 0.0, self.duration)
-
-    def rabi(self, t):
-        return -self.base.rabi(self._s(t))
-
-    def detuning(self, t):
-        return -self.base.detuning(self._s(t))
-
-    def rabi_dot(self, t):
-        return self.base.rabi_dot(self._s(t))
-
-    def detuning_dot(self, t):
-        return self.base.detuning_dot(self._s(t))
-
-
-def time_mirrored(pulse: PulseProgram) -> PulseProgram:
-    return _TimeMirroredPulse(pulse)
-
-
-def inverted(pulse: PulseProgram) -> PulseProgram:
-    return _InvertedPulse(pulse)
-
-
-def _check_t_range(t, duration):
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > duration):
-        raise ValueError(f"t outside [0, {duration}]")
-
-
-def ap_rabi(t, pulse: PulseProgram):
-    """Rabi frequency at time t (rad/s); t must lie in [0, duration]."""
-    _check_t_range(t, pulse.duration)
-    return pulse.rabi(t)
-
-
-def ap_detuning(t, pulse: PulseProgram):
-    """Detuning at time t (rad/s); t must lie in [0, duration]."""
-    _check_t_range(t, pulse.duration)
-    return pulse.detuning(t)
+        return self._diff(self.deltas, t)
 
 
 def adiabaticity(t, pulse: PulseProgram):
@@ -284,9 +200,11 @@ def adiabaticity(t, pulse: PulseProgram):
 
     Small values mean adiabatic following.  Where rabi and detuning
     vanish simultaneously the parameter is undefined and +inf is
-    returned.
+    returned.  t must lie in [0, duration]; the result has t's shape.
     """
-    _check_t_range(t, pulse.duration)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0) or np.any(t > pulse.duration):
+        raise ValueError(f"t outside [0, {pulse.duration}]")
     om = np.asarray(pulse.rabi(t), dtype=float)
     de = np.asarray(pulse.detuning(t), dtype=float)
     om_d = np.asarray(pulse.rabi_dot(t), dtype=float)
@@ -295,8 +213,7 @@ def adiabaticity(t, pulse: PulseProgram):
     num = np.abs(de_d * om - de * om_d)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = num / (2.0 * gap2**1.5)
-    val = np.where(gap2 == 0.0, np.inf, val)
-    return _scalarize(val, t)
+    return np.broadcast_to(np.where(gap2 == 0.0, np.inf, val), t.shape)
 
 
 def max_adiabaticity(pulse: PulseProgram, grid_points: int = 4096) -> float:

@@ -27,15 +27,12 @@ from numpy.random import SeedSequence, default_rng
 from .addressing import TrapGeometry
 from .bloch import GROUND, BlochState, evolve_offsets
 from .errors import ConfigError
-from .pulses import _scalarize
 from .scan import TRANSPORT_UNIT, ScanResult
 from .units import khz_to_rad_per_s
 
 __all__ = [
     "TransportPlan",
-    "InteractionWidth",
     "TransportPulse",
-    "transport_detuning",
     "interaction_width",
     "dressed_state",
     "dressed_projection",
@@ -43,7 +40,6 @@ __all__ = [
     "transport_transfer",
     "transport_curve",
     "landau_zener_oracle",
-    "LinearSweepPulse",
 ]
 
 
@@ -81,53 +77,18 @@ class TransportPlan:
         return khz_to_rad_per_s(self.g.grad_nu)
 
 
-@dataclass(frozen=True)
-class InteractionWidth:
-    """Spatial width (um) of the region where the drive couples strongly."""
-
-    l: float
-
-    def __post_init__(self) -> None:
-        if not self.l > 0:
-            raise ConfigError(f"l must be positive, got {self.l}")
-
-    def __float__(self) -> float:
-        return self.l
-
-    @classmethod
-    def from_plan(cls, plan: TransportPlan) -> "InteractionWidth":
-        return cls(interaction_width(plan))
-
-
 def interaction_width(plan: TransportPlan) -> float:
     """Width 2 omega_r / (d_x omega_at) in micrometers."""
     return 2.0 * plan.omega_r / plan.grad()
 
 
 def _sweep(t, plan: TransportPlan):
-    """Detuning accumulated by time t (no range check, vectorized)."""
+    """Detuning accumulated by time t in [0, tau], vectorized."""
     a = 4.0 * plan.d / plan.tau**2
     t = np.asarray(t, dtype=float)
     first = 0.5 * t * t
     second = plan.tau**2 / 4.0 - 0.5 * (plan.tau - t) ** 2
     return a * plan.grad() * np.where(t <= plan.tau / 2.0, first, second)
-
-
-def _sweep_rate(t, plan: TransportPlan):
-    a = 4.0 * plan.d / plan.tau**2
-    t = np.asarray(t, dtype=float)
-    return a * plan.grad() * np.where(t <= plan.tau / 2.0, t, plan.tau - t)
-
-
-def transport_detuning(t, delta_r: float, plan: TransportPlan):
-    """Detuning (rad/s) at time t for an atom starting at detuning delta_r.
-
-    Accepts scalars or arrays; t must lie in [0, tau].
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > plan.tau):
-        raise ValueError(f"t outside [0, {plan.tau}]")
-    return _scalarize(delta_r + _sweep(t_arr, plan), t)
 
 
 @dataclass(frozen=True)
@@ -136,7 +97,6 @@ class TransportPulse:
 
     delta_r is the member-specific initial detuning in rad/s; ensemble
     evolution keeps delta_r = 0 here and feeds the draws as offsets.
-    Times outside [0, tau] clamp to the endpoints like every other pulse.
     """
 
     plan: TransportPlan
@@ -146,20 +106,11 @@ class TransportPulse:
     def duration(self) -> float:
         return self.plan.tau
 
-    def _clamp(self, t):
-        return np.clip(np.asarray(t, dtype=float), 0.0, self.plan.tau)
-
     def rabi(self, t):
-        return _scalarize(np.full(np.shape(self._clamp(t)), self.plan.omega_r), t)
-
-    def rabi_dot(self, t):
-        return _scalarize(np.zeros(np.shape(self._clamp(t))), t)
+        return self.plan.omega_r
 
     def detuning(self, t):
-        return _scalarize(self.delta_r + _sweep(self._clamp(t), self.plan), t)
-
-    def detuning_dot(self, t):
-        return _scalarize(_sweep_rate(self._clamp(t), self.plan), t)
+        return self.delta_r + _sweep(t, self.plan)
 
 
 @dataclass(frozen=True)
@@ -176,33 +127,11 @@ class _RampedTransportPulse:
         return self.plan.tau + self.t_ramp
 
     def rabi(self, t):
-        tc = np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-        env = np.where(
-            tc < self.t_ramp,
-            np.sin(np.pi * tc / (2.0 * self.t_ramp)) ** 2,
-            1.0,
-        )
-        return _scalarize(self.plan.omega_r * env, t)
-
-    def rabi_dot(self, t):
-        tc = np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-        rate = np.where(
-            tc < self.t_ramp,
-            np.pi / (2.0 * self.t_ramp) * np.sin(np.pi * tc / self.t_ramp),
-            0.0,
-        )
-        return _scalarize(self.plan.omega_r * rate, t)
+        env = np.where(t < self.t_ramp, np.sin(np.pi * t / (2.0 * self.t_ramp)) ** 2, 1.0)
+        return self.plan.omega_r * env
 
     def detuning(self, t):
-        tc = np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-        tt = np.clip(tc - self.t_ramp, 0.0, self.plan.tau)
-        return _scalarize(self.delta_r + _sweep(tt, self.plan), t)
-
-    def detuning_dot(self, t):
-        tc = np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-        tt = tc - self.t_ramp
-        out = np.where(tt >= 0.0, _sweep_rate(np.maximum(tt, 0.0), self.plan), 0.0)
-        return _scalarize(out, t)
+        return self.delta_r + _sweep(np.maximum(t - self.t_ramp, 0.0), self.plan)
 
 
 def dressed_state(omega: float, delta: float) -> BlochState:
@@ -375,40 +304,3 @@ def landau_zener_oracle(omega: float, sweep_rate: float) -> float:
     if not sweep_rate > 0:
         raise ValueError(f"sweep_rate must be positive, got {sweep_rate}")
     return 1.0 - math.exp(-math.pi * omega**2 / (2.0 * sweep_rate))
-
-
-@dataclass(frozen=True)
-class LinearSweepPulse:
-    """Constant drive with detuning rate * (t - duration/2).
-
-    The idealized constant-velocity crossing behind the analytic oracle;
-    choose duration large enough that the edges are far off resonance
-    compared to both omega and sqrt(rate).
-    """
-
-    omega: float
-    rate: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ConfigError(f"omega must be positive, got {self.omega}")
-        if not self.rate > 0:
-            raise ConfigError(f"rate must be positive, got {self.rate}")
-        if not self.duration > 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
-
-    def _clamp(self, t):
-        return np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-
-    def rabi(self, t):
-        return _scalarize(np.full(np.shape(self._clamp(t)), self.omega), t)
-
-    def rabi_dot(self, t):
-        return _scalarize(np.zeros(np.shape(self._clamp(t))), t)
-
-    def detuning(self, t):
-        return _scalarize(self.rate * (self._clamp(t) - self.duration / 2.0), t)
-
-    def detuning_dot(self, t):
-        return _scalarize(np.full(np.shape(self._clamp(t)), self.rate), t)

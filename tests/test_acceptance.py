@@ -41,7 +41,6 @@ from apsim.thermal import (
     sample_light_shift,
 )
 from apsim.transport import (
-    LinearSweepPulse,
     TransportPlan,
     dressed_projection,
     dressed_state,
@@ -49,6 +48,8 @@ from apsim.transport import (
     landau_zener_oracle,
 )
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
+
+from oracles import LinearSweepPulse
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 

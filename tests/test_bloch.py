@@ -19,12 +19,13 @@ from apsim.bloch import (
     detuning_spectrum,
     evolve,
     evolve_offsets,
-    evolve_trajectory,
     transfer_probability,
 )
 from apsim.errors import IntegrationError
-from apsim.pulses import APPulse, RectPulse, inverted
+from apsim.pulses import APPulse, RectPulse
 from apsim.units import khz_to_rad_per_s
+
+from oracles import inverted
 
 
 # ------------------------------------------------------------ state type
@@ -128,17 +129,6 @@ def test_norm_conserved_through_passage(ref_pulse):
     assert norm == pytest.approx(1.0, abs=1e-8)
 
 
-def test_trajectory_endpoint_matches_evolve(ref_pulse):
-    times, states = evolve_trajectory(GROUND, ref_pulse, n_samples=50)
-    assert times[0] == 0.0 and times[-1] == ref_pulse.duration
-    assert states.shape == (50, 3)
-    final = evolve(GROUND, ref_pulse)
-    np.testing.assert_allclose(states[-1], final.as_array(), atol=1e-9)
-    # norm stays on the sphere along the way, not just at the end
-    norms = np.linalg.norm(states, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-7)
-
-
 def test_inverted_pulse_reverses_evolution(ref_pulse):
     # if r(t) solves the torque equation, -r(t_p - t) solves it for the
     # sign-flipped mirrored pulse; running the inverse program from the
@@ -212,12 +202,6 @@ def test_non_finite_pulse_raises_integration_error():
         def detuning(self, t):
             return 0.0
 
-        def rabi_dot(self, t):
-            return 0.0
-
-        def detuning_dot(self, t):
-            return 0.0
-
     with pytest.raises(IntegrationError):
         evolve(GROUND, BrokenPulse())
 
@@ -231,7 +215,7 @@ def _stack(ref_pulse):
 
 def test_rotation_path_matches_dop853_oracle(ref_pulse):
     offs, y0 = _stack(ref_pulse)
-    oracle = bloch._solve(ref_pulse, offs, y0, None, IntegratorConfig(1e-12, 1e-14), False)
+    oracle = bloch._solve(ref_pulse, offs, y0, None, IntegratorConfig(1e-12, 1e-14))
     want = oracle.y[:, -1].reshape(-1, 3)
     got = evolve_offsets(ref_pulse, offs)
     assert np.max(np.linalg.norm(got - want, axis=1)) <= 1e-8

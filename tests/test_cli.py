@@ -367,6 +367,34 @@ def test_adiabaticity_accepts_spectrum_config(spectrum_cfg, capsys):
     assert len(scan) == 2001
 
 
+@pytest.mark.parametrize("kind, scan", [
+    ("spectrum", {"kind": "spectrum", "values_khz": [0.0]}),
+    ("adiabaticity", {"kind": "adiabaticity", "n_points": 11}),
+])
+def test_pulse_duration_off_the_ms_grid_profiles_to_its_end(tmp_path, capsys, kind, scan):
+    # 0.53 ms is 0.0005300000000000001 s, and back 0.5300000000000001 ms:
+    # a profile sampled on the ms grid would step past the pulse's end
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"scan": scan, "pulse": {**PULSE, "t_p_ms": 0.53},
+                                "thermal": THERMAL}))
+    assert main(["adiabaticity", "--config", str(path)]) == 0
+    profile = ScanResult.from_csv_text(capsys.readouterr().out)
+    assert len(profile) == (2001 if kind == "spectrum" else 11)
+    assert profile.abscissa[-1] == pytest.approx(0.53, rel=1e-15)
+    assert np.all(np.isfinite(profile.p1))
+
+
+@pytest.mark.parametrize("command", ["spectrum", "adiabaticity"])
+def test_pulse_rate_that_overflows_is_config_error(tmp_path, caplog, command):
+    # omega_max pi / t_p is inf: the profile would be inf * sin(0) = NaN
+    # and the spectrum all zeros
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"scan": {"kind": "spectrum", "values_khz": [0.0]},
+                                "pulse": {**PULSE, "t_p_ms": 1e-300}, "thermal": THERMAL}))
+    assert main([command, "--config", str(path)]) == 2
+    assert "t_p must be finite" in caplog.text
+
+
 def test_preset_runs(capsys):
     assert main(["adiabaticity", "--preset", "thermal_spectrum"]) == 0
     capsys.readouterr()
