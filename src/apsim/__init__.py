@@ -35,7 +35,7 @@ from .errors import (
     IntegrationError,
     QuadratureError,
 )
-from .fit import FitResult, chi_square, fit_spectrum
+from .fit import FitResult, fit_spectrum
 from .presets import PRESETS, preset_config, preset_names
 from .pulses import (
     APPulse,

@@ -49,10 +49,10 @@ class TrapGeometry:
     span: float
 
     def __post_init__(self) -> None:
-        if not self.grad_nu > 0:
-            raise ConfigError(f"grad_nu must be positive, got {self.grad_nu}")
-        if not self.span > 0:
-            raise ConfigError(f"span must be positive, got {self.span}")
+        if not 0 < self.grad_nu < np.inf:
+            raise ConfigError(f"grad_nu must be positive and finite, got {self.grad_nu}")
+        if not 0 < self.span < np.inf:
+            raise ConfigError(f"span must be positive and finite, got {self.span}")
         if not np.isfinite(self.guide_shift_nu):
             raise ConfigError("guide_shift_nu must be finite")
 

@@ -7,22 +7,26 @@ the spline's own error estimate (SpectrumCache.from_pulse), and re-runs
 only the (cheap, vectorized) convolution per optimizer step; that single
 reuse is what makes fitting interactive instead of an overnight job.
 
-Parameter invariants (delta_th > 0, delta_ls_max < 0, 0 <= p_max <= 1) are
-enforced by optimizing the transformed variables
+The model is linear in p_max: it is p_max g, where g is the curve at
+p_max = 1.  Each residual evaluation therefore solves p_max in closed
+form, <g, y> / <g, g> clipped to [0, 1], and the damped least-squares
+runs unconstrained on the two nonlinear parameters only,
 
-    s = log(delta_th),  q = log(-delta_ls_max),  r = logit(p_max)
+    s = log(delta_th),  q = log(-delta_ls_max)
 
-so the damped least-squares runs unconstrained.  The optimizer is a port
-of MINPACK's lmder (More, "The Levenberg-Marquardt algorithm:
-implementation and theory", Lecture Notes in Mathematics 630, 1978) with a
-forward-difference Jacobian: a trust region scaled by the running maximum
-of the Jacobian column norms, and More's search for the damping parameter,
-done on the singular value decomposition of the 3-column scaled Jacobian.
-A trial point whose parameters or residuals are not finite counts as a
-rejected step and shrinks the trust region.  Convergence means one of
-MINPACK's tests passed (relative reduction 1e-8, relative step 1e-6,
-gradient cosine 1e-8); spending the budget of 2000 residual evaluations
-first returns converged=False with the best parameters found.
+(variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973); Inverse Problems 19, R1 (2003)).  The guess's p_max is not used.
+The optimizer is a port of MINPACK's lmder (More, "The Levenberg-Marquardt
+algorithm: implementation and theory", Lecture Notes in Mathematics 630,
+1978) with a forward-difference Jacobian: a trust region scaled by the
+running maximum of the Jacobian column norms, and More's search for the
+damping parameter, done on the singular value decomposition of the
+2-column scaled Jacobian.  A trial point whose parameters or residuals are
+not finite, or whose g is zero, counts as a rejected step and shrinks the
+trust region.  Convergence means one of MINPACK's tests passed (relative
+reduction 1e-8, relative step 1e-6, gradient cosine 1e-8); spending the
+budget of 2000 residual evaluations first returns converged=False with the
+best parameters found.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from .scan import ScanResult
 from .thermal import SpectrumCache, ThermalModel, convolve_on_grid
 from .units import khz_to_rad_per_s
 
-__all__ = ["FitResult", "fit_spectrum", "chi_square"]
+__all__ = ["FitResult", "fit_spectrum"]
 
-# evaluation budget: ~500 damped least-squares iterations at 4 model
-# evaluations each (step + forward-difference Jacobian in 3 parameters)
+# evaluation budget: ~650 damped least-squares iterations at 3 model
+# evaluations each (step + forward-difference Jacobian in 2 parameters)
 _MAX_EVALS = 2000
 
 # MINPACK lmder settings: stop tests, initial trust-region factor
@@ -59,10 +63,13 @@ _DWARF = float(np.finfo(float).tiny)
 class FitResult:
     """Outcome of one spectrum fit.
 
-    params       : best thermal parameters found
+    params       : best thermal parameters found; p_max is solved in closed
+                   form at the best delta_ls_max and delta_th, and the
+                   guess's p_max is not used
     residual_rms : root-mean-square residual at params
-    n_iterations : optimizer work counter: every residual evaluation,
-                   the three of each forward-difference Jacobian included
+    n_iterations : optimizer work counter: every model evaluation, the two
+                   of each forward-difference Jacobian and the last one,
+                   which recovers p_max, included
     converged    : True when a stop test passed (relative reduction,
                    relative step or gradient cosine), False when the
                    evaluation budget ran out first
@@ -112,7 +119,7 @@ def fit_spectrum(
     constant data is rejected.  The model curve is the cached bare
     spectrum convolved with the light-shift distribution of the trial
     parameters (fixed-grid rule, matching convolve to ~1e-7).  Residuals
-    are unweighted; see chi_square for stderr-weighted comparison.
+    are unweighted, and the guess's p_max is not used.
     """
     deltas = _abscissa_rad_per_s(data)
     if len(data) < 10:
@@ -131,45 +138,43 @@ def fit_spectrum(
 
     y = np.asarray(data.p1, dtype=float)
 
-    def unpack(x) -> ThermalModel | None:
-        """The thermal model at x, or None where x leaves its domain."""
-        s, q, r = x
+    def model(x) -> tuple[ThermalModel, np.ndarray] | None:
+        """The thermal model at x = (s, q) with its closed-form p_max, and
+        its curve; None where x leaves the domain or g is zero or not
+        finite."""
+        s, q = x
         with np.errstate(over="ignore"):
             delta_ls_max, delta_th = -float(np.exp(q)), float(np.exp(s))
         try:
-            return ThermalModel(delta_ls_max, delta_th, _expit(r))
+            unit = ThermalModel(delta_ls_max, delta_th, 1.0)
         except ValueError:
             return None
+        g = convolve_on_grid(cache, deltas, unit, renormalize=renormalize)
+        gg = float(g @ g)
+        if not 0.0 < gg < math.inf:
+            return None
+        p = min(max(float(g @ y) / gg, 0.0), 1.0)
+        return ThermalModel(delta_ls_max, delta_th, p), p * g
 
     def residuals(x):
-        m = unpack(x)
-        if m is None:
-            return np.full(y.shape, np.nan)
-        return convolve_on_grid(cache, deltas, m, renormalize=renormalize) - y
+        fit = model(x)
+        return np.full(y.shape, np.nan) if fit is None else fit[1] - y
 
-    # a p_max start too close to 0 or 1 sits in the flat tail of the
-    # sigmoid (vanishing gradient) and can strand the fit on the nearest
-    # boundary ridge; starting inside [0.02, 0.98] costs nothing and keeps
-    # the Jacobian column alive
-    p0 = min(max(guess.p_max, 0.02), 0.98)
-    x0 = np.array(
-        [np.log(guess.delta_th), np.log(-guess.delta_ls_max), math.log(p0 / (1.0 - p0))]
-    )
-    x, f, nfev, info = _lmder(residuals, x0, _MAX_EVALS)
+    # a guess without light shift starts at q = -inf: a rejected start
+    with np.errstate(divide="ignore"):
+        x0 = np.array([np.log(guess.delta_th), np.log(-guess.delta_ls_max)])
+    x, f, nfev, info = _lmder(residuals, x0, _MAX_EVALS - 1)
+    # one more evaluation, within the budget, recovers p_max at x; only a
+    # rejected start has none
+    fit = model(x)
+    if fit is None:
+        raise FitDataError("the model at the initial guess is zero or not finite on the data")
     return FitResult(
-        params=unpack(x),
+        params=fit[0],
         residual_rms=float(np.sqrt(np.mean(f**2))),
-        n_iterations=nfev,
+        n_iterations=nfev + 1,
         converged=info not in (0, 5),
     )
-
-
-def _expit(r: float) -> float:
-    """Logistic function 1 / (1 + exp(-r)), without overflow."""
-    if r >= 0.0:
-        return 1.0 / (1.0 + math.exp(-r))
-    e = math.exp(r)
-    return e / (1.0 + e)
 
 
 def _jacobian(fun, x, f):
@@ -320,20 +325,3 @@ def _lm_parameter(sv, grad, delta, par):
             paru = min(paru, par)
         par = max(parl, par + parc)
     return par, w
-
-
-def chi_square(data: ScanResult, model_curve) -> float:
-    """Sum of squared residuals between data and a model curve.
-
-    model_curve takes abscissa values in the data's native unit.  Samples
-    with a finite positive stderr contribute ((y - f)/stderr)^2; all others
-    contribute the unweighted square.
-    """
-    f = np.asarray(model_curve(data.abscissa), dtype=float)
-    r = data.p1 - f
-    if data.stderr is None:
-        return float(np.sum(r * r))
-    w = np.asarray(data.stderr, dtype=float)
-    good = np.isfinite(w) & (w > 0)
-    scaled = np.where(good, r / np.where(good, w, 1.0), r)
-    return float(np.sum(scaled * scaled))

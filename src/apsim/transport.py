@@ -67,6 +67,10 @@ class TransportPlan:
             raise ConfigError(f"d must be positive, got {self.d}")
         if not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        with np.errstate(over="ignore", divide="ignore"):
+            accel = 4.0 * self.d / np.float64(self.tau) ** 2
+        if not 0.0 < accel < np.inf:
+            raise ConfigError(f"tau = {self.tau} s gives no finite positive chirp 4 d / tau^2")
         if not self.omega_r > 0:
             raise ConfigError(f"omega_r must be positive, got {self.omega_r}")
         if not self.spread_nu >= 0:

@@ -43,6 +43,10 @@ def test_geometry_validation():
         TrapGeometry(grad_nu=3.2, guide_shift_nu=9.8, span=-1.0)
     with pytest.raises(ConfigError):
         TrapGeometry(grad_nu=3.2, guide_shift_nu=np.inf, span=300.0)
+    with pytest.raises(ConfigError):
+        TrapGeometry(grad_nu=np.inf, guide_shift_nu=9.8, span=300.0)
+    with pytest.raises(ConfigError):
+        TrapGeometry(grad_nu=3.2, guide_shift_nu=9.8, span=np.inf)
 
 
 def test_geometry_json_round_trip(geometry):

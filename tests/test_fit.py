@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.optimize import least_squares
 
 import apsim.fit
 from apsim.errors import FitDataError
-from apsim.fit import FitResult, chi_square, fit_spectrum
+from apsim.fit import FitResult, fit_spectrum
 from apsim.scan import ScanResult
 from apsim.thermal import ThermalModel, convolve_on_grid
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
@@ -46,6 +47,22 @@ def test_zero_noise_self_consistency(clean_data, ref_pulse, ref_thermal):
     )
     assert res.params.p_max == pytest.approx(ref_thermal.p_max, abs=1e-3)
     assert res.n_iterations >= 1
+
+
+def test_saturated_data_clip_p_max_to_one(ref_cache, ref_pulse, ref_thermal):
+    # a saturated passage (p_max = 1) measured with noise: the least-squares
+    # p_max lies above 1, and the closed form must clip it to 1 exactly
+    saturated = replace(ref_thermal, p_max=1.0)
+    deltas = khz_to_rad_per_s(GRID_KHZ)
+    rng = np.random.default_rng(0)
+    y = convolve_on_grid(ref_cache, deltas, saturated) + rng.normal(0.0, 0.02, len(GRID_KHZ))
+    res = fit_spectrum(ScanResult(GRID_KHZ, y, None, "khz"), ref_pulse, ref_thermal)
+    assert res.converged
+    g = convolve_on_grid(ref_cache, deltas, replace(res.params, p_max=1.0))
+    assert g @ y / (g @ g) > 1.0
+    assert res.params.p_max == 1.0
+    assert abs(rad_per_s_to_khz(res.params.delta_ls_max) - (-11.0)) < 1.0
+    assert abs(rad_per_s_to_khz(res.params.delta_th) - 1.7) / 1.7 < 0.15
 
 
 def test_noisy_round_trip_recovers_parameters(noisy_fit, ref_thermal):
@@ -89,6 +106,15 @@ def test_data_validation(ref_pulse, ref_thermal):
     weird_unit = ScanResult(GRID_KHZ, np.linspace(0, 1, len(GRID_KHZ)), None, "um")
     with pytest.raises(FitDataError):
         fit_spectrum(weird_unit, ref_pulse, ref_thermal)
+    # the guess's model is exactly zero 2 MHz off resonance, or without
+    # light shift, and p_max is undefined there
+    ramp = np.linspace(0, 1, len(GRID_KHZ))
+    far_off = ScanResult(GRID_KHZ + 2000.0, ramp, None, "khz")
+    with pytest.raises(FitDataError, match="initial guess"):
+        fit_spectrum(far_off, ref_pulse, ref_thermal)
+    with pytest.raises(FitDataError, match="initial guess"):
+        fit_spectrum(ScanResult(GRID_KHZ, ramp, None, "khz"), ref_pulse,
+                     replace(ref_thermal, delta_ls_max=0.0))
 
 
 # ------------------------------------------------------------ optimizer
@@ -137,7 +163,8 @@ def test_n_iterations_counts_every_model_evaluation(clean_data, ref_pulse, monke
     data, guess = _block_fit(clean_data, 0, 2)
     res = fit_spectrum(data, ref_pulse, guess)
     assert res.converged
-    # one start, then three evaluations per Jacobian and one per trial step
+    # one start, then two evaluations per Jacobian, one per trial step and
+    # a last one that recovers p_max
     assert res.n_iterations == len(calls) > 4
 
 
@@ -166,40 +193,6 @@ def test_optimizer_rejects_non_finite_trial_points():
     x, f, nfev, info = apsim.fit._lmder(_parabola, start, 500)
     assert info in (1, 2, 3, 4) and x[0] < 2.5
     np.testing.assert_allclose(x, least_squares(_parabola, start, method="lm").x, rtol=1e-6)
-
-
-# ------------------------------------------------------------ chi square
-
-def _line(x):
-    return 0.1 * (np.asarray(x) + 1.0) + 0.05
-
-
-def test_chi_square_weighted_by_hand():
-    data = ScanResult(
-        np.arange(5.0),
-        np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-        np.array([0.1, 0.1, 0.2, 0.2, 0.5]),
-        "khz",
-    )
-    # residual is -0.05 everywhere; weights 0.1,0.1,0.2,0.2,0.5
-    assert chi_square(data, _line) == pytest.approx(0.635, rel=1e-12)
-
-
-def test_chi_square_unweighted_by_hand():
-    data = ScanResult(np.arange(5.0), np.array([0.1, 0.2, 0.3, 0.4, 0.5]), None, "khz")
-    assert chi_square(data, _line) == pytest.approx(0.0125, rel=1e-12)
-
-
-def test_chi_square_mixed_weights_fall_back():
-    data = ScanResult(
-        np.arange(5.0),
-        np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-        np.array([0.1, 0.0, np.nan, 0.2, 0.5]),
-        "khz",
-    )
-    # zero or non-finite stderr contributes the raw square
-    expect = (0.05 / 0.1) ** 2 + 0.05**2 + 0.05**2 + (0.05 / 0.2) ** 2 + (0.05 / 0.5) ** 2
-    assert chi_square(data, _line) == pytest.approx(expect, rel=1e-12)
 
 
 # ------------------------------------------------------------ result record
