@@ -19,16 +19,12 @@ import numpy as np
 from .errors import ConfigError
 from .scan import ScanResult
 from .thermal import ThermalModel, broadened_spectrum
-from .units import khz_to_rad_per_s, rad_per_s_to_khz
+from .units import khz_to_rad_per_s
 
 __all__ = [
     "TrapGeometry",
-    "AtomPosition",
-    "offset_to_detuning",
-    "detuning_to_offset",
     "spatial_spectrum",
     "crosstalk",
-    "PlateauMetrics",
     "plateau_metrics",
 ]
 
@@ -56,39 +52,6 @@ class TrapGeometry:
         if not np.isfinite(self.guide_shift_nu):
             raise ConfigError("guide_shift_nu must be finite")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grad_nu_khz_per_um": self.grad_nu,
-            "guide_shift_nu_mhz": self.guide_shift_nu,
-            "span_um": self.span,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrapGeometry":
-        keys = {"grad_nu_khz_per_um", "guide_shift_nu_mhz", "span_um"}
-        if set(d) != keys:
-            raise ConfigError(
-                f"geometry keys must be exactly {sorted(keys)}, got {sorted(d)}"
-            )
-        return cls(
-            float(d["grad_nu_khz_per_um"]),
-            float(d["guide_shift_nu_mhz"]),
-            float(d["span_um"]),
-        )
-
-
-@dataclass(frozen=True)
-class AtomPosition:
-    """Position along the trap axis in micrometers, relative to the
-    gradient's reference zero.  Must lie within the modeled span; use sites
-    validate against the geometry at hand."""
-
-    x: float
-
-
-def _as_x(pos) -> float:
-    return float(pos.x) if isinstance(pos, AtomPosition) else float(pos)
-
 
 def _check_in_span(x: float, g: TrapGeometry, name: str) -> None:
     if abs(x) > g.span / 2:
@@ -100,11 +63,6 @@ def _check_in_span(x: float, g: TrapGeometry, name: str) -> None:
 def offset_to_detuning(dx, g: TrapGeometry):
     """Central detuning (rad/s) of an atom offset dx (um) from resonance."""
     return khz_to_rad_per_s(g.grad_nu * np.asarray(dx, dtype=float))
-
-
-def detuning_to_offset(delta_c, g: TrapGeometry):
-    """Inverse of offset_to_detuning: position offset in micrometers."""
-    return rad_per_s_to_khz(np.asarray(delta_c, dtype=float)) / g.grad_nu
 
 
 def spatial_spectrum(
@@ -146,9 +104,10 @@ def crosstalk(
 
     The carrier is centered on the target site, so the neighbor sees
     delta_c = offset_to_detuning(target_x - neighbor_x).  Positions are
-    absolute and must lie within the modeled span.
+    absolute, in micrometers from the gradient's reference zero, and must
+    lie within the modeled span.
     """
-    tx, nx = _as_x(target_x), _as_x(neighbor_x)
+    tx, nx = float(target_x), float(neighbor_x)
     _check_in_span(tx, g, "target_x")
     _check_in_span(nx, g, "neighbor_x")
     return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g),

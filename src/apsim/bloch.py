@@ -1,6 +1,7 @@
 """Two-level Bloch dynamics in the rotating frame.
 
-State is the Bloch vector r = (u, v, w): u, v are the coherences, w the
+State is the Bloch vector r = (u, v, w), a float array of shape (3,) or,
+for a stack of trajectories, (n, 3): u, v are the coherences, w the
 inversion, with w = -1 the lower level |0> and w = +1 the upper level
 |1>.  Under a pulse program with Rabi frequency omega(t) and detuning
 delta(t) = omega_drive - omega_atom, and pure dephasing gamma_2,
@@ -33,7 +34,8 @@ the n-step state of a sixth-order scheme, meets the tolerance; passes of
 the same step count run together.  With coarser steps the estimate was
 found to miss the error by up to three orders of magnitude.  A pass may
 take at most 2^20 steps; a pulse that would need more raises
-IntegrationError before that pass is sampled.
+IntegrationError before that pass is sampled, and so does the first
+error estimate that is not finite.
 
 ``evolve_offsets`` propagates a whole family of trajectories that share
 a pulse but differ by a constant detuning offset in shared passes, which
@@ -49,7 +51,7 @@ it starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,20 +59,14 @@ from .errors import IntegrationError
 from .pulses import PulseProgram
 
 __all__ = [
-    "BlochState",
     "DampingModel",
     "IntegratorConfig",
-    "GROUND",
-    "evolve",
     "evolve_offsets",
-    "transfer_probability",
     "detuning_spectrum",
 ]
 
-# Construction-time guard on the norm.  Long integrations accumulate
-# drift of order the tolerance times the step count, so this is looser
-# than the per-pulse conservation asserted in the tests.
-_NORM_SLACK = 1e-6
+# the lower level |0>, the start of every trajectory not given one
+_GROUND = np.array([0.0, 0.0, -1.0])
 
 # Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of it
 _NODES = np.array([0.5 - 0.1 * math.sqrt(15.0), 0.5, 0.5 + 0.1 * math.sqrt(15.0)])
@@ -82,30 +78,6 @@ _MAX_STEPS = 2**20
 # (or max_step steps): it takes 1.6-4 steps of about 12 right-hand-side
 # calls per half-turn, so this caps one integration at about a minute
 _MAX_DOP853_TURNS = 2**15
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Bloch vector components; u^2 + v^2 + w^2 <= 1 (+ roundoff slack)."""
-
-    u: float
-    v: float
-    w: float
-
-    def __post_init__(self):
-        n2 = self.u * self.u + self.v * self.v + self.w * self.w
-        if not np.isfinite(n2) or n2 > 1.0 + _NORM_SLACK:
-            raise ValueError(f"Bloch vector norm^2 = {n2} exceeds 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.w])
-
-    @property
-    def p1(self) -> float:
-        return 0.5 * (1.0 + self.w)
-
-
-GROUND = BlochState(0.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -141,14 +113,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-
-
-def transfer_probability(state) -> float:
-    """P1 = (1 + w) / 2 for a BlochState or a (..., 3) array."""
-    if isinstance(state, BlochState):
-        return state.p1
-    arr = np.asarray(state, dtype=float)
-    return 0.5 * (1.0 + arr[..., 2])
 
 
 def _make_rhs(pulse: PulseProgram, offsets: np.ndarray, gamma_2: float):
@@ -416,6 +380,10 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
             # a sixth-order error falls 2^6-fold per halving of the step,
             # so the n-step error is about |r_n - r_n/2| / 63
             err = np.linalg.norm(fine[: active.size] - coarse, axis=1) / 63.0
+            if not np.all(np.isfinite(err)):
+                raise IntegrationError(
+                    f"error estimate is not finite after a pass of {n} steps"
+                )
             done = np.concatenate([err <= tol, np.zeros(members.size - active.size, bool)])
             out[members[done]] = fine[done]
             active, coarse = members[~done], fine[~done]
@@ -427,29 +395,6 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
                 f"step budget of {_MAX_STEPS} steps reached with error "
                 f"estimate {float(np.max(err)):.2e} > {tol:.2e}"
             )
-
-
-def evolve(
-    state0: BlochState,
-    pulse: PulseProgram,
-    damping: DampingModel | None = None,
-    config: IntegratorConfig | None = None,
-) -> BlochState:
-    """Propagate state0 through the full pulse and return the final state.
-
-    Parameters
-    ----------
-    state0 : BlochState
-        Initial Bloch vector.
-    pulse : PulseProgram
-        Drive program; its duration sets the integration span.
-    damping : DampingModel, optional
-        Pure dephasing; defaults to none.
-    config : IntegratorConfig, optional
-        Tolerances and step bound; defaults are rel 1e-9 / abs 1e-12.
-    """
-    u, v, w = evolve_offsets(pulse, [0.0], state0.as_array(), damping, config)[0]
-    return BlochState(u, v, w)
 
 
 def evolve_offsets(
@@ -481,7 +426,7 @@ def evolve_offsets(
         raise ValueError("detuning offsets must be finite")
     n = offsets.size
     if initial_states is None:
-        states = np.tile(GROUND.as_array(), (n, 1))
+        states = np.tile(_GROUND, (n, 1))
     else:
         states = np.asarray(initial_states, dtype=float)
         if states.shape == (3,):
@@ -505,12 +450,13 @@ def detuning_spectrum(
 ) -> np.ndarray:
     """Transfer probability versus central detuning (rad/s), ground start.
 
-    The pulse must expose a delta_c attribute (the swept passage pulse
-    does); each grid value replaces it.  Returns P1 with the grid's
-    shape.
+    The pulse must be a dataclass with a delta_c field (the swept passage
+    pulse is); each grid value replaces it.  The pulse runs with delta_c =
+    0 and the grid values are its trajectories' offsets, so its own
+    delta_c never enters.  Returns P1 with the grid's shape.
     """
     grid = np.asarray(delta_c_values, dtype=float)
-    offsets = np.atleast_1d(grid) - pulse.delta_c
-    final = evolve_offsets(pulse, offsets, None, damping, config)
-    p1 = transfer_probability(final)
+    final = evolve_offsets(replace(pulse, delta_c=0.0), np.atleast_1d(grid), None,
+                           damping, config)
+    p1 = 0.5 * (1.0 + final[:, 2])
     return p1.reshape(grid.shape) if grid.ndim else float(p1[0])

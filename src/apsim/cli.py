@@ -28,7 +28,7 @@ from .detection import apply_detection
 from .errors import ConfigError, FitDataError, IntegrationError, QuadratureError
 from .fit import fit_spectrum
 from .presets import preset_config, preset_names
-from .pulses import adiabaticity
+from .pulses import APPulse, adiabaticity
 from .scan import ScanResult
 from .thermal import broadened_spectrum
 from .transport import TransportPlan, transport_curve
@@ -150,8 +150,9 @@ def _cmd_scan(args, kind: str) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = _load_run_config(args)
-    if cfg.pulse is None or cfg.thermal is None:
-        raise ConfigError("fit needs a config with pulse and thermal sections")
+    # the fit's spectrum replaces the pulse's delta_c, as a spectrum scan does
+    if not isinstance(cfg.pulse, APPulse) or cfg.thermal is None:
+        raise ConfigError("fit needs a config with an 'ap' pulse and a thermal section")
     data = ScanResult.from_csv(Path(args.data))
     log.info("fitting %d samples from %s", len(data), args.data)
     t0 = time.perf_counter()

@@ -3,9 +3,11 @@
 A run configuration names one scan (detuning spectrum, spatial spectrum,
 transport curve, or adiabaticity profile) plus the physical objects it
 needs.  The schema is strict: unknown keys anywhere are rejected, so typos
-fail loudly instead of silently running defaults.  All frequencies are in
-kHz, times in ms, lengths in um; the library's rad/s and seconds never leak
-into files.
+fail loudly instead of silently running defaults, and every number must be
+a JSON number (not a string, not true/false).  All frequencies are in kHz,
+times in ms, lengths in um; the library's rad/s and seconds never leak
+into files.  This module is the only reader of the format: the domain
+classes take plain values and know no keys.
 
 Top-level keys
 --------------
@@ -13,14 +15,23 @@ scan        (required) {"kind": "spectrum"|"spatial"|"transport"|"adiabaticity",
              plus the grid: spectrum {"start_khz","stop_khz","step_khz"} or
              {"values_khz":[...]}; spatial the same with _um; transport
              {"inv_tau_per_ms":[...]}; adiabaticity {"n_points": int}}
-pulse       swept-passage pulse (see pulses.pulse_from_json); required for
-            spectrum, spatial and adiabaticity scans
-thermal     light-shift model in kHz; required for spectrum and spatial
-geometry    gradient geometry; required for spatial and transport
+pulse       one of
+              {"kind": "ap", "omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms"}
+              {"kind": "rect", "omega_khz", "delta_khz", "t_p_ms"}
+              {"kind": "tabulated", "t_ms": [...], "omega_khz": [...], "delta_khz": [...]};
+            required for spectrum, spatial and adiabaticity scans.  Spectrum
+            and spatial scans (and fits) take only "ap", whose delta_c their
+            grid replaces; adiabaticity profiles take every kind
+thermal     {"delta_ls_max_khz","delta_th_khz","p_max"}; required for
+            spectrum and spatial
+geometry    {"grad_nu_khz_per_um","guide_shift_nu_mhz","span_um"}; required
+            for spatial and transport
 transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
-            "n_ensemble","distribution","switch_on","readout","ramp_time_ms";
-            required for transport scans
-detection   optional push-out model (exact keys); defaults built in
+            "n_ensemble" (1..2^16, default 32: drawing the members costs
+            about 23 us each), "distribution","switch_on","readout",
+            "ramp_time_ms"; required for transport scans
+detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
+            defaults built in
 apply_detection  optional bool, map scan output through the detection model
 integrator  optional {"rel_tol","abs_tol","max_step_ms"} subset
 damping     optional {"gamma_2_khz"}
@@ -40,17 +51,20 @@ from .addressing import TrapGeometry
 from .bloch import DampingModel, IntegratorConfig
 from .detection import DetectionModel
 from .errors import ConfigError
-from .pulses import PulseProgram, pulse_from_json
+from .pulses import APPulse, PulseProgram, RectPulse, TabulatedPulse
 from .thermal import ThermalModel, truncated_mass
 from .units import khz_to_rad_per_s, ms_to_s
 
-__all__ = ["TransportSettings", "RunConfig", "load_config"]
+__all__ = ["RunConfig", "load_config"]
 
 SCAN_KINDS = ("spectrum", "spatial", "transport", "adiabaticity")
 
 # work budget of a scan: the most grid points a range or n_points may ask
 # for, checked before the grid is allocated
 _MAX_GRID_POINTS = 2**16 + 1
+
+# work budget of a transport scan: the most ensemble members it may draw
+_MAX_ENSEMBLE = 2**16
 
 
 def _check_keys(d: dict, section: str, required: set, optional: set = frozenset()):
@@ -101,6 +115,50 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
     return grid
 
 
+def _tabulated(t_ms, omega_khz, delta_khz) -> TabulatedPulse:
+    # float arrays warn where a large finite value overflows; the pulse
+    # rejects the result
+    with np.errstate(over="ignore"):
+        return TabulatedPulse(ms_to_s(t_ms), khz_to_rad_per_s(omega_khz),
+                              khz_to_rad_per_s(delta_khz))
+
+
+# the sections, and the pulse kinds, whose keys are all required numbers
+# (number lists for "tabulated"): the constructor that takes them, in order
+_FIELDS = {
+    "geometry": (TrapGeometry, ("grad_nu_khz_per_um", "guide_shift_nu_mhz", "span_um")),
+    "thermal": (ThermalModel.from_khz, ("delta_ls_max_khz", "delta_th_khz", "p_max")),
+    "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init")),
+    "ap": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms")),
+    "rect": (RectPulse.from_khz, ("omega_khz", "delta_khz", "t_p_ms")),
+    "tabulated": (_tabulated, ("t_ms", "omega_khz", "delta_khz")),
+}
+
+_PULSE_KINDS = ("ap", "rect", "tabulated")
+
+
+def _build(d: dict, section: str, fields: str, fixed: frozenset = frozenset()):
+    """The object the section d describes by the _FIELDS entry `fields`;
+    `fixed` names keys read elsewhere.  Domain constructors raise
+    ValueError on bad values, surfaced as ConfigError (exit code 2)."""
+    build, keys = _FIELDS[fields]
+    _check_keys(d, section, set(keys) | fixed)
+    read = _num_list if fields == "tabulated" else _num
+    try:
+        return build(*(read(d, section, k) for k in keys))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _pulse(d: dict) -> PulseProgram:
+    kind = d.get("kind")
+    if kind not in _PULSE_KINDS:
+        raise ConfigError(f"pulse.kind must be one of {_PULSE_KINDS}, got {kind!r}")
+    return _build(d, "pulse", kind, frozenset({"kind"}))
+
+
 def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) -> np.ndarray:
     values_key = f"values{suffix}"
     range_keys = {f"start{suffix}", f"stop{suffix}", f"step{suffix}"}
@@ -148,8 +206,8 @@ class TransportSettings:
     ramp_time_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_ensemble < 1:
-            raise ConfigError("transport.n_ensemble must be >= 1")
+        if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
+            raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
 
 
 @dataclass(frozen=True)
@@ -222,30 +280,13 @@ def load_config(source) -> RunConfig:
         if section not in raw:
             raise ConfigError(f"{kind} scan requires a {section!r} section")
 
-    # domain constructors raise ValueError on bad values; surface every
-    # file problem as ConfigError so the CLI maps it to exit code 2
-    def _section(name, build):
-        if name not in raw:
-            return None
-        sec = raw[name]
-        # none of the domain objects has boolean fields; JSON true/false
-        # in a numeric slot is a typo, not a 1.0/0.0
-        for k, v in sec.items():
-            if isinstance(v, bool):
-                raise ConfigError(f"{name}.{k} must be a number, got {v!r}")
-        try:
-            return build(sec)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-
-    pulse = _section("pulse", pulse_from_json)
-    geometry = _section("geometry", TrapGeometry.from_json_dict)
-    thermal = _section("thermal", ThermalModel.from_json_dict)
-    detection = _section("detection", DetectionModel.from_json_dict)
-    if detection is None:
-        detection = DetectionModel()
+    pulse = _pulse(raw["pulse"]) if "pulse" in raw else None
+    if kind in ("spectrum", "spatial") and not isinstance(pulse, APPulse):
+        raise ConfigError(f"a {kind} scan needs an 'ap' pulse, whose delta_c its grid replaces")
+    geometry, thermal, detection = (
+        _build(raw[name], name, name) if name in raw else None
+        for name in ("geometry", "thermal", "detection")
+    )
 
     if kind == "spectrum":
         grid = _grid_from_range(scan, "scan", "_khz", 1.0)
@@ -332,7 +373,7 @@ def load_config(source) -> RunConfig:
         geometry=geometry,
         thermal=thermal,
         transport=transport,
-        detection=detection,
+        detection=detection or DetectionModel(),
         apply_detection=_bool(raw, "config", "apply_detection", False),
         integrator=integrator,
         damping=damping,

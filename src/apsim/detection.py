@@ -44,24 +44,6 @@ class DetectionModel:
             if not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {val}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps_pushout": self.eps_pushout,
-            "eps_keep": self.eps_keep,
-            "p_init": self.p_init,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DetectionModel":
-        keys = {"eps_pushout", "eps_keep", "p_init"}
-        if set(d) != keys:
-            raise ConfigError(
-                f"detection keys must be exactly {sorted(keys)}, got {sorted(d)}"
-            )
-        return cls(
-            float(d["eps_pushout"]), float(d["eps_keep"]), float(d["p_init"])
-        )
-
     @property
     def slope(self) -> float:
         """d measured / d p1: scales sampling errors through the map."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ConfigError", "IntegrationError", "QuadratureError", "FitDataError"]
+
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown keys, wrong types, bad grids."""

@@ -33,15 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+import json
 from pathlib import Path
 
-import json
 import numpy as np
 
 from .errors import FitDataError
 from .scan import ScanResult
 from .thermal import SpectrumCache, ThermalModel, convolve_on_grid
-from .units import khz_to_rad_per_s
+from .units import khz_to_rad_per_s, rad_per_s_to_khz
 
 __all__ = ["FitResult", "fit_spectrum"]
 
@@ -81,8 +81,14 @@ class FitResult:
     converged: bool
 
     def to_json_dict(self) -> dict:
+        """The fit report: params in kHz, as the config's thermal section."""
+        p = self.params
         return {
-            "params": self.params.to_json_dict(),
+            "params": {
+                "delta_ls_max_khz": rad_per_s_to_khz(p.delta_ls_max),
+                "delta_th_khz": rad_per_s_to_khz(p.delta_th),
+                "p_max": p.p_max,
+            },
             "residual_rms": self.residual_rms,
             "n_iterations": self.n_iterations,
             "converged": self.converged,

@@ -26,7 +26,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .units import khz_to_rad_per_s, ms_to_s, rad_per_s_to_khz, s_to_ms
+from .units import khz_to_rad_per_s, ms_to_s
 
 __all__ = [
     "PulseProgram",
@@ -35,8 +35,6 @@ __all__ = [
     "TabulatedPulse",
     "adiabaticity",
     "max_adiabaticity",
-    "pulse_to_json",
-    "pulse_from_json",
 ]
 
 
@@ -223,59 +221,3 @@ def max_adiabaticity(pulse: PulseProgram, grid_points: int = 4096) -> float:
         raise ValueError("grid_points must be >= 1")
     grid = np.linspace(0.0, pulse.duration, grid_points + 2)[1:-1]
     return float(np.max(adiabaticity(grid, pulse)))
-
-
-def pulse_to_json(pulse: PulseProgram) -> dict:
-    """Serialize a pulse to a JSON-ready dict (frequencies kHz, times ms)."""
-    if isinstance(pulse, APPulse):
-        return {
-            "kind": "ap",
-            "omega_max_khz": rad_per_s_to_khz(pulse.omega_max),
-            "delta_max_khz": rad_per_s_to_khz(pulse.delta_max),
-            "delta_c_khz": rad_per_s_to_khz(pulse.delta_c),
-            "t_p_ms": s_to_ms(pulse.t_p),
-        }
-    if isinstance(pulse, RectPulse):
-        return {
-            "kind": "rect",
-            "omega_khz": rad_per_s_to_khz(pulse.omega),
-            "delta_khz": rad_per_s_to_khz(pulse.delta),
-            "t_p_ms": s_to_ms(pulse.t_p),
-        }
-    if isinstance(pulse, TabulatedPulse):
-        return {
-            "kind": "tabulated",
-            "t_ms": [s_to_ms(t) for t in pulse.times],
-            "omega_khz": [rad_per_s_to_khz(x) for x in pulse.omegas],
-            "delta_khz": [rad_per_s_to_khz(x) for x in pulse.deltas],
-        }
-    raise TypeError(f"cannot serialize pulse of type {type(pulse).__name__}")
-
-
-_JSON_KEYS = {
-    "ap": {"kind", "omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms"},
-    "rect": {"kind", "omega_khz", "delta_khz", "t_p_ms"},
-    "tabulated": {"kind", "t_ms", "omega_khz", "delta_khz"},
-}
-
-
-def pulse_from_json(d: dict) -> PulseProgram:
-    """Inverse of pulse_to_json. Rejects unknown kinds and keys."""
-    kind = d.get("kind")
-    if kind not in _JSON_KEYS:
-        raise ValueError(f"unknown pulse kind: {kind!r}")
-    extra = set(d) - _JSON_KEYS[kind]
-    missing = _JSON_KEYS[kind] - set(d)
-    if extra or missing:
-        raise ValueError(f"bad pulse keys: extra={sorted(extra)} missing={sorted(missing)}")
-    if kind == "ap":
-        return APPulse.from_khz(
-            d["omega_max_khz"], d["delta_max_khz"], d["delta_c_khz"], d["t_p_ms"]
-        )
-    if kind == "rect":
-        return RectPulse.from_khz(d["omega_khz"], d["delta_khz"], d["t_p_ms"])
-    return TabulatedPulse(
-        [ms_to_s(t) for t in d["t_ms"]],
-        [khz_to_rad_per_s(x) for x in d["omega_khz"]],
-        [khz_to_rad_per_s(x) for x in d["delta_khz"]],
-    )

@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+__all__ = ["TRANSPORT_UNIT", "ScanResult"]
+
 TRANSPORT_UNIT = "inv_tau_per_ms"
 
 # Transport curves use a fixed three-column layout; everything else gets the
@@ -161,33 +163,14 @@ class ScanResult:
 
     # --------------------------------------------------------------- JSON
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "unit": self.unit,
-            "abscissa": [float(x) for x in self.abscissa],
-            "p1": [float(x) for x in self.p1],
-            "stderr": None
-            if self.stderr is None
-            else [float(x) for x in self.stderr],
-        }
-        return out
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     def to_json(self, path: str | Path) -> None:
+        """Write {"unit", "abscissa", "p1", "stderr"} (stderr null when
+        absent) as indented JSON."""
+        doc = {
+            "unit": self.unit,
+            "abscissa": self.abscissa.tolist(),
+            "p1": self.p1.tolist(),
+            "stderr": None if self.stderr is None else self.stderr.tolist(),
+        }
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.to_json_text())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ScanResult":
-        try:
-            stderr = d["stderr"]
-            return cls(
-                np.asarray(d["abscissa"], dtype=float),
-                np.asarray(d["p1"], dtype=float),
-                None if stderr is None else np.asarray(stderr, dtype=float),
-                str(d["unit"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scan JSON missing key: {exc}") from exc
+            fh.write(json.dumps(doc, indent=2) + "\n")

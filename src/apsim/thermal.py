@@ -36,13 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, QuadratureError
-from .units import khz_to_rad_per_s, rad_per_s_to_khz
+from .units import khz_to_rad_per_s
 
 __all__ = [
     "ThermalModel",
-    "boltzmann_pdf",
     "truncated_mass",
-    "sample_light_shift",
     "convolve",
     "convolve_on_grid",
     "broadened_spectrum",
@@ -102,29 +100,6 @@ class ThermalModel:
     def from_khz(cls, delta_ls_max_khz, delta_th_khz, p_max):
         return cls(khz_to_rad_per_s(delta_ls_max_khz), khz_to_rad_per_s(delta_th_khz), p_max)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_ls_max_khz": rad_per_s_to_khz(self.delta_ls_max),
-            "delta_th_khz": rad_per_s_to_khz(self.delta_th),
-            "p_max": self.p_max,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ThermalModel":
-        keys = {"delta_ls_max_khz", "delta_th_khz", "p_max"}
-        if set(d) != keys:
-            raise ValueError(f"thermal model needs exactly the keys {sorted(keys)}")
-        return cls.from_khz(d["delta_ls_max_khz"], d["delta_th_khz"], d["p_max"])
-
-
-def boltzmann_pdf(delta_ls, m: ThermalModel):
-    """Probability density of the light shift (per rad/s)."""
-    x = np.asarray(delta_ls, dtype=float) - m.delta_ls_max
-    th = m.delta_th
-    with np.errstate(over="ignore"):
-        val = np.where(x >= 0.0, x * x / (2.0 * th**3) * np.exp(-x / th), 0.0)
-    return float(val) if np.ndim(delta_ls) == 0 else val
-
 
 def truncated_mass(m: ThermalModel) -> float:
     """Mass of p_B between delta_ls_max and 0 (the physical window).
@@ -145,16 +120,6 @@ def truncated_mass(m: ThermalModel) -> float:
             total += term
         return math.exp(-x) * total
     return -math.expm1(-x) - x * math.exp(-x) * (1.0 + 0.5 * x)
-
-
-def sample_light_shift(m: ThermalModel, rng_seed, n: int | None = None):
-    """Draw light shifts (rad/s) from p_B; deterministic for a given seed.
-
-    Returns a float for n=None, else an ndarray of shape (n,).
-    """
-    rng = np.random.default_rng(rng_seed)
-    draws = m.delta_ls_max + rng.gamma(3.0, m.delta_th, size=n)
-    return float(draws) if n is None else draws
 
 
 def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False):

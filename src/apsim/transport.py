@@ -25,18 +25,14 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .addressing import TrapGeometry
-from .bloch import GROUND, BlochState, evolve_offsets
+from .bloch import evolve_offsets
 from .errors import ConfigError
 from .scan import TRANSPORT_UNIT, ScanResult
 from .units import khz_to_rad_per_s
 
 __all__ = [
     "TransportPlan",
-    "TransportPulse",
     "interaction_width",
-    "dressed_state",
-    "dressed_projection",
-    "TransportResult",
     "transport_transfer",
     "transport_curve",
     "landau_zener_oracle",
@@ -99,12 +95,11 @@ def _sweep(t, plan: TransportPlan):
 class TransportPulse:
     """Constant drive plus the transport chirp, as a pulse program.
 
-    delta_r is the member-specific initial detuning in rad/s; ensemble
-    evolution keeps delta_r = 0 here and feeds the draws as offsets.
+    The detuning starts at 0; each member's initial detuning delta_r is
+    its trajectory's offset.
     """
 
     plan: TransportPlan
-    delta_r: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -114,7 +109,7 @@ class TransportPulse:
         return self.plan.omega_r
 
     def detuning(self, t):
-        return self.delta_r + _sweep(t, self.plan)
+        return _sweep(t, self.plan)
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,6 @@ class _RampedTransportPulse:
 
     plan: TransportPlan
     t_ramp: float
-    delta_r: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -135,40 +129,16 @@ class _RampedTransportPulse:
         return self.plan.omega_r * env
 
     def detuning(self, t):
-        return self.delta_r + _sweep(np.maximum(t - self.t_ramp, 0.0), self.plan)
-
-
-def dressed_state(omega: float, delta: float) -> BlochState:
-    """Instantaneous dressed ground state for drive (omega, delta).
-
-    This is the Bloch vector aligned with the torque axis (omega, 0, delta):
-    the state an adiabatic switch-on of the drive carries |0> into.  With
-    the drive off it reduces to the bare ground state.
-    """
-    norm = math.hypot(omega, delta)
-    if norm == 0.0:
-        return GROUND
-    return BlochState(omega / norm, 0.0, delta / norm)
+        return _sweep(np.maximum(t - self.t_ramp, 0.0), self.plan)
 
 
 def dressed_projection(states, omega, delta):
-    """Population in the dressed upper state, (1 + r . T_hat)/2.
-
-    states may be a BlochState or an (..., 3) array; omega/delta scalars or
-    arrays broadcasting against the leading axes.  With the drive off this
-    reduces to the bare population (1 + w)/2.
+    """Population in the dressed upper state, (1 + r . T_hat)/2, of the
+    (..., 3) array states; omega > 0 and delta broadcast against its
+    leading axes.
     """
-    arr = states.as_array() if isinstance(states, BlochState) else np.asarray(states, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    delta = np.asarray(delta, dtype=float)
     norm = np.hypot(omega, delta)
-    # drive fully off: torque axis degenerates to +z (bare measurement)
-    safe = np.where(norm == 0.0, 1.0, norm)
-    tu = np.where(norm == 0.0, 0.0, omega / safe)
-    tw = np.where(norm == 0.0, 1.0, delta / safe)
-    proj = arr[..., 0] * tu + arr[..., 2] * tw
-    out = 0.5 * (1.0 + proj)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * (1.0 + (states[..., 0] * (omega / norm) + states[..., 2] * (delta / norm)))
 
 
 def _draw_delta_r(plan: TransportPlan, n: int, rng_seed: int, distribution: str):
@@ -176,7 +146,8 @@ def _draw_delta_r(plan: TransportPlan, n: int, rng_seed: int, distribution: str)
 
     Member i always consumes the substream (rng_seed, spawn_key=(i,)), so
     draws are independent of evaluation order and identical across scan
-    points sharing a seed.
+    points sharing a seed.  Each member costs about 23 us, which is why
+    the config caps n.
     """
     if n < 1:
         raise ConfigError(f"n_ensemble must be >= 1, got {n}")
@@ -197,51 +168,46 @@ def _draw_delta_r(plan: TransportPlan, n: int, rng_seed: int, distribution: str)
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Ensemble-averaged transfer with sampling error and member values."""
+    """Ensemble-averaged transfer with its sampling error."""
 
     p1: float
     stderr: float
-    members: np.ndarray
 
 
 def transport_transfer(
     plan: TransportPlan,
+    draws: np.ndarray,
     damping=None,
-    n_ensemble: int = 32,
-    rng_seed: int = 0,
     *,
-    distribution: str = "uniform",
     switch_on: str = "dressed",
     ramp_time: float = 1e-3,
     readout: str = "dressed",
     config=None,
-    draws=None,
 ) -> TransportResult:
-    """Mean transfer probability over the initial-detuning ensemble.
+    """Mean transfer probability over the members with initial detunings
+    draws (rad/s, one per member); transport_curve draws them once for
+    all its points.
 
     switch_on "dressed" starts each member in the instantaneous dressed
-    ground state (ideal adiabatic switch-on); "ramp" starts in the bare
+    ground state, the Bloch vector along its torque axis (omega_r, 0,
+    delta_r) (ideal adiabatic switch-on); "ramp" starts in the bare
     ground state and prepends a sin^2 drive ramp of length ramp_time.
     readout "dressed" projects onto the final dressed state (ideal
-    adiabatic switch-off); "bare" reads (1 + w)/2 directly.  draws, the
-    member detunings in rad/s, defaults to the n_ensemble members drawn
-    from rng_seed; transport_curve draws them once for all its points.
+    adiabatic switch-off); "bare" reads (1 + w)/2 directly.
     """
-    if draws is None:
-        draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
     n_ensemble = draws.size
 
     if switch_on == "dressed":
         pulse = TransportPulse(plan)
-        # dressed_state of every member (omega_r > 0, so no norm is zero);
-        # math.hypot, as there: np.hypot differs from it in the last bit
+        # omega_r > 0, so no norm is zero; math.hypot, since np.hypot
+        # differs from it in the last bit and would move the outputs
         norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
         states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
     elif switch_on == "ramp":
         if not ramp_time > 0:
             raise ConfigError(f"ramp_time must be positive, got {ramp_time}")
         pulse = _RampedTransportPulse(plan, ramp_time)
-        states0 = np.tile(GROUND.as_array(), (n_ensemble, 1))
+        states0 = None  # the bare ground state
     else:
         raise ConfigError(f"unknown switch_on mode: {switch_on!r}")
 
@@ -262,7 +228,7 @@ def transport_transfer(
         if n_ensemble == 1
         else float(np.std(p1, ddof=1) / math.sqrt(n_ensemble))
     )
-    return TransportResult(mean, stderr, np.asarray(p1, dtype=float))
+    return TransportResult(mean, stderr)
 
 
 def transport_curve(
@@ -271,28 +237,27 @@ def transport_curve(
     damping=None,
     n_ensemble: int = 32,
     rng_seed: int = 0,
+    *,
+    distribution: str = "uniform",
     **kwargs,
 ) -> ScanResult:
     """Transfer versus transport speed 1/tau (ms^-1).
 
     Points are evaluated one after another, in grid order.  All points
-    share the same per-member detuning draws, drawn once from rng_seed, so
-    the curve varies only through the dynamics.
+    share the same n_ensemble per-member detuning draws, drawn once from
+    rng_seed ("uniform" or variance-matched "gaussian" distribution), so
+    the curve varies only through the dynamics.  kwargs go to
+    transport_transfer.
     """
     grid = np.atleast_1d(np.asarray(inv_tau_per_ms, dtype=float))
     if grid.size == 0:
         raise ConfigError("inv_tau grid must be non-empty")
     if np.any(grid <= 0):
         raise ConfigError("inv_tau values must be positive")
-    draws = _draw_delta_r(plan, n_ensemble, rng_seed, kwargs.get("distribution", "uniform"))
-
-    def one(inv_tau: float) -> TransportResult:
-        p = replace(plan, tau=1e-3 / inv_tau)
-        return transport_transfer(
-            p, damping, n_ensemble, rng_seed, draws=draws, **kwargs
-        )
-
-    results = [one(v) for v in grid]
+    draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
+    results = [
+        transport_transfer(replace(plan, tau=1e-3 / v), draws, damping, **kwargs) for v in grid
+    ]
     return ScanResult(
         grid,
         np.array([r.p1 for r in results]),

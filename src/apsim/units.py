@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["khz_to_rad_per_s", "rad_per_s_to_khz", "ms_to_s", "s_to_ms"]
+
 _TWO_PI_KHZ = 2.0 * math.pi * 1.0e3
 
 

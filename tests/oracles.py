@@ -1,10 +1,16 @@
-"""Pulse programs that exist only as test oracles.
+"""Oracles that exist only for the tests.
 
-Both follow the package's pulse contract: rabi(t) and detuning(t) take t
-inside [0, duration] and return values that broadcast to t's shape.
+Two pulse programs, which follow the package's pulse contract (rabi(t)
+and detuning(t) take t inside [0, duration] and return values that
+broadcast to t's shape), the dressed ground state, and the light-shift
+density with a sampler of it, the Monte Carlo and quadrature
+references of the thermal convolution.
 """
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class _InvertedPulse:
@@ -47,3 +53,27 @@ class LinearSweepPulse:
 
     def detuning(self, t):
         return self.rate * (t - self.duration / 2.0)
+
+
+def dressed_ground(omega, delta):
+    """Bloch vector along the torque axis (omega, 0, delta): the state an
+    adiabatic switch-on of the drive carries |0> into."""
+    return np.array([omega, 0.0, delta]) / math.hypot(omega, delta)
+
+
+def boltzmann_pdf(delta_ls, m):
+    """Probability density (per rad/s) of the light shift of the thermal
+    model m, the Gamma(3) density of the apsim.thermal docstring."""
+    x = np.asarray(delta_ls, dtype=float) - m.delta_ls_max
+    th = m.delta_th
+    with np.errstate(over="ignore"):
+        val = np.where(x >= 0.0, x * x / (2.0 * th**3) * np.exp(-x / th), 0.0)
+    return float(val) if np.ndim(delta_ls) == 0 else val
+
+
+def sample_light_shift(m, rng_seed, n=None):
+    """Light shifts (rad/s) drawn from boltzmann_pdf; deterministic for a
+    given seed.  A float for n=None, else an ndarray of shape (n,)."""
+    rng = np.random.default_rng(rng_seed)
+    draws = m.delta_ls_max + rng.gamma(3.0, m.delta_th, size=n)
+    return float(draws) if n is None else draws

@@ -12,14 +12,10 @@ from scipy.spatial.transform import Rotation
 import apsim
 import apsim.bloch as bloch
 from apsim.bloch import (
-    GROUND,
-    BlochState,
     DampingModel,
     IntegratorConfig,
     detuning_spectrum,
-    evolve,
     evolve_offsets,
-    transfer_probability,
 )
 from apsim.errors import IntegrationError
 from apsim.pulses import APPulse, RectPulse
@@ -27,22 +23,28 @@ from apsim.units import khz_to_rad_per_s
 
 from oracles import inverted
 
+GROUND = np.array([0.0, 0.0, -1.0])
+
+
+def final(pulse, state=GROUND, **kwargs):
+    """Bloch vector after the pulse, as a stack of one trajectory."""
+    return evolve_offsets(pulse, [0.0], state, **kwargs)[0]
+
+
+def p1(state) -> float:
+    return 0.5 * (1.0 + state[2])
+
 
 # ------------------------------------------------------------ state type
 
 def test_state_basics():
-    assert GROUND.p1 == 0.0
-    assert BlochState(0.0, 0.0, 1.0).p1 == 1.0
-    assert transfer_probability(GROUND) == 0.0
-    arr = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.5]])
-    assert transfer_probability(arr) == pytest.approx([0.0, 0.75])
-
-
-def test_state_rejects_overlong_vector():
-    with pytest.raises(ValueError):
-        BlochState(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        BlochState(np.nan, 0.0, 0.0)
+    # trajectories start in the ground state unless given a start; no
+    # drive leaves every start where it is, and P1 reads (1 + w) / 2
+    idle = RectPulse(0.0, 0.0, 1.0e-3)
+    np.testing.assert_array_equal(evolve_offsets(idle, [0.0, 1.0]), [GROUND, GROUND])
+    starts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
+    np.testing.assert_array_equal(evolve_offsets(idle, [0.0, 0.0], starts), starts)
+    assert p1(starts[1]) == 0.75
 
 
 def test_config_validation():
@@ -59,15 +61,13 @@ def test_config_validation():
 def test_resonant_pi_pulse_inverts():
     omega = khz_to_rad_per_s(10.0)
     p = RectPulse(omega, 0.0, math.pi / omega)
-    final = evolve(GROUND, p)
-    assert final.p1 == pytest.approx(1.0, abs=1e-9)
+    assert p1(final(p)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_resonant_two_pi_pulse_returns():
     omega = khz_to_rad_per_s(10.0)
     p = RectPulse(omega, 0.0, 2.0 * math.pi / omega)
-    final = evolve(GROUND, p)
-    assert final.p1 == pytest.approx(0.0, abs=1e-9)
+    assert p1(final(p)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rabi_formula_off_resonance():
@@ -78,7 +78,7 @@ def test_rabi_formula_off_resonance():
     p = RectPulse(omega, delta, t)
     w_eff = math.hypot(omega, delta)
     expect = (omega / w_eff) ** 2 * math.sin(w_eff * t / 2.0) ** 2
-    assert evolve(GROUND, p).p1 == pytest.approx(expect, abs=1e-9)
+    assert p1(final(p)) == pytest.approx(expect, abs=1e-9)
 
 
 def test_free_precession_about_z():
@@ -86,20 +86,20 @@ def test_free_precession_about_z():
     delta = khz_to_rad_per_s(3.0)
     t = 0.21e-3
     p = RectPulse(0.0, delta, t)
-    final = evolve(BlochState(1.0, 0.0, 0.0), p)
-    assert final.u == pytest.approx(math.cos(delta * t), abs=1e-9)
-    assert final.v == pytest.approx(math.sin(delta * t), abs=1e-9)
-    assert final.w == pytest.approx(0.0, abs=1e-12)
+    u, v, w = final(p, np.array([1.0, 0.0, 0.0]))
+    assert u == pytest.approx(math.cos(delta * t), abs=1e-9)
+    assert v == pytest.approx(math.sin(delta * t), abs=1e-9)
+    assert w == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dephasing_shrinks_coherence_only():
     gamma = 2.0e3
     t = 0.4e-3
     p = RectPulse(0.0, 0.0, t)
-    final = evolve(BlochState(1.0, 0.0, -0.0), p, damping=DampingModel(gamma))
-    assert final.u == pytest.approx(math.exp(-gamma * t), rel=1e-8)
-    assert final.v == pytest.approx(0.0, abs=1e-12)
-    assert final.w == pytest.approx(0.0, abs=1e-12)
+    u, v, w = final(p, np.array([1.0, 0.0, -0.0]), damping=DampingModel(gamma))
+    assert u == pytest.approx(math.exp(-gamma * t), rel=1e-8)
+    assert v == pytest.approx(0.0, abs=1e-12)
+    assert w == pytest.approx(0.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ rotation oracle
@@ -115,8 +115,7 @@ def test_constant_segments_match_rotation_oracle():
         dt = rng.uniform(0.01e-3, 0.3e-3)
         vec = rng.normal(size=3)
         vec /= np.linalg.norm(vec)
-        start = BlochState(*vec)
-        got = evolve(start, RectPulse(omega, delta, dt)).as_array()
+        got = final(RectPulse(omega, delta, dt), vec)
         want = Rotation.from_rotvec(np.array([omega, 0.0, delta]) * dt).apply(vec)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -124,8 +123,7 @@ def test_constant_segments_match_rotation_oracle():
 # ------------------------------------------------------------ passage pulse
 
 def test_norm_conserved_through_passage(ref_pulse):
-    final = evolve(GROUND, ref_pulse)
-    norm = np.linalg.norm(final.as_array())
+    norm = np.linalg.norm(final(ref_pulse))
     assert norm == pytest.approx(1.0, abs=1e-8)
 
 
@@ -133,23 +131,21 @@ def test_inverted_pulse_reverses_evolution(ref_pulse):
     # if r(t) solves the torque equation, -r(t_p - t) solves it for the
     # sign-flipped mirrored pulse; running the inverse program from the
     # negated final state must land on the negated initial state
-    r1 = evolve(GROUND, ref_pulse).as_array()
-    back = evolve(BlochState(*(-r1)), inverted(ref_pulse)).as_array()
-    np.testing.assert_allclose(back, -GROUND.as_array(), atol=1e-7)
+    r1 = final(ref_pulse)
+    back = final(inverted(ref_pulse), -r1)
+    np.testing.assert_allclose(back, -GROUND, atol=1e-7)
 
 
 def test_step_cap_does_not_change_answer(ref_pulse):
-    base = evolve(GROUND, ref_pulse).as_array()
-    capped = evolve(
-        GROUND, ref_pulse, config=IntegratorConfig(max_step=ref_pulse.duration / 200)
-    ).as_array()
+    base = final(ref_pulse)
+    capped = final(ref_pulse, config=IntegratorConfig(max_step=ref_pulse.duration / 200))
     np.testing.assert_allclose(capped, base, atol=1e-8)
 
 
 def test_tighter_tolerance_consistent(ref_pulse):
-    loose = evolve(GROUND, ref_pulse, config=IntegratorConfig(1e-7, 1e-10))
-    tight = evolve(GROUND, ref_pulse, config=IntegratorConfig(1e-12, 1e-14))
-    assert loose.p1 == pytest.approx(tight.p1, abs=1e-6)
+    loose = final(ref_pulse, config=IntegratorConfig(1e-7, 1e-10))
+    tight = final(ref_pulse, config=IntegratorConfig(1e-12, 1e-14))
+    assert p1(loose) == pytest.approx(p1(tight), abs=1e-6)
 
 
 # ------------------------------------------------------------ batched offsets
@@ -161,14 +157,14 @@ def test_offsets_match_individual_runs(ref_pulse):
         shifted = APPulse(
             ref_pulse.omega_max, ref_pulse.delta_max, ref_pulse.delta_c + off, ref_pulse.t_p
         )
-        np.testing.assert_allclose(row, evolve(GROUND, shifted).as_array(), atol=1e-8)
+        np.testing.assert_allclose(row, final(shifted), atol=1e-8)
 
 
 def test_offsets_custom_initial_states(ref_pulse):
     up = np.array([0.0, 0.0, 1.0])
     out = evolve_offsets(ref_pulse, [0.0, khz_to_rad_per_s(10.0)], initial_states=up)
     assert out.shape == (2, 3)
-    single = evolve(BlochState(0.0, 0.0, 1.0), ref_pulse).as_array()
+    single = final(ref_pulse, up)
     np.testing.assert_allclose(out[0], single, atol=1e-9)
 
 
@@ -192,6 +188,32 @@ def test_spectrum_scalar_grid(ref_pulse):
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("delta_c_khz", [-17.0, 1e300])
+def test_spectrum_ignores_the_pulses_own_delta_c(ref_pulse, delta_c_khz):
+    # the grid values replace delta_c: the pulse runs at delta_c = 0 with
+    # the grid as offsets, so its own delta_c never enters, however large
+    grid = khz_to_rad_per_s(np.array([-30.0, 0.0, 12.0]))
+    moved = APPulse.from_khz(28.0, 40.0, delta_c_khz, 2.0)
+    assert np.array_equal(detuning_spectrum(moved, grid), detuning_spectrum(ref_pulse, grid))
+
+
+def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
+    # a pass whose states are not finite ends the doubling with the next
+    # estimate instead of running on up to the step budget
+    rotation_pass = bloch._rotation_pass
+    passes = []
+
+    def poisoned(pulse, offsets, states, n):
+        passes.append(n)
+        out = rotation_pass(pulse, offsets, states, n)
+        return out if len(passes) == 1 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(bloch, "_rotation_pass", poisoned)
+    with pytest.raises(IntegrationError, match="not finite"):
+        evolve_offsets(ref_pulse, [0.0])
+    assert len(passes) == 2
+
+
 def test_non_finite_pulse_raises_integration_error():
     class BrokenPulse:
         duration = 1.0e-3
@@ -203,14 +225,14 @@ def test_non_finite_pulse_raises_integration_error():
             return 0.0
 
     with pytest.raises(IntegrationError):
-        evolve(GROUND, BrokenPulse())
+        final(BrokenPulse())
 
 
 # ------------------------------------------------------------ rotation path
 
 def _stack(ref_pulse):
     offs = khz_to_rad_per_s(np.arange(-76.0, 65.5, 1.0)) - ref_pulse.delta_c
-    return offs, np.tile(GROUND.as_array(), (offs.size, 1))
+    return offs, np.tile(GROUND, (offs.size, 1))
 
 
 def test_rotation_path_matches_dop853_oracle(ref_pulse):
@@ -248,7 +270,7 @@ def test_pairwise_composition_matches_sequential(ref_pulse):
     # thousands of members split the steps into many blocks, one member
     # takes them in a single block: the answers agree
     offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 4001))
-    y0 = np.tile(GROUND.as_array(), (offs.size, 1))
+    y0 = np.tile(GROUND, (offs.size, 1))
     many = bloch._rotation_pass(ref_pulse, offs, y0, 100)
     assert 100 > bloch._CHUNK // offs.size
     for i in (0, 1234, 4000):
@@ -354,7 +376,7 @@ def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
     # rest: the first pass leaves them out, the last holds only them, and
     # every returned state is within the tolerance of a much finer pass
     offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, 3067)) - ref_pulse.delta_c
-    y0 = np.tile(GROUND.as_array(), (offs.size, 1))
+    y0 = np.tile(GROUND, (offs.size, 1))
     sizes = []
     rotation_pass = bloch._rotation_pass
 
@@ -379,6 +401,6 @@ def test_undamped_path_does_not_call_solve_ivp(ref_pulse, monkeypatch):
     # module attribute is the name that path resolves
     monkeypatch.setattr(scipy.integrate, "solve_ivp", forbidden)
     evolve_offsets(ref_pulse, khz_to_rad_per_s(np.array([-20.0, 0.0, 20.0])))
-    evolve(GROUND, ref_pulse)
+    final(ref_pulse)
     with pytest.raises(AssertionError):
-        evolve(GROUND, ref_pulse, damping=DampingModel(1.0e3))
+        final(ref_pulse, damping=DampingModel(1.0e3))

@@ -70,8 +70,9 @@ def test_out_csv_and_json(spectrum_cfg, tmp_path, capsys):
     assert main(["spectrum", "--config", str(spectrum_cfg), "--out", str(json_path)]) == 0
     assert capsys.readouterr().out == ""  # nothing on stdout when writing files
     from_csv = ScanResult.from_csv(csv_path)
-    from_json = ScanResult.from_json_dict(json.loads(json_path.read_text()))
-    np.testing.assert_allclose(from_csv.p1, from_json.p1, atol=1e-15)
+    from_json = json.loads(json_path.read_text())
+    assert from_json["unit"] == from_csv.unit
+    np.testing.assert_array_equal(from_json["p1"], from_csv.p1)
 
 
 def test_bad_out_extension(spectrum_cfg, tmp_path):
@@ -286,6 +287,49 @@ def test_transport_field_overflowing_rad_per_s_is_config_error(
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(cfg))
     assert main(["transport", "--config", str(path)]) == 2
+
+
+def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, caplog):
+    # one member past the budget is refused before any member is drawn
+    cfg = json.loads(transport_cfg.read_text())
+    cfg["transport"]["n_ensemble"] = 2**16 + 1
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["transport", "--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "n_ensemble must lie in 1..65536" in caplog.text
+
+
+def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": {"kind": "rect", "omega_khz": 10.0, "delta_khz": 0.0, "t_p_ms": 0.05},
+        "thermal": THERMAL,
+    }
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "needs an 'ap' pulse" in caplog.text
+
+
+def test_huge_delta_c_is_replaced_by_the_grid(tmp_path, capsys):
+    # the grid values replace delta_c, so its size does not matter
+    outs = []
+    for delta_c_khz in (0.0, 1e300):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "scan": {"kind": "spectrum", "values_khz": [0.0]},
+            "pulse": {**PULSE, "delta_c_khz": delta_c_khz},
+            "thermal": THERMAL,
+        }))
+        t0 = time.perf_counter()
+        assert main(["spectrum", "--config", str(path)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("field, value", [("delta_th_khz", float("nan")),

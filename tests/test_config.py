@@ -187,6 +187,10 @@ def test_transport_config():
     bad["transport"]["n_ensemble"] = 0
     with pytest.raises(ConfigError):
         load_config(bad)
+    # the ensemble budget (test_cli checks that one member more exits 2)
+    most = copy.deepcopy(t)
+    most["transport"]["n_ensemble"] = 2**16
+    assert load_config(most).transport.n_ensemble == 2**16
 
 
 def test_adiabaticity_config():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apsim.config import load_config
 from apsim.detection import DetectionModel, apply_detection
 from apsim.errors import ConfigError
 
@@ -64,10 +65,17 @@ def test_parameter_validation():
 
 
 def test_json_round_trip():
+    # the config's detection section loads as the model of its fields
     det = DetectionModel(0.97, 0.96, 0.94)
-    again = DetectionModel.from_json_dict(det.to_json_dict())
-    assert again == det
-    bad = det.to_json_dict()
-    bad["gain"] = 1.0
+    section = {"eps_pushout": 0.97, "eps_keep": 0.96, "p_init": 0.94}
+    cfg = {"scan": {"kind": "adiabaticity", "n_points": 2},
+           "pulse": {"kind": "rect", "omega_khz": 1.0, "delta_khz": 0.0, "t_p_ms": 1.0},
+           "detection": section}
+    assert load_config(cfg).detection == det
+    section["eps_pushout"] = "0.97"  # a numeric string is not a number
+    with pytest.raises(ConfigError, match="must be a number"):
+        load_config(cfg)
+    section["eps_pushout"] = 0.97
+    section["gain"] = 1.0
     with pytest.raises(ConfigError):
-        DetectionModel.from_json_dict(bad)
+        load_config(cfg)

@@ -1,10 +1,14 @@
-"""Property test of the exit-code contract.
+"""Property tests of the exit-code contract.
 
 Any single-leaf mutation of a preset, by one of a fixed set of junk
 values, run through the preset's own command or, where it has a pulse,
 through ``adiabaticity``, ends in exit 0, 2 or 3 and never in a
 traceback; an exit 0 writes no NaN.  Grids are cut to 3 points and
 ensembles to 4 members, so each run takes milliseconds.
+
+Each preset with its pulse section swapped for a valid one of each kind
+ends, on every command, in the exit code the config's rules give; and
+every numeric leaf of each preset written as a numeric string exits 2.
 """
 
 import json
@@ -72,3 +76,75 @@ def test_single_leaf_mutation_keeps_the_exit_contract(workdir, case):
     assert code in (0, 2, 3)
     if code == 0:
         assert "nan" not in out.read_text()
+
+
+# a valid pulse section of each kind
+PULSES = {
+    "ap": {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0, "delta_c_khz": 5.0,
+           "t_p_ms": 2.0},
+    "rect": {"kind": "rect", "omega_khz": 10.0, "delta_khz": 0.0, "t_p_ms": 0.05},
+    "tabulated": {"kind": "tabulated", "t_ms": [0.0, 1.0, 2.0], "omega_khz": [0.0, 28.0, 0.0],
+                  "delta_khz": [-40.0, 0.0, 40.0]},
+}
+COMMANDS = ["spectrum", "spatial", "transport", "adiabaticity", "fit"]
+
+
+def _expected_exit(raw: dict, command: str) -> int:
+    """Spectrum and spatial scans, and fits, take only an "ap" pulse; the
+    adiabaticity command profiles any pulse; a command runs its own kind."""
+    kind, pulse = raw["scan"]["kind"], raw["pulse"]["kind"]
+    if kind in ("spectrum", "spatial") and pulse != "ap":
+        return 2
+    if command == "adiabaticity":
+        return 0
+    if command == "fit":
+        return 0 if pulse == "ap" and "thermal" in raw else 2
+    return 0 if command == kind else 2
+
+
+@pytest.fixture(scope="module")
+def fit_data(workdir):
+    path = workdir / "data.csv"
+    rows = "".join(f"{x},khz,{0.9 * math.exp(-(x / 30.0) ** 4)},\n" for x in range(-60, 61, 10))
+    path.write_text("abscissa,khz,p1,stderr\n" + rows)
+    return path
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("pulse", sorted(PULSES))
+@pytest.mark.parametrize("preset", preset_names())
+def test_pulse_section_swap_keeps_the_exit_contract(workdir, fit_data, preset, pulse, command):
+    raw = _small(PRESETS[preset]())
+    raw["pulse"] = PULSES[pulse]
+    cfg = workdir / "swap.json"
+    cfg.write_text(json.dumps(raw))
+    out = workdir / ("fit.json" if command == "fit" else "swap.csv")
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "fit":
+        argv += ["--data", str(fit_data)]
+    assert main(argv) == _expected_exit(raw, command)
+
+
+def _numeric_leaves():
+    for name in preset_names():
+        raw = PRESETS[name]()
+        for path in _leaves(raw):
+            node = raw
+            for k in path:
+                node = node[k]
+            if isinstance(node, (int, float)) and not isinstance(node, bool):
+                yield pytest.param(name, path, id=f"{name}-{'.'.join(map(str, path))}")
+
+
+@pytest.mark.parametrize("preset, path", list(_numeric_leaves()))
+def test_numeric_string_is_a_config_error(workdir, preset, path):
+    # the whole preset: loading fails before any of it runs
+    raw = PRESETS[preset]()
+    *outer, key = path
+    node = raw
+    for k in outer:
+        node = node[k]
+    node[key] = repr(node[key])
+    cfg = workdir / "string.json"
+    cfg.write_text(json.dumps(raw))
+    assert main([raw["scan"]["kind"], "--config", str(cfg), "--out", str(workdir / "s.csv")]) == 2

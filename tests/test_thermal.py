@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,18 +8,20 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
 import apsim.bloch
-from apsim.errors import QuadratureError
+from apsim.config import load_config
+from apsim.errors import ConfigError, QuadratureError
+from apsim.fit import FitResult
 from apsim.pulses import RectPulse
 from apsim.thermal import (
     SpectrumCache,
     ThermalModel,
-    boltzmann_pdf,
     convolve,
     convolve_on_grid,
-    sample_light_shift,
     truncated_mass,
 )
 from apsim.units import khz_to_rad_per_s
+
+from oracles import boltzmann_pdf, sample_light_shift
 
 
 # ------------------------------------------------------------ model type
@@ -35,13 +38,17 @@ def test_model_validation():
 
 
 def test_model_json_round_trip(ref_thermal):
-    d = ref_thermal.to_json_dict()
+    # a fit reports its model in the keys of the config's thermal section,
+    # and the config loads the report back as the same model
+    d = FitResult(ref_thermal, 0.0, 1, True).to_json_dict()["params"]
     assert d["delta_ls_max_khz"] == pytest.approx(-11.0)
-    again = ThermalModel.from_json_dict(d)
-    assert again == ref_thermal
+    pulse = {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0,
+             "delta_c_khz": 0.0, "t_p_ms": 2.0}
+    cfg = {"scan": {"kind": "spectrum", "values_khz": [0.0]}, "pulse": pulse, "thermal": d}
+    assert load_config(cfg).thermal == ref_thermal
     d["extra"] = 1
-    with pytest.raises(ValueError):
-        ThermalModel.from_json_dict(d)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
 
 
 # ------------------------------------------------------------ density
@@ -319,13 +326,15 @@ def test_cache_integrates_each_offset_once(ref_pulse, ref_thermal, monkeypatch):
     np.testing.assert_array_equal(np.sort(offsets), cache.deltas)
 
 
+@dataclass(frozen=True)
 class _LinePulse(RectPulse):
-    """A rectangular pulse scanned by its detuning, as detuning_spectrum
-    scans a swept pulse by delta_c."""
+    """A rectangular pulse of detuning delta_c (its delta unused), scanned
+    by it as detuning_spectrum scans a swept pulse."""
 
-    @property
-    def delta_c(self):
-        return self.delta
+    delta_c: float = 0.0
+
+    def detuning(self, t):
+        return self.delta_c
 
 
 def test_cache_resolves_line_narrower_than_seed_grid():

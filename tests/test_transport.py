@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from apsim.addressing import TrapGeometry
-from apsim.bloch import GROUND, evolve
+from apsim.bloch import evolve_offsets
 from apsim.errors import ConfigError
 from apsim.pulses import PulseProgram
 from apsim.scan import TRANSPORT_UNIT
 from apsim.transport import (
     TransportPlan,
     TransportPulse,
+    _draw_delta_r,
     dressed_projection,
-    dressed_state,
     interaction_width,
     landau_zener_oracle,
     transport_curve,
@@ -21,7 +21,13 @@ from apsim.transport import (
 )
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
-from oracles import LinearSweepPulse
+from oracles import LinearSweepPulse, dressed_ground
+
+
+def transfer(plan, n_ensemble, rng_seed, distribution="uniform", **kwargs):
+    """transport_transfer over n_ensemble members drawn from rng_seed."""
+    draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
+    return transport_transfer(plan, draws, **kwargs)
 
 
 @pytest.fixture
@@ -68,7 +74,7 @@ def test_chirp_shape(plan):
     total = pulse.detuning(plan.tau)
     assert pulse.detuning(plan.tau / 2) == pytest.approx(total / 2, rel=1e-12)
     assert pulse.detuning(plan.tau / 4) == pytest.approx(total / 8, rel=1e-12)
-    assert TransportPulse(plan, delta_r=5.0).detuning(0.0) == 5.0
+    assert pulse.detuning(0.0) == 0.0
 
 
 def test_chirp_continuous_and_monotone(plan):
@@ -91,9 +97,10 @@ def test_transport_pulse_is_pulse_program(plan):
 
 
 def test_pulse_detuning_crosses_resonance_once(plan):
-    pulse = TransportPulse(plan, delta_r=khz_to_rad_per_s(-72.0))
+    # the member's initial detuning is its offset, added to the chirp
+    pulse = TransportPulse(plan)
     t = np.linspace(0.0, plan.tau, 2001)
-    sign = np.sign(pulse.detuning(t))
+    sign = np.sign(khz_to_rad_per_s(-72.0) + pulse.detuning(t))
     flips = np.count_nonzero(np.diff(sign))
     assert flips == 1
 
@@ -118,24 +125,12 @@ def test_interaction_width_scales_linearly(plan):
 
 # ------------------------------------------------------------ dressed frame
 
-def test_dressed_state_limits():
-    assert dressed_state(0.0, 0.0) == GROUND
-    # far below resonance the dressed ground state is the bare one
-    far = dressed_state(1.0, -1e9)
-    assert far.w == pytest.approx(-1.0, abs=1e-9)
-    # on resonance it points along +u
-    on = dressed_state(1.0, 0.0)
-    assert (on.u, on.v, on.w) == pytest.approx((1.0, 0.0, 0.0))
-
-
 def test_dressed_projection_consistency():
-    state = dressed_state(2.0, 1.5)
     # the dressed ground state has unit overlap with its own torque axis
-    assert dressed_projection(state, 2.0, 1.5) == pytest.approx(1.0, rel=1e-12)
-    # and the drive-off case reduces to the bare readout
-    assert dressed_projection(GROUND, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert dressed_projection(dressed_ground(2.0, 1.5), 2.0, 1.5) == pytest.approx(1.0, rel=1e-12)
+    # far from resonance the dressed readout is the bare one, row by row
     arr = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    np.testing.assert_allclose(dressed_projection(arr, 0.0, 0.0), [1.0, 0.0])
+    np.testing.assert_allclose(dressed_projection(arr, 1.0, 1e9), [1.0, 0.0], atol=1e-9)
 
 
 def test_dressed_initialization_is_stationary(plan):
@@ -145,8 +140,8 @@ def test_dressed_initialization_is_stationary(plan):
     from apsim.pulses import RectPulse
 
     pulse = RectPulse(plan.omega_r, delta, 0.5e-3)
-    final = evolve(dressed_state(plan.omega_r, delta), pulse)
-    assert dressed_projection(final, plan.omega_r, delta) == pytest.approx(1.0, abs=1e-9)
+    final = evolve_offsets(pulse, [0.0], dressed_ground(plan.omega_r, delta))
+    assert dressed_projection(final, plan.omega_r, delta) == pytest.approx([1.0], abs=1e-9)
 
 
 # ------------------------------------------------------------ ensemble transfer
@@ -155,48 +150,40 @@ def test_slow_transport_is_complete(plan):
     import dataclasses
 
     slow = dataclasses.replace(plan, tau=5e-3)
-    res = transport_transfer(slow, n_ensemble=8, rng_seed=0)
+    res = transfer(slow, 8, 0)
     assert res.p1 > 0.999
-    assert res.members.shape == (8,)
     assert res.stderr < 0.01
 
 
 def test_ensemble_of_one_matches_direct_integration(plan):
-    res = transport_transfer(plan, n_ensemble=1, rng_seed=3)
+    res = transfer(plan, 1, 3)
     assert res.stderr == 0.0
     # reproduce the single member by hand: same draw, same dynamics
-    from apsim.transport import _draw_delta_r
-
     draw = _draw_delta_r(plan, 1, 3, "uniform")[0]
-    pulse = TransportPulse(plan, delta_r=draw)
-    final = evolve(dressed_state(plan.omega_r, draw), pulse)
-    end = pulse.detuning(plan.tau)
+    pulse = TransportPulse(plan)
+    final = evolve_offsets(pulse, [draw], dressed_ground(plan.omega_r, draw))
+    end = draw + pulse.detuning(plan.tau)
     want = dressed_projection(final, plan.omega_r, end)
-    assert res.p1 == pytest.approx(want, abs=1e-9)
+    assert res.p1 == pytest.approx(want[0], abs=1e-9)
 
 
 def test_transfer_deterministic_for_seed(plan):
-    a = transport_transfer(plan, n_ensemble=6, rng_seed=11)
-    b = transport_transfer(plan, n_ensemble=6, rng_seed=11)
-    assert a.p1 == b.p1
-    np.testing.assert_array_equal(a.members, b.members)
-    c = transport_transfer(plan, n_ensemble=6, rng_seed=12)
+    a = transfer(plan, 6, 11)
+    b = transfer(plan, 6, 11)
+    assert (a.p1, a.stderr) == (b.p1, b.stderr)
+    c = transfer(plan, 6, 12)
     assert c.p1 != a.p1
 
 
 def test_member_draws_stable_under_ensemble_growth(plan):
     # member i's detuning draw depends only on (seed, i), so growing the
     # ensemble extends the list without reshuffling earlier members
-    from apsim.transport import _draw_delta_r
-
     small = _draw_delta_r(plan, 4, 5, "uniform")
     large = _draw_delta_r(plan, 8, 5, "uniform")
     np.testing.assert_array_equal(large[:4], small)
 
 
 def test_draw_distributions(plan):
-    from apsim.transport import _draw_delta_r
-
     n = 4000
     uni = _draw_delta_r(plan, n, 1, "uniform")
     center = khz_to_rad_per_s(plan.delta_0_nu)
@@ -213,10 +200,8 @@ def test_ramped_switch_on_agrees_with_dressed_start(plan):
     import dataclasses
 
     slow = dataclasses.replace(plan, tau=2e-3)
-    ideal = transport_transfer(slow, n_ensemble=4, rng_seed=2, switch_on="dressed")
-    ramped = transport_transfer(
-        slow, n_ensemble=4, rng_seed=2, switch_on="ramp", ramp_time=1e-3
-    )
+    ideal = transfer(slow, 4, 2, switch_on="dressed")
+    ramped = transfer(slow, 4, 2, switch_on="ramp", ramp_time=1e-3)
     # a sufficiently slow real switch-on reproduces the ideal dressed start
     assert ramped.p1 == pytest.approx(ideal.p1, abs=0.005)
 
@@ -225,21 +210,21 @@ def test_bare_readout_close_for_far_final_detuning(plan):
     import dataclasses
 
     slow = dataclasses.replace(plan, tau=5e-3)
-    dressed = transport_transfer(slow, n_ensemble=4, rng_seed=0, readout="dressed")
-    bare = transport_transfer(slow, n_ensemble=4, rng_seed=0, readout="bare")
+    dressed = transfer(slow, 4, 0, readout="dressed")
+    bare = transfer(slow, 4, 0, readout="bare")
     # final detuning ~350 kHz >> 26 kHz drive: dressed and bare nearly agree
     assert bare.p1 == pytest.approx(dressed.p1, abs=0.01)
 
 
 def test_transfer_option_validation(plan):
     with pytest.raises(ConfigError):
-        transport_transfer(plan, n_ensemble=0)
+        transfer(plan, 0, 0)
     with pytest.raises(ConfigError):
-        transport_transfer(plan, switch_on="instant")
+        transfer(plan, 4, 0, switch_on="instant")
     with pytest.raises(ConfigError):
-        transport_transfer(plan, readout="fluorescence")
+        transfer(plan, 4, 0, readout="fluorescence")
     with pytest.raises(ConfigError):
-        transport_transfer(plan, switch_on="ramp", ramp_time=0.0)
+        transfer(plan, 4, 0, switch_on="ramp", ramp_time=0.0)
 
 
 # ------------------------------------------------------------ speed curve
@@ -262,8 +247,7 @@ def test_curve_points_equal_single_transfers(plan, kwargs):
     grid = [2.0, 8.0]
     scan = transport_curve(plan, grid, n_ensemble=5, rng_seed=4, **kwargs)
     for inv_tau, p1, stderr in zip(grid, scan.p1, scan.stderr):
-        one = transport_transfer(replace(plan, tau=1e-3 / inv_tau), n_ensemble=5, rng_seed=4,
-                                 **kwargs)
+        one = transfer(replace(plan, tau=1e-3 / inv_tau), 5, 4, **kwargs)
         assert (one.p1, one.stderr) == (p1, stderr)
 
 
@@ -294,7 +278,7 @@ def test_linear_sweep_matches_oracle():
     span = 40.0 * max(omega, math.sqrt(rate))
     duration = span / rate
     pulse = LinearSweepPulse(omega, rate, duration)
-    final = evolve(dressed_state(omega, pulse.detuning(0.0)), pulse)
-    got = dressed_projection(final, omega, pulse.detuning(duration))
+    final = evolve_offsets(pulse, [0.0], dressed_ground(omega, pulse.detuning(0.0)))
+    got = dressed_projection(final[0], omega, pulse.detuning(duration))
     assert got == pytest.approx(landau_zener_oracle(omega, rate), abs=0.01)
 
