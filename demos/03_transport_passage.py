@@ -7,36 +7,23 @@ through the crossing, and the leak follows the constant-velocity
 crossing formula evaluated at the mid-move sweep rate.
 """
 
-import numpy as np
-
 from apsim.cli import run_scan
 from apsim.presets import preset_config
-from apsim.transport import TransportPlan, interaction_width, landau_zener_oracle
-from apsim.units import khz_to_rad_per_s
+from apsim.transport import interaction_width, landau_zener_oracle
 
 cfg = preset_config("transport_speed")
-t = cfg.transport
+plan = cfg.transport
 scan = run_scan(cfg)
 
 for inv_tau, p1, se in zip(scan.abscissa, scan.p1, scan.stderr):
     print(f"1/tau = {inv_tau:5.2f} /ms   P1 = {p1:.4f} +- {se:.4f}")
 
-plan = TransportPlan(
-    d=t.d_um,
-    tau=1e-3,
-    omega_r=khz_to_rad_per_s(t.omega_r_khz),
-    delta_0_nu=t.delta_0_khz,
-    spread_nu=t.spread_khz,
-    g=cfg.geometry,
-)
 print(f"resonant interaction width {interaction_width(plan):.2f} um")
 
 # mid-move sweep rate for the piecewise-parabolic trajectory: the average
 # rate grad*d/tau times the peak/average velocity ratio 2
-omega = khz_to_rad_per_s(t.omega_r_khz)
-grad = khz_to_rad_per_s(cfg.geometry.grad_nu)
 lz = [
-    landau_zener_oracle(omega, 2.0 * grad * t.d_um * inv_tau * 1e3)
+    landau_zener_oracle(plan.omega_r, 2.0 * plan.grad() * plan.d * inv_tau * 1e3)
     for inv_tau in scan.abscissa
 ]
 

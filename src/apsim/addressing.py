@@ -73,7 +73,6 @@ def spatial_spectrum(
     *,
     damping=None,
     config=None,
-    renormalize: bool = False,
 ) -> ScanResult:
     """Broadened transfer probability versus position offset (um).
 
@@ -84,8 +83,7 @@ def spatial_spectrum(
     dx = np.atleast_1d(np.asarray(dx_grid, dtype=float))
     if dx.size == 0:
         raise ConfigError("dx_grid must be non-empty")
-    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g), renormalize=renormalize,
-                              damping=damping, config=config)
+    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g), damping=damping, config=config)
     return ScanResult(dx, np.asarray(vals, dtype=float), None, "um")
 
 
@@ -98,7 +96,6 @@ def crosstalk(
     *,
     damping=None,
     config=None,
-    renormalize: bool = False,
 ) -> float:
     """Transfer probability of a neighbor while the pulse addresses a target.
 
@@ -111,7 +108,7 @@ def crosstalk(
     _check_in_span(tx, g, "target_x")
     _check_in_span(nx, g, "neighbor_x")
     return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g),
-                                    renormalize=renormalize, damping=damping, config=config))
+                                    damping=damping, config=config))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .presets import preset_config, preset_names
 from .pulses import APPulse, adiabaticity
 from .scan import ScanResult
 from .thermal import broadened_spectrum
-from .transport import TransportPlan, transport_curve
-from .units import khz_to_rad_per_s, ms_to_s, s_to_ms
+from .transport import transport_curve
+from .units import khz_to_rad_per_s, s_to_ms
 
 __all__ = ["main", "run_scan"]
 
@@ -50,8 +50,7 @@ def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
     if cfg.kind == "spectrum":
         vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid),
-                                  renormalize=cfg.renormalize, damping=cfg.damping,
-                                  config=cfg.integrator)
+                                  damping=cfg.damping, config=cfg.integrator)
         result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "khz")
     elif cfg.kind == "spatial":
         result = spatial_spectrum(
@@ -61,31 +60,10 @@ def run_scan(cfg: RunConfig) -> ScanResult:
             cfg.grid,
             damping=cfg.damping,
             config=cfg.integrator,
-            renormalize=cfg.renormalize,
         )
     elif cfg.kind == "transport":
-        t = cfg.transport
-        # tau is a placeholder here; the curve sets it per grid point
-        plan = TransportPlan(
-            d=t.d_um,
-            tau=1e-3,
-            omega_r=khz_to_rad_per_s(t.omega_r_khz),
-            delta_0_nu=t.delta_0_khz,
-            spread_nu=t.spread_khz,
-            g=cfg.geometry,
-        )
-        result = transport_curve(
-            plan,
-            cfg.grid,
-            cfg.damping,
-            t.n_ensemble,
-            cfg.seed,
-            distribution=t.distribution,
-            switch_on=t.switch_on,
-            ramp_time=ms_to_s(t.ramp_time_ms),
-            readout=t.readout,
-            config=cfg.integrator,
-        )
+        result = transport_curve(cfg.transport, cfg.grid, cfg.damping, cfg.seed,
+                                 config=cfg.integrator)
     else:  # adiabaticity profile over the pulse
         # sampled in seconds: the ms grid need not survive the round trip
         # back, and its last point could land past the pulse's end
@@ -160,7 +138,6 @@ def _cmd_fit(args) -> int:
         data,
         cfg.pulse,
         cfg.thermal,
-        renormalize=cfg.renormalize,
         damping=cfg.damping,
         config=cfg.integrator,
     )

@@ -28,8 +28,13 @@ geometry    {"grad_nu_khz_per_um","guide_shift_nu_mhz","span_um"}; required
             for spatial and transport
 transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
             "n_ensemble" (1..2^16, default 32: drawing the members costs
-            about 23 us each), "distribution","switch_on","readout",
-            "ramp_time_ms"; required for transport scans
+            about 23 us each), "distribution" ("uniform" or "gaussian",
+            default "uniform"), "switch_on" ("dressed" or "ramp", default
+            "dressed"), "readout" ("dressed" or "bare", default "dressed")
+            and "ramp_time_ms" (default 1, > 0 in "ramp" mode, unread
+            otherwise); required for transport scans, and needs a geometry
+            section.  It loads as a transport.TransportPlan, which checks
+            every value, these modes included, before anything runs
 detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
             defaults built in
 apply_detection  optional bool, map scan output through the detection model
@@ -42,7 +47,7 @@ seed        optional non-negative integer, default 0
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +57,8 @@ from .bloch import DampingModel, IntegratorConfig
 from .detection import DetectionModel
 from .errors import ConfigError
 from .pulses import APPulse, PulseProgram, RectPulse, TabulatedPulse
-from .thermal import ThermalModel, truncated_mass
+from .thermal import ThermalModel
+from .transport import TransportPlan
 from .units import khz_to_rad_per_s, ms_to_s
 
 __all__ = ["RunConfig", "load_config"]
@@ -62,9 +68,6 @@ SCAN_KINDS = ("spectrum", "spatial", "transport", "adiabaticity")
 # work budget of a scan: the most grid points a range or n_points may ask
 # for, checked before the grid is allocated
 _MAX_GRID_POINTS = 2**16 + 1
-
-# work budget of a transport scan: the most ensemble members it may draw
-_MAX_ENSEMBLE = 2**16
 
 
 def _check_keys(d: dict, section: str, required: set, optional: set = frozenset()):
@@ -192,25 +195,6 @@ def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) ->
 
 
 @dataclass(frozen=True)
-class TransportSettings:
-    """Transport-scan physics in file units (tau comes from the grid)."""
-
-    d_um: float
-    omega_r_khz: float
-    delta_0_khz: float
-    spread_khz: float
-    n_ensemble: int = 32
-    distribution: str = "uniform"
-    switch_on: str = "dressed"
-    readout: str = "dressed"
-    ramp_time_ms: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
-            raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Validated scan request; everything run_scan needs."""
 
@@ -219,12 +203,11 @@ class RunConfig:
     pulse: PulseProgram | None = None
     geometry: TrapGeometry | None = None
     thermal: ThermalModel | None = None
-    transport: TransportSettings | None = None
+    transport: TransportPlan | None = None
     detection: DetectionModel = field(default_factory=DetectionModel)
     apply_detection: bool = False
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     damping: DampingModel | None = None
-    renormalize: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -314,21 +297,24 @@ def load_config(source) -> RunConfig:
             {"d_um", "omega_r_khz", "delta_0_khz", "spread_khz"},
             {"n_ensemble", "distribution", "switch_on", "readout", "ramp_time_ms"},
         )
+        if geometry is None:
+            raise ConfigError("a 'transport' section requires a 'geometry' section")
         for key in ("omega_r_khz", "delta_0_khz", "spread_khz"):
             # the transport plan works in rad/s; a value that overflows
             # there would turn the dressed state into NaN
             if not np.isfinite(khz_to_rad_per_s(_num(t, "transport", key))):
                 raise ConfigError(f"transport.{key} is not finite in rad/s: {t[key]!r}")
-        transport = TransportSettings(
-            d_um=_num(t, "transport", "d_um"),
-            omega_r_khz=_num(t, "transport", "omega_r_khz"),
-            delta_0_khz=_num(t, "transport", "delta_0_khz"),
-            spread_khz=_num(t, "transport", "spread_khz"),
+        transport = TransportPlan(
+            d=_num(t, "transport", "d_um"),
+            omega_r=khz_to_rad_per_s(_num(t, "transport", "omega_r_khz")),
+            delta_0=khz_to_rad_per_s(_num(t, "transport", "delta_0_khz")),
+            spread=khz_to_rad_per_s(_num(t, "transport", "spread_khz")),
+            g=geometry,
             n_ensemble=_int(t, "transport", "n_ensemble", 32),
             distribution=t.get("distribution", "uniform"),
             switch_on=t.get("switch_on", "dressed"),
+            ramp_time=ms_to_s(_num(t, "transport", "ramp_time_ms", 1.0)),
             readout=t.get("readout", "dressed"),
-            ramp_time_ms=_num(t, "transport", "ramp_time_ms", 1.0),
         )
 
     integrator = IntegratorConfig()
@@ -356,15 +342,14 @@ def load_config(source) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"damping: {exc}") from exc
 
-    renormalize = False
     if "convolution" in raw:
         c = raw["convolution"]
         _check_keys(c, "convolution", set(), {"renormalize"})
-        renormalize = _bool(c, "convolution", "renormalize", False)
-        if renormalize and thermal is not None and truncated_mass(thermal) == 0.0:
-            raise ConfigError(
-                "convolution.renormalize: the light-shift window carries no mass"
-            )
+        if _bool(c, "convolution", "renormalize", False) and thermal is not None:
+            try:
+                thermal = replace(thermal, renormalize=True)
+            except ValueError as exc:
+                raise ConfigError(f"convolution.renormalize: {exc}") from exc
 
     return RunConfig(
         kind=kind,
@@ -377,6 +362,5 @@ def load_config(source) -> RunConfig:
         apply_detection=_bool(raw, "config", "apply_detection", False),
         integrator=integrator,
         damping=damping,
-        renormalize=renormalize,
         seed=_int(raw, "config", "seed", 0),
     )

@@ -7,10 +7,12 @@ the spline's own error estimate (SpectrumCache.from_pulse), and re-runs
 only the (cheap, vectorized) convolution per optimizer step; that single
 reuse is what makes fitting interactive instead of an overnight job.
 
-The model is linear in p_max: it is p_max g, where g is the curve at
-p_max = 1.  Each residual evaluation therefore solves p_max in closed
-form, <g, y> / <g, g> clipped to [0, 1], and the damped least-squares
-runs unconstrained on the two nonlinear parameters only,
+The model is linear in its scale: it is c g, where g is the curve at
+p_max = 1 without renormalization.  Each residual evaluation therefore
+solves c = <g, y> / <g, g>, at least 0, in closed form, and reports
+p_max = min(c m, 1), where m is the truncated mass of a renormalized
+guess and 1 otherwise; no residual divides by m.  The damped
+least-squares runs unconstrained on the two nonlinear parameters only,
 
     s = log(delta_th),  q = log(-delta_ls_max)
 
@@ -22,11 +24,11 @@ algorithm: implementation and theory", Lecture Notes in Mathematics 630,
 running maximum of the Jacobian column norms, and More's search for the
 damping parameter, done on the singular value decomposition of the
 2-column scaled Jacobian.  A trial point whose parameters or residuals are
-not finite, or whose g is zero, counts as a rejected step and shrinks the
-trust region.  Convergence means one of MINPACK's tests passed (relative
-reduction 1e-8, relative step 1e-6, gradient cosine 1e-8); spending the
-budget of 2000 residual evaluations first returns converged=False with the
-best parameters found.
+not finite, whose g is zero, or whose renormalized model has no mass
+counts as a rejected step and shrinks the trust region.  Convergence means
+one of MINPACK's tests passed (relative reduction 1e-8, relative step
+1e-6, gradient cosine 1e-8); spending the budget of 2000 residual
+evaluations first returns converged=False with the best parameters found.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import FitDataError
 from .scan import ScanResult
-from .thermal import SpectrumCache, ThermalModel, convolve_on_grid
+from .thermal import SpectrumCache, ThermalModel, convolve_on_grid, truncated_mass
 from .units import khz_to_rad_per_s, rad_per_s_to_khz
 
 __all__ = ["FitResult", "fit_spectrum"]
@@ -65,7 +67,7 @@ class FitResult:
 
     params       : best thermal parameters found; p_max is solved in closed
                    form at the best delta_ls_max and delta_th, and the
-                   guess's p_max is not used
+                   guess's p_max is not used; renormalize is the guess's
     residual_rms : root-mean-square residual at params
     n_iterations : optimizer work counter: every model evaluation, the two
                    of each forward-difference Jacobian and the last one,
@@ -115,7 +117,6 @@ def fit_spectrum(
     pulse,
     initial_guess: ThermalModel,
     *,
-    renormalize: bool = False,
     damping=None,
     config=None,
 ) -> FitResult:
@@ -124,8 +125,9 @@ def fit_spectrum(
     data must contain at least 10 samples spanning both spectrum edges;
     constant data is rejected.  The model curve is the cached bare
     spectrum convolved with the light-shift distribution of the trial
-    parameters (fixed-grid rule, matching convolve to ~1e-7).  Residuals
-    are unweighted, and the guess's p_max is not used.
+    parameters (fixed-grid rule, matching convolve to ~1e-7), renormalized
+    when the guess is.  Residuals are unweighted, and the guess's p_max is
+    not used.
     """
     deltas = _abscissa_rad_per_s(data)
     if len(data) < 10:
@@ -146,8 +148,8 @@ def fit_spectrum(
 
     def model(x) -> tuple[ThermalModel, np.ndarray] | None:
         """The thermal model at x = (s, q) with its closed-form p_max, and
-        its curve; None where x leaves the domain or g is zero or not
-        finite."""
+        its curve; None where x leaves the domain, g is zero or not
+        finite, or a renormalized model has no mass."""
         s, q = x
         with np.errstate(over="ignore"):
             delta_ls_max, delta_th = -float(np.exp(q)), float(np.exp(s))
@@ -155,12 +157,16 @@ def fit_spectrum(
             unit = ThermalModel(delta_ls_max, delta_th, 1.0)
         except ValueError:
             return None
-        g = convolve_on_grid(cache, deltas, unit, renormalize=renormalize)
+        mass = truncated_mass(unit) if guess.renormalize else 1.0
+        g = convolve_on_grid(cache, deltas, unit)
         gg = float(g @ g)
-        if not 0.0 < gg < math.inf:
+        if not (0.0 < gg < math.inf and mass > 0.0):
             return None
-        p = min(max(float(g @ y) / gg, 0.0), 1.0)
-        return ThermalModel(delta_ls_max, delta_th, p), p * g
+        # p_max = c m, capped at 1, where the scale becomes 1 / m
+        c = max(float(g @ y) / gg, 0.0)
+        p = min(c * mass, 1.0)
+        scale = c if c * mass <= 1.0 else 1.0 / mass
+        return ThermalModel(delta_ls_max, delta_th, p, guess.renormalize), scale * g
 
     def residuals(x):
         fit = model(x)

@@ -20,7 +20,7 @@ An observed spectrum is the bare one averaged over the shift,
 The integration range follows the physical support (shifts between the
 maximal value and zero); the distribution mass above zero, about
 exp(-r)(1 + r + r^2/2) with r = |delta_ls_max| / delta_th, is NOT put
-back by default.  Pass renormalize=True to divide it out.
+back by default.  A ThermalModel with renormalize=True divides it out.
 
 Both convolutions integrate over y = (delta_ls - delta_ls_max) / delta_th
 on [0, min(r, 200)] by composite Simpson in numpy: convolve doubles the
@@ -80,11 +80,17 @@ _UNIFORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ThermalModel:
-    """delta_ls_max (<= 0) and delta_th (> 0) in rad/s, p_max in [0, 1]."""
+    """delta_ls_max (<= 0) and delta_th (> 0) in rad/s, p_max in [0, 1].
+
+    renormalize divides the broadened curve by the truncated mass, so that
+    a flat unit spectrum maps to p_max exactly (off by default, see the
+    module docstring); it needs a window with mass.
+    """
 
     delta_ls_max: float
     delta_th: float
     p_max: float
+    renormalize: bool = False
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.delta_ls_max, self.delta_th, self.p_max])):
@@ -95,6 +101,8 @@ class ThermalModel:
             raise ValueError("delta_th must be positive")
         if not 0.0 <= self.p_max <= 1.0:
             raise ValueError("p_max must lie in [0, 1]")
+        if self.renormalize and truncated_mass(self) == 0.0:
+            raise ValueError("the light-shift window carries no mass")
 
     @classmethod
     def from_khz(cls, delta_ls_max_khz, delta_th_khz, p_max):
@@ -122,13 +130,11 @@ def truncated_mass(m: ThermalModel) -> float:
     return -math.expm1(-x) - x * math.exp(-x) * (1.0 + 0.5 * x)
 
 
-def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False):
-    """Broaden a bare spectrum with the light-shift distribution.
+def convolve(spectrum, m: ThermalModel):
+    """Broaden a bare spectrum with the light-shift distribution of m.
 
     spectrum maps an array of delta_c (rad/s) to P1 of the same shape; it
-    must be vectorized, as SpectrumCache is.  renormalize divides by the
-    truncated mass, so that a flat unit spectrum maps to p_max exactly (off
-    by default, see the module docstring).  Returns a callable, delta_c
+    must be vectorized, as SpectrumCache is.  Returns a callable, delta_c
     (rad/s, scalar or array) -> broadened probability.
 
     Each call takes Romberg steps (Davis & Rabinowitz, Methods of Numerical
@@ -140,7 +146,7 @@ def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False):
     level above _MAX_INTERVALS intervals is allocated: QuadratureError
     carries the value and the estimate instead.
     """
-    scale = _scale(m, renormalize)
+    scale = _scale(m)
     first = _intervals(m, 2.0 * _STEP)
 
     def broadened(delta_c):
@@ -162,12 +168,12 @@ def convolve(spectrum, m: ThermalModel, *, renormalize: bool = False):
     return broadened
 
 
-def convolve_on_grid(spectrum, delta_c_values, m: ThermalModel, *, renormalize: bool = False):
+def convolve_on_grid(spectrum, delta_c_values, m: ThermalModel):
     """Fixed-step counterpart of convolve: composite Simpson at _STEP *
     delta_th (at least 64 intervals), within about 1e-7 of convolve.  The
     step does not follow the spectrum, so the fit's forward-difference
     Jacobian sees a smooth function of the thermal parameters."""
-    out = _scale(m, renormalize) * _simpson(spectrum, delta_c_values, m, _intervals(m, _STEP))
+    out = _scale(m) * _simpson(spectrum, delta_c_values, m, _intervals(m, _STEP))
     return _shaped(out, delta_c_values)
 
 
@@ -179,8 +185,8 @@ def _intervals(m: ThermalModel, step: float) -> int:
     return 2 * max(math.ceil(_upper(m) / step) // 2, 32)
 
 
-def _scale(m: ThermalModel, renormalize: bool) -> float:
-    return m.p_max / truncated_mass(m) if renormalize else m.p_max
+def _scale(m: ThermalModel) -> float:
+    return m.p_max / truncated_mass(m) if m.renormalize else m.p_max
 
 
 def _shaped(out: np.ndarray, like):
@@ -209,8 +215,7 @@ def _simpson(spectrum, delta_c, m: ThermalModel, n: int) -> np.ndarray:
     return out
 
 
-def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, renormalize: bool = False,
-                       damping=None, config=None):
+def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, damping=None, config=None):
     """Convolved transfer probability at the given detunings (rad/s).
 
     One-stop composition used by the scan front ends: batch-integrates the
@@ -221,11 +226,11 @@ def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, renormalize: b
     """
     deltas = np.asarray(delta_c_values, dtype=float)
     if truncated_mass(m) == 0.0:
-        return _scale(m, renormalize) * np.zeros_like(deltas)
+        return np.zeros_like(deltas)
     cache = SpectrumCache.for_scan(
         pulse, float(np.min(deltas)), float(np.max(deltas)), m, damping, config
     )
-    return convolve(cache, m, renormalize=renormalize)(delta_c_values)
+    return convolve(cache, m)(delta_c_values)
 
 
 class SpectrumCache:

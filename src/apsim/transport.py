@@ -39,24 +39,42 @@ __all__ = [
 ]
 
 
+# work budget of a transport scan: the most ensemble members it may draw
+_MAX_ENSEMBLE = 2**16
+
+
 @dataclass(frozen=True)
 class TransportPlan:
-    """Parameters of one transport move under constant drive.
+    """One transport move under constant drive, and the ensemble that runs it.
 
-    d          : transport distance in micrometers
-    tau        : transport duration in seconds
-    omega_r    : constant Rabi frequency in rad/s
-    delta_0_nu : central initial detuning in kHz
-    spread_nu  : full width of the initial-detuning spread in kHz
-    g          : trap geometry providing the frequency gradient
+    d            : transport distance in um (the package's length unit)
+    omega_r      : constant Rabi frequency in rad/s
+    delta_0      : central initial detuning in rad/s
+    spread       : full width of the initial-detuning spread in rad/s
+    g            : trap geometry providing the frequency gradient
+    tau          : transport duration in s; transport_curve sets it per speed
+    n_ensemble   : number of members, 1..2^16 (drawing costs about 23 us each)
+    distribution : initial detunings "uniform" over the spread, or
+                   variance-matched "gaussian"
+    switch_on    : "dressed" starts each member in its instantaneous dressed
+                   ground state (ideal adiabatic switch-on); "ramp" starts in
+                   the bare ground state under a sin^2 drive ramp
+    ramp_time    : length of that ramp in s; read in "ramp" mode only
+    readout      : "dressed" projects onto the final dressed state (ideal
+                   adiabatic switch-off); "bare" reads (1 + w)/2
     """
 
     d: float
-    tau: float
     omega_r: float
-    delta_0_nu: float
-    spread_nu: float
+    delta_0: float
+    spread: float
     g: TrapGeometry
+    tau: float = 1e-3
+    n_ensemble: int = 32
+    distribution: str = "uniform"
+    switch_on: str = "dressed"
+    ramp_time: float = 1e-3
+    readout: str = "dressed"
 
     def __post_init__(self) -> None:
         if not self.d > 0:
@@ -69,8 +87,18 @@ class TransportPlan:
             raise ConfigError(f"tau = {self.tau} s gives no finite positive chirp 4 d / tau^2")
         if not self.omega_r > 0:
             raise ConfigError(f"omega_r must be positive, got {self.omega_r}")
-        if not self.spread_nu >= 0:
-            raise ConfigError(f"spread_nu must be >= 0, got {self.spread_nu}")
+        if not self.spread >= 0:
+            raise ConfigError(f"spread must be >= 0, got {self.spread}")
+        if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
+            raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
+        if self.distribution not in ("uniform", "gaussian"):
+            raise ConfigError(f"unknown distribution: {self.distribution!r}")
+        if self.switch_on not in ("dressed", "ramp"):
+            raise ConfigError(f"unknown switch_on mode: {self.switch_on!r}")
+        if self.switch_on == "ramp" and not self.ramp_time > 0:
+            raise ConfigError(f"ramp_time must be positive, got {self.ramp_time}")
+        if self.readout not in ("dressed", "bare"):
+            raise ConfigError(f"unknown readout mode: {self.readout!r}")
 
     def grad(self) -> float:
         """Frequency gradient in rad/s per micrometer."""
@@ -95,38 +123,27 @@ def _sweep(t, plan: TransportPlan):
 class TransportPulse:
     """Constant drive plus the transport chirp, as a pulse program.
 
-    The detuning starts at 0; each member's initial detuning delta_r is
-    its trajectory's offset.
+    In "ramp" switch-on mode a sin^2 drive ramp of length plan.ramp_time
+    comes first, with the detuning held at its initial value; in "dressed"
+    mode the ramp has length zero.  The detuning starts at 0; each member's
+    initial detuning delta_r is its trajectory's offset.
     """
 
     plan: TransportPlan
 
     @property
-    def duration(self) -> float:
-        return self.plan.tau
-
-    def rabi(self, t):
-        return self.plan.omega_r
-
-    def detuning(self, t):
-        return _sweep(t, self.plan)
-
-
-@dataclass(frozen=True)
-class _RampedTransportPulse:
-    """Transport pulse with a sin^2 drive switch-on of length t_ramp
-    prepended (detuning held at its initial value during the ramp)."""
-
-    plan: TransportPlan
-    t_ramp: float
+    def t_ramp(self) -> float:
+        return self.plan.ramp_time if self.plan.switch_on == "ramp" else 0.0
 
     @property
     def duration(self) -> float:
         return self.plan.tau + self.t_ramp
 
     def rabi(self, t):
-        env = np.where(t < self.t_ramp, np.sin(np.pi * t / (2.0 * self.t_ramp)) ** 2, 1.0)
-        return self.plan.omega_r * env
+        ramp = self.t_ramp
+        if not ramp:  # constant drive; the envelope would read 0 / 0
+            return self.plan.omega_r
+        return self.plan.omega_r * np.where(t < ramp, np.sin(np.pi * t / (2.0 * ramp)) ** 2, 1.0)
 
     def detuning(self, t):
         return _sweep(np.maximum(t - self.t_ramp, 0.0), self.plan)
@@ -141,129 +158,75 @@ def dressed_projection(states, omega, delta):
     return 0.5 * (1.0 + (states[..., 0] * (omega / norm) + states[..., 2] * (delta / norm)))
 
 
-def _draw_delta_r(plan: TransportPlan, n: int, rng_seed: int, distribution: str):
-    """Member detunings (rad/s) from per-member seeded substreams.
+def _draw_delta_r(plan: TransportPlan, rng_seed: int):
+    """The plan's n_ensemble member detunings (rad/s), from per-member
+    seeded substreams.
 
     Member i always consumes the substream (rng_seed, spawn_key=(i,)), so
     draws are independent of evaluation order and identical across scan
     points sharing a seed.  Each member costs about 23 us, which is why
-    the config caps n.
+    the plan caps n_ensemble.
     """
-    if n < 1:
-        raise ConfigError(f"n_ensemble must be >= 1, got {n}")
-    delta_0 = khz_to_rad_per_s(plan.delta_0_nu)
-    spread = khz_to_rad_per_s(plan.spread_nu)
-    out = np.empty(n)
-    for i in range(n):
+    out = np.empty(plan.n_ensemble)
+    for i in range(plan.n_ensemble):
         rng = default_rng(SeedSequence(entropy=rng_seed, spawn_key=(i,)))
-        if distribution == "uniform":
-            out[i] = delta_0 + spread * (rng.uniform() - 0.5)
-        elif distribution == "gaussian":
-            # variance-matched to the uniform option
-            out[i] = delta_0 + spread / math.sqrt(12.0) * rng.standard_normal()
+        if plan.distribution == "uniform":
+            out[i] = plan.delta_0 + plan.spread * (rng.uniform() - 0.5)
         else:
-            raise ConfigError(f"unknown distribution: {distribution!r}")
+            # variance-matched to the uniform option
+            out[i] = plan.delta_0 + plan.spread / math.sqrt(12.0) * rng.standard_normal()
     return out
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    """Ensemble-averaged transfer with its sampling error."""
-
-    p1: float
-    stderr: float
-
-
-def transport_transfer(
-    plan: TransportPlan,
-    draws: np.ndarray,
-    damping=None,
-    *,
-    switch_on: str = "dressed",
-    ramp_time: float = 1e-3,
-    readout: str = "dressed",
-    config=None,
-) -> TransportResult:
+def transport_transfer(plan: TransportPlan, draws: np.ndarray, damping=None, *,
+                       config=None) -> tuple[float, float]:
     """Mean transfer probability over the members with initial detunings
-    draws (rad/s, one per member); transport_curve draws them once for
-    all its points.
-
-    switch_on "dressed" starts each member in the instantaneous dressed
-    ground state, the Bloch vector along its torque axis (omega_r, 0,
-    delta_r) (ideal adiabatic switch-on); "ramp" starts in the bare
-    ground state and prepends a sin^2 drive ramp of length ramp_time.
-    readout "dressed" projects onto the final dressed state (ideal
-    adiabatic switch-off); "bare" reads (1 + w)/2 directly.
+    draws (rad/s, one per member), and its standard error; transport_curve
+    draws them once for all its points.  The plan's switch_on and readout
+    modes set the start and the projection at the end.
     """
     n_ensemble = draws.size
-
-    if switch_on == "dressed":
-        pulse = TransportPulse(plan)
+    pulse = TransportPulse(plan)
+    if plan.switch_on == "dressed":
         # omega_r > 0, so no norm is zero; math.hypot, since np.hypot
         # differs from it in the last bit and would move the outputs
         norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
         states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
-    elif switch_on == "ramp":
-        if not ramp_time > 0:
-            raise ConfigError(f"ramp_time must be positive, got {ramp_time}")
-        pulse = _RampedTransportPulse(plan, ramp_time)
-        states0 = None  # the bare ground state
     else:
-        raise ConfigError(f"unknown switch_on mode: {switch_on!r}")
+        states0 = None  # the bare ground state
 
     final = evolve_offsets(pulse, draws, initial_states=states0,
                            damping=damping, config=config)
 
-    delta_end = draws + _sweep(plan.tau, plan)
-    if readout == "dressed":
-        p1 = dressed_projection(final, plan.omega_r, delta_end)
-    elif readout == "bare":
-        p1 = 0.5 * (1.0 + final[:, 2])
+    if plan.readout == "dressed":
+        p1 = dressed_projection(final, plan.omega_r, draws + _sweep(plan.tau, plan))
     else:
-        raise ConfigError(f"unknown readout mode: {readout!r}")
+        p1 = 0.5 * (1.0 + final[:, 2])
 
-    mean = float(np.mean(p1))
-    stderr = (
-        0.0
-        if n_ensemble == 1
-        else float(np.std(p1, ddof=1) / math.sqrt(n_ensemble))
-    )
-    return TransportResult(mean, stderr)
+    stderr = 0.0 if n_ensemble == 1 else float(np.std(p1, ddof=1) / math.sqrt(n_ensemble))
+    return float(np.mean(p1)), stderr
 
 
-def transport_curve(
-    plan: TransportPlan,
-    inv_tau_per_ms,
-    damping=None,
-    n_ensemble: int = 32,
-    rng_seed: int = 0,
-    *,
-    distribution: str = "uniform",
-    **kwargs,
-) -> ScanResult:
+def transport_curve(plan: TransportPlan, inv_tau_per_ms, damping=None, rng_seed: int = 0, *,
+                    config=None) -> ScanResult:
     """Transfer versus transport speed 1/tau (ms^-1).
 
-    Points are evaluated one after another, in grid order.  All points
-    share the same n_ensemble per-member detuning draws, drawn once from
-    rng_seed ("uniform" or variance-matched "gaussian" distribution), so
-    the curve varies only through the dynamics.  kwargs go to
-    transport_transfer.
+    Points are evaluated one after another, in grid order, each with the
+    plan's tau replaced by 1 / speed.  All points share the plan's
+    n_ensemble member detunings, drawn once from rng_seed, so the curve
+    varies only through the dynamics.
     """
     grid = np.atleast_1d(np.asarray(inv_tau_per_ms, dtype=float))
     if grid.size == 0:
         raise ConfigError("inv_tau grid must be non-empty")
     if np.any(grid <= 0):
         raise ConfigError("inv_tau values must be positive")
-    draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
-    results = [
-        transport_transfer(replace(plan, tau=1e-3 / v), draws, damping, **kwargs) for v in grid
-    ]
-    return ScanResult(
-        grid,
-        np.array([r.p1 for r in results]),
-        np.array([r.stderr for r in results]),
-        TRANSPORT_UNIT,
-    )
+    draws = _draw_delta_r(plan, rng_seed)
+    p1, stderr = np.array(
+        [transport_transfer(replace(plan, tau=1e-3 / v), draws, damping, config=config)
+         for v in grid]
+    ).T
+    return ScanResult(grid, p1, stderr, TRANSPORT_UNIT)
 
 
 def landau_zener_oracle(omega: float, sweep_rate: float) -> float:

@@ -21,6 +21,7 @@ analysis.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from apsim.pulses import APPulse
 from apsim.scan import ScanResult
 from apsim.thermal import ThermalModel, convolve, convolve_on_grid
 from apsim.transport import (
-    TransportPlan,
     dressed_projection,
     interaction_width,
     landau_zener_oracle,
@@ -64,7 +64,7 @@ def test_criterion_01_ideal_resonant_transfer(ref_pulse):
 
 def test_criterion_02_broadened_plateau_band(ref_cache, ref_thermal):
     t0 = time.perf_counter()
-    broadened = convolve(ref_cache, ref_thermal, renormalize=True)
+    broadened = convolve(ref_cache, replace(ref_thermal, renormalize=True))
     grid_khz = np.arange(-65.0, 65.25, 0.25)
     y = broadened(khz_to_rad_per_s(grid_khz))
     m = plateau_metrics(grid_khz, y, 0.90, 0.05)
@@ -95,7 +95,7 @@ def test_criterion_03_asymmetry_direction_and_size(ref_cache, ref_thermal):
     grid_khz = np.arange(-65.0, 65.25, 0.25)
     grid = khz_to_rad_per_s(grid_khz)
     bare = ref_cache(grid)
-    conv = convolve_on_grid(ref_cache, grid, ref_thermal, renormalize=True)
+    conv = convolve_on_grid(ref_cache, grid, replace(ref_thermal, renormalize=True))
 
     def edges(y):
         peak = float(np.max(y))
@@ -242,17 +242,7 @@ def test_criterion_08_fit_round_trip(ref_pulse, ref_cache, ref_thermal):
 
 
 def test_criterion_09_interaction_width_value():
-    cfg = preset_config("transport_speed")
-    t = cfg.transport
-    plan = TransportPlan(
-        d=t.d_um,
-        tau=1e-3,
-        omega_r=khz_to_rad_per_s(t.omega_r_khz),
-        delta_0_nu=t.delta_0_khz,
-        spread_nu=t.spread_khz,
-        g=cfg.geometry,
-    )
-    width = interaction_width(plan)
+    width = interaction_width(preset_config("transport_speed").transport)
     ok = math.isclose(width, 16.25, rel_tol=1e-9)
     _verdict(9, ok, f"interaction width {width:.12f} um (16.25 exactly)")
     assert ok
@@ -284,7 +274,7 @@ def test_criterion_02_documented_red_is_understood(ref_cache, ref_thermal):
     # 0.90 is, this test pins where its red edge sits.  -30 kHz stays below
     # 0.90 (near 0.872 under renormalized broadening) and -29 kHz above it,
     # so the edge cannot drift silently in either direction.
-    broadened = convolve(ref_cache, ref_thermal, renormalize=True)
+    broadened = convolve(ref_cache, replace(ref_thermal, renormalize=True))
     at_minus_30 = broadened(khz_to_rad_per_s(-30.0))
     at_minus_29 = broadened(khz_to_rad_per_s(-29.0))
     assert at_minus_30 == pytest.approx(0.8718, abs=0.002)

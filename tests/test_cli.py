@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import apsim
 from apsim.cli import main
+from apsim.presets import PRESETS
 from apsim.scan import ScanResult
 
 PULSE = {
@@ -301,6 +303,24 @@ def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, caplog):
     assert "n_ensemble must lie in 1..65536" in caplog.text
 
 
+@pytest.mark.parametrize("field, value", [
+    ("switch_on", "bogus"), ("switch_on", "Dressed"), ("switch_on", 1), ("switch_on", None),
+    ("readout", "bogus"), ("readout", "bar"), ("readout", 0.5), ("readout", ["bare"]),
+    ("distribution", "bogus"), ("distribution", "normal"), ("distribution", True),
+    ("distribution", {}),
+])
+def test_bad_transport_mode_fails_at_load(tmp_path, caplog, field, value):
+    # refused when the config loads, before any of the 2^16 members is drawn
+    raw = PRESETS["transport_speed"]()
+    raw["transport"].update({"n_ensemble": 2**16, field: value})
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    assert main(["transport", "--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"unknown {field}" in caplog.text
+
+
 def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [0.0]},
@@ -555,6 +575,31 @@ def test_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path, guess):
     assert params["delta_ls_max_khz"] == pytest.approx(-11.0, abs=0.01)
     assert params["delta_th_khz"] == pytest.approx(1.7, rel=1e-3)
     assert params["p_max"] == pytest.approx(0.95, abs=1e-3)
+
+
+@pytest.mark.parametrize("delta_ls_max_khz", [-30.0, -100.0, -0.5])
+def test_renormalized_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path,
+                                                             delta_ls_max_khz):
+    # renormalized, the data's p_max of 0.95 reads 0.95 times the truncated
+    # mass, 0.9082.  The -0.5 kHz guess once divided by a mass that had
+    # underflowed to 0 (exit 1); it still stops away from the truth
+    cfg, data = fit_data
+    cfg = dict(cfg, thermal=dict(THERMAL, delta_ls_max_khz=delta_ls_max_khz),
+               convolution={"renormalize": True})
+    path = tmp_path / "guess.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--config", str(path), "--data", str(data), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    params = report["params"]
+    assert all(math.isfinite(v) for v in [*params.values(), report["residual_rms"]])
+    assert 0 < report["n_iterations"] <= 2000
+    if delta_ls_max_khz == -0.5:
+        return
+    assert report["converged"] is True and report["residual_rms"] < 1e-6
+    assert params["delta_ls_max_khz"] == pytest.approx(-11.0, abs=0.01)
+    assert params["delta_th_khz"] == pytest.approx(1.7, rel=1e-3)
+    assert params["p_max"] == pytest.approx(0.9082, abs=1e-3)
 
 
 def test_detection_accepts_renormalized_unit_plateau(monkeypatch, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from apsim.config import RunConfig, SCAN_KINDS, load_config
 from apsim.errors import ConfigError
 from apsim.pulses import APPulse
+from apsim.units import khz_to_rad_per_s
 
 BASE = {
     "scan": {"kind": "spectrum", "start_khz": -65.0, "stop_khz": 65.0, "step_khz": 1.0},
@@ -36,7 +37,7 @@ def test_minimal_spectrum_config():
     assert rc.seed == 0
     assert rc.apply_detection is False
     assert rc.damping is None
-    assert rc.renormalize is False
+    assert rc.thermal.renormalize is False
 
 
 def test_kinds_enumerated():
@@ -193,6 +194,33 @@ def test_transport_config():
     assert load_config(most).transport.n_ensemble == 2**16
 
 
+def test_transport_config_builds_the_plan():
+    t = {
+        "scan": {"kind": "transport", "inv_tau_per_ms": [1.0]},
+        "geometry": {"grad_nu_khz_per_um": 3.2, "guide_shift_nu_mhz": 9.8, "span_um": 300.0},
+        "transport": {"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
+                      "spread_khz": 32.0, "switch_on": "ramp", "ramp_time_ms": 0.5},
+    }
+    plan = load_config(t).transport
+    assert (plan.d, plan.tau, plan.ramp_time, plan.switch_on) == (132.0, 1e-3, 0.5e-3, "ramp")
+    # in rad/s, converted as the rest of the package converts
+    want = khz_to_rad_per_s(np.array([26.0, -72.0, 32.0]))
+    assert (plan.omega_r, plan.delta_0, plan.spread) == tuple(want)
+    assert plan.g.grad_nu == 3.2
+    # the ramp length is read in "ramp" mode only, as it always was
+    for ramp_ms in (-1.0, -1e300):
+        t["transport"].update(switch_on="dressed", ramp_time_ms=ramp_ms)
+        assert load_config(t).transport.ramp_time == ramp_ms * 1e-3
+    t["transport"]["switch_on"] = "ramp"
+    with pytest.raises(ConfigError, match="ramp_time must be positive"):
+        load_config(t)
+    # the plan needs the gradient, so a transport section needs a geometry
+    spectrum = cfg(transport={"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
+                              "spread_khz": 32.0})
+    with pytest.raises(ConfigError, match="requires a 'geometry' section"):
+        load_config(spectrum)
+
+
 def test_adiabaticity_config():
     a = {"scan": {"kind": "adiabaticity", "n_points": 101}, "pulse": BASE["pulse"]}
     rc = load_config(a)
@@ -226,7 +254,7 @@ def test_optional_sections():
     assert rc.integrator.rel_tol == 1e-8
     assert rc.integrator.max_step == pytest.approx(1e-5)
     assert rc.damping.gamma_2 == pytest.approx(2.0 * np.pi * 200.0)
-    assert rc.renormalize is True
+    assert rc.thermal.renormalize is True
     assert rc.detection.p_init == 0.93
     assert rc.apply_detection is True
     assert rc.seed == 7

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -116,7 +116,7 @@ def test_flat_spectrum_maps_to_truncated_mass(ref_thermal):
     flat = np.ones_like
     raw = convolve(flat, ref_thermal)(0.0)
     assert raw == pytest.approx(ref_thermal.p_max * truncated_mass(ref_thermal), abs=1e-9)
-    renorm = convolve(flat, ref_thermal, renormalize=True)(0.0)
+    renorm = convolve(flat, replace(ref_thermal, renormalize=True))(0.0)
     assert renorm == pytest.approx(ref_thermal.p_max, abs=1e-9)
 
 
@@ -162,7 +162,7 @@ class _Recording:
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_grid_rule_weights_match_simpson(ref_cache, ref_thermal, renormalize):
     spectrum = _Recording(ref_cache)
-    got = convolve_on_grid(spectrum, 0.0, ref_thermal, renormalize=renormalize)
+    got = convolve_on_grid(spectrum, 0.0, replace(ref_thermal, renormalize=renormalize))
     shift = spectrum.arg
     y = (shift - ref_thermal.delta_ls_max) / ref_thermal.delta_th
     expect = simpson(0.5 * y * y * np.exp(-y) * ref_cache(shift), x=y)
@@ -222,7 +222,7 @@ def test_broadening_never_exceeds_bare_peak(ref_cache, ref_thermal):
 def test_renormalize_rescales_uniformly(ref_cache, ref_thermal):
     deltas = khz_to_rad_per_s(np.array([-20.0, 0.0, 20.0]))
     raw = convolve_on_grid(ref_cache, deltas, ref_thermal)
-    renorm = convolve_on_grid(ref_cache, deltas, ref_thermal, renormalize=True)
+    renorm = convolve_on_grid(ref_cache, deltas, replace(ref_thermal, renormalize=True))
     np.testing.assert_allclose(renorm, raw / truncated_mass(ref_thermal), rtol=1e-12)
 
 
@@ -232,8 +232,8 @@ def test_narrow_distribution_approaches_pure_shift(ref_cache):
     probe = khz_to_rad_per_s(np.linspace(-45.0, 45.0, 31))
 
     def worst_error(th_khz):
-        m = ThermalModel.from_khz(-11.0, th_khz, 0.95)
-        conv = convolve_on_grid(ref_cache, probe, m, renormalize=True)
+        m = replace(ThermalModel.from_khz(-11.0, th_khz, 0.95), renormalize=True)
+        conv = convolve_on_grid(ref_cache, probe, m)
         shifted = m.p_max * ref_cache(probe + m.delta_ls_max)
         return float(np.max(np.abs(conv - shifted)))
 

@@ -24,10 +24,11 @@ from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 from oracles import LinearSweepPulse, dressed_ground
 
 
-def transfer(plan, n_ensemble, rng_seed, distribution="uniform", **kwargs):
-    """transport_transfer over n_ensemble members drawn from rng_seed."""
-    draws = _draw_delta_r(plan, n_ensemble, rng_seed, distribution)
-    return transport_transfer(plan, draws, **kwargs)
+def transfer(plan, rng_seed, **fields):
+    """transport_transfer over the members drawn from rng_seed, of the plan
+    with the given fields replaced."""
+    plan = replace(plan, **fields)
+    return transport_transfer(plan, _draw_delta_r(plan, rng_seed))
 
 
 @pytest.fixture
@@ -39,10 +40,9 @@ def geometry() -> TrapGeometry:
 def plan(geometry) -> TransportPlan:
     return TransportPlan(
         d=132.0,
-        tau=1.0e-3,
         omega_r=khz_to_rad_per_s(26.0),
-        delta_0_nu=-72.0,
-        spread_nu=32.0,
+        delta_0=khz_to_rad_per_s(-72.0),
+        spread=khz_to_rad_per_s(32.0),
         g=geometry,
     )
 
@@ -50,9 +50,10 @@ def plan(geometry) -> TransportPlan:
 # ------------------------------------------------------------ plan and chirp
 
 def test_plan_validation(geometry):
-    kw = dict(d=132.0, tau=1e-3, omega_r=1.0, delta_0_nu=0.0, spread_nu=0.0, g=geometry)
-    TransportPlan(**kw)
-    for bad in (dict(d=0.0), dict(tau=-1.0), dict(omega_r=0.0), dict(spread_nu=-1.0)):
+    kw = dict(d=132.0, omega_r=1.0, delta_0=0.0, spread=0.0, g=geometry)
+    assert TransportPlan(**kw).tau == 1e-3
+    for bad in (dict(d=0.0), dict(tau=-1.0), dict(omega_r=0.0), dict(spread=-1.0),
+                dict(n_ensemble=0), dict(n_ensemble=2**16 + 1)):
         with pytest.raises(ConfigError):
             TransportPlan(**{**kw, **bad})
 
@@ -147,91 +148,91 @@ def test_dressed_initialization_is_stationary(plan):
 # ------------------------------------------------------------ ensemble transfer
 
 def test_slow_transport_is_complete(plan):
-    import dataclasses
-
-    slow = dataclasses.replace(plan, tau=5e-3)
-    res = transfer(slow, 8, 0)
-    assert res.p1 > 0.999
-    assert res.stderr < 0.01
+    p1, stderr = transfer(plan, 0, tau=5e-3, n_ensemble=8)
+    assert p1 > 0.999
+    assert stderr < 0.01
 
 
 def test_ensemble_of_one_matches_direct_integration(plan):
-    res = transfer(plan, 1, 3)
-    assert res.stderr == 0.0
+    p1, stderr = transfer(plan, 3, n_ensemble=1)
+    assert stderr == 0.0
     # reproduce the single member by hand: same draw, same dynamics
-    draw = _draw_delta_r(plan, 1, 3, "uniform")[0]
+    draw = _draw_delta_r(replace(plan, n_ensemble=1), 3)[0]
     pulse = TransportPulse(plan)
     final = evolve_offsets(pulse, [draw], dressed_ground(plan.omega_r, draw))
     end = draw + pulse.detuning(plan.tau)
     want = dressed_projection(final, plan.omega_r, end)
-    assert res.p1 == pytest.approx(want[0], abs=1e-9)
+    assert p1 == pytest.approx(want[0], abs=1e-9)
 
 
 def test_transfer_deterministic_for_seed(plan):
-    a = transfer(plan, 6, 11)
-    b = transfer(plan, 6, 11)
-    assert (a.p1, a.stderr) == (b.p1, b.stderr)
-    c = transfer(plan, 6, 12)
-    assert c.p1 != a.p1
+    a = transfer(plan, 11, n_ensemble=6)
+    b = transfer(plan, 11, n_ensemble=6)
+    assert a == b
+    c = transfer(plan, 12, n_ensemble=6)
+    assert c[0] != a[0]
 
 
 def test_member_draws_stable_under_ensemble_growth(plan):
     # member i's detuning draw depends only on (seed, i), so growing the
     # ensemble extends the list without reshuffling earlier members
-    small = _draw_delta_r(plan, 4, 5, "uniform")
-    large = _draw_delta_r(plan, 8, 5, "uniform")
+    small = _draw_delta_r(replace(plan, n_ensemble=4), 5)
+    large = _draw_delta_r(replace(plan, n_ensemble=8), 5)
     np.testing.assert_array_equal(large[:4], small)
 
 
 def test_draw_distributions(plan):
     n = 4000
-    uni = _draw_delta_r(plan, n, 1, "uniform")
-    center = khz_to_rad_per_s(plan.delta_0_nu)
-    half = khz_to_rad_per_s(plan.spread_nu) / 2
-    assert np.all(uni >= center - half) and np.all(uni <= center + half)
-    gau = _draw_delta_r(plan, n, 1, "gaussian")
+    uni = _draw_delta_r(replace(plan, n_ensemble=n), 1)
+    half = plan.spread / 2
+    assert np.all(uni >= plan.delta_0 - half) and np.all(uni <= plan.delta_0 + half)
+    gau = _draw_delta_r(replace(plan, n_ensemble=n, distribution="gaussian"), 1)
     # variance matched to the uniform spread
-    assert np.std(gau) == pytest.approx(khz_to_rad_per_s(plan.spread_nu) / math.sqrt(12.0), rel=0.05)
-    with pytest.raises(ConfigError):
-        _draw_delta_r(plan, 1, 1, "exotic")
+    assert np.std(gau) == pytest.approx(plan.spread / math.sqrt(12.0), rel=0.05)
 
 
 def test_ramped_switch_on_agrees_with_dressed_start(plan):
-    import dataclasses
-
-    slow = dataclasses.replace(plan, tau=2e-3)
-    ideal = transfer(slow, 4, 2, switch_on="dressed")
-    ramped = transfer(slow, 4, 2, switch_on="ramp", ramp_time=1e-3)
+    slow = replace(plan, tau=2e-3, n_ensemble=4)
+    ideal = transfer(slow, 2, switch_on="dressed")
+    ramped = transfer(slow, 2, switch_on="ramp", ramp_time=1e-3)
     # a sufficiently slow real switch-on reproduces the ideal dressed start
-    assert ramped.p1 == pytest.approx(ideal.p1, abs=0.005)
+    assert ramped[0] == pytest.approx(ideal[0], abs=0.005)
+
+
+def test_ramped_pulse_holds_detuning_during_the_ramp(plan):
+    ramped = TransportPulse(replace(plan, switch_on="ramp", ramp_time=0.5e-3))
+    assert ramped.duration == plan.tau + 0.5e-3
+    t = np.array([0.0, 0.25e-3, 0.5e-3, 1.0e-3])
+    np.testing.assert_allclose(ramped.rabi(t), plan.omega_r * np.array([0.0, 0.5, 1.0, 1.0]),
+                               atol=1e-9 * plan.omega_r)
+    np.testing.assert_array_equal(ramped.detuning(t[:3]), 0.0)
+    assert ramped.detuning(1.0e-3) == TransportPulse(plan).detuning(0.5e-3)
 
 
 def test_bare_readout_close_for_far_final_detuning(plan):
-    import dataclasses
-
-    slow = dataclasses.replace(plan, tau=5e-3)
-    dressed = transfer(slow, 4, 0, readout="dressed")
-    bare = transfer(slow, 4, 0, readout="bare")
+    slow = replace(plan, tau=5e-3, n_ensemble=4)
+    dressed = transfer(slow, 0, readout="dressed")
+    bare = transfer(slow, 0, readout="bare")
     # final detuning ~350 kHz >> 26 kHz drive: dressed and bare nearly agree
-    assert bare.p1 == pytest.approx(dressed.p1, abs=0.01)
+    assert bare[0] == pytest.approx(dressed[0], abs=0.01)
 
 
 def test_transfer_option_validation(plan):
-    with pytest.raises(ConfigError):
-        transfer(plan, 0, 0)
-    with pytest.raises(ConfigError):
-        transfer(plan, 4, 0, switch_on="instant")
-    with pytest.raises(ConfigError):
-        transfer(plan, 4, 0, readout="fluorescence")
-    with pytest.raises(ConfigError):
-        transfer(plan, 4, 0, switch_on="ramp", ramp_time=0.0)
+    # the plan refuses unknown modes when it is made, before any draw
+    for bad in (dict(distribution="exotic"), dict(switch_on="instant"),
+                dict(readout="fluorescence"), dict(switch_on="ramp", ramp_time=0.0),
+                dict(readout=None), dict(switch_on=["ramp"])):
+        with pytest.raises(ConfigError):
+            replace(plan, **bad)
+    # the ramp length is read in "ramp" mode only
+    assert TransportPulse(replace(plan, ramp_time=-1.0)).duration == plan.tau
 
 
 # ------------------------------------------------------------ speed curve
 
 def test_transport_curve_layout_and_monotony(plan):
     grid = np.array([0.2, 2.0, 8.0])
-    scan = transport_curve(plan, grid, n_ensemble=6, rng_seed=0)
+    scan = transport_curve(replace(plan, n_ensemble=6), grid, rng_seed=0)
     assert scan.unit == TRANSPORT_UNIT
     np.testing.assert_array_equal(scan.abscissa, grid)
     assert len(scan) == 3
@@ -245,10 +246,10 @@ def test_curve_points_equal_single_transfers(plan, kwargs):
     # the curve draws its members once; each point is still the transfer
     # that draws them itself, bit for bit
     grid = [2.0, 8.0]
-    scan = transport_curve(plan, grid, n_ensemble=5, rng_seed=4, **kwargs)
+    plan = replace(plan, n_ensemble=5, **kwargs)
+    scan = transport_curve(plan, grid, rng_seed=4)
     for inv_tau, p1, stderr in zip(grid, scan.p1, scan.stderr):
-        one = transfer(replace(plan, tau=1e-3 / inv_tau), 5, 4, **kwargs)
-        assert (one.p1, one.stderr) == (p1, stderr)
+        assert transfer(plan, 4, tau=1e-3 / inv_tau) == (p1, stderr)
 
 
 def test_transport_curve_validation(plan):
