@@ -23,7 +23,11 @@ offset enters that vector only through a1_z, as a polynomial of degree
 product of them with the powers of every trajectory's offset evaluates a
 block of steps.  Each step becomes an SU(2) Cayley-Klein pair (a, b);
 the pairs are composed by pairwise reduction and rotate the initial
-vectors.
+vectors.  The blocks are powers of two, and each block's steps are
+sampled in bit-reversed order, so that every level of the reduction
+multiplies the upper half of the block by the lower half: two contiguous
+slices, whatever the number of trajectories.  All passes of one call
+work in one set of block buffers.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -252,9 +256,11 @@ def _cayley_klein(q, out, scratch):
     With r = phi/4 and t = tan(r), cos(2r) = (1 - t^2) / (1 + t^2) and
     sin(2r) = 2t / (1 + t^2): one tangent instead of a sine and a cosine,
     and |a|^2 + |b|^2 = 1 whatever the rounding of t.  q is (3, ...), the
-    pairs go to out (2, ...) and scratch is two real arrays shaped like q[0].
+    pairs go to out (2, ...) and scratch is three contiguous real arrays
+    shaped like q[0]: every intermediate stays in them, and the strided
+    real and imaginary parts of out are only written, once each.
     """
-    r, t = scratch
+    r, t, u = scratch
     a, b = out
     np.multiply(q[0], q[0], out=r)
     np.multiply(q[1], q[1], out=t)
@@ -263,7 +269,6 @@ def _cayley_klein(q, out, scratch):
     r += t
     np.sqrt(r, out=r)
     np.tan(r, out=t)
-    u = a.real
     np.multiply(t, t, out=u)
     u += 1.0
     np.divide(-2.0, u, out=u)
@@ -287,20 +292,32 @@ def _ck_mul(a1, b1, a2, b2, out, tmp):
     out[1] += tmp
 
 
+def _bit_reversed(k: int) -> np.ndarray:
+    """The bit-reversal permutation of range(k), k a power of two."""
+    perm = np.zeros(1, dtype=np.intp)
+    while perm.size < k:
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
+    return perm
+
+
 def _compose(pairs):
-    """Product U[k-1] ... U[0] of the (k, m) stacks of pairs (pairs[0],
-    pairs[1]) by pairwise reduction; pairs[2:5] is scratch.  Returns views
-    into pairs."""
+    """Product U[k-1] ... U[0] of k = 2^p steps by pairwise reduction.
+
+    (pairs[0], pairs[1]) are (k, m) stacks holding step _bit_reversed(k)[i]
+    in row i.  In that order the pairs of steps (2j, 2j + 1) sit in rows i
+    and i + k/2, and their products again come out in bit-reversed order
+    of j: every level multiplies the upper half of the stack by the lower
+    half, two contiguous slices, and the tree is that of multiplying
+    neighbours in step order.  pairs[2:5] is scratch.  Returns views into
+    pairs.
+    """
     src, dst, tmp = pairs[0:2], pairs[2:4], pairs[4]
     k = pairs.shape[1]
     while k > 1:
         h = k // 2
-        _ck_mul(src[0, 1 : 2 * h : 2], src[1, 1 : 2 * h : 2],
-                src[0, 0 : 2 * h : 2], src[1, 0 : 2 * h : 2], dst[:, :h], tmp[:h])
-        if k % 2:
-            dst[:, h] = src[:, k - 1]
+        _ck_mul(src[0, h:k], src[1, h:k], src[0, :h], src[1, :h], dst[:, :h], tmp[:h])
         src, dst = dst, src
-        k = h + k % 2
+        k = h
     return src[0, 0], src[1, 0]
 
 
@@ -319,10 +336,54 @@ def _rotate(a, b, r):
     return out
 
 
-def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int):
-    """Final states after n uniform sixth-order Magnus steps."""
+def _workspace(m: int):
+    """Buffers for every block of every pass over at most m members: six
+    real and five complex rows of max(_CHUNK, m) elements.  One set serves
+    a whole call, so its passes fault in no fresh pages."""
+    size = max(_CHUNK, m)
+    return np.empty(6 * size), np.empty(5 * size, dtype=complex)
+
+
+def _blocks(n: int, m: int) -> list[int]:
+    """Sizes of the blocks of a pass of n steps over m members, in step
+    order: the largest power of two with at most _CHUNK steps x members
+    (or one step) as often as n holds it, then one block for each set bit
+    of the rest, so that every block is a power of two."""
+    block = 1 << (min(n, max(1, _CHUNK // m)).bit_length() - 1)
+    rest = n % block
+    return [block] * (n // block) + [
+        1 << j for j in reversed(range(block.bit_length() - 1)) if rest >> j & 1
+    ]
+
+
+def _step_order(sizes: list[int]) -> np.ndarray:
+    """Step index of each row of a pass taken in blocks of these sizes:
+    block after block, each block's steps in bit-reversed order."""
+    block = sizes[0]
+    perm = _bit_reversed(block)
+    lo = sizes.count(block) * block
+    parts = [(np.arange(0, lo, block)[:, None] + perm).ravel()]
+    for k in sizes[lo // block :]:
+        # the first k entries of perm are _bit_reversed(k) times block / k
+        parts.append(lo + perm[:k] // (block // k))
+        lo += k
+    return np.concatenate(parts)
+
+
+def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int,
+                   work) -> np.ndarray:
+    """Final states after n uniform sixth-order Magnus steps.
+
+    The steps are sampled block by block (_blocks), each block's steps in
+    bit-reversed order, so that every level of _compose multiplies the
+    upper half of the block by the lower half.  Every block works in work,
+    a _workspace for at least offsets.size members, which the caller makes
+    once per call and shares among its passes.
+    """
+    m = offsets.size
+    sizes = _blocks(n, m)
     h = pulse.duration / n
-    t = ((np.arange(n)[:, None] + _NODES) * h).ravel()
+    t = ((_step_order(sizes)[:, None] + _NODES) * h).ravel()
     om, de = (v.reshape(n, 3) for v in _sample(pulse, t))
     k2 = math.sqrt(15.0) * h / 3.0
     k3 = 10.0 * h / 3.0
@@ -338,22 +399,20 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     )
     # rows x^0..x^3 of the members, with the quarter of theta folded in
     powers = 0.25 * (h * offsets) ** np.arange(4.0)[:, None]
-    m = offsets.size
-    block = min(n, max(1, _CHUNK // m))
-    # every block works in these buffers: fresh large temporaries would
-    # cost a page fault per page on each block
-    real = np.empty((5, block, m))
-    pairs = np.empty((5, block, m), dtype=complex)
+    block = sizes[0]
+    real = work[0][: 6 * block * m].reshape(6, block, m)
+    pairs = work[1][: 5 * block * m].reshape(5, block, m)
     acc = np.zeros((2, m), dtype=complex)
     acc[0] = 1.0
     nxt = np.empty((2, m), dtype=complex)
     tmp = np.empty(m, dtype=complex)
-    for lo in range(0, n, block):
-        k = min(block, n - lo)
+    lo = 0
+    for k in sizes:
         np.matmul(coef[:, lo : lo + k], powers, out=real[:3, :k])
         _cayley_klein(real[:3, :k], pairs[:2, :k], real[3:, :k])
         _ck_mul(*_compose(pairs[:, :k]), *acc, nxt, tmp)
         acc, nxt = nxt, acc
+        lo += k
     return _rotate(*acc, states)
 
 
@@ -369,6 +428,7 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
     """
     tol = config.abs_tol + config.rel_tol * float(np.max(np.linalg.norm(states, axis=1)))
     first = _initial_steps(_need(pulse, offsets, config))
+    work = _workspace(offsets.size)
     out = np.empty_like(states)
     active = np.empty(0, dtype=int)  # trajectories with a coarse state
     coarse = np.empty((0, 3))
@@ -376,7 +436,7 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
     while True:
         members = np.concatenate([active, np.flatnonzero(first == n)])
         if members.size:
-            fine = _rotation_pass(pulse, offsets[members], states[members], n)
+            fine = _rotation_pass(pulse, offsets[members], states[members], n, work)
             # a sixth-order error falls 2^6-fold per halving of the step,
             # so the n-step error is about |r_n - r_n/2| / 63
             err = np.linalg.norm(fine[: active.size] - coarse, axis=1) / 63.0

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,9 +204,9 @@ def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
     rotation_pass = bloch._rotation_pass
     passes = []
 
-    def poisoned(pulse, offsets, states, n):
+    def poisoned(pulse, offsets, states, n, work):
         passes.append(n)
-        out = rotation_pass(pulse, offsets, states, n)
+        out = rotation_pass(pulse, offsets, states, n, work)
         return out if len(passes) == 1 else np.full_like(out, np.nan)
 
     monkeypatch.setattr(bloch, "_rotation_pass", poisoned)
@@ -235,6 +236,11 @@ def _stack(ref_pulse):
     return offs, np.tile(GROUND, (offs.size, 1))
 
 
+def _pass(pulse, offsets, states, n):
+    """One rotation pass in a workspace of its own."""
+    return bloch._rotation_pass(pulse, offsets, states, n, bloch._workspace(offsets.size))
+
+
 def test_rotation_path_matches_dop853_oracle(ref_pulse):
     offs, y0 = _stack(ref_pulse)
     oracle = bloch._solve(ref_pulse, offs, y0, None, IntegratorConfig(1e-12, 1e-14))
@@ -247,41 +253,71 @@ def test_rotation_step_is_sixth_order(ref_pulse):
     # the error falls 2^6 = 64-fold per halving of the step, which is what
     # the /63 in the step-doubling estimate assumes
     offs, y0 = _stack(ref_pulse)
-    fine = bloch._rotation_pass(ref_pulse, offs, y0, 2**14)
+    fine = _pass(ref_pulse, offs, y0, 2**14)
     err = [
-        np.max(np.linalg.norm(bloch._rotation_pass(ref_pulse, offs, y0, n) - fine, axis=1))
+        np.max(np.linalg.norm(_pass(ref_pulse, offs, y0, n) - fine, axis=1))
         for n in (512, 1024, 2048)
     ]
     assert 40.0 <= err[0] / err[1] <= 90.0
     assert 40.0 <= err[1] / err[2] <= 90.0
 
 
-def test_pairwise_composition_matches_sequential(ref_pulse):
-    rng = np.random.default_rng(7)
-    pairs = np.empty((5, 37, 5), dtype=complex)
-    pairs[:2] = rng.normal(size=(2, 37, 5)) + 1j * rng.normal(size=(2, 37, 5))
-    pairs[:2] /= np.sqrt(np.sum(np.abs(pairs[:2]) ** 2, axis=0))
-    want = pairs[:2, 0].copy()
+def _sequential(pairs):
+    """Product U[k-1] ... U[0] of the (2, k, m) stack of pairs, one step at a
+    time."""
+    want = pairs[:, 0].copy()
     for k in range(1, pairs.shape[1]):
         nxt = np.empty_like(want)
-        bloch._ck_mul(*pairs[:2, k], *want, nxt, np.empty(5, dtype=complex))
+        bloch._ck_mul(*pairs[:, k], *want, nxt, np.empty(want.shape[1:], dtype=complex))
         want = nxt
-    np.testing.assert_allclose(bloch._compose(pairs), want, atol=1e-12)
-    # thousands of members split the steps into many blocks, one member
-    # takes them in a single block: the answers agree
+    return want
+
+
+@pytest.mark.parametrize("k", [1, 2, 32, 1024])
+def test_bit_reversal_is_an_involution(k):
+    perm = bloch._bit_reversed(k)
+    assert np.array_equal(np.sort(perm), np.arange(k))
+    assert np.array_equal(perm[perm], np.arange(k))
+
+
+def test_step_order_reverses_each_power_of_two_block():
+    sizes = bloch._blocks(1500, 32)
+    assert sizes == [1024, 256, 128, 64, 16, 8, 4]
+    order = bloch._step_order(sizes)
+    lo = 0
+    for k in sizes:
+        assert np.array_equal(order[lo : lo + k], lo + bloch._bit_reversed(k))
+        lo += k
+    assert lo == 1500
+    assert bloch._blocks(4096, 1025) == [16] * 256
+    assert bloch._blocks(3, 40000) == [1, 1, 1]
+
+
+def test_pairwise_composition_matches_sequential(ref_pulse):
+    # _compose takes a stack in bit-reversed step order
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 32, 1024):
+        steps = rng.normal(size=(2, k, 5)) + 1j * rng.normal(size=(2, k, 5))
+        steps /= np.sqrt(np.sum(np.abs(steps) ** 2, axis=0))
+        pairs = np.empty((5, k, 5), dtype=complex)
+        pairs[:2] = steps[:, bloch._bit_reversed(k)]
+        np.testing.assert_allclose(bloch._compose(pairs), _sequential(steps), atol=1e-12)
+    # 4001 members take blocks of 8 steps (and one of 4), one member takes the
+    # 100 steps in blocks of 64, 32 and 4: the answers agree
     offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 4001))
     y0 = np.tile(GROUND, (offs.size, 1))
-    many = bloch._rotation_pass(ref_pulse, offs, y0, 100)
+    many = _pass(ref_pulse, offs, y0, 100)
     assert 100 > bloch._CHUNK // offs.size
     for i in (0, 1234, 4000):
-        one = bloch._rotation_pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 100)
+        one = _pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 100)
         np.testing.assert_allclose(many[i], one[0], atol=1e-12)
 
 
 def _direct_pass(pulse, offsets, states, n):
     """_rotation_pass with each member's Magnus vector formed straight from
     the formula in _magnus6's docstring, by cross products of (n, m, 3)
-    arrays, instead of from polynomials in x."""
+    arrays, instead of from polynomials in x, and the steps multiplied one
+    at a time in step order."""
     h = pulse.duration / n
     t = (np.arange(n)[:, None] + bloch._NODES) * h
     om, de = pulse.rabi(t), pulse.detuning(t)
@@ -296,23 +332,24 @@ def _direct_pass(pulse, offsets, states, n):
     c1 = np.cross(a1, a2)
     c2 = -np.cross(a1, 2.0 * a3 + c1) / 60.0
     theta = a1 + a3 / 12.0 + np.cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    pairs = np.empty((5, n, offsets.size), dtype=complex)
-    bloch._cayley_klein(np.moveaxis(theta, -1, 0) / 4.0, pairs[:2], np.empty((2,) + shape[:2]))
-    return bloch._rotate(*bloch._compose(pairs), states)
+    pairs = np.empty((2,) + shape[:2], dtype=complex)
+    bloch._cayley_klein(np.moveaxis(theta, -1, 0) / 4.0, pairs, np.empty((3,) + shape[:2]))
+    return bloch._rotate(*_sequential(pairs), states)
 
 
 @pytest.mark.parametrize("m, n, x_max", [(1, 100, 0.3), (32, 1500, 0.5), (512, 200, 1.2)],
                          ids=["one-member", "tail-block", "fit-range"])
 def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
     # the kernel evaluates each step's Magnus vector as polynomials in
-    # x = h * offset, in blocks of steps; 1500 steps of 32 members leave a
-    # short last block, and |x| <= 1.2 is the range of the fit's cache
-    assert m == 1 or n % (bloch._CHUNK // m)
+    # x = h * offset, in blocks of steps; no n here is a power of two, so
+    # every case ends in power-of-two sub-blocks, and |x| <= 1.2 is the
+    # range of the fit's cache
+    assert n % bloch._blocks(n, m)[0]
     offs = np.linspace(-x_max, x_max, m) * n / ref_pulse.duration
     rng = np.random.default_rng(m)
     y0 = rng.normal(size=(m, 3))
     y0 /= np.linalg.norm(y0, axis=1)[:, None]
-    got = bloch._rotation_pass(ref_pulse, offs, y0, n)
+    got = _pass(ref_pulse, offs, y0, n)
     np.testing.assert_allclose(got, _direct_pass(ref_pulse, offs, y0, n), rtol=0, atol=1e-13)
 
 
@@ -331,7 +368,8 @@ def test_need_sums_the_samples_like_a_loop(ref_pulse, m):
 
 def test_rotation_pass_does_not_depend_on_blas_threads():
     # the kernel multiplies by BLAS: its states must not change with the
-    # number of BLAS threads, or a fixed seed would not fix the output
+    # number of BLAS threads, or a fixed seed would not fix the output;
+    # 1500 steps of 27 members also take the power-of-two sub-blocks
     script = f"""
 import sys
 sys.path.insert(0, {str(Path(apsim.__file__).parents[1])!r})
@@ -341,10 +379,11 @@ from apsim.pulses import APPulse
 from apsim.units import khz_to_rad_per_s
 
 pulse = APPulse.from_khz(28.0, 40.0, 0.0, 2.0)
-for m, n in ((1025, 1024), (32, 4096), (1, 2048)):
+for m, n in ((1025, 1024), (32, 4096), (1, 2048), (27, 1500)):
     offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
     y0 = np.tile([0.0, 0.0, -1.0], (m, 1))
-    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n).tobytes().hex())
+    work = bloch._workspace(m)
+    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n, work).tobytes().hex())
 """
     outs = []
     for threads in ("1", "2"):
@@ -362,13 +401,52 @@ def test_cayley_klein_pairs_rotate_like_rotation_vectors():
     rng = np.random.default_rng(11)
     theta = rng.normal(size=(3, 2, 6)) * 2.0
     a, b = pairs = np.empty((2, 2, 6), dtype=complex)
-    bloch._cayley_klein(theta / 4.0, pairs, np.empty((2, 2, 6)))
+    bloch._cayley_klein(theta / 4.0, pairs, np.empty((3, 2, 6)))
     r = rng.normal(size=(6, 3))
     rot = [Rotation.from_rotvec(theta[:, k].T) for k in range(2)]
     np.testing.assert_allclose(bloch._rotate(a[0], b[0], r), rot[0].apply(r), atol=1e-12)
     both = np.empty((2, 6), dtype=complex)
     bloch._ck_mul(a[1], b[1], a[0], b[0], both, np.empty(6, dtype=complex))
     np.testing.assert_allclose(bloch._rotate(*both, r), (rot[1] * rot[0]).apply(r), atol=1e-12)
+
+
+@pytest.mark.parametrize("m, steps", [(32, 2048), (1025, None)], ids=["transport-like", "cache"])
+def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
+    # the block buffers are allocated once per call: beyond them a pass
+    # allocates only its samples and Magnus polynomials (at most 400 bytes
+    # a step) and per-member vectors (at most 512 bytes a member).  A pass
+    # that took fresh block buffers would add a workspace-sized term.
+    # max_step forces passes of 4096 and 8192 steps, as the slowest
+    # transport point takes; the cache stack spans the fit's range.
+    per_step, per_member = 400, 512
+    offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
+    cfg = IntegratorConfig(max_step=ref_pulse.duration / steps) if steps else IntegratorConfig()
+    rotation_pass = bloch._rotation_pass
+    grown = []
+
+    def traced(pulse, offsets, states, n, work):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = rotation_pass(pulse, offsets, states, n, work)
+        grown.append((n, offsets.size, tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(bloch, "_rotation_pass", traced)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evolve_offsets(ref_pulse, offs, config=cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    workspace = sum(a.nbytes for a in bloch._workspace(m))
+    assert len(grown) >= 2
+    for n, members, grow in grown:
+        assert grow <= per_step * n + per_member * members
+    n_max = max(n for n, _, _ in grown)
+    if steps:
+        assert n_max == 8192
+    assert peak <= workspace + per_step * n_max + per_member * m
 
 
 def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
@@ -380,16 +458,16 @@ def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
     sizes = []
     rotation_pass = bloch._rotation_pass
 
-    def counted(pulse, offsets, states, n):
+    def counted(pulse, offsets, states, n, work):
         sizes.append(offsets.size)
-        return rotation_pass(pulse, offsets, states, n)
+        return rotation_pass(pulse, offsets, states, n, work)
 
     monkeypatch.setattr(bloch, "_rotation_pass", counted)
     got = evolve_offsets(ref_pulse, offs)
     assert 0 < sizes[0] < offs.size
     assert 0 < sizes[-1] < offs.size
     cfg = IntegratorConfig()
-    fine = rotation_pass(ref_pulse, offs, y0, 2**14)
+    fine = _pass(ref_pulse, offs, y0, 2**14)
     assert np.max(np.linalg.norm(got - fine, axis=1)) <= cfg.abs_tol + cfg.rel_tol
 
 
