@@ -14,20 +14,25 @@ i.e. precession about the torque vector (omega(t), 0, delta(t)) plus
 transverse damping.  Population transfer to |1> is (1 + w) / 2.
 
 Without dephasing the motion is a pure rotation, and it is propagated
-as one.  A pass of n uniform steps samples the pulse once, as an array,
-at the three Gauss-Legendre nodes of every step and forms each step's
+as one.  A pass of n uniform steps samples the pulse, as arrays, at the
+three Gauss-Legendre nodes of every step and forms each step's
 sixth-order Magnus vector, whose commutators are cross products
 (Blanes, Casas & Ros, BIT 40, 434 (2000)).  A trajectory's detuning
 offset enters that vector only through a1_z, as a polynomial of degree
-<= 3, so its coefficients are formed once per pass, and one matrix
-product of them with the powers of every trajectory's offset evaluates a
-block of steps.  Each step becomes an SU(2) Cayley-Klein pair (a, b);
-the pairs are composed by pairwise reduction and rotate the initial
-vectors.  The blocks are powers of two, and each block's steps are
-sampled in bit-reversed order, so that every level of the reduction
-multiplies the upper half of the block by the lower half: two contiguous
-slices, whatever the number of trajectories.  All passes of one call
-work in one set of block buffers.
+<= 3, so its coefficients are formed once per step for all
+trajectories, and one matrix product of them with the powers of every
+trajectory's offset evaluates a block of steps.  Each step becomes an
+SU(2) Cayley-Klein pair (a, b); the pairs are composed by pairwise
+reduction and rotate the initial vectors.  The blocks are powers of two,
+and each block's steps are sampled in bit-reversed order, so that every
+level of the reduction multiplies the upper half of the block by the
+lower half: two contiguous slices, whatever the number of trajectories.
+The steps are sampled and their coefficients formed a chunk of at most
+2^12 steps at a time, and the small last levels of the reductions of
+neighbouring blocks run side by side.  Every array a pass works in, the
+chunk's samples and coefficients as well as the blocks' stacks, lies in
+one workspace that a call allocates once and all its passes share; a
+pass allocates only its pulse samples and per-trajectory vectors.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -76,6 +81,15 @@ _GROUND = np.array([0.0, 0.0, -1.0])
 _NODES = np.array([0.5 - 0.1 * math.sqrt(15.0), 0.5, 0.5 + 0.1 * math.sqrt(15.0)])
 # steps x trajectories composed per vectorised block; bounds the memory
 _CHUNK = 2**15
+# steps sampled, and turned into Magnus coefficients, at a time
+_STEPS = 2**12
+# real rows of _STEPS elements that one chunk of steps works in: sample
+# times 3, samples 6, Magnus inputs 6, coefficients 12, scratch 12, step
+# indices 1 (see _coefficients)
+_ROWS = 40
+# a block's product tree stops at stacks of at most this many steps x
+# trajectories, whose last levels a group of blocks finishes side by side
+_LOW = 2**11
 # work budget of the rotation path: the most steps one pass may take
 _MAX_STEPS = 2**20
 # work budget of the DOP853 path, in half-turns of the fastest trajectory
@@ -86,13 +100,14 @@ _MAX_DOP853_TURNS = 2**15
 
 @dataclass(frozen=True)
 class DampingModel:
-    """Transverse relaxation rate gamma_2 in 1/s (population-conserving)."""
+    """Transverse relaxation rate gamma_2 in 1/s (population-conserving),
+    finite and non-negative."""
 
     gamma_2: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_2 < 0:
-            raise ValueError("gamma_2 must be non-negative")
+        if not 0.0 <= self.gamma_2 < math.inf:
+            raise ValueError("gamma_2 must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -104,8 +119,9 @@ class IntegratorConfig:
     max |r|, with max |r| over the whole stack: each trajectory doubles
     its step count until its own estimate meets that bound, so the
     largest estimate over trajectories meets it too.  With dephasing
-    they bound DOP853's error per step.  max_step (s) caps the step on
-    both paths.
+    they bound DOP853's error per step; both must be finite and
+    positive.  max_step (s) caps the step on both paths; inf, the
+    default, sets no cap.
     """
 
     rel_tol: float = 1e-9
@@ -113,10 +129,10 @@ class IntegratorConfig:
     max_step: float = np.inf
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
+            raise ValueError("max_step must be positive (inf: no cap)")
 
 
 def _make_rhs(pulse: PulseProgram, offsets: np.ndarray, gamma_2: float):
@@ -169,14 +185,19 @@ def _solve(pulse, offsets, y0, damping, config):
     return sol
 
 
-def _sample(pulse: PulseProgram, t: np.ndarray):
-    """rabi and detuning at the times t, shaped like t and checked finite."""
-    om = np.broadcast_to(np.asarray(pulse.rabi(t), dtype=float), t.shape)
-    de = np.broadcast_to(np.asarray(pulse.detuning(t), dtype=float), t.shape)
-    bad = ~(np.isfinite(om) & np.isfinite(de))
-    if np.any(bad):
-        raise IntegrationError(f"non-finite pulse values at t = {t[bad][0]}")
-    return om, de
+def _sample(pulse: PulseProgram, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rabi and detuning at the times t into out[0] and out[1], each shaped
+    like t.  Raises IntegrationError naming the earliest time at which
+    either is not finite."""
+    out[0] = pulse.rabi(t)
+    out[1] = pulse.detuning(t)
+    # the sum is finite when every value is; when finite values overflow
+    # it, the closer look finds nothing
+    if not np.isfinite(np.add.reduce(out, axis=None)):
+        bad = ~np.isfinite(out).all(axis=0)
+        if np.any(bad):
+            raise IntegrationError(f"non-finite pulse values at t = {t[bad].min()}")
+    return out
 
 
 def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) -> np.ndarray:
@@ -184,7 +205,7 @@ def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) ->
     a turn: its total rotation angle over pi (from the torque at 64
     points), or duration / max_step if that is more."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
-    om, de = _sample(pulse, t)
+    om, de = _sample(pulse, t, np.empty((2, 64)))
     torque = np.add(de[:, None], offsets)
     np.hypot(om[:, None], torque, out=torque)
     angle = np.add.reduce(torque, axis=0)  # row by row, in sample order
@@ -206,8 +227,8 @@ def _initial_steps(need: np.ndarray) -> np.ndarray:
     return 2 ** np.ceil(np.log2(np.maximum(16.0, 2.0 * need))).astype(int)
 
 
-def _magnus6(ax, az, bx, bz, cx, cz, out):
-    """Sixth-order Magnus vector of one step, as polynomials in x.
+def _magnus6(terms, out, w):
+    """Sixth-order Magnus vector of each step, as polynomials in x.
 
     From the Gauss-node terms
 
@@ -220,32 +241,98 @@ def _magnus6(ax, az, bx, bz, cx, cz, out):
         C1 = a1 x a2,  C2 = -a1 x (2 a3 + C1) / 60,
         theta = a1 + a3 / 12 + (-20 a1 - a3 + C1) x (a2 + C2) / 240.
 
-    Writes the coefficients of theta_x (degree 2, zero cubic), theta_y and
-    theta_z (degree 3) in x, lowest power first, into out, a (3, steps, 4)
-    array: out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.
+    terms holds the rows ax, az, bx, bz, cx, cz of the steps.  Writes the
+    coefficients of theta_x (degree 2, zero cubic), theta_y and theta_z
+    (degree 3) in x, lowest power first, into out, a (3, steps, 4) array:
+    out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.  w is twelve rows of
+    scratch shaped like terms[0]; every step takes the operations of the
+    formulas in the comments, in their order.
     """
-    g0 = az * bx - ax * bz  # C1_y = g0 + bx x
-    s0 = (ax * cz - az * cx) / 30.0  # C2_y = s0 - cx / 30 x
-    f0 = bz - ax * g0 / 60.0  # (a2 + C2)_z = f0 + f1 x
-    f1 = -ax * bx / 60.0
-    p0 = bx + az * g0 / 60.0  # (a2 + C2)_x = p0 + p1 x + p2 x^2
-    p1 = (az * bx + g0) / 60.0
-    p2 = bx / 60.0
-    e0 = -20.0 * az - cz  # (-20 a1 - a3 + C1)_z = e0 - 20 x
-    ex = -20.0 * ax - cx
+    ax, az, bx, bz, cx, cz = terms
+    g0, s0, f0, f1, p0, p1, p2, e0, ex, u, v, z = w
+    mul, div = np.multiply, np.divide
+    mul(az, bx, out=g0)  # C1_y = g0 + bx x, g0 = az * bx - ax * bz
+    g0 -= mul(ax, bz, out=u)
+    mul(ax, cz, out=s0)  # C2_y = s0 - cx / 30 x, s0 = (ax * cz - az * cx) / 30
+    s0 -= mul(az, cx, out=u)
+    s0 /= 30.0
+    mul(ax, g0, out=f0)  # (a2 + C2)_z = f0 + f1 x, f0 = bz - ax * g0 / 60
+    f0 /= 60.0
+    np.subtract(bz, f0, out=f0)
+    np.negative(ax, out=f1)  # f1 = -ax * bx / 60
+    f1 *= bx
+    f1 /= 60.0
+    mul(az, g0, out=p0)  # (a2 + C2)_x = p0 + p1 x + p2 x^2, p0 = bx + az * g0 / 60
+    p0 /= 60.0
+    p0 += bx
+    mul(az, bx, out=p1)  # p1 = (az * bx + g0) / 60
+    p1 += g0
+    p1 /= 60.0
+    div(bx, 60.0, out=p2)  # p2 = bx / 60
+    mul(az, -20.0, out=e0)  # (-20 a1 - a3 + C1)_z = e0 - 20 x, e0 = -20 az - cz
+    e0 -= cz
+    mul(ax, -20.0, out=ex)  # ex = -20 ax - cx
+    ex -= cx
     theta_x, theta_y, theta_z = out.transpose(0, 2, 1)
-    theta_x[0] = ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0
-    theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0
-    theta_x[2] = (bx * f1 - 2.0 * cx / 3.0) / 240.0
+    # theta_x[0] = ax + cx / 12 + (g0 * f0 - e0 * s0) / 240
+    div(cx, 12.0, out=u)
+    u += ax
+    mul(g0, f0, out=v)
+    v -= mul(e0, s0, out=z)
+    v /= 240.0
+    np.add(u, v, out=theta_x[0])
+    # theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30 + 20 s0) / 240
+    mul(g0, f1, out=u)
+    u += mul(bx, f0, out=v)
+    mul(e0, cx, out=v)
+    v /= 30.0
+    u += v
+    u += mul(s0, 20.0, out=v)
+    div(u, 240.0, out=theta_x[1])
+    # theta_x[2] = (bx * f1 - 2 cx / 3) / 240
+    mul(bx, f1, out=u)
+    mul(cx, 2.0, out=v)
+    v /= 3.0
+    u -= v
+    div(u, 240.0, out=theta_x[2])
     theta_x[3] = 0.0
-    theta_y[0] = (e0 * p0 - ex * f0) / 240.0
-    theta_y[1] = (e0 * p1 - 20.0 * p0 - ex * f1) / 240.0
-    theta_y[2] = (e0 * p2 - 20.0 * p1) / 240.0
-    theta_y[3] = -20.0 * p2 / 240.0
-    theta_z[0] = az + cz / 12.0 + (ex * s0 - g0 * p0) / 240.0
-    theta_z[1] = 1.0 - (ex * cx / 30.0 + g0 * p1 + bx * p0) / 240.0
-    theta_z[2] = -(g0 * p2 + bx * p1) / 240.0
-    theta_z[3] = -bx * p2 / 240.0
+    # theta_y[0] = (e0 * p0 - ex * f0) / 240
+    mul(e0, p0, out=u)
+    u -= mul(ex, f0, out=v)
+    div(u, 240.0, out=theta_y[0])
+    # theta_y[1] = (e0 * p1 - 20 p0 - ex * f1) / 240
+    mul(e0, p1, out=u)
+    u -= mul(p0, 20.0, out=v)
+    u -= mul(ex, f1, out=v)
+    div(u, 240.0, out=theta_y[1])
+    # theta_y[2] = (e0 * p2 - 20 p1) / 240
+    mul(e0, p2, out=u)
+    u -= mul(p1, 20.0, out=v)
+    div(u, 240.0, out=theta_y[2])
+    # theta_y[3] = -20 p2 / 240
+    mul(p2, -20.0, out=u)
+    div(u, 240.0, out=theta_y[3])
+    # theta_z[0] = az + cz / 12 + (ex * s0 - g0 * p0) / 240
+    div(cz, 12.0, out=u)
+    u += az
+    mul(ex, s0, out=v)
+    v -= mul(g0, p0, out=z)
+    v /= 240.0
+    np.add(u, v, out=theta_z[0])
+    # theta_z[1] = 1 - (ex * cx / 30 + g0 * p1 + bx * p0) / 240
+    mul(ex, cx, out=u)
+    u /= 30.0
+    u += mul(g0, p1, out=v)
+    u += mul(bx, p0, out=v)
+    u /= 240.0
+    np.subtract(1.0, u, out=theta_z[1])
+    # theta_z[2] = -(g0 * p2 + bx * p1) / 240, the sign moved onto 240
+    mul(g0, p2, out=u)
+    u += mul(bx, p1, out=v)
+    div(u, -240.0, out=theta_z[2])
+    # theta_z[3] = -bx * p2 / 240, the sign moved onto 240
+    mul(bx, p2, out=u)
+    div(u, -240.0, out=theta_z[3])
 
 
 def _cayley_klein(q, out, scratch):
@@ -262,11 +349,12 @@ def _cayley_klein(q, out, scratch):
     """
     r, t, u = scratch
     a, b = out
-    np.multiply(q[0], q[0], out=r)
-    np.multiply(q[1], q[1], out=t)
-    r += t
-    np.multiply(q[2], q[2], out=t)
-    r += t
+    # |q|^2, summed over the components in order; for a single element
+    # einsum would take a dot product, which sums in another order
+    if r.size > 1:
+        np.einsum("i...,i...->...", q, q, out=r)
+    else:
+        np.add(q[0] * q[0] + q[1] * q[1], q[2] * q[2], out=r)
     np.sqrt(r, out=r)
     np.tan(r, out=t)
     np.multiply(t, t, out=u)
@@ -293,32 +381,45 @@ def _ck_mul(a1, b1, a2, b2, out, tmp):
 
 
 def _bit_reversed(k: int) -> np.ndarray:
-    """The bit-reversal permutation of range(k), k a power of two."""
-    perm = np.zeros(1, dtype=np.intp)
-    while perm.size < k:
-        perm = np.concatenate([2 * perm, 2 * perm + 1])
-    return perm
+    """The bit-reversal permutation of range(k), k a power of two <= 2^16:
+    the bits of each 16-bit index, last first, shifted down."""
+    bits = np.unpackbits(np.arange(k, dtype="<u2").view(np.uint8), bitorder="little")
+    perm = np.packbits(bits, bitorder="big").view(">u2") >> (17 - k.bit_length())
+    return perm.astype(np.intp)
 
 
-def _compose(pairs):
+def _compose(pairs, rows=1):
     """Product U[k-1] ... U[0] of k = 2^p steps by pairwise reduction.
 
-    (pairs[0], pairs[1]) are (k, m) stacks holding step _bit_reversed(k)[i]
+    pairs[0:2] are the (a, b) stacks (k, w) holding step _bit_reversed(k)[i]
     in row i.  In that order the pairs of steps (2j, 2j + 1) sit in rows i
     and i + k/2, and their products again come out in bit-reversed order
     of j: every level multiplies the upper half of the stack by the lower
     half, two contiguous slices, and the tree is that of multiplying
-    neighbours in step order.  pairs[2:5] is scratch.  Returns views into
-    pairs.
+    neighbours in step order.  pairs[2:4] is scratch.  Stops when the
+    stack has `rows` rows (a power of two) and returns them, a (2, rows, w)
+    view into pairs: the stack, again in bit-reversed order, of the
+    products of the runs of k / rows steps.
     """
-    src, dst, tmp = pairs[0:2], pairs[2:4], pairs[4]
+    src, dst = pairs[0:2], pairs[2:4]
     k = pairs.shape[1]
-    while k > 1:
+    while k > rows:
         h = k // 2
-        _ck_mul(src[0, h:k], src[1, h:k], src[0, :h], src[1, :h], dst[:, :h], tmp[:h])
+        _ck_mul(*src[:, h:k], *src[:, :h], dst[:, :h], dst[0, h:k])
         src, dst = dst, src
         k = h
-    return src[0, 0], src[1, 0]
+    return src[:, :k]
+
+
+def _chain(prods, acc, nxt, tmp):
+    """Multiply the pairs acc (2, m) by the products lying side by side in
+    prods (2, g m), the first product first; nxt is scratch shaped like
+    acc, tmp like acc[0].  Returns the new acc and the spare buffer."""
+    m = acc.shape[1]
+    for i in range(0, prods.shape[1], m):
+        _ck_mul(*prods[:, i : i + m], *acc, nxt, tmp)
+        acc, nxt = nxt, acc
+    return acc, nxt
 
 
 def _rotate(a, b, r):
@@ -337,11 +438,18 @@ def _rotate(a, b, r):
 
 
 def _workspace(m: int):
-    """Buffers for every block of every pass over at most m members: six
-    real and five complex rows of max(_CHUNK, m) elements.  One set serves
-    a whole call, so its passes fault in no fresh pages."""
+    """Buffers for every pass over at most m members: _ROWS real rows of
+    _STEPS elements for a chunk of steps, six real and four complex rows of
+    max(_CHUNK, m) elements for a block, and four complex rows of 4 _LOW
+    elements for the last tree levels of a group of blocks.  One set serves
+    a whole call, so its passes fault in no fresh pages; it is one
+    allocation, so that malloc keeps it, once freed, for the next call."""
     size = max(_CHUNK, m)
-    return np.empty(6 * size), np.empty(5 * size, dtype=complex)
+    a = _ROWS * _STEPS
+    b = a + 6 * size
+    c = b + 8 * size
+    buf = np.empty(c + 32 * _LOW)
+    return buf[:a].reshape(_ROWS, _STEPS), buf[a:b], buf[b:c].view(complex), buf[c:].view(complex)
 
 
 def _blocks(n: int, m: int) -> list[int]:
@@ -370,49 +478,117 @@ def _step_order(sizes: list[int]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.ndarray):
+    """Magnus coefficients (see _magnus6) of the steps of width h whose
+    indices, as floats, are steps, formed in rows, the chunk rows of a
+    _workspace.  Returns a (3, steps.size, 4) view into rows."""
+    c = steps.size
+    t = rows[0:3].reshape(-1)[: 3 * c].reshape(c, 3)
+    np.add(steps[:, None], _NODES, out=t)
+    t *= h
+    # rabi and detuning at the three nodes of every step
+    om, de = _sample(pulse, t, rows[3:9].reshape(-1)[: 6 * c].reshape(2, c, 3))
+    ax, az, bx, bz, cx, cz = terms = rows[9:15, :c]
+    k2 = math.sqrt(15.0) * h / 3.0
+    k3 = 10.0 * h / 3.0
+    np.multiply(om[:, 1], h, out=ax)  # h T_2
+    np.multiply(de[:, 1], h, out=az)
+    np.subtract(om[:, 2], om[:, 0], out=bx)  # sqrt(15) h / 3 (T_3 - T_1)
+    bx *= k2
+    np.subtract(de[:, 2], de[:, 0], out=bz)
+    bz *= k2
+    for a, f in ((cx, om), (cz, de)):  # 10 h / 3 (T_3 - 2 T_2 + T_1)
+        np.multiply(f[:, 1], 2.0, out=a)
+        np.subtract(f[:, 2], a, out=a)
+        a += f[:, 0]
+        a *= k3
+    coef = rows[15:27].reshape(-1)[: 12 * c].reshape(3, c, 4)
+    _magnus6(terms, coef, rows[27:39, :c])
+    return coef
+
+
+def _chunks(sizes: list[int]):
+    """The rows of a pass taken in blocks of these sizes, a chunk of at
+    most _STEPS rows at a time: yields the first row of each chunk and its
+    pieces (steps, block, index in the block), a block of k > _STEPS steps
+    being k / _STEPS pieces.  The pieces are powers of two that never grow,
+    so every chunk but the last holds _STEPS rows."""
+    start, pieces, rows = 0, [], 0
+    for k in sizes:
+        p = min(k, _STEPS)
+        for j in range(k // p):
+            if rows + p > _STEPS:
+                yield start, pieces
+                start, pieces, rows = start + rows, [], 0
+            pieces.append((p, k, j))
+            rows += p
+    yield start, pieces
+
+
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int,
                    work) -> np.ndarray:
     """Final states after n uniform sixth-order Magnus steps.
 
-    The steps are sampled block by block (_blocks), each block's steps in
-    bit-reversed order, so that every level of _compose multiplies the
-    upper half of the block by the lower half.  Every block works in work,
-    a _workspace for at least offsets.size members, which the caller makes
+    The pass runs in blocks of steps (_blocks), each one stack of every
+    member's steps in bit-reversed order, so that every level of _compose
+    multiplies the upper half of the stack by the lower half.  The steps
+    are sampled and turned into coefficients a chunk at a time (_chunks),
+    each piece of it in bit-reversed order; piece j of a block of k >
+    _STEPS steps fills every (k / _STEPS)-th row of the stack from row
+    _bit_reversed(k / _STEPS)[j].  When more blocks of its size follow, a
+    block's tree stops at `deep` rows, at most _LOW steps x members, and a
+    group of such blocks finishes those levels side by side.  The block
+    products multiply the state in step order.  Everything runs in work, a
+    _workspace for at least offsets.size members, which the caller makes
     once per call and shares among its passes.
     """
     m = offsets.size
-    sizes = _blocks(n, m)
     h = pulse.duration / n
-    t = ((_step_order(sizes)[:, None] + _NODES) * h).ravel()
-    om, de = (v.reshape(n, 3) for v in _sample(pulse, t))
-    k2 = math.sqrt(15.0) * h / 3.0
-    k3 = 10.0 * h / 3.0
-    coef = np.empty((3, n, 4))
-    _magnus6(
-        h * om[:, 1],
-        h * de[:, 1],
-        k2 * (om[:, 2] - om[:, 0]),
-        k2 * (de[:, 2] - de[:, 0]),
-        k3 * (om[:, 2] - 2.0 * om[:, 1] + om[:, 0]),
-        k3 * (de[:, 2] - 2.0 * de[:, 1] + de[:, 0]),
-        coef,
-    )
+    chunk, real, pairs, low = work
     # rows x^0..x^3 of the members, with the quarter of theta folded in
     powers = 0.25 * (h * offsets) ** np.arange(4.0)[:, None]
-    block = sizes[0]
-    real = work[0][: 6 * block * m].reshape(6, block, m)
-    pairs = work[1][: 5 * block * m].reshape(5, block, m)
-    acc = np.zeros((2, m), dtype=complex)
+    # the product of the blocks so far, a spare for the next and scratch
+    running = np.zeros((5, m), dtype=complex)
+    acc, nxt, tmp = running[0:2], running[2:4], running[4]
     acc[0] = 1.0
-    nxt = np.empty((2, m), dtype=complex)
-    tmp = np.empty(m, dtype=complex)
-    lo = 0
-    for k in sizes:
-        np.matmul(coef[:, lo : lo + k], powers, out=real[:3, :k])
-        _cayley_klein(real[:3, :k], pairs[:2, :k], real[3:, :k])
-        _ck_mul(*_compose(pairs[:, :k]), *acc, nxt, tmp)
-        acc, nxt = nxt, acc
-        lo += k
+    sizes = _blocks(n, m)
+    full = sizes.count(sizes[0]) * sizes[0]  # the rows in blocks of the first size
+    deep = 1 << max(0, (_LOW // m).bit_length() - 1)
+    key = None
+    row = g = 0  # the first row of the next block; the stacks in the group
+    for start, pieces in _chunks(sizes):
+        steps = [p for p, _, _ in pieces]
+        if steps != key:
+            key, order = steps, _step_order(steps)
+        coef = _coefficients(pulse, np.add(order, start, out=chunk[-1, : order.size]), h, chunk)
+        lo = 0
+        for p, k, j in pieces:
+            stack = real[: 6 * k * m].reshape(6, k, m)
+            q = coef[:, lo : lo + p]
+            lo += p
+            if p == k:
+                np.matmul(q, powers, out=stack[:3])
+            else:
+                np.matmul(q, powers, out=stack[3:, :p])
+                stack[:3, _bit_reversed(k // p)[j] :: k // p] = stack[3:, :p]
+                if j < k // p - 1:
+                    continue
+            prods = pairs[: 4 * k * m].reshape(4, k, m)
+            _cayley_klein(stack[:3], prods[:2], stack[3:])
+            r = min(k, deep)
+            if not g:
+                span = min((full - row) // k, low.size // (4 * r * m)) if row < full and r > 1 else 1
+            row += k
+            if span == 1:
+                acc, nxt = _chain(_compose(prods)[:, 0], acc, nxt, tmp)
+                continue
+            if not g:
+                group = low[: 4 * r * span * m].reshape(4, r, span * m)
+            group[:2, :, g * m : (g + 1) * m] = _compose(prods, r)
+            g += 1
+            if g == span:
+                acc, nxt = _chain(_compose(group)[:, 0], acc, nxt, tmp)
+                g = 0
     return _rotate(*acc, states)
 
 

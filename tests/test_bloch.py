@@ -49,12 +49,22 @@ def test_state_basics():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=0.0)
-    with pytest.raises(ValueError):
-        DampingModel(gamma_2=-1.0)
+    # a NaN tolerance ran every pass up to the step budget and an infinite
+    # one accepted any state; a NaN rate ran undamped and an infinite one
+    # failed mid-integration.  max_step = inf is the "no cap" default.
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            IntegratorConfig(rel_tol=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(abs_tol=bad)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            IntegratorConfig(max_step=bad)
+    assert IntegratorConfig(max_step=math.inf).max_step == math.inf
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DampingModel(gamma_2=bad)
+    assert DampingModel(0.0).gamma_2 == 0.0
 
 
 # ------------------------------------------------------------ textbook limits
@@ -294,14 +304,21 @@ def test_step_order_reverses_each_power_of_two_block():
 
 
 def test_pairwise_composition_matches_sequential(ref_pulse):
-    # _compose takes a stack in bit-reversed step order
+    # _compose takes a stack in bit-reversed step order; stopped at 4 rows,
+    # it leaves the products of the four runs of k / 4 steps, in
+    # bit-reversed order of the runs
     rng = np.random.default_rng(7)
     for k in (1, 2, 32, 1024):
         steps = rng.normal(size=(2, k, 5)) + 1j * rng.normal(size=(2, k, 5))
         steps /= np.sqrt(np.sum(np.abs(steps) ** 2, axis=0))
-        pairs = np.empty((5, k, 5), dtype=complex)
+        pairs = np.empty((4, k, 5), dtype=complex)
         pairs[:2] = steps[:, bloch._bit_reversed(k)]
-        np.testing.assert_allclose(bloch._compose(pairs), _sequential(steps), atol=1e-12)
+        if k >= 4:
+            runs = bloch._compose(pairs.copy(), 4)
+            for i, j in enumerate(bloch._bit_reversed(4)):
+                run = steps[:, j * k // 4 : (j + 1) * k // 4]
+                np.testing.assert_allclose(runs[:, i], _sequential(run), atol=1e-12)
+        np.testing.assert_allclose(bloch._compose(pairs)[:, 0], _sequential(steps), atol=1e-12)
     # 4001 members take blocks of 8 steps (and one of 4), one member takes the
     # 100 steps in blocks of 64, 32 and 4: the answers agree
     offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 4001))
@@ -337,13 +354,15 @@ def _direct_pass(pulse, offsets, states, n):
     return bloch._rotate(*_sequential(pairs), states)
 
 
-@pytest.mark.parametrize("m, n, x_max", [(1, 100, 0.3), (32, 1500, 0.5), (512, 200, 1.2)],
-                         ids=["one-member", "tail-block", "fit-range"])
+@pytest.mark.parametrize("m, n, x_max", [(1, 100, 0.3), (32, 1500, 0.5), (512, 200, 1.2),
+                                         (3, 9000, 0.3)],
+                         ids=["one-member", "tail-block", "fit-range", "pieces"])
 def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
     # the kernel evaluates each step's Magnus vector as polynomials in
     # x = h * offset, in blocks of steps; no n here is a power of two, so
-    # every case ends in power-of-two sub-blocks, and |x| <= 1.2 is the
-    # range of the fit's cache
+    # every case ends in power-of-two sub-blocks, |x| <= 1.2 is the range
+    # of the fit's cache, and 3 members take blocks of 8192 steps, sampled
+    # in pieces of _STEPS
     assert n % bloch._blocks(n, m)[0]
     offs = np.linspace(-x_max, x_max, m) * n / ref_pulse.duration
     rng = np.random.default_rng(m)
@@ -412,13 +431,15 @@ def test_cayley_klein_pairs_rotate_like_rotation_vectors():
 
 @pytest.mark.parametrize("m, steps", [(32, 2048), (1025, None)], ids=["transport-like", "cache"])
 def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
-    # the block buffers are allocated once per call: beyond them a pass
-    # allocates only its samples and Magnus polynomials (at most 400 bytes
-    # a step) and per-member vectors (at most 512 bytes a member).  A pass
-    # that took fresh block buffers would add a workspace-sized term.
-    # max_step forces passes of 4096 and 8192 steps, as the slowest
-    # transport point takes; the cache stack spans the fit's range.
-    per_step, per_member = 400, 512
+    # every buffer of a pass is in the workspace, allocated once per call:
+    # beyond it a pass allocates only the pulse's samples of one chunk of
+    # steps, with the pulse's own temporaries (at most ten arrays of a
+    # chunk's 3 _STEPS sample times), and per-member vectors (at most 512
+    # bytes a member), however many steps it takes.  A pass that took
+    # fresh buffers for its steps or blocks would add a term that grows
+    # with them.  max_step forces passes of 4096 and 8192 steps, as the
+    # slowest transport point takes; the cache stack spans the fit's range.
+    per_chunk, per_member = 10 * 3 * bloch._STEPS * 8, 512
     offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
     cfg = IntegratorConfig(max_step=ref_pulse.duration / steps) if steps else IntegratorConfig()
     rotation_pass = bloch._rotation_pass
@@ -442,11 +463,35 @@ def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
     workspace = sum(a.nbytes for a in bloch._workspace(m))
     assert len(grown) >= 2
     for n, members, grow in grown:
-        assert grow <= per_step * n + per_member * members
-    n_max = max(n for n, _, _ in grown)
+        assert grow <= per_chunk + per_member * members
     if steps:
-        assert n_max == 8192
-    assert peak <= workspace + per_step * n_max + per_member * m
+        assert max(n for n, _, _ in grown) == 8192 > bloch._STEPS
+    assert peak <= workspace + per_chunk + per_member * m
+
+
+@pytest.mark.parametrize("step", [7168, 7373], ids=["block-start", "mid-block"])
+def test_chunked_pass_names_the_first_non_finite_time(step):
+    # a pass of 8192 steps over 32 members samples its steps in two chunks
+    # of 4096, each block of 1024 steps in bit-reversed order; a pulse that
+    # turns NaN at a node of a step in the last chunk stops the pass with
+    # that time, the first non-finite one in step order
+    n = 8192
+    h = 1.0e-3 / n
+    t_bad = (step + bloch._NODES[0]) * h
+    assert bloch._blocks(n, 32)[0] == 1024 and n - bloch._STEPS <= step
+
+    class TurnsNaN:
+        duration = 1.0e-3
+
+        def rabi(self, t):
+            return np.where(t < t_bad, 1.0e4, np.nan)
+
+        def detuning(self, t):
+            return np.zeros_like(t)
+
+    offs = np.linspace(-1.0e4, 1.0e4, 32)
+    with pytest.raises(IntegrationError, match=f"at t = {t_bad}$"):
+        _pass(TurnsNaN(), offs, np.tile(GROUND, (32, 1)), n)
 
 
 def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):

@@ -365,6 +365,26 @@ def test_non_finite_thermal_parameter_is_config_error(tmp_path, field, value):
     assert main(["spectrum", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("integrator", "rel_tol", float("nan")), ("integrator", "abs_tol", float("nan")),
+    ("integrator", "rel_tol", float("inf")), ("damping", "gamma_2_khz", float("nan")),
+    ("damping", "gamma_2_khz", float("inf")),
+])
+def test_non_finite_bloch_setting_is_config_error(tmp_path, section, field, value):
+    # a NaN tolerance ran every pass to the step budget (exit 3), an
+    # infinite one and a NaN rate ran (exit 0), an infinite rate failed
+    # mid-integration (exit 3)
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": [0.0]},
+        "pulse": PULSE,
+        "thermal": THERMAL,
+        section: {field: value},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["spectrum", "--config", str(path)]) == 2
+
+
 def test_negative_seed_is_config_error(transport_cfg, tmp_path):
     cfg = json.loads(transport_cfg.read_text())
     cfg["seed"] = -1

@@ -1,7 +1,8 @@
 """Property tests of the exit-code contract.
 
-Any single-leaf mutation of a preset, by one of a fixed set of junk
-values, run through the preset's own command or, where it has a pulse,
+Any single-leaf mutation of a preset, with its optional ``integrator``
+and ``damping`` sections added at their defaults, by one of a fixed set
+of junk values, run through the preset's own command or, where it has a pulse,
 through ``adiabaticity``, ends in exit 0, 2 or 3 and never in a
 traceback; an exit 0 writes no NaN.  Grids are cut to 3 points and
 ensembles to 4 members, so each run takes milliseconds.
@@ -45,10 +46,19 @@ def _leaves(node, path=()):
             yield path + (key,)
 
 
+# the optional sections no preset has, at their defaults, so that their
+# leaves are mutated too (max_step_ms: inf sets no cap)
+OPTIONAL = {"integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step_ms": math.inf},
+            "damping": {"gamma_2_khz": 0.0}}
+
+
 @st.composite
 def mutations(draw):
-    """(command, config): a cut preset with one leaf replaced by junk."""
+    """(command, config): a cut preset, with the optional sections added,
+    with one leaf replaced by junk."""
     raw = _small(PRESETS[draw(st.sampled_from(preset_names()))]())
+    for section, leaves in OPTIONAL.items():
+        raw.setdefault(section, dict(leaves))
     command = draw(st.sampled_from(
         [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
     ))
