@@ -28,11 +28,10 @@ and each block's steps are sampled in bit-reversed order, so that every
 level of the reduction multiplies the upper half of the block by the
 lower half: two contiguous slices, whatever the number of trajectories.
 The steps are sampled and their coefficients formed a chunk of at most
-2^12 steps at a time, and the small last levels of the reductions of
-neighbouring blocks run side by side.  Every array a pass works in, the
-chunk's samples and coefficients as well as the blocks' stacks, lies in
-one workspace that a call allocates once and all its passes share; a
-pass allocates only its pulse samples and per-trajectory vectors.
+2^12 steps at a time.  Every array a pass works in, the chunk's samples
+and coefficients as well as the blocks' stacks, lies in one workspace
+that a call allocates once and all its passes share; a pass allocates
+only its pulse samples, a chunk's step order and per-trajectory vectors.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -87,9 +86,6 @@ _STEPS = 2**12
 # times 3, samples 6, Magnus inputs 6, coefficients 12, scratch 12, step
 # indices 1 (see _coefficients)
 _ROWS = 40
-# a block's product tree stops at stacks of at most this many steps x
-# trajectories, whose last levels a group of blocks finishes side by side
-_LOW = 2**11
 # work budget of the rotation path: the most steps one pass may take
 _MAX_STEPS = 2**20
 # work budget of the DOP853 path, in half-turns of the fastest trajectory
@@ -388,38 +384,26 @@ def _bit_reversed(k: int) -> np.ndarray:
     return perm.astype(np.intp)
 
 
-def _compose(pairs, rows=1):
+def _compose(pairs):
     """Product U[k-1] ... U[0] of k = 2^p steps by pairwise reduction.
 
-    pairs[0:2] are the (a, b) stacks (k, w) holding step _bit_reversed(k)[i]
+    (pairs[0], pairs[1]) are (k, m) stacks holding step _bit_reversed(k)[i]
     in row i.  In that order the pairs of steps (2j, 2j + 1) sit in rows i
     and i + k/2, and their products again come out in bit-reversed order
     of j: every level multiplies the upper half of the stack by the lower
     half, two contiguous slices, and the tree is that of multiplying
-    neighbours in step order.  pairs[2:4] is scratch.  Stops when the
-    stack has `rows` rows (a power of two) and returns them, a (2, rows, w)
-    view into pairs: the stack, again in bit-reversed order, of the
-    products of the runs of k / rows steps.
+    neighbours in step order.  pairs[2:4] is scratch, and each level's
+    temporary is the half of it that the level does not write.  Returns
+    views into pairs.
     """
     src, dst = pairs[0:2], pairs[2:4]
     k = pairs.shape[1]
-    while k > rows:
+    while k > 1:
         h = k // 2
-        _ck_mul(*src[:, h:k], *src[:, :h], dst[:, :h], dst[0, h:k])
+        _ck_mul(src[0, h:k], src[1, h:k], src[0, :h], src[1, :h], dst[:, :h], dst[0, h:k])
         src, dst = dst, src
         k = h
-    return src[:, :k]
-
-
-def _chain(prods, acc, nxt, tmp):
-    """Multiply the pairs acc (2, m) by the products lying side by side in
-    prods (2, g m), the first product first; nxt is scratch shaped like
-    acc, tmp like acc[0].  Returns the new acc and the spare buffer."""
-    m = acc.shape[1]
-    for i in range(0, prods.shape[1], m):
-        _ck_mul(*prods[:, i : i + m], *acc, nxt, tmp)
-        acc, nxt = nxt, acc
-    return acc, nxt
+    return src[0, 0], src[1, 0]
 
 
 def _rotate(a, b, r):
@@ -439,17 +423,15 @@ def _rotate(a, b, r):
 
 def _workspace(m: int):
     """Buffers for every pass over at most m members: _ROWS real rows of
-    _STEPS elements for a chunk of steps, six real and four complex rows of
-    max(_CHUNK, m) elements for a block, and four complex rows of 4 _LOW
-    elements for the last tree levels of a group of blocks.  One set serves
-    a whole call, so its passes fault in no fresh pages; it is one
-    allocation, so that malloc keeps it, once freed, for the next call."""
+    _STEPS elements for a chunk of steps, and six real and four complex
+    rows of max(_CHUNK, m) elements for a block.  One set serves a whole
+    call, so its passes fault in no fresh pages; it is one allocation, so
+    that malloc keeps it, once freed, for the next call."""
     size = max(_CHUNK, m)
     a = _ROWS * _STEPS
     b = a + 6 * size
-    c = b + 8 * size
-    buf = np.empty(c + 32 * _LOW)
-    return buf[:a].reshape(_ROWS, _STEPS), buf[a:b], buf[b:c].view(complex), buf[c:].view(complex)
+    buf = np.empty(b + 8 * size)
+    return buf[:a].reshape(_ROWS, _STEPS), buf[a:b], buf[b:].view(complex)
 
 
 def _blocks(n: int, m: int) -> list[int]:
@@ -535,28 +517,22 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     are sampled and turned into coefficients a chunk at a time (_chunks),
     each piece of it in bit-reversed order; piece j of a block of k >
     _STEPS steps fills every (k / _STEPS)-th row of the stack from row
-    _bit_reversed(k / _STEPS)[j].  When more blocks of its size follow, a
-    block's tree stops at `deep` rows, at most _LOW steps x members, and a
-    group of such blocks finishes those levels side by side.  The block
-    products multiply the state in step order.  Everything runs in work, a
+    _bit_reversed(k / _STEPS)[j].  The block products multiply the state
+    in step order.  Everything runs in work, a
     _workspace for at least offsets.size members, which the caller makes
     once per call and shares among its passes.
     """
     m = offsets.size
     h = pulse.duration / n
-    chunk, real, pairs, low = work
+    chunk, real, pairs = work
     # rows x^0..x^3 of the members, with the quarter of theta folded in
     powers = 0.25 * (h * offsets) ** np.arange(4.0)[:, None]
     # the product of the blocks so far, a spare for the next and scratch
     running = np.zeros((5, m), dtype=complex)
     acc, nxt, tmp = running[0:2], running[2:4], running[4]
     acc[0] = 1.0
-    sizes = _blocks(n, m)
-    full = sizes.count(sizes[0]) * sizes[0]  # the rows in blocks of the first size
-    deep = 1 << max(0, (_LOW // m).bit_length() - 1)
     key = None
-    row = g = 0  # the first row of the next block; the stacks in the group
-    for start, pieces in _chunks(sizes):
+    for start, pieces in _chunks(_blocks(n, m)):
         steps = [p for p, _, _ in pieces]
         if steps != key:
             key, order = steps, _step_order(steps)
@@ -575,20 +551,8 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
                     continue
             prods = pairs[: 4 * k * m].reshape(4, k, m)
             _cayley_klein(stack[:3], prods[:2], stack[3:])
-            r = min(k, deep)
-            if not g:
-                span = min((full - row) // k, low.size // (4 * r * m)) if row < full and r > 1 else 1
-            row += k
-            if span == 1:
-                acc, nxt = _chain(_compose(prods)[:, 0], acc, nxt, tmp)
-                continue
-            if not g:
-                group = low[: 4 * r * span * m].reshape(4, r, span * m)
-            group[:2, :, g * m : (g + 1) * m] = _compose(prods, r)
-            g += 1
-            if g == span:
-                acc, nxt = _chain(_compose(group)[:, 0], acc, nxt, tmp)
-                g = 0
+            _ck_mul(*_compose(prods), *acc, nxt, tmp)
+            acc, nxt = nxt, acc
     return _rotate(*acc, states)
 
 

@@ -371,9 +371,9 @@ def test_non_finite_thermal_parameter_is_config_error(tmp_path, field, value):
     ("damping", "gamma_2_khz", float("inf")),
 ])
 def test_non_finite_bloch_setting_is_config_error(tmp_path, section, field, value):
-    # a NaN tolerance ran every pass to the step budget (exit 3), an
-    # infinite one and a NaN rate ran (exit 0), an infinite rate failed
-    # mid-integration (exit 3)
+    # refused when the config loads, before any pass runs: a NaN
+    # tolerance would run every pass to the step budget, a NaN rate would
+    # run undamped
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [0.0]},
         "pulse": PULSE,
