@@ -23,15 +23,16 @@ offset enters that vector only through a1_z, as a polynomial of degree
 trajectories, and one matrix product of them with the powers of every
 trajectory's offset evaluates a block of steps.  Each step becomes an
 SU(2) Cayley-Klein pair (a, b); the pairs are composed by pairwise
-reduction and rotate the initial vectors.  The blocks are powers of two,
-and each block's steps are sampled in bit-reversed order, so that every
-level of the reduction multiplies the upper half of the block by the
-lower half: two contiguous slices, whatever the number of trajectories.
-The steps are sampled and their coefficients formed a chunk of at most
-2^12 steps at a time.  Every array a pass works in, the chunk's samples
-and coefficients as well as the blocks' stacks, lies in one workspace
-that a call allocates once and all its passes share; a pass allocates
-only its pulse samples, a chunk's step order and per-trajectory vectors.
+reduction and rotate the initial vectors.  The blocks are powers of two
+of at most 2^12 steps, and each block's steps are sampled in
+bit-reversed order, so that every level of the reduction multiplies the
+upper half of the block by the lower half: two contiguous slices,
+whatever the number of trajectories.  The steps are sampled and their
+coefficients formed a chunk of 2^12 steps, whole blocks, at a time.  The
+chunk's samples and coefficients and the blocks' stacks lie in one
+workspace that a call allocates once and all its passes share; beyond
+it a pass allocates only the pulse samples and Magnus temporaries of one
+chunk, a chunk's step order and per-trajectory vectors.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -80,12 +81,12 @@ _GROUND = np.array([0.0, 0.0, -1.0])
 _NODES = np.array([0.5 - 0.1 * math.sqrt(15.0), 0.5, 0.5 + 0.1 * math.sqrt(15.0)])
 # steps x trajectories composed per vectorised block; bounds the memory
 _CHUNK = 2**15
-# steps sampled, and turned into Magnus coefficients, at a time
+# steps sampled, and turned into Magnus coefficients, at a time; no block
+# has more
 _STEPS = 2**12
 # real rows of _STEPS elements that one chunk of steps works in: sample
-# times 3, samples 6, Magnus inputs 6, coefficients 12, scratch 12, step
-# indices 1 (see _coefficients)
-_ROWS = 40
+# times 3, samples 6, coefficients 12, step indices 1 (see _coefficients)
+_ROWS = 22
 # work budget of the rotation path: the most steps one pass may take
 _MAX_STEPS = 2**20
 # work budget of the DOP853 path, in half-turns of the fastest trajectory
@@ -223,7 +224,7 @@ def _initial_steps(need: np.ndarray) -> np.ndarray:
     return 2 ** np.ceil(np.log2(np.maximum(16.0, 2.0 * need))).astype(int)
 
 
-def _magnus6(terms, out, w):
+def _magnus6(ax, az, bx, bz, cx, cz, out):
     """Sixth-order Magnus vector of each step, as polynomials in x.
 
     From the Gauss-node terms
@@ -237,98 +238,32 @@ def _magnus6(terms, out, w):
         C1 = a1 x a2,  C2 = -a1 x (2 a3 + C1) / 60,
         theta = a1 + a3 / 12 + (-20 a1 - a3 + C1) x (a2 + C2) / 240.
 
-    terms holds the rows ax, az, bx, bz, cx, cz of the steps.  Writes the
-    coefficients of theta_x (degree 2, zero cubic), theta_y and theta_z
-    (degree 3) in x, lowest power first, into out, a (3, steps, 4) array:
-    out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.  w is twelve rows of
-    scratch shaped like terms[0]; every step takes the operations of the
-    formulas in the comments, in their order.
+    Writes the coefficients of theta_x (degree 2, zero cubic), theta_y and
+    theta_z (degree 3) in x, lowest power first, into out, a (3, steps, 4)
+    array: out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.
     """
-    ax, az, bx, bz, cx, cz = terms
-    g0, s0, f0, f1, p0, p1, p2, e0, ex, u, v, z = w
-    mul, div = np.multiply, np.divide
-    mul(az, bx, out=g0)  # C1_y = g0 + bx x, g0 = az * bx - ax * bz
-    g0 -= mul(ax, bz, out=u)
-    mul(ax, cz, out=s0)  # C2_y = s0 - cx / 30 x, s0 = (ax * cz - az * cx) / 30
-    s0 -= mul(az, cx, out=u)
-    s0 /= 30.0
-    mul(ax, g0, out=f0)  # (a2 + C2)_z = f0 + f1 x, f0 = bz - ax * g0 / 60
-    f0 /= 60.0
-    np.subtract(bz, f0, out=f0)
-    np.negative(ax, out=f1)  # f1 = -ax * bx / 60
-    f1 *= bx
-    f1 /= 60.0
-    mul(az, g0, out=p0)  # (a2 + C2)_x = p0 + p1 x + p2 x^2, p0 = bx + az * g0 / 60
-    p0 /= 60.0
-    p0 += bx
-    mul(az, bx, out=p1)  # p1 = (az * bx + g0) / 60
-    p1 += g0
-    p1 /= 60.0
-    div(bx, 60.0, out=p2)  # p2 = bx / 60
-    mul(az, -20.0, out=e0)  # (-20 a1 - a3 + C1)_z = e0 - 20 x, e0 = -20 az - cz
-    e0 -= cz
-    mul(ax, -20.0, out=ex)  # ex = -20 ax - cx
-    ex -= cx
+    g0 = az * bx - ax * bz  # C1_y = g0 + bx x
+    s0 = (ax * cz - az * cx) / 30.0  # C2_y = s0 - cx / 30 x
+    f0 = bz - ax * g0 / 60.0  # (a2 + C2)_z = f0 + f1 x
+    f1 = -ax * bx / 60.0
+    p0 = bx + az * g0 / 60.0  # (a2 + C2)_x = p0 + p1 x + p2 x^2
+    p1 = (az * bx + g0) / 60.0
+    p2 = bx / 60.0
+    e0 = -20.0 * az - cz  # (-20 a1 - a3 + C1)_z = e0 - 20 x
+    ex = -20.0 * ax - cx
     theta_x, theta_y, theta_z = out.transpose(0, 2, 1)
-    # theta_x[0] = ax + cx / 12 + (g0 * f0 - e0 * s0) / 240
-    div(cx, 12.0, out=u)
-    u += ax
-    mul(g0, f0, out=v)
-    v -= mul(e0, s0, out=z)
-    v /= 240.0
-    np.add(u, v, out=theta_x[0])
-    # theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30 + 20 s0) / 240
-    mul(g0, f1, out=u)
-    u += mul(bx, f0, out=v)
-    mul(e0, cx, out=v)
-    v /= 30.0
-    u += v
-    u += mul(s0, 20.0, out=v)
-    div(u, 240.0, out=theta_x[1])
-    # theta_x[2] = (bx * f1 - 2 cx / 3) / 240
-    mul(bx, f1, out=u)
-    mul(cx, 2.0, out=v)
-    v /= 3.0
-    u -= v
-    div(u, 240.0, out=theta_x[2])
+    theta_x[0] = ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0
+    theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0
+    theta_x[2] = (bx * f1 - 2.0 * cx / 3.0) / 240.0
     theta_x[3] = 0.0
-    # theta_y[0] = (e0 * p0 - ex * f0) / 240
-    mul(e0, p0, out=u)
-    u -= mul(ex, f0, out=v)
-    div(u, 240.0, out=theta_y[0])
-    # theta_y[1] = (e0 * p1 - 20 p0 - ex * f1) / 240
-    mul(e0, p1, out=u)
-    u -= mul(p0, 20.0, out=v)
-    u -= mul(ex, f1, out=v)
-    div(u, 240.0, out=theta_y[1])
-    # theta_y[2] = (e0 * p2 - 20 p1) / 240
-    mul(e0, p2, out=u)
-    u -= mul(p1, 20.0, out=v)
-    div(u, 240.0, out=theta_y[2])
-    # theta_y[3] = -20 p2 / 240
-    mul(p2, -20.0, out=u)
-    div(u, 240.0, out=theta_y[3])
-    # theta_z[0] = az + cz / 12 + (ex * s0 - g0 * p0) / 240
-    div(cz, 12.0, out=u)
-    u += az
-    mul(ex, s0, out=v)
-    v -= mul(g0, p0, out=z)
-    v /= 240.0
-    np.add(u, v, out=theta_z[0])
-    # theta_z[1] = 1 - (ex * cx / 30 + g0 * p1 + bx * p0) / 240
-    mul(ex, cx, out=u)
-    u /= 30.0
-    u += mul(g0, p1, out=v)
-    u += mul(bx, p0, out=v)
-    u /= 240.0
-    np.subtract(1.0, u, out=theta_z[1])
-    # theta_z[2] = -(g0 * p2 + bx * p1) / 240, the sign moved onto 240
-    mul(g0, p2, out=u)
-    u += mul(bx, p1, out=v)
-    div(u, -240.0, out=theta_z[2])
-    # theta_z[3] = -bx * p2 / 240, the sign moved onto 240
-    mul(bx, p2, out=u)
-    div(u, -240.0, out=theta_z[3])
+    theta_y[0] = (e0 * p0 - ex * f0) / 240.0
+    theta_y[1] = (e0 * p1 - 20.0 * p0 - ex * f1) / 240.0
+    theta_y[2] = (e0 * p2 - 20.0 * p1) / 240.0
+    theta_y[3] = -20.0 * p2 / 240.0
+    theta_z[0] = az + cz / 12.0 + (ex * s0 - g0 * p0) / 240.0
+    theta_z[1] = 1.0 - (ex * cx / 30.0 + g0 * p1 + bx * p0) / 240.0
+    theta_z[2] = -(g0 * p2 + bx * p1) / 240.0
+    theta_z[3] = -bx * p2 / 240.0
 
 
 def _cayley_klein(q, out, scratch):
@@ -426,7 +361,8 @@ def _workspace(m: int):
     _STEPS elements for a chunk of steps, and six real and four complex
     rows of max(_CHUNK, m) elements for a block.  One set serves a whole
     call, so its passes fault in no fresh pages; it is one allocation, so
-    that malloc keeps it, once freed, for the next call."""
+    that malloc keeps it, once freed, for the next call.  A pass's Magnus
+    temporaries, each a row of one chunk, stay outside it."""
     size = max(_CHUNK, m)
     a = _ROWS * _STEPS
     b = a + 6 * size
@@ -436,10 +372,12 @@ def _workspace(m: int):
 
 def _blocks(n: int, m: int) -> list[int]:
     """Sizes of the blocks of a pass of n steps over m members, in step
-    order: the largest power of two with at most _CHUNK steps x members
-    (or one step) as often as n holds it, then one block for each set bit
-    of the rest, so that every block is a power of two."""
-    block = 1 << (min(n, max(1, _CHUNK // m)).bit_length() - 1)
+    order: the largest power of two with at most _STEPS steps and at most
+    _CHUNK steps x members (or one step) as often as n holds it, then one
+    block for each set bit of the rest.  Every block is a power of two
+    that divides _STEPS, and none is larger than the one before, so no
+    block crosses a multiple of _STEPS."""
+    block = 1 << (min(n, _STEPS, max(1, _CHUNK // m)).bit_length() - 1)
     rest = n % block
     return [block] * (n // block) + [
         1 << j for j in reversed(range(block.bit_length() - 1)) if rest >> j & 1
@@ -470,41 +408,19 @@ def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.nda
     t *= h
     # rabi and detuning at the three nodes of every step
     om, de = _sample(pulse, t, rows[3:9].reshape(-1)[: 6 * c].reshape(2, c, 3))
-    ax, az, bx, bz, cx, cz = terms = rows[9:15, :c]
     k2 = math.sqrt(15.0) * h / 3.0
     k3 = 10.0 * h / 3.0
-    np.multiply(om[:, 1], h, out=ax)  # h T_2
-    np.multiply(de[:, 1], h, out=az)
-    np.subtract(om[:, 2], om[:, 0], out=bx)  # sqrt(15) h / 3 (T_3 - T_1)
-    bx *= k2
-    np.subtract(de[:, 2], de[:, 0], out=bz)
-    bz *= k2
-    for a, f in ((cx, om), (cz, de)):  # 10 h / 3 (T_3 - 2 T_2 + T_1)
-        np.multiply(f[:, 1], 2.0, out=a)
-        np.subtract(f[:, 2], a, out=a)
-        a += f[:, 0]
-        a *= k3
-    coef = rows[15:27].reshape(-1)[: 12 * c].reshape(3, c, 4)
-    _magnus6(terms, coef, rows[27:39, :c])
+    coef = rows[9:21].reshape(-1)[: 12 * c].reshape(3, c, 4)
+    _magnus6(
+        h * om[:, 1],
+        h * de[:, 1],
+        k2 * (om[:, 2] - om[:, 0]),
+        k2 * (de[:, 2] - de[:, 0]),
+        k3 * (om[:, 2] - 2.0 * om[:, 1] + om[:, 0]),
+        k3 * (de[:, 2] - 2.0 * de[:, 1] + de[:, 0]),
+        coef,
+    )
     return coef
-
-
-def _chunks(sizes: list[int]):
-    """The rows of a pass taken in blocks of these sizes, a chunk of at
-    most _STEPS rows at a time: yields the first row of each chunk and its
-    pieces (steps, block, index in the block), a block of k > _STEPS steps
-    being k / _STEPS pieces.  The pieces are powers of two that never grow,
-    so every chunk but the last holds _STEPS rows."""
-    start, pieces, rows = 0, [], 0
-    for k in sizes:
-        p = min(k, _STEPS)
-        for j in range(k // p):
-            if rows + p > _STEPS:
-                yield start, pieces
-                start, pieces, rows = start + rows, [], 0
-            pieces.append((p, k, j))
-            rows += p
-    yield start, pieces
 
 
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int,
@@ -514,13 +430,11 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     The pass runs in blocks of steps (_blocks), each one stack of every
     member's steps in bit-reversed order, so that every level of _compose
     multiplies the upper half of the stack by the lower half.  The steps
-    are sampled and turned into coefficients a chunk at a time (_chunks),
-    each piece of it in bit-reversed order; piece j of a block of k >
-    _STEPS steps fills every (k / _STEPS)-th row of the stack from row
-    _bit_reversed(k / _STEPS)[j].  The block products multiply the state
-    in step order.  Everything runs in work, a
-    _workspace for at least offsets.size members, which the caller makes
-    once per call and shares among its passes.
+    are sampled and turned into coefficients a chunk of _STEPS rows, whole
+    blocks, at a time; the block products multiply the state in step
+    order.  Everything runs in work, a _workspace for at least
+    offsets.size members, which the caller makes once per call and shares
+    among its passes.
     """
     m = offsets.size
     h = pulse.duration / n
@@ -531,24 +445,20 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     running = np.zeros((5, m), dtype=complex)
     acc, nxt, tmp = running[0:2], running[2:4], running[4]
     acc[0] = 1.0
-    key = None
-    for start, pieces in _chunks(_blocks(n, m)):
-        steps = [p for p, _, _ in pieces]
-        if steps != key:
-            key, order = steps, _step_order(steps)
+    sizes = _blocks(n, m)
+    group = _STEPS // sizes[0]
+    key, start = None, 0
+    for i in range(0, len(sizes), group):
+        blocks = sizes[i : i + group]
+        if blocks != key:
+            key, order = blocks, _step_order(blocks)
         coef = _coefficients(pulse, np.add(order, start, out=chunk[-1, : order.size]), h, chunk)
+        start += order.size
         lo = 0
-        for p, k, j in pieces:
+        for k in blocks:
             stack = real[: 6 * k * m].reshape(6, k, m)
-            q = coef[:, lo : lo + p]
-            lo += p
-            if p == k:
-                np.matmul(q, powers, out=stack[:3])
-            else:
-                np.matmul(q, powers, out=stack[3:, :p])
-                stack[:3, _bit_reversed(k // p)[j] :: k // p] = stack[3:, :p]
-                if j < k // p - 1:
-                    continue
+            np.matmul(coef[:, lo : lo + k], powers, out=stack[:3])
+            lo += k
             prods = pairs[: 4 * k * m].reshape(4, k, m)
             _cayley_klein(stack[:3], prods[:2], stack[3:])
             _ck_mul(*_compose(prods), *acc, nxt, tmp)

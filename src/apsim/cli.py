@@ -7,7 +7,7 @@ spectrum CSV.  Every subcommand takes ``--config <json>`` or ``--preset
 default CSV on stdout) and ``--seed`` to override the config seed.  Logs
 go to standard error only, so stdout stays pipeable.
 
-Exit codes: 0 success, 2 configuration or validation failure, 3 numeric
+Exit codes: 0 success, 2 configuration, input or file failure, 3 numeric
 failure (integration or quadrature did not meet its tolerance).
 """
 
@@ -92,21 +92,31 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _emit_scan(result: ScanResult, out: str | None) -> None:
+def _out_path(out: str | None, suffixes: tuple[str, ...], flag: str) -> Path | None:
+    """The --out path, checked before any work is done; None for stdout."""
     if out is None:
+        return None
+    path = Path(out)
+    if path.suffix not in suffixes:
+        raise ConfigError(f"{flag} must end in {' or '.join(suffixes)}, got {out!r}")
+    if path.is_dir():
+        raise ConfigError(f"{flag} names a directory: {out!r}")
+    return path
+
+
+def _emit_scan(result: ScanResult, path: Path | None) -> None:
+    if path is None:
         sys.stdout.write(result.to_csv_text())
         return
-    path = Path(out)
     if path.suffix == ".csv":
         result.to_csv(path)
-    elif path.suffix == ".json":
-        result.to_json(path)
     else:
-        raise ConfigError(f"--out must end in .csv or .json, got {out!r}")
+        result.to_json(path)
     log.info("wrote %s (%d rows)", path, len(result))
 
 
 def _cmd_scan(args, kind: str) -> int:
+    out = _out_path(args.out, (".csv", ".json"), "--out")
     cfg = _load_run_config(args)
     if cfg.kind != kind:
         # profiling the pulse of a spectrum/spatial config is well defined,
@@ -122,11 +132,12 @@ def _cmd_scan(args, kind: str) -> int:
     t0 = time.perf_counter()
     result = run_scan(cfg)
     log.info("scan finished in %.1f s", time.perf_counter() - t0)
-    _emit_scan(result, args.out)
+    _emit_scan(result, out)
     return 0
 
 
 def _cmd_fit(args) -> int:
+    out = _out_path(args.out, (".json",), "fit --out")
     cfg = _load_run_config(args)
     # the fit's spectrum replaces the pulse's delta_c, as a spectrum scan does
     if not isinstance(cfg.pulse, APPulse) or cfg.thermal is None:
@@ -148,16 +159,13 @@ def _cmd_fit(args) -> int:
         result.n_iterations,
         result.residual_rms,
     )
-    if args.out is None:
+    if out is None:
         import json as _json
 
         sys.stdout.write(_json.dumps(result.to_json_dict(), indent=2) + "\n")
     else:
-        path = Path(args.out)
-        if path.suffix != ".json":
-            raise ConfigError(f"fit --out must end in .json, got {args.out!r}")
-        result.to_json(path)
-        log.info("wrote %s", path)
+        result.to_json(out)
+        log.info("wrote %s", out)
     return 0
 
 
@@ -207,7 +215,8 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_scan(args, args.command)
-    except (ConfigError, FitDataError, FileNotFoundError) as exc:
+    # OSError: a file that cannot be read or written, such as a directory
+    except (ConfigError, FitDataError, OSError) as exc:
         log.error("%s", exc)
         return 2
     except (IntegrationError, QuadratureError) as exc:

@@ -87,7 +87,10 @@ def _num(d: dict, section: str, key: str, default=None) -> float:
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigError(f"{section}.{key} is too large for a float") from exc
 
 
 def _int(d: dict, section: str, key: str, default=None) -> int:
@@ -112,7 +115,10 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
         raise ConfigError(f"{section}.{key} must be a non-empty list")
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals):
         raise ConfigError(f"{section}.{key} must hold numbers only")
-    grid = np.asarray(vals, dtype=float)
+    try:
+        grid = np.asarray(vals, dtype=float)
+    except OverflowError as exc:
+        raise ConfigError(f"{section}.{key} holds a number too large for a float") from exc
     if not np.all(np.isfinite(grid)):
         raise ConfigError(f"{section}.{key} contains non-finite values")
     return grid
@@ -243,6 +249,8 @@ def load_config(source) -> RunConfig:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     elif isinstance(source, dict):
         raw = source
     else:

@@ -122,8 +122,8 @@ def fit_spectrum(
 ) -> FitResult:
     """Fit the broadened-spectrum model to a measured detuning scan.
 
-    data must contain at least 10 samples spanning both spectrum edges;
-    constant data is rejected.  The model curve is the cached bare
+    data must contain at least 10 finite samples spanning both spectrum
+    edges; constant data is rejected.  The model curve is the cached bare
     spectrum convolved with the light-shift distribution of the trial
     parameters (fixed-grid rule, matching convolve to ~1e-7), renormalized
     when the guess is.  Residuals are unweighted, and the guess's p_max is
@@ -132,6 +132,8 @@ def fit_spectrum(
     deltas = _abscissa_rad_per_s(data)
     if len(data) < 10:
         raise FitDataError(f"need >= 10 samples to fit, got {len(data)}")
+    if not np.all(np.isfinite(data.p1)):
+        raise FitDataError("p1 must be finite to fit")
     if np.ptp(data.p1) == 0.0:
         raise FitDataError("data is constant; nothing to fit")
 

@@ -159,7 +159,11 @@ class ScanResult:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScanResult":
-        return cls.from_csv_text(Path(path).read_text(encoding="ascii"))
+        try:
+            text = Path(path).read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not ASCII text: {exc}") from exc
+        return cls.from_csv_text(text)
 
     # --------------------------------------------------------------- JSON
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import apsim
@@ -302,6 +304,21 @@ def test_step_order_reverses_each_power_of_two_block():
     assert bloch._blocks(3, 40000) == [1, 1, 1]
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 2**20), m=st.integers(1, 40000))
+def test_blocks_are_powers_of_two_within_one_chunk(n, m):
+    # every block fits one chunk of _STEPS rows and one block stack of
+    # max(_CHUNK, m) elements, and the sizes never grow, so no block
+    # crosses a chunk boundary
+    sizes = np.array(bloch._blocks(n, m))
+    assert sizes.sum() == n
+    assert np.all(sizes & (sizes - 1) == 0) and np.all(sizes <= bloch._STEPS)
+    assert np.all(sizes * m <= max(bloch._CHUNK, m))
+    assert np.all(np.diff(sizes) <= 0)
+    start = np.cumsum(sizes) - sizes
+    assert np.array_equal(start // bloch._STEPS, (start + sizes - 1) // bloch._STEPS)
+
+
 def test_pairwise_composition_matches_sequential(ref_pulse):
     # _compose takes a stack in bit-reversed step order
     rng = np.random.default_rng(7)
@@ -348,13 +365,13 @@ def _direct_pass(pulse, offsets, states, n):
 
 @pytest.mark.parametrize("m, n, x_max", [(1, 100, 0.3), (32, 1500, 0.5), (512, 200, 1.2),
                                          (3, 9000, 0.3)],
-                         ids=["one-member", "tail-block", "fit-range", "pieces"])
+                         ids=["one-member", "tail-block", "fit-range", "three-chunks"])
 def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
     # the kernel evaluates each step's Magnus vector as polynomials in
     # x = h * offset, in blocks of steps; no n here is a power of two, so
     # every case ends in power-of-two sub-blocks, |x| <= 1.2 is the range
-    # of the fit's cache, and 3 members take blocks of 8192 steps, sampled
-    # in pieces of _STEPS
+    # of the fit's cache, and 3 members take blocks of _STEPS steps, so
+    # that their 9000 steps span three chunks
     assert n % bloch._blocks(n, m)[0]
     offs = np.linspace(-x_max, x_max, m) * n / ref_pulse.duration
     rng = np.random.default_rng(m)
@@ -424,10 +441,10 @@ def test_cayley_klein_pairs_rotate_like_rotation_vectors():
 @pytest.mark.parametrize("m, steps", [(32, 2048), (1025, None)], ids=["transport-like", "cache"])
 def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
     # every buffer of a pass is in the workspace, allocated once per call:
-    # beyond it a pass allocates only the pulse's samples of one chunk of
-    # steps, with the pulse's own temporaries (at most ten arrays of a
-    # chunk's 3 _STEPS sample times), and per-member vectors (at most 512
-    # bytes a member), however many steps it takes.  A pass that took
+    # beyond it a pass allocates only the temporaries of one chunk of
+    # steps, the pulse's own and the Magnus formulas' (at most ten arrays
+    # of a chunk's 3 _STEPS sample times), and per-member vectors (at most
+    # 512 bytes a member), however many steps it takes.  A pass that took
     # fresh buffers for its steps or blocks would add a term that grows
     # with them.  max_step forces passes of 4096 and 8192 steps, as the
     # slowest transport point takes; the cache stack spans the fit's range.

@@ -77,8 +77,23 @@ def test_out_csv_and_json(spectrum_cfg, tmp_path, capsys):
     np.testing.assert_array_equal(from_json["p1"], from_csv.p1)
 
 
-def test_bad_out_extension(spectrum_cfg, tmp_path):
+def _forbid_work(monkeypatch):
+    """Make a scan or a fit that starts fail the test."""
+    import apsim.cli
+
+    def work(*args, **kwargs):
+        raise AssertionError("the scan or fit ran before --out was checked")
+
+    monkeypatch.setattr(apsim.cli, "run_scan", work)
+    monkeypatch.setattr(apsim.cli, "fit_spectrum", work)
+
+
+def test_bad_out_extension(spectrum_cfg, fit_data, tmp_path, monkeypatch):
+    # refused before the scan or the fit runs
+    _forbid_work(monkeypatch)
     assert main(["spectrum", "--config", str(spectrum_cfg), "--out", str(tmp_path / "x.txt")]) == 2
+    assert main(["fit", "--config", str(spectrum_cfg), "--data", str(fit_data[1]),
+                 "--out", str(tmp_path / "r.csv")]) == 2
 
 
 def test_command_config_kind_mismatch(spectrum_cfg):
@@ -93,6 +108,37 @@ def test_missing_and_invalid_config(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"scan": {"kind": "spectrum", "values_khz": [1.0]}}))
     assert main(["spectrum", "--config", str(schema)]) == 2  # pulse/thermal missing
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("spectrum", "--config", None),
+    ("fit", "--data", None),
+    ("spectrum", "--out", None),
+    ("fit", "--out", None),
+    ("spectrum", "--config", b'{"scan": {"kind": "spectr\xfcm"}}'),
+    ("fit", "--data", b"abscissa,khz,p1,stderr\n0.0,khz,0.5\xa0,\n"),
+], ids=["config-directory", "data-directory", "scan-out-directory", "fit-out-directory",
+        "config-not-utf8", "data-not-ascii"])
+def test_file_fault_is_config_error(fit_data, tmp_path, caplog, monkeypatch, command, flag,
+                                    content):
+    # a directory (content None), or bytes that are not text, where a file
+    # is read or written: an ERROR line and exit 2, never a traceback; an
+    # --out directory is refused before any work
+    cfg, data = fit_data
+    args = {"--config": tmp_path / "cfg.json", "--data": data, "--out": tmp_path / "out.json"}
+    args["--config"].write_text(json.dumps(cfg))
+    if command == "spectrum":
+        del args["--data"]
+        args["--out"] = tmp_path / "out.csv"
+    bad = args[flag] = tmp_path / f"bad{args[flag].suffix}"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    if flag == "--out":
+        _forbid_work(monkeypatch)
+    assert main([command, *(str(v) for kv in args.items() for v in kv)]) == 2
+    assert [r.levelname for r in caplog.records if r.levelname == "ERROR"] == ["ERROR"]
 
 
 def test_argparse_failures_map_to_exit_codes(capsys):
@@ -539,6 +585,22 @@ def test_fit_subcommand_round_trip(tmp_path, capsys):
     assert main(
         ["fit", "--config", str(cfg_path), "--data", str(data_path), "--out", str(tmp_path / "f.csv")]
     ) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_fit_data_is_data_error(fit_data, tmp_path, caplog, value):
+    # NaN once ended in a traceback, inf in a report reading Infinity
+    cfg, data = fit_data
+    lines = data.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[2] = value
+    lines[5] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["fit", "--config", str(path), "--data", str(bad)]) == 2
+    assert "p1 must be finite" in caplog.text
 
 
 def test_fit_requires_thermal_section(tmp_path):

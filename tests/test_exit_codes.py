@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from apsim.cli import main
 from apsim.presets import PRESETS, preset_names
 
-JUNK = [0, -1, 1e-300, 1e308, -1e308, math.nan, math.inf, "a", None, True, [], {}, 0.53]
+# 10**400: a JSON integer too large for a float
+JUNK = [0, -1, 1e-300, 1e308, -1e308, math.nan, math.inf, "a", None, True, [], {}, 0.53,
+        10**400]
 
 
 def _small(raw: dict) -> dict:
