@@ -44,7 +44,9 @@ the same step count run together.  With coarser steps the estimate was
 found to miss the error by up to three orders of magnitude.  A pass may
 take at most 2^20 steps; a pulse that would need more raises
 IntegrationError before that pass is sampled, and so does the first
-error estimate that is not finite.
+error estimate that is not finite.  On either path, a call whose
+trajectories' first passes would take more than 2^24 steps together
+raises IntegrationError before any pass runs.
 
 ``evolve_offsets`` propagates a whole family of trajectories that share
 a pulse but differ by a constant detuning offset in shared passes, which
@@ -89,6 +91,9 @@ _STEPS = 2**12
 _ROWS = 22
 # work budget of the rotation path: the most steps one pass may take
 _MAX_STEPS = 2**20
+# work budget of a call, on either path: the most steps its trajectories'
+# first passes may take together (2^24 take about 1.5 s on 2 CPUs)
+_MAX_MEMBER_STEPS = 2**24
 # work budget of the DOP853 path, in half-turns of the fastest trajectory
 # (or max_step steps): it takes 1.6-4 steps of about 12 right-hand-side
 # calls per half-turn, so this caps one integration at about a minute
@@ -206,7 +211,9 @@ def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) ->
     torque = np.add(de[:, None], offsets)
     np.hypot(om[:, None], torque, out=torque)
     angle = np.add.reduce(torque, axis=0)  # row by row, in sample order
-    angle *= pulse.duration / (64 * math.pi)
+    # a very long pulse overflows to inf, which the budgets refuse
+    with np.errstate(over="ignore"):
+        angle *= pulse.duration / (64 * math.pi)
     return np.maximum(angle, pulse.duration / config.max_step)
 
 
@@ -218,7 +225,7 @@ def _initial_steps(need: np.ndarray) -> np.ndarray:
     most = max(16.0, 2.0 * float(np.max(need)))
     if not 2.0 * most <= _MAX_STEPS:
         raise IntegrationError(
-            f"step budget exceeded: the pulse needs about {most:.3g} rotation "
+            f"step budget exceeded: the pulse needs about {most:.3g} "
             f"steps, more than {_MAX_STEPS // 2}"
         )
     return 2 ** np.ceil(np.log2(np.maximum(16.0, 2.0 * need))).astype(int)
@@ -467,17 +474,16 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
 
 
 def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
-                     config: IntegratorConfig) -> np.ndarray:
+                     config: IntegratorConfig, first: np.ndarray) -> np.ndarray:
     """The rotation path: each trajectory runs passes of n, 2n, 4n, ...
-    steps from its own first step count until its own error estimate
-    meets the tolerance, and keeps the last of them.
+    steps from its own first step count (first) until its own error
+    estimate meets the tolerance, and keeps the last of them.
 
     Passes of the same step count run together.  The tolerance scale
     max |r| is taken over the whole stack; rotations keep every |r|, so it
     is that of the initial states.
     """
     tol = config.abs_tol + config.rel_tol * float(np.max(np.linalg.norm(states, axis=1)))
-    first = _initial_steps(_need(pulse, offsets, config))
     work = _workspace(offsets.size)
     out = np.empty_like(states)
     active = np.empty(0, dtype=int)  # trajectories with a coarse state
@@ -546,10 +552,17 @@ def evolve_offsets(
     config = config or IntegratorConfig()
     if n == 0:
         return states
+    first = _initial_steps(_need(pulse, offsets, config))
+    total = int(first.sum())
+    if total > _MAX_MEMBER_STEPS:
+        raise IntegrationError(
+            f"work budget exceeded: the first passes of the {n} trajectories take "
+            f"{total} steps together, more than {_MAX_MEMBER_STEPS}"
+        )
     if damping is not None and damping.gamma_2 > 0:
         sol = _solve(pulse, offsets, states, damping, config)
         return sol.y[:, -1].reshape(n, 3)
-    return _rotate_adaptive(pulse, offsets, states, config)
+    return _rotate_adaptive(pulse, offsets, states, config, first)
 
 
 def detuning_spectrum(

@@ -15,13 +15,10 @@ scan        (required) {"kind": "spectrum"|"spatial"|"transport"|"adiabaticity",
              plus the grid: spectrum {"start_khz","stop_khz","step_khz"} or
              {"values_khz":[...]}; spatial the same with _um; transport
              {"inv_tau_per_ms":[...]}; adiabaticity {"n_points": int}}
-pulse       one of
-              {"kind": "ap", "omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms"}
-              {"kind": "rect", "omega_khz", "delta_khz", "t_p_ms"}
-              {"kind": "tabulated", "t_ms": [...], "omega_khz": [...], "delta_khz": [...]};
-            required for spectrum, spatial and adiabaticity scans.  Spectrum
-            and spatial scans (and fits) take only "ap", whose delta_c their
-            grid replaces; adiabaticity profiles take every kind
+pulse       {"kind": "ap", "omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms"},
+            the swept passage pulse; required for spectrum, spatial and
+            adiabaticity scans.  Spectrum and spatial scans (and fits)
+            replace its delta_c by their grid
 thermal     {"delta_ls_max_khz","delta_th_khz","p_max"}; required for
             spectrum and spatial
 geometry    {"grad_nu_khz_per_um","guide_shift_nu_mhz","span_um"}; required
@@ -56,7 +53,7 @@ from .addressing import TrapGeometry
 from .bloch import DampingModel, IntegratorConfig
 from .detection import DetectionModel
 from .errors import ConfigError
-from .pulses import APPulse, PulseProgram, RectPulse, TabulatedPulse
+from .pulses import APPulse
 from .thermal import ThermalModel
 from .transport import TransportPlan
 from .units import khz_to_rad_per_s, ms_to_s
@@ -124,48 +121,34 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
     return grid
 
 
-def _tabulated(t_ms, omega_khz, delta_khz) -> TabulatedPulse:
-    # float arrays warn where a large finite value overflows; the pulse
-    # rejects the result
-    with np.errstate(over="ignore"):
-        return TabulatedPulse(ms_to_s(t_ms), khz_to_rad_per_s(omega_khz),
-                              khz_to_rad_per_s(delta_khz))
-
-
-# the sections, and the pulse kinds, whose keys are all required numbers
-# (number lists for "tabulated"): the constructor that takes them, in order
+# the sections whose keys are all required numbers: the constructor that
+# takes them, in order
 _FIELDS = {
     "geometry": (TrapGeometry, ("grad_nu_khz_per_um", "guide_shift_nu_mhz", "span_um")),
     "thermal": (ThermalModel.from_khz, ("delta_ls_max_khz", "delta_th_khz", "p_max")),
     "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init")),
-    "ap": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms")),
-    "rect": (RectPulse.from_khz, ("omega_khz", "delta_khz", "t_p_ms")),
-    "tabulated": (_tabulated, ("t_ms", "omega_khz", "delta_khz")),
+    "pulse": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms")),
 }
 
-_PULSE_KINDS = ("ap", "rect", "tabulated")
 
-
-def _build(d: dict, section: str, fields: str, fixed: frozenset = frozenset()):
-    """The object the section d describes by the _FIELDS entry `fields`;
-    `fixed` names keys read elsewhere.  Domain constructors raise
-    ValueError on bad values, surfaced as ConfigError (exit code 2)."""
-    build, keys = _FIELDS[fields]
+def _build(d: dict, section: str, fixed: frozenset = frozenset()):
+    """The object the section d describes by its _FIELDS entry; `fixed`
+    names keys read elsewhere.  Domain constructors raise ValueError on
+    bad values, surfaced as ConfigError (exit code 2)."""
+    build, keys = _FIELDS[section]
     _check_keys(d, section, set(keys) | fixed)
-    read = _num_list if fields == "tabulated" else _num
     try:
-        return build(*(read(d, section, k) for k in keys))
+        return build(*(_num(d, section, k) for k in keys))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _pulse(d: dict) -> PulseProgram:
-    kind = d.get("kind")
-    if kind not in _PULSE_KINDS:
-        raise ConfigError(f"pulse.kind must be one of {_PULSE_KINDS}, got {kind!r}")
-    return _build(d, "pulse", kind, frozenset({"kind"}))
+def _pulse(d: dict) -> APPulse:
+    if d.get("kind") != "ap":
+        raise ConfigError(f"pulse.kind must be 'ap', got {d.get('kind')!r}")
+    return _build(d, "pulse", frozenset({"kind"}))
 
 
 def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) -> np.ndarray:
@@ -183,6 +166,10 @@ def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) ->
         start = _num(d, section, f"start{suffix}")
         stop = _num(d, section, f"stop{suffix}")
         step = _num(d, section, f"step{suffix}")
+        # an infinite step would make inf * 0 a NaN grid point
+        if not np.all(np.isfinite([start, stop, step])):
+            raise ConfigError(f"{section}: start{suffix}, stop{suffix} and step{suffix} "
+                              "must be finite")
         if not step > 0:
             raise ConfigError(f"{section}.step{suffix} must be positive")
         if not stop >= start:
@@ -206,7 +193,7 @@ class RunConfig:
 
     kind: str
     grid: np.ndarray
-    pulse: PulseProgram | None = None
+    pulse: APPulse | None = None
     geometry: TrapGeometry | None = None
     thermal: ThermalModel | None = None
     transport: TransportPlan | None = None
@@ -272,10 +259,8 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"{kind} scan requires a {section!r} section")
 
     pulse = _pulse(raw["pulse"]) if "pulse" in raw else None
-    if kind in ("spectrum", "spatial") and not isinstance(pulse, APPulse):
-        raise ConfigError(f"a {kind} scan needs an 'ap' pulse, whose delta_c its grid replaces")
     geometry, thermal, detection = (
-        _build(raw[name], name, name) if name in raw else None
+        _build(raw[name], name) if name in raw else None
         for name in ("geometry", "thermal", "detection")
     )
 

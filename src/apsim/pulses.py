@@ -4,10 +4,11 @@ A pulse program is anything with a ``duration`` (s) and two methods
 ``rabi(t)`` and ``detuning(t)`` returning rad/s.  Both take t, a float or
 an ndarray inside [0, duration], and return values that broadcast to t's
 shape: a constant drive may return its constant.  Nothing clamps or
-checks t; the callers sample inside the pulse.  The three kinds a config
-can build, ``APPulse``, ``RectPulse`` and ``TabulatedPulse``, also have
-``rabi_dot(t)`` and ``detuning_dot(t)`` (rad/s^2) under the same
-contract, for ``adiabaticity``, which checks the range of t.
+checks t; the callers sample inside the pulse.  The one kind a config
+can build, ``APPulse``, also has ``rabi_dot(t)`` and ``detuning_dot(t)``
+(rad/s^2) under the same contract, for ``adiabaticity``, which checks
+the range of t.  The transport drive (``transport.TransportPulse``) is
+the other program the package runs.
 
 ``APPulse`` is the swept passage pulse
 
@@ -31,8 +32,6 @@ from .units import khz_to_rad_per_s, ms_to_s
 __all__ = [
     "PulseProgram",
     "APPulse",
-    "RectPulse",
-    "TabulatedPulse",
     "adiabaticity",
     "max_adiabaticity",
 ]
@@ -112,86 +111,7 @@ class APPulse:
         return 2.0 * self.delta_max * (np.pi / self.t_p) * s**3 / np.sqrt(1.0 + s * s)
 
 
-@dataclass(frozen=True)
-class RectPulse:
-    """Constant drive: omega and delta in rad/s, t_p in s (t_p > 0)."""
-
-    omega: float
-    delta: float
-    t_p: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.omega, self.delta, self.t_p])):
-            raise ValueError("pulse parameters must be finite")
-        if self.t_p <= 0:
-            raise ValueError("t_p must be positive")
-
-    @classmethod
-    def from_khz(cls, omega_khz, delta_khz, t_p_ms):
-        return cls(khz_to_rad_per_s(omega_khz), khz_to_rad_per_s(delta_khz), ms_to_s(t_p_ms))
-
-    @property
-    def duration(self) -> float:
-        return self.t_p
-
-    def rabi(self, t):
-        return self.omega
-
-    def detuning(self, t):
-        return self.delta
-
-    def rabi_dot(self, t):
-        return 0.0
-
-    def detuning_dot(self, t):
-        return 0.0
-
-
-class TabulatedPulse:
-    """Sampled pulse, linearly interpolated between the given knots.
-
-    times must start at 0 and increase strictly.  Derivatives come from
-    central differences with step duration*1e-6 (one-sided at the ends).
-    """
-
-    def __init__(self, times, omegas, deltas):
-        times = np.asarray(times, dtype=float)
-        omegas = np.asarray(omegas, dtype=float)
-        deltas = np.asarray(deltas, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("need at least two samples")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
-        if omegas.shape != times.shape or deltas.shape != times.shape:
-            raise ValueError("omegas and deltas must match times in shape")
-        if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(deltas))):
-            raise ValueError("samples must be finite")
-        self.times = times
-        self.omegas = omegas
-        self.deltas = deltas
-        self.duration = float(times[-1])
-
-    def rabi(self, t):
-        return np.interp(t, self.times, self.omegas)
-
-    def detuning(self, t):
-        return np.interp(t, self.times, self.deltas)
-
-    def _diff(self, values, t):
-        h = self.duration * 1e-6
-        hi = np.minimum(t + h, self.duration)
-        lo = np.maximum(t - h, 0.0)
-        f = lambda x: np.interp(x, self.times, values)
-        return (f(hi) - f(lo)) / (hi - lo)
-
-    def rabi_dot(self, t):
-        return self._diff(self.omegas, t)
-
-    def detuning_dot(self, t):
-        return self._diff(self.deltas, t)
-
-
-def adiabaticity(t, pulse: PulseProgram):
+def adiabaticity(t, pulse: APPulse):
     """Local adiabaticity parameter, dimensionless.
 
         |detuning_dot * rabi - detuning * rabi_dot| / (2 (rabi^2 + detuning^2)^(3/2))
@@ -203,18 +123,18 @@ def adiabaticity(t, pulse: PulseProgram):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > pulse.duration):
         raise ValueError(f"t outside [0, {pulse.duration}]")
-    om = np.asarray(pulse.rabi(t), dtype=float)
-    de = np.asarray(pulse.detuning(t), dtype=float)
-    om_d = np.asarray(pulse.rabi_dot(t), dtype=float)
-    de_d = np.asarray(pulse.detuning_dot(t), dtype=float)
+    om = pulse.rabi(t)
+    de = pulse.detuning(t)
+    om_d = pulse.rabi_dot(t)
+    de_d = pulse.detuning_dot(t)
     gap2 = om * om + de * de
     num = np.abs(de_d * om - de * om_d)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = num / (2.0 * gap2**1.5)
-    return np.broadcast_to(np.where(gap2 == 0.0, np.inf, val), t.shape)
+    return np.where(gap2 == 0.0, np.inf, val)
 
 
-def max_adiabaticity(pulse: PulseProgram, grid_points: int = 4096) -> float:
+def max_adiabaticity(pulse: APPulse, grid_points: int = 4096) -> float:
     """Max adiabaticity over a uniform interior grid (endpoints excluded;
     the passage pulse has rabi = 0 there)."""
     if grid_points < 1:

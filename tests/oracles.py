@@ -1,6 +1,6 @@
 """Oracles that exist only for the tests.
 
-Two pulse programs, which follow the package's pulse contract (rabi(t)
+Three pulse programs, which follow the package's pulse contract (rabi(t)
 and detuning(t) take t inside [0, duration] and return values that
 broadcast to t's shape), the dressed ground state, and the light-shift
 density with a sampler of it, the Monte Carlo and quadrature
@@ -33,6 +33,29 @@ class _InvertedPulse:
 
 def inverted(pulse):
     return _InvertedPulse(pulse)
+
+
+@dataclass(frozen=True)
+class RectPulse:
+    """Constant drive: omega and delta in rad/s for t_p s.
+
+    Its rotation about the fixed axis (omega, 0, delta) is the exact
+    solution the Bloch tests hold the propagators to.
+    """
+
+    omega: float
+    delta: float
+    t_p: float
+
+    @property
+    def duration(self) -> float:
+        return self.t_p
+
+    def rabi(self, t):
+        return self.omega
+
+    def detuning(self, t):
+        return self.delta
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from apsim.bloch import (
     evolve_offsets,
 )
 from apsim.errors import IntegrationError
-from apsim.pulses import APPulse, RectPulse
+from apsim.pulses import APPulse
 from apsim.units import khz_to_rad_per_s
 
-from oracles import inverted
+from oracles import RectPulse, inverted
 
 GROUND = np.array([0.0, 0.0, -1.0])
 
@@ -224,6 +224,18 @@ def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
     with pytest.raises(IntegrationError, match="not finite"):
         evolve_offsets(ref_pulse, [0.0])
     assert len(passes) == 2
+
+
+@pytest.mark.parametrize("damping", [None, DampingModel(1e3)])
+def test_member_step_budget_fires_before_either_path(ref_pulse, monkeypatch, damping):
+    # one trajectory more than the budget holds at the pulse's first step
+    # count; neither the rotation pass nor DOP853 may start
+    first = bloch._initial_steps(bloch._need(ref_pulse, np.zeros(1), IntegratorConfig()))
+    n = bloch._MAX_MEMBER_STEPS // int(first[0]) + 1
+    for name in ("_rotation_pass", "_solve"):
+        monkeypatch.setattr(bloch, name, lambda *args: pytest.fail("a path ran"))
+    with pytest.raises(IntegrationError, match="work budget exceeded"):
+        evolve_offsets(ref_pulse, np.zeros(n), damping=damping)
 
 
 def test_non_finite_pulse_raises_integration_error():

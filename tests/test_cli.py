@@ -196,6 +196,21 @@ def test_damped_step_budget_stops_overlong_pulse(tmp_path, caplog):
     assert "step budget" in caplog.text
 
 
+def test_member_step_budget_stops_a_large_ensemble(tmp_path, caplog):
+    # 2^16 members of 4096 first steps each ran for about 42 s; the budget
+    # refuses them before any pass, after the draws (about 1.6 s)
+    raw = PRESETS["transport_speed"]()
+    raw["scan"]["inv_tau_per_ms"] = [0.2]
+    raw["transport"]["n_ensemble"] = 2**16
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    assert main(["transport", "--config", str(path)]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "work budget exceeded" in caplog.text
+    assert "268435456 steps" in caplog.text
+
+
 @pytest.mark.parametrize("delta_th_khz", [1e-300, 1e-4])
 def test_tiny_delta_th_runs_on_the_usual_cache(tmp_path, delta_th_khz):
     # the cache grid follows the bare spectrum, not delta_th
@@ -368,6 +383,7 @@ def test_bad_transport_mode_fails_at_load(tmp_path, caplog, field, value):
 
 
 def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
+    # "ap" is the one pulse kind; any other fails at load
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [0.0]},
         "pulse": {"kind": "rect", "omega_khz": 10.0, "delta_khz": 0.0, "t_p_ms": 0.05},
@@ -378,7 +394,7 @@ def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
     t0 = time.perf_counter()
     assert main(["spectrum", "--config", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "needs an 'ap' pulse" in caplog.text
+    assert "pulse.kind must be 'ap', got 'rect'" in caplog.text
 
 
 def test_huge_delta_c_is_replaced_by_the_grid(tmp_path, capsys):

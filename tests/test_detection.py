@@ -69,7 +69,8 @@ def test_json_round_trip():
     det = DetectionModel(0.97, 0.96, 0.94)
     section = {"eps_pushout": 0.97, "eps_keep": 0.96, "p_init": 0.94}
     cfg = {"scan": {"kind": "adiabaticity", "n_points": 2},
-           "pulse": {"kind": "rect", "omega_khz": 1.0, "delta_khz": 0.0, "t_p_ms": 1.0},
+           "pulse": {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0,
+                     "delta_c_khz": 0.0, "t_p_ms": 2.0},
            "detection": section}
     assert load_config(cfg).detection == det
     section["eps_pushout"] = "0.97"  # a numeric string is not a number

@@ -3,19 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from apsim.pulses import (
-    APPulse,
-    PulseProgram,
-    RectPulse,
-    TabulatedPulse,
-    adiabaticity,
-    max_adiabaticity,
-)
+from apsim.pulses import APPulse, PulseProgram, adiabaticity, max_adiabaticity
 from apsim.config import load_config
 from apsim.errors import ConfigError
-from apsim.units import rad_per_s_to_khz, s_to_ms
+from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz, s_to_ms
 
-from oracles import inverted
+from oracles import RectPulse, inverted
 
 
 @pytest.fixture
@@ -141,9 +134,8 @@ def test_adiabaticity_checks_range_and_takes_the_shape_of_t(pulse):
         adiabaticity(-1e-9, pulse)
     with pytest.raises(ValueError):
         adiabaticity(np.array([0.0, pulse.t_p * (1 + 1e-9)]), pulse)
-    # a constant drive returns scalars; the profile still has t's shape
-    rect = RectPulse.from_khz(14.0, -3.0, 0.5)
-    assert adiabaticity(np.linspace(0.0, rect.t_p, 5), rect).tolist() == [0.0] * 5
+    assert np.shape(adiabaticity(0.5e-3, pulse)) == ()
+    assert adiabaticity(np.linspace(0.0, pulse.t_p, 5), pulse).shape == (5,)
 
 
 def test_adiabaticity_scaling_with_duration(pulse):
@@ -157,35 +149,15 @@ def test_adiabaticity_scaling_with_duration(pulse):
 # ------------------------------------------------------------ other programs
 
 def test_rect_pulse_constant():
-    p = RectPulse.from_khz(14.0, -3.0, 0.5)
+    # the test oracle: a constant drive returns its constants
+    p = RectPulse(khz_to_rad_per_s(14.0), khz_to_rad_per_s(-3.0), 0.5e-3)
     t = np.linspace(0.0, p.t_p, 7)
     assert np.all(p.rabi(t) == p.omega)
     assert np.all(p.detuning(t) == p.delta)
-    assert p.rabi_dot(1e-4) == 0.0
-    assert p.detuning_dot(1e-4) == 0.0
-
-
-def test_tabulated_matches_sampled_source(pulse):
-    t = np.linspace(0.0, pulse.t_p, 20001)
-    tab = TabulatedPulse(t, pulse.rabi(t), pulse.detuning(t))
-    probe = np.array([0.1, 0.33, 0.5, 0.77]) * pulse.t_p
-    assert tab.rabi(probe) == pytest.approx(pulse.rabi(probe), rel=1e-6, abs=1.0)
-    assert tab.detuning(probe) == pytest.approx(pulse.detuning(probe), rel=1e-6, abs=1.0)
-    assert tab.rabi_dot(probe) == pytest.approx(pulse.rabi_dot(probe), rel=1e-3, abs=10.0)
-
-
-def test_tabulated_validation():
-    with pytest.raises(ValueError):
-        TabulatedPulse([0.0], [1.0], [1.0])
-    with pytest.raises(ValueError):
-        TabulatedPulse([0.1, 0.2], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        TabulatedPulse([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
 
 
 def test_protocol_runtime_check(pulse):
-    tab = TabulatedPulse([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
-    for p in (pulse, RectPulse(1.0, 0.0, 1.0), tab, inverted(pulse)):
+    for p in (pulse, RectPulse(1.0, 0.0, 1.0), inverted(pulse)):
         assert isinstance(p, PulseProgram)
 
 
@@ -200,7 +172,7 @@ def test_inverted_negates_both_fields(pulse):
 
 # ------------------------------------------------------------ serialization
 
-# the config reads pulse sections; an adiabaticity scan takes every kind
+# the config reads pulse sections; "ap" is the one kind
 
 def _load(section: dict):
     return load_config({"scan": {"kind": "adiabaticity", "n_points": 2}, "pulse": section}).pulse
@@ -220,30 +192,16 @@ def test_json_round_trip_ap(pulse):
     assert again.t_p == pytest.approx(pulse.t_p, rel=1e-15)
 
 
-def test_json_round_trip_rect_and_tabulated():
-    r = RectPulse.from_khz(14.0, -3.0, 0.5)
-    r2 = _load({"kind": "rect", "omega_khz": 14.0, "delta_khz": -3.0, "t_p_ms": 0.5})
-    assert (r2.omega, r2.delta, r2.t_p) == pytest.approx((r.omega, r.delta, r.t_p))
-    tab = TabulatedPulse([0.0, 1e-3, 2e-3], [0.0, 5.0, 0.0], [-1.0, 0.0, 1.0])
-    t2 = _load({
-        "kind": "tabulated",
-        "t_ms": s_to_ms(tab.times).tolist(),
-        "omega_khz": rad_per_s_to_khz(tab.omegas).tolist(),
-        "delta_khz": rad_per_s_to_khz(tab.deltas).tolist(),
-    })
-    assert t2.times == pytest.approx(tab.times)
-    assert t2.omegas == pytest.approx(tab.omegas, abs=1e-12)
-
-
 def test_json_rejects_unknown_kind_and_keys():
-    with pytest.raises(ConfigError):
-        _load({"kind": "chirp"})
-    d = {"kind": "rect", "omega_khz": 14.0, "delta_khz": -3.0, "t_p_ms": 0.5}
+    for kind in ("chirp", "rect", "tabulated", None):
+        with pytest.raises(ConfigError, match="pulse.kind must be 'ap'"):
+            _load({"kind": kind, "omega_khz": 14.0, "delta_khz": -3.0, "t_p_ms": 0.5})
+    d = {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0, "delta_c_khz": 0.0,
+         "t_p_ms": 2.0}
     with pytest.raises(ConfigError):
         _load({**d, "typo": 1.0})
     del d["t_p_ms"]
     with pytest.raises(ConfigError):
         _load(d)
     with pytest.raises(ConfigError):
-        _load({"kind": "tabulated", "t_ms": [0.0, 1.0], "omega_khz": [0.0, "1"],
-               "delta_khz": [0.0, 1.0]})
+        _load({**d, "t_p_ms": "1"})

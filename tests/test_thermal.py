@@ -11,7 +11,6 @@ import apsim.bloch
 from apsim.config import load_config
 from apsim.errors import ConfigError, QuadratureError
 from apsim.fit import FitResult
-from apsim.pulses import RectPulse
 from apsim.thermal import (
     SpectrumCache,
     ThermalModel,
@@ -19,9 +18,9 @@ from apsim.thermal import (
     convolve_on_grid,
     truncated_mass,
 )
-from apsim.units import khz_to_rad_per_s
+from apsim.units import khz_to_rad_per_s, ms_to_s
 
-from oracles import boltzmann_pdf, sample_light_shift
+from oracles import RectPulse, boltzmann_pdf, sample_light_shift
 
 
 # ------------------------------------------------------------ model type
@@ -343,7 +342,7 @@ def test_cache_resolves_line_narrower_than_seed_grid():
     # a 40 ms pi pulse: its line (about 20 Hz wide) sits halfway between
     # two points of the 64-interval seed grid (62.5 Hz apart), where the
     # seed samples see less than 0.15 of it
-    pulse = _LinePulse.from_khz(0.5 / 40.0, 0.0, 40.0)
+    pulse = _LinePulse(khz_to_rad_per_s(0.5 / 40.0), 0.0, ms_to_s(40.0))
     span = khz_to_rad_per_s(4.0)
     lo = -20.5 * span / 64
     seed = detuning_spectrum(pulse, np.linspace(lo, lo + span, 65))

@@ -21,7 +21,7 @@ from apsim.transport import (
 )
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
-from oracles import LinearSweepPulse, dressed_ground
+from oracles import LinearSweepPulse, RectPulse, dressed_ground
 
 
 def transfer(plan, rng_seed, **fields):
@@ -138,8 +138,6 @@ def test_dressed_initialization_is_stationary(plan):
     # without the sweep the dressed state must not evolve: run a constant
     # drive at the initial detuning and check the projection stays at 1
     delta = khz_to_rad_per_s(-72.0)
-    from apsim.pulses import RectPulse
-
     pulse = RectPulse(plan.omega_r, delta, 0.5e-3)
     final = evolve_offsets(pulse, [0.0], dressed_ground(plan.omega_r, delta))
     assert dressed_projection(final, plan.omega_r, delta) == pytest.approx([1.0], abs=1e-9)
