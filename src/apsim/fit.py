@@ -2,10 +2,10 @@
 
 The broadened spectrum depends on the pulse only through the bare transfer
 curve P1(delta_c), which is independent of the thermal parameters.  The
-fitter therefore batch-integrates P1 once onto a cached grid, sized by
-the spline's own error estimate (SpectrumCache.from_pulse), and re-runs
-only the (cheap, vectorized) convolution per optimizer step; that single
-reuse is what makes fitting interactive instead of an overnight job.
+fitter therefore batch-integrates P1 once onto a cached grid, only where
+its spline's error estimate asks for it (SpectrumCache.from_pulse), and
+re-runs only the (cheap, vectorized) convolution per optimizer step; that
+single reuse is what makes fitting interactive instead of an overnight job.
 
 The model is linear in its scale: it is c g, where g is the curve at
 p_max = 1 without renormalization.  Each residual evaluation therefore
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,8 @@ def fit_spectrum(
     cache = SpectrumCache.from_pulse(
         pulse, float(deltas.min()) - margin, float(deltas.max()), damping, config
     )
+    logging.getLogger(__name__).info("bare-spectrum cache: %d grid points, %d integrated",
+                                     cache.deltas.size, cache.integrated)
 
     y = np.asarray(data.p1, dtype=float)
 

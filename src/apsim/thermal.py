@@ -73,6 +73,9 @@ _SEED_INTERVALS = 64
 # work budget of from_pulse: the most grid points one cache may have
 _MAX_CACHE_POINTS = 2**16 + 1
 
+# neighbour margin of from_pulse's refinement (see _refined)
+_MARGIN = 3
+
 # relative deviation from equal steps that SpectrumCache accepts as a
 # uniform grid (np.linspace rounding is ~1e-13 of a step)
 _UNIFORM_TOL = 1e-6
@@ -245,15 +248,17 @@ class SpectrumCache:
     clamp to the edge values; build the cache wide enough to cover every
     shifted evaluation.
 
-    from_pulse sizes the grid by the spline's own error.  It samples a
-    64-interval seed grid, then grids whose interval count doubles, each
-    integrating only its new midpoints.  The spline's error is O(h^4)
-    (de Boor, A Practical Guide to Splines, ch. IV), so the largest
-    deviation of the previous level's spline at the new midpoints, over
-    16, estimates the new level's error; sampling stops once that is at
-    most _TOL.  No grid coarser than the pulse's Fourier width
-    (1/t_p in Hz) is accepted or used for an estimate: the first level at
-    or below it is reached in one jump from the seed.
+    from_pulse integrates the pulse only where the spline needs it: a
+    64-interval seed grid, then all of the first level at or below the
+    pulse's Fourier width (1/t_p in Hz), where an interval's estimate is
+    the larger |fourth difference| at its nodes over 16, about 4.8 times
+    the bound (5/384) h^4 max|f''''| (Hall & Meyer, J. Approx. Theory 16,
+    105 (1976)).  Each doubling integrates the midpoints _refined picks,
+    whose halves get the estimate |coarse spline - P1| / 16 as the error
+    is O(h^4) (de Boor, A Practical Guide to Splines, ch. IV), and fills
+    the rest from the coarse spline, keeping its estimate.  After at least
+    one doubling, it stops once no estimate exceeds _TOL, and sets
+    integrated to the number of points integrated.
     """
 
     def __init__(self, deltas, p1):
@@ -279,9 +284,8 @@ class SpectrumCache:
     @classmethod
     def from_pulse(cls, pulse, delta_lo: float, delta_hi: float, damping=None,
                    config=None) -> "SpectrumCache":
-        """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) on
-        nested grids until the spline error estimate is at most
-        _TOL (see the class docstring).
+        """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) until
+        every spline error estimate is at most _TOL (see the class docstring).
 
         Raises IntegrationError when the next grid would exceed
         _MAX_CACHE_POINTS.
@@ -293,36 +297,37 @@ class SpectrumCache:
         span = delta_hi - delta_lo
         # the pulse's Fourier width, 1/t_p in Hz: no grid coarser is accepted
         fourier = 2.0 * math.pi / pulse.duration
-        n = _SEED_INTERVALS
-        seed = np.linspace(delta_lo, delta_hi, n + 1)
-        p1 = detuning_spectrum(pulse, seed, damping, config)
-        estimate = math.inf
-        while not estimate <= _TOL:
-            fine = 2 * n
-            while span / fine > fourier and fine < _MAX_CACHE_POINTS:
-                fine *= 2
-            if fine + 1 > _MAX_CACHE_POINTS:
-                raise IntegrationError(
-                    f"spectrum cache budget of {_MAX_CACHE_POINTS} points reached "
-                    f"with spline error estimate {estimate:.2e} > {_TOL:.2e}"
-                )
-            grid = np.linspace(delta_lo, delta_hi, fine + 1)
-            stride = fine // n
-            new = np.arange(fine + 1) % stride != 0
-            p1_new = detuning_spectrum(pulse, grid[new], damping, config)
-            if stride == 2 and span / n <= fourier:
-                # the coarse spline at the new midpoints: its error, which
-                # the fine grid divides by 2^4
-                h = span / n
-                c3, c2, c1, c0 = _spline_coefficients(p1, h)
-                x = 0.5 * h
-                coarse = ((c3 * x + c2) * x + c1) * x + c0
-                estimate = float(np.max(np.abs(coarse - p1_new))) / 16.0
-            fine_p1 = np.empty(fine + 1)
-            fine_p1[::stride] = p1
-            fine_p1[new] = p1_new
-            n, p1 = fine, fine_p1
-        return cls(np.linspace(delta_lo, delta_hi, n + 1), p1)
+        seed = np.linspace(delta_lo, delta_hi, _SEED_INTERVALS + 1)
+        seed_p1 = detuning_spectrum(pulse, seed, damping, config)
+        n = 2 * _SEED_INTERVALS
+        while span / n > fourier and n < _MAX_CACHE_POINTS:
+            n *= 2
+        _check_budget(n, math.inf)
+        p1 = np.linspace(delta_lo, delta_hi, n + 1)
+        new = np.arange(n + 1) % (n // _SEED_INTERVALS) != 0
+        p1[new] = detuning_spectrum(pulse, p1[new], damping, config)
+        p1[~new] = seed_p1
+        integrated = n + 1
+        fourth = np.pad(np.abs(np.convolve(p1, [1, -4, 6, -4, 1], "valid")), 2, mode="edge")
+        estimate = np.maximum(fourth[:-1], fourth[1:]) / 16.0
+        while True:
+            _check_budget(2 * n, float(np.max(estimate)))
+            fine = np.linspace(delta_lo, delta_hi, 2 * n + 1)
+            c3, c2, c1, c0 = _spline_coefficients(p1, span / n)
+            x = 0.5 * span / n
+            spline = ((c3 * x + c2) * x + c1) * x + c0
+            run = _refined(estimate)
+            mid = spline.copy()
+            mid[run] = detuning_spectrum(pulse, fine[1::2][run], damping, config)
+            integrated += int(np.count_nonzero(run))
+            estimate = np.repeat(np.where(run, np.abs(spline - mid) / 16.0, estimate), 2)
+            fine[::2], fine[1::2] = p1, mid
+            n, p1 = 2 * n, fine
+            if np.max(estimate) <= _TOL:
+                break
+        cache = cls(np.linspace(delta_lo, delta_hi, n + 1), p1)
+        cache.integrated = integrated
+        return cache
 
     @classmethod
     def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel,
@@ -343,6 +348,28 @@ class SpectrumCache:
         c3, c2, c1, c0 = self._coef
         out = ((c3[i] * dx + c2[i]) * dx + c1[i]) * dx + c0[i]
         return float(out) if np.ndim(delta_c) == 0 else out
+
+
+def _refined(estimate: np.ndarray) -> np.ndarray:
+    """Mask of the midpoints the next doubling integrates: in the _MARGIN + 1
+    intervals at either end, whose fourth differences come from inside, and
+    within _MARGIN + log(e / _TOL) / log(2 + sqrt(3)) intervals of one whose
+    estimate e exceeds _TOL, which the spline spreads, damped by 2 - sqrt(3)
+    per interval, into filled neighbours."""
+    run = np.zeros(len(estimate), dtype=bool)
+    run[:_MARGIN + 1] = run[-_MARGIN - 1:] = True
+    for k in np.flatnonzero(estimate > _TOL):
+        reach = _MARGIN + int(math.log(estimate[k] / _TOL) / math.log(2.0 + math.sqrt(3.0)))
+        run[max(k - reach, 0):k + reach + 1] = True
+    return run
+
+
+def _check_budget(intervals: int, estimate: float) -> None:
+    if intervals + 1 > _MAX_CACHE_POINTS:
+        raise IntegrationError(
+            f"spectrum cache budget of {_MAX_CACHE_POINTS} points reached "
+            f"with spline error estimate {estimate:.2e} > {_TOL:.2e}"
+        )
 
 
 def _spline_coefficients(y: np.ndarray, h: float):

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 import subprocess
@@ -645,6 +646,20 @@ def fit_data(tmp_path_factory):
     (tmp / "gen.json").write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(tmp / "gen.json"), "--out", str(data)]) == 0
     return cfg, data
+
+
+def test_fit_reports_its_cache_on_stderr(fit_data, tmp_path, caplog, capsys):
+    # the grid size and the points integrated go to the log, never stdout
+    cfg, data = fit_data
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(cfg))
+    caplog.set_level(logging.INFO)
+    assert main(["fit", "--config", str(path), "--data", str(data)]) == 0
+    json.loads(capsys.readouterr().out)
+    found = re.search(r"bare-spectrum cache: (\d+) grid points, (\d+) integrated", caplog.text)
+    assert found is not None
+    grid, integrated = map(int, found.groups())
+    assert 0 < integrated < grid
 
 
 @pytest.mark.parametrize(

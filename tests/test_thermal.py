@@ -307,7 +307,10 @@ def test_cache_meets_its_tolerance_against_fine_reference(ref_pulse, ref_cache):
     assert np.max(np.abs(ref_cache(probe) - reference(probe))) <= 1e-6
 
 
-def test_cache_integrates_each_offset_once(ref_pulse, ref_thermal, monkeypatch):
+def test_cache_integrates_each_offset_once(ref_pulse, monkeypatch):
+    # on the domain of a fit from a 30%-off guess, the far wing and the
+    # plateau are filled from the spline: every integrated offset is a grid
+    # point, integrated once, and at most 620 of the 1025 are integrated
     seen = []
     integrate = apsim.bloch.detuning_spectrum
 
@@ -316,13 +319,50 @@ def test_cache_integrates_each_offset_once(ref_pulse, ref_thermal, monkeypatch):
         return integrate(pulse, grid, *args)
 
     monkeypatch.setattr(apsim.bloch, "detuning_spectrum", recording)
-    cache = SpectrumCache.for_scan(
-        ref_pulse, khz_to_rad_per_s(-65.0), khz_to_rad_per_s(65.0), ref_thermal
+    cache = SpectrumCache.from_pulse(
+        ref_pulse, khz_to_rad_per_s(-124.6), khz_to_rad_per_s(65.0)
     )
     offsets = np.concatenate(seen)
     assert len(seen) > 1
-    assert offsets.size == cache.deltas.size
-    np.testing.assert_array_equal(np.sort(offsets), cache.deltas)
+    assert np.unique(offsets).size == offsets.size
+    assert np.all(np.isin(offsets, cache.deltas))
+    assert cache.deltas.size == 1025
+    assert offsets.size == cache.integrated <= 620
+
+
+@pytest.mark.parametrize(
+    "amplitude, fwhm, offset",
+    [
+        (1e-2, 2.0, 256.0 + 1.0 / 3.0),  # mid-domain
+        (1e-2, 2.0, 1.0 / 3.0),  # within a step of either end
+        (1e-2, 2.0, 512.0 - 1.0 / 3.0),
+        # narrower than a step and strong: the coarse spline's error spills
+        # several steps into the midpoints that are filled from it
+        (0.5, 1.0, 256.0 + 1.0 / 3.0),
+        # at an end, where the fourth differences are borrowed from inside
+        (1e-5, 1.0, 512.0 - 1.0 / 3.0),
+    ],
+)
+def test_cache_resolves_a_feature_on_a_flat_spectrum(
+    ref_pulse, monkeypatch, amplitude, fwhm, offset
+):
+    # a known spectrum: 0.5 plus a Gaussian whose full width at half
+    # maximum is fwhm first-level steps, centred offset steps from the
+    # domain's start, a third of a step off a node
+    lo, hi = khz_to_rad_per_s(-124.6), khz_to_rad_per_s(65.0)
+    step = (hi - lo) / 512  # the first level at or below 1 / (2 ms)
+    centre = lo + offset * step
+    sigma = fwhm * step / math.sqrt(8.0 * math.log(2.0))
+
+    def spectrum(pulse, grid, *args):
+        return 0.5 + amplitude * np.exp(-0.5 * ((np.asarray(grid) - centre) / sigma) ** 2)
+
+    monkeypatch.setattr(apsim.bloch, "detuning_spectrum", spectrum)
+    cache = SpectrumCache.from_pulse(ref_pulse, lo, hi)
+    assert (cache.hi - cache.lo) / (cache.deltas.size - 1) <= step
+    assert cache.integrated < cache.deltas.size
+    probe = np.random.default_rng(7).uniform(lo, hi, 200000)
+    assert np.max(np.abs(cache(probe) - spectrum(None, probe))) <= 1e-6
 
 
 @dataclass(frozen=True)
