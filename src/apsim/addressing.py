@@ -71,7 +71,6 @@ def spatial_spectrum(
     m: ThermalModel,
     dx_grid,
     *,
-    damping=None,
     config=None,
 ) -> ScanResult:
     """Broadened transfer probability versus position offset (um).
@@ -83,7 +82,7 @@ def spatial_spectrum(
     dx = np.atleast_1d(np.asarray(dx_grid, dtype=float))
     if dx.size == 0:
         raise ConfigError("dx_grid must be non-empty")
-    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g), damping=damping, config=config)
+    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g), config=config)
     return ScanResult(dx, np.asarray(vals, dtype=float), None, "um")
 
 
@@ -94,7 +93,6 @@ def crosstalk(
     g: TrapGeometry,
     m: ThermalModel,
     *,
-    damping=None,
     config=None,
 ) -> float:
     """Transfer probability of a neighbor while the pulse addresses a target.
@@ -107,8 +105,7 @@ def crosstalk(
     tx, nx = float(target_x), float(neighbor_x)
     _check_in_span(tx, g, "target_x")
     _check_in_span(nx, g, "neighbor_x")
-    return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g),
-                                    damping=damping, config=config))
+    return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g), config=config))
 
 
 @dataclass(frozen=True)

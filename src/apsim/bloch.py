@@ -4,19 +4,19 @@ State is the Bloch vector r = (u, v, w), a float array of shape (3,) or,
 for a stack of trajectories, (n, 3): u, v are the coherences, w the
 inversion, with w = -1 the lower level |0> and w = +1 the upper level
 |1>.  Under a pulse program with Rabi frequency omega(t) and detuning
-delta(t) = omega_drive - omega_atom, and pure dephasing gamma_2,
+delta(t) = omega_drive - omega_atom,
 
-    du/dt = -delta(t) v - gamma_2 u
-    dv/dt =  delta(t) u - omega(t) w - gamma_2 v
+    du/dt = -delta(t) v
+    dv/dt =  delta(t) u - omega(t) w
     dw/dt =  omega(t) v
 
-i.e. precession about the torque vector (omega(t), 0, delta(t)) plus
-transverse damping.  Population transfer to |1> is (1 + w) / 2.
+i.e. precession about the torque vector (omega(t), 0, delta(t)).
+Population transfer to |1> is (1 + w) / 2.
 
-Without dephasing the motion is a pure rotation, and it is propagated
-as one.  A pass of n uniform steps samples the pulse, as arrays, at the
-three Gauss-Legendre nodes of every step and forms each step's
-sixth-order Magnus vector, whose commutators are cross products
+The motion is a pure rotation, and it is propagated as one.  A pass of
+n uniform steps samples the pulse, as arrays, at the three
+Gauss-Legendre nodes of every step and forms each step's sixth-order
+Magnus vector, whose commutators are cross products
 (Blanes, Casas & Ros, BIT 40, 434 (2000)).  A trajectory's detuning
 offset enters that vector only through a1_z, as a polynomial of degree
 <= 3, so its coefficients are formed once per step for all
@@ -44,19 +44,13 @@ the same step count run together.  With coarser steps the estimate was
 found to miss the error by up to three orders of magnitude.  A pass may
 take at most 2^20 steps; a pulse that would need more raises
 IntegrationError before that pass is sampled, and so does the first
-error estimate that is not finite.  On either path, a call whose
-trajectories' first passes would take more than 2^24 steps together
-raises IntegrationError before any pass runs.
+error estimate that is not finite.  A call whose trajectories' first
+passes would take more than 2^24 steps together raises IntegrationError
+before any pass runs.
 
 ``evolve_offsets`` propagates a whole family of trajectories that share
 a pulse but differ by a constant detuning offset in shared passes, which
 is how detuning scans and transport ensembles run.
-
-With dephasing an adaptive explicit Runge-Kutta scheme (DOP853)
-integrates the equations above.  It is also the reference the tests hold
-the rotation path to.  An integration may span at most 2^15 half-turns
-of its fastest trajectory; a longer one raises IntegrationError before
-it starts.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from .errors import IntegrationError
 from .pulses import PulseProgram
 
 __all__ = [
-    "DampingModel",
     "IntegratorConfig",
     "evolve_offsets",
     "detuning_spectrum",
@@ -89,41 +82,23 @@ _STEPS = 2**12
 # real rows of _STEPS elements that one chunk of steps works in: sample
 # times 3, samples 6, coefficients 12, step indices 1 (see _coefficients)
 _ROWS = 22
-# work budget of the rotation path: the most steps one pass may take
+# work budget of a pass: the most steps it may take
 _MAX_STEPS = 2**20
-# work budget of a call, on either path: the most steps its trajectories'
-# first passes may take together (2^24 take about 1.5 s on 2 CPUs)
+# work budget of a call: the most steps its trajectories' first passes
+# may take together (2^24 take about 1.5 s on 2 CPUs)
 _MAX_MEMBER_STEPS = 2**24
-# work budget of the DOP853 path, in half-turns of the fastest trajectory
-# (or max_step steps): it takes 1.6-4 steps of about 12 right-hand-side
-# calls per half-turn, so this caps one integration at about a minute
-_MAX_DOP853_TURNS = 2**15
-
-
-@dataclass(frozen=True)
-class DampingModel:
-    """Transverse relaxation rate gamma_2 in 1/s (population-conserving),
-    finite and non-negative."""
-
-    gamma_2: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma_2 < math.inf:
-            raise ValueError("gamma_2 must be finite and non-negative")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Accuracy of the Bloch propagation.
 
-    Without dephasing, rel_tol and abs_tol bound the step-doubling
-    estimate of the error of each returned state by abs_tol + rel_tol *
-    max |r|, with max |r| over the whole stack: each trajectory doubles
-    its step count until its own estimate meets that bound, so the
-    largest estimate over trajectories meets it too.  With dephasing
-    they bound DOP853's error per step; both must be finite and
-    positive.  max_step (s) caps the step on both paths; inf, the
-    default, sets no cap.
+    rel_tol and abs_tol bound the step-doubling estimate of the error of
+    each returned state by abs_tol + rel_tol * max |r|, with max |r| over
+    the whole stack: each trajectory doubles its step count until its own
+    estimate meets that bound, so the largest estimate over trajectories
+    meets it too; both must be finite and positive.  max_step (s) caps
+    the step of every pass; inf, the default, sets no cap.
     """
 
     rel_tol: float = 1e-9
@@ -135,56 +110,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be finite and positive")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive (inf: no cap)")
-
-
-def _make_rhs(pulse: PulseProgram, offsets: np.ndarray, gamma_2: float):
-    t_end = pulse.duration
-
-    def rhs(t, y):
-        # solver steps stay inside the span; clamp guards roundoff only
-        tc = min(max(t, 0.0), t_end)
-        om = float(pulse.rabi(tc))
-        de = float(pulse.detuning(tc))
-        if not (np.isfinite(om) and np.isfinite(de)):
-            raise IntegrationError(f"non-finite pulse values at t = {t}")
-        u = y[0::3]
-        v = y[1::3]
-        w = y[2::3]
-        d = de + offsets
-        out = np.empty_like(y)
-        out[0::3] = -d * v - gamma_2 * u
-        out[1::3] = d * u - om * w - gamma_2 * v
-        out[2::3] = om * v
-        return out
-
-    return rhs
-
-
-def _solve(pulse, offsets, y0, damping, config):
-    from scipy.integrate import solve_ivp
-
-    damping = damping or DampingModel()
-    config = config or IntegratorConfig()
-    offsets = np.asarray(offsets, dtype=float)
-    need = float(np.max(_need(pulse, offsets, config)))
-    if not need <= _MAX_DOP853_TURNS:
-        raise IntegrationError(
-            f"step budget exceeded: the pulse spans about {need:.3g} half-turns, "
-            f"more than the {_MAX_DOP853_TURNS} DOP853 may take"
-        )
-    rhs = _make_rhs(pulse, offsets, damping.gamma_2)
-    sol = solve_ivp(
-        rhs,
-        (0.0, pulse.duration),
-        np.asarray(y0, dtype=float).ravel(),
-        method="DOP853",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    return sol
 
 
 def _sample(pulse: PulseProgram, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -203,9 +128,9 @@ def _sample(pulse: PulseProgram, t: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) -> np.ndarray:
-    """Work each trajectory asks of either path, in steps of at most half
-    a turn: its total rotation angle over pi (from the torque at 64
-    points), or duration / max_step if that is more."""
+    """Work each trajectory asks, in steps of at most half a turn: its
+    total rotation angle over pi (from the torque at 64 points), or
+    duration / max_step if that is more."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
     om, de = _sample(pulse, t, np.empty((2, 64)))
     torque = np.add(de[:, None], offsets)
@@ -218,10 +143,9 @@ def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) ->
 
 
 def _initial_steps(need: np.ndarray) -> np.ndarray:
-    """First step count of each trajectory on the rotation path: the
-    smallest power of two >= 16 that takes two steps or more per half-turn
-    of it.  Raises IntegrationError when a step-doubling pair would exceed
-    the budget."""
+    """First step count of each trajectory: the smallest power of two
+    >= 16 that takes two steps or more per half-turn of it.  Raises
+    IntegrationError when a step-doubling pair would exceed the budget."""
     most = max(16.0, 2.0 * float(np.max(need)))
     if not 2.0 * most <= _MAX_STEPS:
         raise IntegrationError(
@@ -475,9 +399,9 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
 
 def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
                      config: IntegratorConfig, first: np.ndarray) -> np.ndarray:
-    """The rotation path: each trajectory runs passes of n, 2n, 4n, ...
-    steps from its own first step count (first) until its own error
-    estimate meets the tolerance, and keeps the last of them.
+    """Each trajectory runs passes of n, 2n, 4n, ... steps from its own
+    first step count (first) until its own error estimate meets the
+    tolerance, and keeps the last of them.
 
     Passes of the same step count run together.  The tolerance scale
     max |r| is taken over the whole stack; rotations keep every |r|, so it
@@ -517,14 +441,13 @@ def evolve_offsets(
     pulse: PulseProgram,
     delta_offsets,
     initial_states=None,
-    damping: DampingModel | None = None,
     config: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """Propagate one trajectory per detuning offset, as a stacked system.
 
-    Trajectory i sees detuning pulse.detuning(t) + delta_offsets[i].
-    Without dephasing this is one rotation pass per step count (see the
-    module docstring); with dephasing, one DOP853 integration.
+    Trajectory i sees detuning pulse.detuning(t) + delta_offsets[i]; the
+    trajectories run in one rotation pass per step count (see the module
+    docstring).
 
     Parameters
     ----------
@@ -559,16 +482,12 @@ def evolve_offsets(
             f"work budget exceeded: the first passes of the {n} trajectories take "
             f"{total} steps together, more than {_MAX_MEMBER_STEPS}"
         )
-    if damping is not None and damping.gamma_2 > 0:
-        sol = _solve(pulse, offsets, states, damping, config)
-        return sol.y[:, -1].reshape(n, 3)
     return _rotate_adaptive(pulse, offsets, states, config, first)
 
 
 def detuning_spectrum(
     pulse,
     delta_c_values,
-    damping: DampingModel | None = None,
     config: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """Transfer probability versus central detuning (rad/s), ground start.
@@ -579,7 +498,6 @@ def detuning_spectrum(
     delta_c never enters.  Returns P1 with the grid's shape.
     """
     grid = np.asarray(delta_c_values, dtype=float)
-    final = evolve_offsets(replace(pulse, delta_c=0.0), np.atleast_1d(grid), None,
-                           damping, config)
+    final = evolve_offsets(replace(pulse, delta_c=0.0), np.atleast_1d(grid), None, config)
     p1 = 0.5 * (1.0 + final[:, 2])
     return p1.reshape(grid.shape) if grid.ndim else float(p1[0])

@@ -51,7 +51,7 @@ def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
     if cfg.kind == "spectrum":
         vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid),
-                                  damping=cfg.damping, config=cfg.integrator)
+                                  config=cfg.integrator)
         result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "khz")
     elif cfg.kind == "spatial":
         result = spatial_spectrum(
@@ -59,12 +59,10 @@ def run_scan(cfg: RunConfig) -> ScanResult:
             cfg.geometry,
             cfg.thermal,
             cfg.grid,
-            damping=cfg.damping,
             config=cfg.integrator,
         )
     elif cfg.kind == "transport":
-        result = transport_curve(cfg.transport, cfg.grid, cfg.damping, cfg.seed,
-                                 config=cfg.integrator)
+        result = transport_curve(cfg.transport, cfg.grid, cfg.seed, config=cfg.integrator)
     else:  # adiabaticity profile over the pulse
         # sampled in seconds: the ms grid need not survive the round trip
         # back, and its last point could land past the pulse's end
@@ -121,10 +119,11 @@ def _cmd_scan(args, kind: str) -> int:
     cfg = _load_run_config(args)
     if cfg.kind != kind:
         # profiling the pulse of a spectrum/spatial config is well defined,
-        # so the adiabaticity command accepts those and swaps the grid
+        # so the adiabaticity command accepts those and swaps the grid; the
+        # detection map, which takes probabilities, goes with it
         if kind == "adiabaticity" and cfg.pulse is not None:
             grid = np.linspace(0.0, s_to_ms(cfg.pulse.duration), 2001)
-            cfg = dataclasses.replace(cfg, kind=kind, grid=grid)
+            cfg = dataclasses.replace(cfg, kind=kind, grid=grid, apply_detection=False)
         else:
             raise ConfigError(
                 f"config describes a {cfg.kind!r} scan but the {kind!r} command was invoked"
@@ -146,13 +145,7 @@ def _cmd_fit(args) -> int:
     data = ScanResult.from_csv(Path(args.data))
     log.info("fitting %d samples from %s", len(data), args.data)
     t0 = time.perf_counter()
-    result = fit_spectrum(
-        data,
-        cfg.pulse,
-        cfg.thermal,
-        damping=cfg.damping,
-        config=cfg.integrator,
-    )
+    result = fit_spectrum(data, cfg.pulse, cfg.thermal, config=cfg.integrator)
     log.info(
         "fit %s in %.1f s (%d evaluations, rms %.2e)",
         "converged" if result.converged else "did NOT converge",

@@ -34,9 +34,10 @@ transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
             every value, these modes included, before anything runs
 detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
             defaults built in
-apply_detection  optional bool, map scan output through the detection model
+apply_detection  optional bool, map scan output through the detection
+            model; refused on adiabaticity scans, whose output is no
+            probability
 integrator  optional {"rel_tol","abs_tol","max_step_ms"} subset
-damping     optional {"gamma_2_khz"}
 convolution optional {"renormalize"}
 seed        optional non-negative integer, default 0
 """
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .addressing import TrapGeometry
-from .bloch import DampingModel, IntegratorConfig
+from .bloch import IntegratorConfig
 from .detection import DetectionModel
 from .errors import ConfigError
 from .pulses import APPulse
@@ -65,6 +66,8 @@ SCAN_KINDS = ("spectrum", "spatial", "transport", "adiabaticity")
 # work budget of a scan: the most grid points a range or n_points may ask
 # for, checked before the grid is allocated
 _MAX_GRID_POINTS = 2**16 + 1
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_keys(d: dict, section: str, required: set, optional: set = frozenset()):
@@ -177,7 +180,12 @@ def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) ->
         n = (stop - start) / step
         if not n + 1 <= _MAX_GRID_POINTS:
             raise ConfigError(f"{section} grid has more than {_MAX_GRID_POINTS} points")
-        grid = start + step * np.arange(int(round(n)) + 1)
+        # the most steps whose last point is not past stop, but for the
+        # rounding of decimal inputs such as 0.1
+        k = round(n)
+        if start + step * k > stop + 4.0 * _EPS * max(abs(start), abs(stop)):
+            k -= 1
+        grid = start + step * np.arange(k + 1)
     # the scans work in rad/s, where a large finite value may overflow
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(khz_to_rad_per_s(khz_per_unit * grid))):
@@ -200,7 +208,6 @@ class RunConfig:
     detection: DetectionModel = field(default_factory=DetectionModel)
     apply_detection: bool = False
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    damping: DampingModel | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -212,7 +219,7 @@ class RunConfig:
 
 _TOP_KEYS = {
     "scan", "pulse", "geometry", "thermal", "transport", "detection",
-    "apply_detection", "integrator", "damping", "convolution", "seed",
+    "apply_detection", "integrator", "convolution", "seed",
 }
 
 # the top-level keys that are not sections
@@ -257,6 +264,10 @@ def load_config(source) -> RunConfig:
     for section in _REQUIRED_SECTIONS[kind]:
         if section not in raw:
             raise ConfigError(f"{kind} scan requires a {section!r} section")
+    apply_detection = _bool(raw, "config", "apply_detection", False)
+    if apply_detection and kind == "adiabaticity":
+        raise ConfigError("apply_detection maps probabilities; an adiabaticity "
+                          "scan has none")
 
     pulse = _pulse(raw["pulse"]) if "pulse" in raw else None
     geometry, thermal, detection = (
@@ -324,17 +335,6 @@ def load_config(source) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"integrator: {exc}") from exc
 
-    damping = None
-    if "damping" in raw:
-        dmp = raw["damping"]
-        _check_keys(dmp, "damping", {"gamma_2_khz"})
-        # rate quoted as gamma_2 / 2pi in kHz, same convention as every
-        # other frequency in the file
-        try:
-            damping = DampingModel(khz_to_rad_per_s(_num(dmp, "damping", "gamma_2_khz")))
-        except ValueError as exc:
-            raise ConfigError(f"damping: {exc}") from exc
-
     if "convolution" in raw:
         c = raw["convolution"]
         _check_keys(c, "convolution", set(), {"renormalize"})
@@ -352,8 +352,7 @@ def load_config(source) -> RunConfig:
         thermal=thermal,
         transport=transport,
         detection=detection or DetectionModel(),
-        apply_detection=_bool(raw, "config", "apply_detection", False),
+        apply_detection=apply_detection,
         integrator=integrator,
-        damping=damping,
         seed=_int(raw, "config", "seed", 0),
     )

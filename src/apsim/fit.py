@@ -105,7 +105,12 @@ class FitResult:
 
 def _abscissa_rad_per_s(data: ScanResult) -> np.ndarray:
     if data.unit == "khz":
-        return khz_to_rad_per_s(data.abscissa)
+        # a large finite kHz value may overflow in rad/s
+        with np.errstate(over="ignore"):
+            deltas = khz_to_rad_per_s(data.abscissa)
+        if not np.all(np.isfinite(deltas)):
+            raise FitDataError("fit data abscissa is not finite in rad/s")
+        return deltas
     if data.unit == "rad/s":
         return np.asarray(data.abscissa, dtype=float)
     raise FitDataError(
@@ -118,7 +123,6 @@ def fit_spectrum(
     pulse,
     initial_guess: ThermalModel,
     *,
-    damping=None,
     config=None,
 ) -> FitResult:
     """Fit the broadened-spectrum model to a measured detuning scan.
@@ -144,7 +148,7 @@ def fit_spectrum(
     # grid step follows the bare spectrum, not the guess
     margin = 2.0 * abs(guess.delta_ls_max) + 20.0 * guess.delta_th
     cache = SpectrumCache.from_pulse(
-        pulse, float(deltas.min()) - margin, float(deltas.max()), damping, config
+        pulse, float(deltas.min()) - margin, float(deltas.max()), config
     )
     logging.getLogger(__name__).info("bare-spectrum cache: %d grid points, %d integrated",
                                      cache.deltas.size, cache.integrated)

@@ -218,7 +218,7 @@ def _simpson(spectrum, delta_c, m: ThermalModel, n: int) -> np.ndarray:
     return out
 
 
-def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, damping=None, config=None):
+def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, config=None):
     """Convolved transfer probability at the given detunings (rad/s).
 
     One-stop composition used by the scan front ends: batch-integrates the
@@ -231,7 +231,7 @@ def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, damping=None, 
     if truncated_mass(m) == 0.0:
         return np.zeros_like(deltas)
     cache = SpectrumCache.for_scan(
-        pulse, float(np.min(deltas)), float(np.max(deltas)), m, damping, config
+        pulse, float(np.min(deltas)), float(np.max(deltas)), m, config
     )
     return convolve(cache, m)(delta_c_values)
 
@@ -282,7 +282,7 @@ class SpectrumCache:
         self._coef = _spline_coefficients(p1, h)
 
     @classmethod
-    def from_pulse(cls, pulse, delta_lo: float, delta_hi: float, damping=None,
+    def from_pulse(cls, pulse, delta_lo: float, delta_hi: float,
                    config=None) -> "SpectrumCache":
         """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) until
         every spline error estimate is at most _TOL (see the class docstring).
@@ -298,14 +298,14 @@ class SpectrumCache:
         # the pulse's Fourier width, 1/t_p in Hz: no grid coarser is accepted
         fourier = 2.0 * math.pi / pulse.duration
         seed = np.linspace(delta_lo, delta_hi, _SEED_INTERVALS + 1)
-        seed_p1 = detuning_spectrum(pulse, seed, damping, config)
+        seed_p1 = detuning_spectrum(pulse, seed, config)
         n = 2 * _SEED_INTERVALS
         while span / n > fourier and n < _MAX_CACHE_POINTS:
             n *= 2
         _check_budget(n, math.inf)
         p1 = np.linspace(delta_lo, delta_hi, n + 1)
         new = np.arange(n + 1) % (n // _SEED_INTERVALS) != 0
-        p1[new] = detuning_spectrum(pulse, p1[new], damping, config)
+        p1[new] = detuning_spectrum(pulse, p1[new], config)
         p1[~new] = seed_p1
         integrated = n + 1
         fourth = np.pad(np.abs(np.convolve(p1, [1, -4, 6, -4, 1], "valid")), 2, mode="edge")
@@ -318,7 +318,7 @@ class SpectrumCache:
             spline = ((c3 * x + c2) * x + c1) * x + c0
             run = _refined(estimate)
             mid = spline.copy()
-            mid[run] = detuning_spectrum(pulse, fine[1::2][run], damping, config)
+            mid[run] = detuning_spectrum(pulse, fine[1::2][run], config)
             integrated += int(np.count_nonzero(run))
             estimate = np.repeat(np.where(run, np.abs(spline - mid) / 16.0, estimate), 2)
             fine[::2], fine[1::2] = p1, mid
@@ -331,7 +331,7 @@ class SpectrumCache:
 
     @classmethod
     def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel,
-                 damping=None, config=None) -> "SpectrumCache":
+                 config=None) -> "SpectrumCache":
         """Cache sized for broadened evaluation on [scan_lo, scan_hi]; a
         one-point scan whose shift is lost in floating point gets one Fourier
         width (2 pi / t_p), and at least 64 floats, around it instead."""
@@ -339,7 +339,7 @@ class SpectrumCache:
         if not hi > lo:
             half = max(math.pi / pulse.duration, 32.0 * float(np.spacing(abs(lo))))
             lo, hi = lo - half, hi + half
-        return cls.from_pulse(pulse, lo, hi, damping, config)
+        return cls.from_pulse(pulse, lo, hi, config)
 
     def __call__(self, delta_c):
         x = np.clip(delta_c, self.lo, self.hi)

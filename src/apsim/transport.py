@@ -178,7 +178,7 @@ def _draw_delta_r(plan: TransportPlan, rng_seed: int):
     return out
 
 
-def transport_transfer(plan: TransportPlan, draws: np.ndarray, damping=None, *,
+def transport_transfer(plan: TransportPlan, draws: np.ndarray, *,
                        config=None) -> tuple[float, float]:
     """Mean transfer probability over the members with initial detunings
     draws (rad/s, one per member), and its standard error; transport_curve
@@ -195,8 +195,7 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray, damping=None, *,
     else:
         states0 = None  # the bare ground state
 
-    final = evolve_offsets(pulse, draws, initial_states=states0,
-                           damping=damping, config=config)
+    final = evolve_offsets(pulse, draws, initial_states=states0, config=config)
 
     if plan.readout == "dressed":
         p1 = dressed_projection(final, plan.omega_r, draws + _sweep(plan.tau, plan))
@@ -207,7 +206,7 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray, damping=None, *,
     return float(np.mean(p1)), stderr
 
 
-def transport_curve(plan: TransportPlan, inv_tau_per_ms, damping=None, rng_seed: int = 0, *,
+def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0, *,
                     config=None) -> ScanResult:
     """Transfer versus transport speed 1/tau (ms^-1).
 
@@ -223,7 +222,7 @@ def transport_curve(plan: TransportPlan, inv_tau_per_ms, damping=None, rng_seed:
         raise ConfigError("inv_tau values must be positive")
     draws = _draw_delta_r(plan, rng_seed)
     p1, stderr = np.array(
-        [transport_transfer(replace(plan, tau=1e-3 / v), draws, damping, config=config)
+        [transport_transfer(replace(plan, tau=1e-3 / v), draws, config=config)
          for v in grid]
     ).T
     return ScanResult(grid, p1, stderr, TRANSPORT_UNIT)

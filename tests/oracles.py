@@ -2,22 +2,24 @@
 
 Three pulse programs, which follow the package's pulse contract (rabi(t)
 and detuning(t) take t inside [0, duration] and return values that
-broadcast to t's shape), the dressed ground state, and the light-shift
-density with a sampler of it, the Monte Carlo and quadrature
-references of the thermal convolution.
+broadcast to t's shape), a DOP853 integration of the Bloch equations,
+the dressed ground state, and the light-shift density with a sampler of
+it, the Monte Carlo and quadrature references of the thermal
+convolution.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 class _InvertedPulse:
     """Exact inverse program: time-mirrored with omega and delta negated.
 
     Evolving under base then under inverted(base) returns any state to
-    its start (for gamma_2 = 0); negating the detuning alone does not.
+    its start; negating the detuning alone does not.
     """
 
     def __init__(self, base):
@@ -76,6 +78,25 @@ class LinearSweepPulse:
 
     def detuning(self, t):
         return self.rate * (t - self.duration / 2.0)
+
+
+def dop853_final(pulse, offsets, states, rel_tol=1e-12, abs_tol=1e-14):
+    """Final Bloch vectors, (n, 3), of the trajectories that start in
+    states (n, 3) and see detuning pulse.detuning(t) + offsets[i]: scipy's
+    DOP853 on the equations of the apsim.bloch docstring, the reference
+    the rotation path is held to."""
+    offsets = np.asarray(offsets, dtype=float)
+
+    def rhs(t, y):
+        om, de = float(pulse.rabi(t)), float(pulse.detuning(t))
+        u, v, w = y.reshape(-1, 3).T
+        d = de + offsets
+        return np.stack([-d * v, d * u - om * w, om * v], axis=1).ravel()
+
+    sol = solve_ivp(rhs, (0.0, pulse.duration), np.asarray(states, dtype=float).ravel(),
+                    method="DOP853", rtol=rel_tol, atol=abs_tol)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(-1, 3)
 
 
 def dressed_ground(omega, delta):

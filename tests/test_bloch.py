@@ -7,24 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import apsim
 import apsim.bloch as bloch
-from apsim.bloch import (
-    DampingModel,
-    IntegratorConfig,
-    detuning_spectrum,
-    evolve_offsets,
-)
+from apsim.bloch import IntegratorConfig, detuning_spectrum, evolve_offsets
 from apsim.errors import IntegrationError
 from apsim.pulses import APPulse
 from apsim.units import khz_to_rad_per_s
 
-from oracles import RectPulse, inverted
+from oracles import RectPulse, dop853_final, inverted
 
 GROUND = np.array([0.0, 0.0, -1.0])
 
@@ -51,8 +45,8 @@ def test_state_basics():
 
 
 def test_config_validation():
-    # tolerances must be finite and positive, the rate finite and
-    # non-negative; max_step = inf is the "no cap" default
+    # tolerances must be finite and positive; max_step = inf is the "no
+    # cap" default
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=bad)
@@ -62,10 +56,6 @@ def test_config_validation():
         with pytest.raises(ValueError):
             IntegratorConfig(max_step=bad)
     assert IntegratorConfig(max_step=math.inf).max_step == math.inf
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            DampingModel(gamma_2=bad)
-    assert DampingModel(0.0).gamma_2 == 0.0
 
 
 # ------------------------------------------------------------ textbook limits
@@ -101,16 +91,6 @@ def test_free_precession_about_z():
     u, v, w = final(p, np.array([1.0, 0.0, 0.0]))
     assert u == pytest.approx(math.cos(delta * t), abs=1e-9)
     assert v == pytest.approx(math.sin(delta * t), abs=1e-9)
-    assert w == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dephasing_shrinks_coherence_only():
-    gamma = 2.0e3
-    t = 0.4e-3
-    p = RectPulse(0.0, 0.0, t)
-    u, v, w = final(p, np.array([1.0, 0.0, -0.0]), damping=DampingModel(gamma))
-    assert u == pytest.approx(math.exp(-gamma * t), rel=1e-8)
-    assert v == pytest.approx(0.0, abs=1e-12)
     assert w == pytest.approx(0.0, abs=1e-12)
 
 
@@ -226,16 +206,14 @@ def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
     assert len(passes) == 2
 
 
-@pytest.mark.parametrize("damping", [None, DampingModel(1e3)])
-def test_member_step_budget_fires_before_either_path(ref_pulse, monkeypatch, damping):
+def test_member_step_budget_fires_before_any_pass(ref_pulse, monkeypatch):
     # one trajectory more than the budget holds at the pulse's first step
-    # count; neither the rotation pass nor DOP853 may start
+    # count; no rotation pass may start
     first = bloch._initial_steps(bloch._need(ref_pulse, np.zeros(1), IntegratorConfig()))
     n = bloch._MAX_MEMBER_STEPS // int(first[0]) + 1
-    for name in ("_rotation_pass", "_solve"):
-        monkeypatch.setattr(bloch, name, lambda *args: pytest.fail("a path ran"))
+    monkeypatch.setattr(bloch, "_rotation_pass", lambda *args: pytest.fail("a pass ran"))
     with pytest.raises(IntegrationError, match="work budget exceeded"):
-        evolve_offsets(ref_pulse, np.zeros(n), damping=damping)
+        evolve_offsets(ref_pulse, np.zeros(n))
 
 
 def test_non_finite_pulse_raises_integration_error():
@@ -266,8 +244,7 @@ def _pass(pulse, offsets, states, n):
 
 def test_rotation_path_matches_dop853_oracle(ref_pulse):
     offs, y0 = _stack(ref_pulse)
-    oracle = bloch._solve(ref_pulse, offs, y0, None, IntegratorConfig(1e-12, 1e-14))
-    want = oracle.y[:, -1].reshape(-1, 3)
+    want = dop853_final(ref_pulse, offs, y0)
     got = evolve_offsets(ref_pulse, offs)
     assert np.max(np.linalg.norm(got - want, axis=1)) <= 1e-8
 
@@ -535,16 +512,3 @@ def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
     cfg = IntegratorConfig()
     fine = _pass(ref_pulse, offs, y0, 2**14)
     assert np.max(np.linalg.norm(got - fine, axis=1)) <= cfg.abs_tol + cfg.rel_tol
-
-
-def test_undamped_path_does_not_call_solve_ivp(ref_pulse, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solve_ivp called")
-
-    # bloch imports solve_ivp where the damped path needs it, so the
-    # module attribute is the name that path resolves
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", forbidden)
-    evolve_offsets(ref_pulse, khz_to_rad_per_s(np.array([-20.0, 0.0, 20.0])))
-    final(ref_pulse)
-    with pytest.raises(AssertionError):
-        final(ref_pulse, damping=DampingModel(1.0e3))

@@ -36,7 +36,6 @@ def test_minimal_spectrum_config():
     assert isinstance(rc.pulse, APPulse)
     assert rc.seed == 0
     assert rc.apply_detection is False
-    assert rc.damping is None
     assert rc.thermal.renormalize is False
 
 
@@ -141,6 +140,11 @@ def test_grid_step_rounding():
     )
     assert len(rc.grid) == 11
     assert rc.grid[-1] == pytest.approx(1.0, abs=1e-12)
+    # 1 / 0.35 rounds up to 3 steps, whose last point, 1.05, is past stop
+    rc = load_config(
+        cfg(scan={"kind": "spectrum", "start_khz": 0.0, "stop_khz": 1.0, "step_khz": 0.35})
+    )
+    np.testing.assert_array_equal(rc.grid, [0.0, 0.35, 0.7])
 
 
 def test_booleans_are_not_numbers():
@@ -244,7 +248,6 @@ def test_optional_sections():
     rc = load_config(
         cfg(
             integrator={"rel_tol": 1e-8, "max_step_ms": 0.01},
-            damping={"gamma_2_khz": 0.2},
             convolution={"renormalize": True},
             detection={"eps_pushout": 0.98, "eps_keep": 0.97, "p_init": 0.93},
             apply_detection=True,
@@ -253,11 +256,7 @@ def test_optional_sections():
     )
     assert rc.integrator.rel_tol == 1e-8
     assert rc.integrator.max_step == pytest.approx(1e-5)
-    assert rc.damping.gamma_2 == pytest.approx(2.0 * np.pi * 200.0)
     assert rc.thermal.renormalize is True
     assert rc.detection.p_init == 0.93
     assert rc.apply_detection is True
     assert rc.seed == 7
-
-    with pytest.raises(ConfigError):
-        load_config(cfg(damping={"gamma_2_khz": -1.0}))

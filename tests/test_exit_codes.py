@@ -1,10 +1,10 @@
 """Exit-code contract tests over every single-leaf mutation.
 
 Every single-leaf mutation of a preset, with its optional ``integrator``
-and ``damping`` sections added at their defaults, by each of a fixed set
-of junk values, run through the preset's own command and, where it has a
-pulse, through ``adiabaticity``, ends in exit 0, 2 or 3 and never in a
-traceback or an apsim RuntimeWarning; an exit 0 writes no NaN.  Grids
+section added at its defaults, by each of a fixed set of junk values,
+run through the preset's own command and, where it has a pulse, through
+``adiabaticity``, ends in exit 0, 2 or 3 and never in a traceback or an
+apsim RuntimeWarning; an exit 0 writes no NaN.  Grids
 are cut to 3 points, ensembles to 4 members and pulses to 0.2 ms, so
 each run takes milliseconds.
 
@@ -54,8 +54,7 @@ def _leaves(node, path=()):
 
 # the optional sections no preset has, at their defaults, so that their
 # leaves are mutated too (max_step_ms: inf sets no cap)
-OPTIONAL = {"integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step_ms": math.inf},
-            "damping": {"gamma_2_khz": 0.0}}
+OPTIONAL = {"integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step_ms": math.inf}}
 
 
 def _cut(preset: str) -> dict:

@@ -106,6 +106,10 @@ def test_data_validation(ref_pulse, ref_thermal):
     weird_unit = ScanResult(GRID_KHZ, np.linspace(0, 1, len(GRID_KHZ)), None, "um")
     with pytest.raises(FitDataError):
         fit_spectrum(weird_unit, ref_pulse, ref_thermal)
+    # finite in kHz, but not in rad/s
+    huge = ScanResult(GRID_KHZ * 1e304, np.linspace(0, 1, len(GRID_KHZ)), None, "khz")
+    with pytest.raises(FitDataError, match="not finite in rad/s"):
+        fit_spectrum(huge, ref_pulse, ref_thermal)
     # the guess's model is exactly zero 2 MHz off resonance, or without
     # light shift, and p_max is undefined there
     ramp = np.linspace(0, 1, len(GRID_KHZ))
