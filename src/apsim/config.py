@@ -28,8 +28,8 @@ transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
             about 23 us each), "distribution" ("uniform" or "gaussian",
             default "uniform"), "switch_on" ("dressed" or "ramp", default
             "dressed"), "readout" ("dressed" or "bare", default "dressed")
-            and "ramp_time_ms" (default 1, > 0 in "ramp" mode, unread
-            otherwise); required for transport scans, and needs a geometry
+            and "ramp_time_ms" (default 1, > 0 and finite in "ramp" mode,
+            unread otherwise); required for transport scans, and needs a geometry
             section.  It loads as a transport.TransportPlan, which checks
             every value, these modes included, before anything runs
 detection   optional {"eps_pushout","eps_keep","p_init"}, all three;

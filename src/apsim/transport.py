@@ -95,8 +95,9 @@ class TransportPlan:
             raise ConfigError(f"unknown distribution: {self.distribution!r}")
         if self.switch_on not in ("dressed", "ramp"):
             raise ConfigError(f"unknown switch_on mode: {self.switch_on!r}")
-        if self.switch_on == "ramp" and not self.ramp_time > 0:
-            raise ConfigError(f"ramp_time must be positive, got {self.ramp_time}")
+        # an infinite ramp never ends: the pulse would span t = inf
+        if self.switch_on == "ramp" and not 0 < self.ramp_time < np.inf:
+            raise ConfigError(f"ramp_time must be positive and finite, got {self.ramp_time}")
         if self.readout not in ("dressed", "bare"):
             raise ConfigError(f"unknown readout mode: {self.readout!r}")
 

@@ -8,6 +8,12 @@ apsim RuntimeWarning; an exit 0 writes no NaN.  Grids
 are cut to 3 points, ensembles to 4 members and pulses to 0.2 ms, so
 each run takes milliseconds.
 
+The opt-in keys no preset sets (``detection``, ``apply_detection``,
+``convolution`` and the transport section's modes) are added to each
+preset at non-default values, and each of their leaves is mutated by the
+same junk values under the same contract; the preset's own leaves, which
+the first test already mutates, are left as they are.
+
 Each preset with its pulse section swapped for a valid "ap" one, or for
 one of the retired kinds "rect" and "tabulated", ends, on every command,
 in the exit code the config's rules give; and every numeric leaf of each
@@ -82,9 +88,9 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutations")
 
 
-@pytest.mark.parametrize("preset, path, junk, command", list(_mutations()))
-def test_single_leaf_mutation_keeps_the_exit_contract(workdir, preset, path, junk, command):
-    raw = _cut(preset)
+def _assert_contract(workdir, raw: dict, path: tuple, junk: str, command: str) -> None:
+    """raw with its leaf at path set to JUNK[junk], run through command,
+    exits 0, 2 or 3, and an exit 0 writes no NaN."""
     *outer, key = path
     node = raw
     for k in outer:
@@ -97,6 +103,59 @@ def test_single_leaf_mutation_keeps_the_exit_contract(workdir, preset, path, jun
     assert code in (0, 2, 3)
     if code == 0:
         assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("preset, path, junk, command", list(_mutations()))
+def test_single_leaf_mutation_keeps_the_exit_contract(workdir, preset, path, junk, command):
+    _assert_contract(workdir, _cut(preset), path, junk, command)
+
+
+# the opt-in keys no preset sets, at values other than their defaults so
+# that the paths they switch on run; the transport modes go only where
+# there is a transport section
+OPT_IN = {"detection": {"eps_pushout": 0.9, "eps_keep": 0.95, "p_init": 0.9},
+          "apply_detection": True, "convolution": {"renormalize": True}}
+TRANSPORT_OPT_IN = {"distribution": "gaussian", "switch_on": "ramp", "readout": "bare",
+                    "ramp_time_ms": 0.5}
+
+
+def _opted_in(preset: str) -> dict:
+    """A cut preset with every opt-in key added."""
+    raw = _small(PRESETS[preset]())
+    raw.update(json.loads(json.dumps(OPT_IN)))
+    if "transport" in raw:
+        raw["transport"].update(TRANSPORT_OPT_IN)
+    return raw
+
+
+def _opt_in_mutations():
+    """Every (preset, opt-in leaf, junk, command) case."""
+    for preset in preset_names():
+        raw = _opted_in(preset)
+        commands = [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
+        paths = [path for path in _leaves(raw)
+                 if path[0] in OPT_IN
+                 or (path[0] == "transport" and path[1] in TRANSPORT_OPT_IN)]
+        for path in paths:
+            for junk in JUNK:
+                for command in commands:
+                    yield pytest.param(preset, path, junk, command,
+                                       id=f"{preset}-{'.'.join(map(str, path))}-{junk}-{command}")
+
+
+def test_opted_in_presets_run(workdir):
+    # the unmutated base of the opt-in cases runs on every command it has
+    for preset in preset_names():
+        raw = _opted_in(preset)
+        cfg, out = workdir / "opt_in.json", workdir / "opt_in.csv"
+        cfg.write_text(json.dumps(raw))
+        for command in [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else []):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, (preset, command)
+
+
+@pytest.mark.parametrize("preset, path, junk, command", list(_opt_in_mutations()))
+def test_opt_in_leaf_mutation_keeps_the_exit_contract(workdir, preset, path, junk, command):
+    _assert_contract(workdir, _opted_in(preset), path, junk, command)
 
 
 # a valid "ap" pulse section, and sections of the kinds the format no

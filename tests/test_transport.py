@@ -219,7 +219,8 @@ def test_transfer_option_validation(plan):
     # the plan refuses unknown modes when it is made, before any draw
     for bad in (dict(distribution="exotic"), dict(switch_on="instant"),
                 dict(readout="fluorescence"), dict(switch_on="ramp", ramp_time=0.0),
-                dict(readout=None), dict(switch_on=["ramp"])):
+                dict(switch_on="ramp", ramp_time=np.inf), dict(readout=None),
+                dict(switch_on=["ramp"])):
         with pytest.raises(ConfigError):
             replace(plan, **bad)
     # the ramp length is read in "ramp" mode only
