@@ -1,10 +1,11 @@
 """Position-selective addressing in a magnetic field gradient.
 
 A gradient along the trap axis makes the qubit transition frequency a
-linear function of position, omega_at(x) = omega_0 + d_x omega_at * x, on
-top of the homogeneous guiding-field offset.  A microwave pulse at fixed
-carrier is therefore resonant only inside a slice of the register: central
-detuning and position offset are the same axis up to the factor
+linear function of position, omega_at(x) = omega_0 + d_x omega_at * x.
+Detunings are measured from the transition at the gradient's zero, so
+the homogeneous guiding-field offset never enters.  A microwave pulse at
+fixed carrier is therefore resonant only inside a slice of the register:
+central detuning and position offset are the same axis up to the factor
 d_x omega_at.  This module provides that unit map, position-domain transfer
 spectra, a crosstalk figure for neighbor sites, and plateau/edge metrology
 used to quantify addressing resolution.
@@ -31,17 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrapGeometry:
-    """Gradient and bias-field geometry of the register.
+    """Gradient geometry of the register.
 
-    grad_nu        : transition-frequency gradient in kHz per micrometer
-    guide_shift_nu : guiding-field offset of the transition in MHz
-                     (bookkeeping only; detunings are measured from the
-                     guided transition, so it never enters the dynamics)
-    span           : modeled region along the trap axis in micrometers
+    grad_nu : transition-frequency gradient in kHz per micrometer
+    span    : modeled region along the trap axis in micrometers
     """
 
     grad_nu: float
-    guide_shift_nu: float
     span: float
 
     def __post_init__(self) -> None:
@@ -49,8 +46,6 @@ class TrapGeometry:
             raise ConfigError(f"grad_nu must be positive and finite, got {self.grad_nu}")
         if not 0 < self.span < np.inf:
             raise ConfigError(f"span must be positive and finite, got {self.span}")
-        if not np.isfinite(self.guide_shift_nu):
-            raise ConfigError("guide_shift_nu must be finite")
 
 
 def _check_in_span(x: float, g: TrapGeometry, name: str) -> None:
@@ -70,8 +65,6 @@ def spatial_spectrum(
     g: TrapGeometry,
     m: ThermalModel,
     dx_grid,
-    *,
-    config=None,
 ) -> ScanResult:
     """Broadened transfer probability versus position offset (um).
 
@@ -82,7 +75,7 @@ def spatial_spectrum(
     dx = np.atleast_1d(np.asarray(dx_grid, dtype=float))
     if dx.size == 0:
         raise ConfigError("dx_grid must be non-empty")
-    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g), config=config)
+    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g))
     return ScanResult(dx, np.asarray(vals, dtype=float), None, "um")
 
 
@@ -92,8 +85,6 @@ def crosstalk(
     neighbor_x,
     g: TrapGeometry,
     m: ThermalModel,
-    *,
-    config=None,
 ) -> float:
     """Transfer probability of a neighbor while the pulse addresses a target.
 
@@ -105,7 +96,7 @@ def crosstalk(
     tx, nx = float(target_x), float(neighbor_x)
     _check_in_span(tx, g, "target_x")
     _check_in_span(nx, g, "neighbor_x")
-    return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g), config=config))
+    return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g)))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ Each trajectory has its own step count (step doubling; Hairer, Norsett
 two, at least 16, that takes two steps or more per half-turn of the
 trajectory (its total rotation angle over pi, from the torque at 64
 points), and doubles until |r_n - r_n/2| / 63, the error estimate of
-the n-step state of a sixth-order scheme, meets the tolerance; passes of
-the same step count run together.  With coarser steps the estimate was
+the n-step state of a sixth-order scheme, meets the tolerance
+1e-12 + 1e-9 max |r|, with max |r| over the whole stack; passes of the
+same step count run together.  With coarser steps the estimate was
 found to miss the error by up to three orders of magnitude.  A pass may
 take at most 2^20 steps; a pulse that would need more raises
 IntegrationError before that pass is sampled, and so does the first
@@ -56,7 +57,7 @@ is how detuning scans and transport ensembles run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from .errors import IntegrationError
 from .pulses import PulseProgram
 
 __all__ = [
-    "IntegratorConfig",
     "evolve_offsets",
     "detuning_spectrum",
 ]
@@ -87,29 +87,9 @@ _MAX_STEPS = 2**20
 # work budget of a call: the most steps its trajectories' first passes
 # may take together (2^24 take about 1.5 s on 2 CPUs)
 _MAX_MEMBER_STEPS = 2**24
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Accuracy of the Bloch propagation.
-
-    rel_tol and abs_tol bound the step-doubling estimate of the error of
-    each returned state by abs_tol + rel_tol * max |r|, with max |r| over
-    the whole stack: each trajectory doubles its step count until its own
-    estimate meets that bound, so the largest estimate over trajectories
-    meets it too; both must be finite and positive.  max_step (s) caps
-    the step of every pass; inf, the default, sets no cap.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = np.inf
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be finite and positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive (inf: no cap)")
+# the error estimate of each returned state meets _ABS_TOL + _REL_TOL * max |r|
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
 
 
 def _sample(pulse: PulseProgram, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -127,10 +107,9 @@ def _sample(pulse: PulseProgram, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+def _need(pulse: PulseProgram, offsets: np.ndarray) -> np.ndarray:
     """Work each trajectory asks, in steps of at most half a turn: its
-    total rotation angle over pi (from the torque at 64 points), or
-    duration / max_step if that is more."""
+    total rotation angle over pi (from the torque at 64 points)."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
     om, de = _sample(pulse, t, np.empty((2, 64)))
     torque = np.add(de[:, None], offsets)
@@ -139,7 +118,7 @@ def _need(pulse: PulseProgram, offsets: np.ndarray, config: IntegratorConfig) ->
     # a very long pulse overflows to inf, which the budgets refuse
     with np.errstate(over="ignore"):
         angle *= pulse.duration / (64 * math.pi)
-    return np.maximum(angle, pulse.duration / config.max_step)
+    return angle
 
 
 def _initial_steps(need: np.ndarray) -> np.ndarray:
@@ -398,7 +377,7 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
 
 
 def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
-                     config: IntegratorConfig, first: np.ndarray) -> np.ndarray:
+                     first: np.ndarray) -> np.ndarray:
     """Each trajectory runs passes of n, 2n, 4n, ... steps from its own
     first step count (first) until its own error estimate meets the
     tolerance, and keeps the last of them.
@@ -407,7 +386,7 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
     max |r| is taken over the whole stack; rotations keep every |r|, so it
     is that of the initial states.
     """
-    tol = config.abs_tol + config.rel_tol * float(np.max(np.linalg.norm(states, axis=1)))
+    tol = _ABS_TOL + _REL_TOL * float(np.max(np.linalg.norm(states, axis=1)))
     work = _workspace(offsets.size)
     out = np.empty_like(states)
     active = np.empty(0, dtype=int)  # trajectories with a coarse state
@@ -441,7 +420,6 @@ def evolve_offsets(
     pulse: PulseProgram,
     delta_offsets,
     initial_states=None,
-    config: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """Propagate one trajectory per detuning offset, as a stacked system.
 
@@ -472,24 +450,19 @@ def evolve_offsets(
             states = np.tile(states, (n, 1))
         if states.shape != (n, 3):
             raise ValueError(f"initial_states must have shape ({n}, 3)")
-    config = config or IntegratorConfig()
     if n == 0:
         return states
-    first = _initial_steps(_need(pulse, offsets, config))
+    first = _initial_steps(_need(pulse, offsets))
     total = int(first.sum())
     if total > _MAX_MEMBER_STEPS:
         raise IntegrationError(
             f"work budget exceeded: the first passes of the {n} trajectories take "
             f"{total} steps together, more than {_MAX_MEMBER_STEPS}"
         )
-    return _rotate_adaptive(pulse, offsets, states, config, first)
+    return _rotate_adaptive(pulse, offsets, states, first)
 
 
-def detuning_spectrum(
-    pulse,
-    delta_c_values,
-    config: IntegratorConfig | None = None,
-) -> np.ndarray:
+def detuning_spectrum(pulse, delta_c_values) -> np.ndarray:
     """Transfer probability versus central detuning (rad/s), ground start.
 
     The pulse must be a dataclass with a delta_c field (the swept passage
@@ -498,6 +471,6 @@ def detuning_spectrum(
     delta_c never enters.  Returns P1 with the grid's shape.
     """
     grid = np.asarray(delta_c_values, dtype=float)
-    final = evolve_offsets(replace(pulse, delta_c=0.0), np.atleast_1d(grid), None, config)
+    final = evolve_offsets(replace(pulse, delta_c=0.0), np.atleast_1d(grid))
     p1 = 0.5 * (1.0 + final[:, 2])
     return p1.reshape(grid.shape) if grid.ndim else float(p1[0])

@@ -50,19 +50,12 @@ _P1_ROUNDOFF = 1e-6
 def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
     if cfg.kind == "spectrum":
-        vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid),
-                                  config=cfg.integrator)
+        vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid))
         result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "khz")
     elif cfg.kind == "spatial":
-        result = spatial_spectrum(
-            cfg.pulse,
-            cfg.geometry,
-            cfg.thermal,
-            cfg.grid,
-            config=cfg.integrator,
-        )
+        result = spatial_spectrum(cfg.pulse, cfg.geometry, cfg.thermal, cfg.grid)
     elif cfg.kind == "transport":
-        result = transport_curve(cfg.transport, cfg.grid, cfg.seed, config=cfg.integrator)
+        result = transport_curve(cfg.transport, cfg.grid, cfg.seed)
     else:  # adiabaticity profile over the pulse
         # sampled in seconds: the ms grid need not survive the round trip
         # back, and its last point could land past the pulse's end
@@ -100,6 +93,8 @@ def _out_path(out: str | None, suffixes: tuple[str, ...], flag: str) -> Path | N
         raise ConfigError(f"{flag} must end in {' or '.join(suffixes)}, got {out!r}")
     if path.is_dir():
         raise ConfigError(f"{flag} names a directory: {out!r}")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{flag} must be in an existing directory, got {out!r}")
     return path
 
 
@@ -145,7 +140,7 @@ def _cmd_fit(args) -> int:
     data = ScanResult.from_csv(Path(args.data))
     log.info("fitting %d samples from %s", len(data), args.data)
     t0 = time.perf_counter()
-    result = fit_spectrum(data, cfg.pulse, cfg.thermal, config=cfg.integrator)
+    result = fit_spectrum(data, cfg.pulse, cfg.thermal)
     log.info(
         "fit %s in %.1f s (%d evaluations, rms %.2e)",
         "converged" if result.converged else "did NOT converge",

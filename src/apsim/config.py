@@ -21,23 +21,18 @@ pulse       {"kind": "ap", "omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p
             replace its delta_c by their grid
 thermal     {"delta_ls_max_khz","delta_th_khz","p_max"}; required for
             spectrum and spatial
-geometry    {"grad_nu_khz_per_um","guide_shift_nu_mhz","span_um"}; required
-            for spatial and transport
+geometry    {"grad_nu_khz_per_um","span_um"}; required for spatial and
+            transport
 transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
             "n_ensemble" (1..2^16, default 32: drawing the members costs
-            about 23 us each), "distribution" ("uniform" or "gaussian",
-            default "uniform"), "switch_on" ("dressed" or "ramp", default
-            "dressed"), "readout" ("dressed" or "bare", default "dressed")
-            and "ramp_time_ms" (default 1, > 0 and finite in "ramp" mode,
-            unread otherwise); required for transport scans, and needs a geometry
-            section.  It loads as a transport.TransportPlan, which checks
-            every value, these modes included, before anything runs
+            about 23 us each); required for transport scans, and needs a
+            geometry section.  It loads as a transport.TransportPlan, which
+            checks every value before anything runs
 detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
             defaults built in
 apply_detection  optional bool, map scan output through the detection
             model; refused on adiabaticity scans, whose output is no
             probability
-integrator  optional {"rel_tol","abs_tol","max_step_ms"} subset
 convolution optional {"renormalize"}
 seed        optional non-negative integer, default 0
 """
@@ -51,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from .addressing import TrapGeometry
-from .bloch import IntegratorConfig
 from .detection import DetectionModel
 from .errors import ConfigError
 from .pulses import APPulse
@@ -127,7 +121,7 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
 # the sections whose keys are all required numbers: the constructor that
 # takes them, in order
 _FIELDS = {
-    "geometry": (TrapGeometry, ("grad_nu_khz_per_um", "guide_shift_nu_mhz", "span_um")),
+    "geometry": (TrapGeometry, ("grad_nu_khz_per_um", "span_um")),
     "thermal": (ThermalModel.from_khz, ("delta_ls_max_khz", "delta_th_khz", "p_max")),
     "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init")),
     "pulse": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms")),
@@ -207,7 +201,6 @@ class RunConfig:
     transport: TransportPlan | None = None
     detection: DetectionModel = field(default_factory=DetectionModel)
     apply_detection: bool = False
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -219,7 +212,7 @@ class RunConfig:
 
 _TOP_KEYS = {
     "scan", "pulse", "geometry", "thermal", "transport", "detection",
-    "apply_detection", "integrator", "convolution", "seed",
+    "apply_detection", "convolution", "seed",
 }
 
 # the top-level keys that are not sections
@@ -299,7 +292,7 @@ def load_config(source) -> RunConfig:
             t,
             "transport",
             {"d_um", "omega_r_khz", "delta_0_khz", "spread_khz"},
-            {"n_ensemble", "distribution", "switch_on", "readout", "ramp_time_ms"},
+            {"n_ensemble"},
         )
         if geometry is None:
             raise ConfigError("a 'transport' section requires a 'geometry' section")
@@ -315,25 +308,7 @@ def load_config(source) -> RunConfig:
             spread=khz_to_rad_per_s(_num(t, "transport", "spread_khz")),
             g=geometry,
             n_ensemble=_int(t, "transport", "n_ensemble", 32),
-            distribution=t.get("distribution", "uniform"),
-            switch_on=t.get("switch_on", "dressed"),
-            ramp_time=ms_to_s(_num(t, "transport", "ramp_time_ms", 1.0)),
-            readout=t.get("readout", "dressed"),
         )
-
-    integrator = IntegratorConfig()
-    if "integrator" in raw:
-        i = raw["integrator"]
-        _check_keys(i, "integrator", set(), {"rel_tol", "abs_tol", "max_step_ms"})
-        max_step_ms = _num(i, "integrator", "max_step_ms")
-        try:
-            integrator = IntegratorConfig(
-                rel_tol=_num(i, "integrator", "rel_tol", 1e-9),
-                abs_tol=_num(i, "integrator", "abs_tol", 1e-12),
-                max_step=np.inf if max_step_ms is None else ms_to_s(max_step_ms),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"integrator: {exc}") from exc
 
     if "convolution" in raw:
         c = raw["convolution"]
@@ -353,6 +328,5 @@ def load_config(source) -> RunConfig:
         transport=transport,
         detection=detection or DetectionModel(),
         apply_detection=apply_detection,
-        integrator=integrator,
         seed=_int(raw, "config", "seed", 0),
     )

@@ -122,8 +122,6 @@ def fit_spectrum(
     data: ScanResult,
     pulse,
     initial_guess: ThermalModel,
-    *,
-    config=None,
 ) -> FitResult:
     """Fit the broadened-spectrum model to a measured detuning scan.
 
@@ -147,9 +145,7 @@ def fit_spectrum(
     # sized from the guess (clamped extrapolation beyond is flat); the
     # grid step follows the bare spectrum, not the guess
     margin = 2.0 * abs(guess.delta_ls_max) + 20.0 * guess.delta_th
-    cache = SpectrumCache.from_pulse(
-        pulse, float(deltas.min()) - margin, float(deltas.max()), config
-    )
+    cache = SpectrumCache.from_pulse(pulse, float(deltas.min()) - margin, float(deltas.max()))
     logging.getLogger(__name__).info("bare-spectrum cache: %d grid points, %d integrated",
                                      cache.deltas.size, cache.integrated)
 

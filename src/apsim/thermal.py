@@ -218,7 +218,7 @@ def _simpson(spectrum, delta_c, m: ThermalModel, n: int) -> np.ndarray:
     return out
 
 
-def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, config=None):
+def broadened_spectrum(pulse, m: ThermalModel, delta_c_values):
     """Convolved transfer probability at the given detunings (rad/s).
 
     One-stop composition used by the scan front ends: batch-integrates the
@@ -230,9 +230,7 @@ def broadened_spectrum(pulse, m: ThermalModel, delta_c_values, *, config=None):
     deltas = np.asarray(delta_c_values, dtype=float)
     if truncated_mass(m) == 0.0:
         return np.zeros_like(deltas)
-    cache = SpectrumCache.for_scan(
-        pulse, float(np.min(deltas)), float(np.max(deltas)), m, config
-    )
+    cache = SpectrumCache.for_scan(pulse, float(np.min(deltas)), float(np.max(deltas)), m)
     return convolve(cache, m)(delta_c_values)
 
 
@@ -282,8 +280,7 @@ class SpectrumCache:
         self._coef = _spline_coefficients(p1, h)
 
     @classmethod
-    def from_pulse(cls, pulse, delta_lo: float, delta_hi: float,
-                   config=None) -> "SpectrumCache":
+    def from_pulse(cls, pulse, delta_lo: float, delta_hi: float) -> "SpectrumCache":
         """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) until
         every spline error estimate is at most _TOL (see the class docstring).
 
@@ -298,14 +295,14 @@ class SpectrumCache:
         # the pulse's Fourier width, 1/t_p in Hz: no grid coarser is accepted
         fourier = 2.0 * math.pi / pulse.duration
         seed = np.linspace(delta_lo, delta_hi, _SEED_INTERVALS + 1)
-        seed_p1 = detuning_spectrum(pulse, seed, config)
+        seed_p1 = detuning_spectrum(pulse, seed)
         n = 2 * _SEED_INTERVALS
         while span / n > fourier and n < _MAX_CACHE_POINTS:
             n *= 2
         _check_budget(n, math.inf)
         p1 = np.linspace(delta_lo, delta_hi, n + 1)
         new = np.arange(n + 1) % (n // _SEED_INTERVALS) != 0
-        p1[new] = detuning_spectrum(pulse, p1[new], config)
+        p1[new] = detuning_spectrum(pulse, p1[new])
         p1[~new] = seed_p1
         integrated = n + 1
         fourth = np.pad(np.abs(np.convolve(p1, [1, -4, 6, -4, 1], "valid")), 2, mode="edge")
@@ -318,7 +315,7 @@ class SpectrumCache:
             spline = ((c3 * x + c2) * x + c1) * x + c0
             run = _refined(estimate)
             mid = spline.copy()
-            mid[run] = detuning_spectrum(pulse, fine[1::2][run], config)
+            mid[run] = detuning_spectrum(pulse, fine[1::2][run])
             integrated += int(np.count_nonzero(run))
             estimate = np.repeat(np.where(run, np.abs(spline - mid) / 16.0, estimate), 2)
             fine[::2], fine[1::2] = p1, mid
@@ -330,8 +327,7 @@ class SpectrumCache:
         return cache
 
     @classmethod
-    def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel,
-                 config=None) -> "SpectrumCache":
+    def for_scan(cls, pulse, scan_lo, scan_hi, m: ThermalModel) -> "SpectrumCache":
         """Cache sized for broadened evaluation on [scan_lo, scan_hi]; a
         one-point scan whose shift is lost in floating point gets one Fourier
         width (2 pi / t_p), and at least 64 floats, around it instead."""
@@ -339,7 +335,7 @@ class SpectrumCache:
         if not hi > lo:
             half = max(math.pi / pulse.duration, 32.0 * float(np.spacing(abs(lo))))
             lo, hi = lo - half, hi + half
-        return cls.from_pulse(pulse, lo, hi, config)
+        return cls.from_pulse(pulse, lo, hi)
 
     def __call__(self, delta_c):
         x = np.clip(delta_c, self.lo, self.hi)

@@ -10,10 +10,13 @@ total sweep is d_x omega_at * d, independent of duration; how adiabatic the
 single crossing is depends on tau.
 
 The initial detuning delta_r is random across repetitions because the atom
-starts at a random position within the loading region, so observed transfer
-probabilities are ensemble averages.  All members share the pulse shape and
-differ by a constant detuning offset, which lets one stacked integration
-evolve the whole ensemble.
+starts at a random position within the loading region, uniformly spread
+over it, so observed transfer probabilities are ensemble averages.  All
+members share the pulse shape and differ by a constant detuning offset,
+which lets one stacked integration evolve the whole ensemble.  The drive's
+switch-on and switch-off are taken as ideal and adiabatic: each member
+starts in its dressed ground state and is read out by its projection onto
+the final dressed state.
 """
 
 from __future__ import annotations
@@ -50,18 +53,11 @@ class TransportPlan:
     d            : transport distance in um (the package's length unit)
     omega_r      : constant Rabi frequency in rad/s
     delta_0      : central initial detuning in rad/s
-    spread       : full width of the initial-detuning spread in rad/s
+    spread       : full width of the initial-detuning spread in rad/s, over
+                   which the members' detunings are uniform
     g            : trap geometry providing the frequency gradient
     tau          : transport duration in s; transport_curve sets it per speed
     n_ensemble   : number of members, 1..2^16 (drawing costs about 23 us each)
-    distribution : initial detunings "uniform" over the spread, or
-                   variance-matched "gaussian"
-    switch_on    : "dressed" starts each member in its instantaneous dressed
-                   ground state (ideal adiabatic switch-on); "ramp" starts in
-                   the bare ground state under a sin^2 drive ramp
-    ramp_time    : length of that ramp in s; read in "ramp" mode only
-    readout      : "dressed" projects onto the final dressed state (ideal
-                   adiabatic switch-off); "bare" reads (1 + w)/2
     """
 
     d: float
@@ -71,10 +67,6 @@ class TransportPlan:
     g: TrapGeometry
     tau: float = 1e-3
     n_ensemble: int = 32
-    distribution: str = "uniform"
-    switch_on: str = "dressed"
-    ramp_time: float = 1e-3
-    readout: str = "dressed"
 
     def __post_init__(self) -> None:
         if not self.d > 0:
@@ -91,15 +83,6 @@ class TransportPlan:
             raise ConfigError(f"spread must be >= 0, got {self.spread}")
         if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
             raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
-        if self.distribution not in ("uniform", "gaussian"):
-            raise ConfigError(f"unknown distribution: {self.distribution!r}")
-        if self.switch_on not in ("dressed", "ramp"):
-            raise ConfigError(f"unknown switch_on mode: {self.switch_on!r}")
-        # an infinite ramp never ends: the pulse would span t = inf
-        if self.switch_on == "ramp" and not 0 < self.ramp_time < np.inf:
-            raise ConfigError(f"ramp_time must be positive and finite, got {self.ramp_time}")
-        if self.readout not in ("dressed", "bare"):
-            raise ConfigError(f"unknown readout mode: {self.readout!r}")
 
     def grad(self) -> float:
         """Frequency gradient in rad/s per micrometer."""
@@ -124,30 +107,21 @@ def _sweep(t, plan: TransportPlan):
 class TransportPulse:
     """Constant drive plus the transport chirp, as a pulse program.
 
-    In "ramp" switch-on mode a sin^2 drive ramp of length plan.ramp_time
-    comes first, with the detuning held at its initial value; in "dressed"
-    mode the ramp has length zero.  The detuning starts at 0; each member's
-    initial detuning delta_r is its trajectory's offset.
+    The drive is on at omega_r for the whole move.  The detuning starts at
+    0; each member's initial detuning delta_r is its trajectory's offset.
     """
 
     plan: TransportPlan
 
     @property
-    def t_ramp(self) -> float:
-        return self.plan.ramp_time if self.plan.switch_on == "ramp" else 0.0
-
-    @property
     def duration(self) -> float:
-        return self.plan.tau + self.t_ramp
+        return self.plan.tau
 
     def rabi(self, t):
-        ramp = self.t_ramp
-        if not ramp:  # constant drive; the envelope would read 0 / 0
-            return self.plan.omega_r
-        return self.plan.omega_r * np.where(t < ramp, np.sin(np.pi * t / (2.0 * ramp)) ** 2, 1.0)
+        return self.plan.omega_r
 
     def detuning(self, t):
-        return _sweep(np.maximum(t - self.t_ramp, 0.0), self.plan)
+        return _sweep(t, self.plan)
 
 
 def dressed_projection(states, omega, delta):
@@ -160,8 +134,8 @@ def dressed_projection(states, omega, delta):
 
 
 def _draw_delta_r(plan: TransportPlan, rng_seed: int):
-    """The plan's n_ensemble member detunings (rad/s), from per-member
-    seeded substreams.
+    """The plan's n_ensemble member detunings (rad/s), uniform over the
+    spread around delta_0, from per-member seeded substreams.
 
     Member i always consumes the substream (rng_seed, spawn_key=(i,)), so
     draws are independent of evaluation order and identical across scan
@@ -171,44 +145,29 @@ def _draw_delta_r(plan: TransportPlan, rng_seed: int):
     out = np.empty(plan.n_ensemble)
     for i in range(plan.n_ensemble):
         rng = default_rng(SeedSequence(entropy=rng_seed, spawn_key=(i,)))
-        if plan.distribution == "uniform":
-            out[i] = plan.delta_0 + plan.spread * (rng.uniform() - 0.5)
-        else:
-            # variance-matched to the uniform option
-            out[i] = plan.delta_0 + plan.spread / math.sqrt(12.0) * rng.standard_normal()
+        out[i] = plan.delta_0 + plan.spread * (rng.uniform() - 0.5)
     return out
 
 
-def transport_transfer(plan: TransportPlan, draws: np.ndarray, *,
-                       config=None) -> tuple[float, float]:
+def transport_transfer(plan: TransportPlan, draws: np.ndarray) -> tuple[float, float]:
     """Mean transfer probability over the members with initial detunings
     draws (rad/s, one per member), and its standard error; transport_curve
-    draws them once for all its points.  The plan's switch_on and readout
-    modes set the start and the projection at the end.
+    draws them once for all its points.  Each member starts in its dressed
+    ground state and is read out by its projection onto the final dressed
+    state (ideal adiabatic switch-on and switch-off).
     """
     n_ensemble = draws.size
-    pulse = TransportPulse(plan)
-    if plan.switch_on == "dressed":
-        # omega_r > 0, so no norm is zero; math.hypot, since np.hypot
-        # differs from it in the last bit and would move the outputs
-        norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
-        states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
-    else:
-        states0 = None  # the bare ground state
-
-    final = evolve_offsets(pulse, draws, initial_states=states0, config=config)
-
-    if plan.readout == "dressed":
-        p1 = dressed_projection(final, plan.omega_r, draws + _sweep(plan.tau, plan))
-    else:
-        p1 = 0.5 * (1.0 + final[:, 2])
-
+    # omega_r > 0, so no norm is zero; math.hypot, since np.hypot differs
+    # from it in the last bit and would move the outputs
+    norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
+    states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
+    final = evolve_offsets(TransportPulse(plan), draws, initial_states=states0)
+    p1 = dressed_projection(final, plan.omega_r, draws + _sweep(plan.tau, plan))
     stderr = 0.0 if n_ensemble == 1 else float(np.std(p1, ddof=1) / math.sqrt(n_ensemble))
     return float(np.mean(p1)), stderr
 
 
-def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0, *,
-                    config=None) -> ScanResult:
+def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0) -> ScanResult:
     """Transfer versus transport speed 1/tau (ms^-1).
 
     Points are evaluated one after another, in grid order, each with the
@@ -222,10 +181,7 @@ def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0, *,
     if np.any(grid <= 0):
         raise ConfigError("inv_tau values must be positive")
     draws = _draw_delta_r(plan, rng_seed)
-    p1, stderr = np.array(
-        [transport_transfer(replace(plan, tau=1e-3 / v), draws, config=config)
-         for v in grid]
-    ).T
+    p1, stderr = np.array([transport_transfer(replace(plan, tau=1e-3 / v), draws) for v in grid]).T
     return ScanResult(grid, p1, stderr, TRANSPORT_UNIT)
 
 

@@ -1,6 +1,6 @@
 """Oracles that exist only for the tests.
 
-Three pulse programs, which follow the package's pulse contract (rabi(t)
+Four pulse programs, which follow the package's pulse contract (rabi(t)
 and detuning(t) take t inside [0, duration] and return values that
 broadcast to t's shape), a DOP853 integration of the Bloch equations,
 the dressed ground state, and the light-shift density with a sampler of
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from apsim.transport import TransportPulse
 
 
 class _InvertedPulse:
@@ -78,6 +80,31 @@ class LinearSweepPulse:
 
     def detuning(self, t):
         return self.rate * (t - self.duration / 2.0)
+
+
+@dataclass(frozen=True)
+class RampedTransportPulse:
+    """The transport pulse of plan led by a sin^2 switch-on of its drive.
+
+    For the first ramp seconds the drive rises as omega_r sin^2(pi t /
+    (2 ramp)) with the detuning held at its start; then the move runs as
+    TransportPulse(plan).  Started in the bare ground state, it is the real
+    switch-on that the transport model's dressed start idealizes.
+    """
+
+    plan: object
+    ramp: float
+
+    @property
+    def duration(self) -> float:
+        return self.ramp + self.plan.tau
+
+    def rabi(self, t):
+        rise = np.sin(np.pi * t / (2.0 * self.ramp)) ** 2
+        return self.plan.omega_r * np.where(t < self.ramp, rise, 1.0)
+
+    def detuning(self, t):
+        return TransportPulse(self.plan).detuning(np.maximum(t - self.ramp, 0.0))
 
 
 def dop853_final(pulse, offsets, states, rel_tol=1e-12, abs_tol=1e-14):

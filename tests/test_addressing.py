@@ -19,7 +19,7 @@ from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
 @pytest.fixture
 def geometry() -> TrapGeometry:
-    return TrapGeometry(grad_nu=3.2, guide_shift_nu=9.8, span=300.0)
+    return TrapGeometry(grad_nu=3.2, span=300.0)
 
 
 # ------------------------------------------------------------ unit map
@@ -37,20 +37,18 @@ def test_unit_map_round_trip(geometry):
 
 def test_geometry_validation():
     with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=0.0, guide_shift_nu=9.8, span=300.0)
+        TrapGeometry(grad_nu=0.0, span=300.0)
     with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=3.2, guide_shift_nu=9.8, span=-1.0)
+        TrapGeometry(grad_nu=3.2, span=-1.0)
     with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=3.2, guide_shift_nu=np.inf, span=300.0)
+        TrapGeometry(grad_nu=np.inf, span=300.0)
     with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=np.inf, guide_shift_nu=9.8, span=300.0)
-    with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=3.2, guide_shift_nu=9.8, span=np.inf)
+        TrapGeometry(grad_nu=3.2, span=np.inf)
 
 
 def test_geometry_json_round_trip(geometry):
     # the config's geometry section loads as the geometry of its fields
-    section = {"grad_nu_khz_per_um": 3.2, "guide_shift_nu_mhz": 9.8, "span_um": 300.0}
+    section = {"grad_nu_khz_per_um": 3.2, "span_um": 300.0}
     cfg = {
         "scan": {"kind": "transport", "inv_tau_per_ms": [1.0]},
         "geometry": section,

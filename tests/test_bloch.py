@@ -13,7 +13,7 @@ from scipy.spatial.transform import Rotation
 
 import apsim
 import apsim.bloch as bloch
-from apsim.bloch import IntegratorConfig, detuning_spectrum, evolve_offsets
+from apsim.bloch import detuning_spectrum, evolve_offsets
 from apsim.errors import IntegrationError
 from apsim.pulses import APPulse
 from apsim.units import khz_to_rad_per_s
@@ -23,9 +23,9 @@ from oracles import RectPulse, dop853_final, inverted
 GROUND = np.array([0.0, 0.0, -1.0])
 
 
-def final(pulse, state=GROUND, **kwargs):
+def final(pulse, state=GROUND):
     """Bloch vector after the pulse, as a stack of one trajectory."""
-    return evolve_offsets(pulse, [0.0], state, **kwargs)[0]
+    return evolve_offsets(pulse, [0.0], state)[0]
 
 
 def p1(state) -> float:
@@ -42,20 +42,6 @@ def test_state_basics():
     starts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
     np.testing.assert_array_equal(evolve_offsets(idle, [0.0, 0.0], starts), starts)
     assert p1(starts[1]) == 0.75
-
-
-def test_config_validation():
-    # tolerances must be finite and positive; max_step = inf is the "no
-    # cap" default
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=bad)
-        with pytest.raises(ValueError):
-            IntegratorConfig(abs_tol=bad)
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=bad)
-    assert IntegratorConfig(max_step=math.inf).max_step == math.inf
 
 
 # ------------------------------------------------------------ textbook limits
@@ -128,16 +114,14 @@ def test_inverted_pulse_reverses_evolution(ref_pulse):
     np.testing.assert_allclose(back, -GROUND, atol=1e-7)
 
 
-def test_step_cap_does_not_change_answer(ref_pulse):
-    base = final(ref_pulse)
-    capped = final(ref_pulse, config=IntegratorConfig(max_step=ref_pulse.duration / 200))
-    np.testing.assert_allclose(capped, base, atol=1e-8)
-
-
-def test_tighter_tolerance_consistent(ref_pulse):
-    loose = final(ref_pulse, config=IntegratorConfig(1e-7, 1e-10))
-    tight = final(ref_pulse, config=IntegratorConfig(1e-12, 1e-14))
-    assert p1(loose) == pytest.approx(p1(tight), abs=1e-6)
+def test_tighter_tolerance_consistent(ref_pulse, monkeypatch):
+    answers = []
+    for rel_tol, abs_tol in ((1e-7, 1e-10), (1e-12, 1e-14)):
+        monkeypatch.setattr(bloch, "_REL_TOL", rel_tol)
+        monkeypatch.setattr(bloch, "_ABS_TOL", abs_tol)
+        answers.append(p1(final(ref_pulse)))
+    loose, tight = answers
+    assert loose == pytest.approx(tight, abs=1e-6)
 
 
 # ------------------------------------------------------------ batched offsets
@@ -209,7 +193,7 @@ def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
 def test_member_step_budget_fires_before_any_pass(ref_pulse, monkeypatch):
     # one trajectory more than the budget holds at the pulse's first step
     # count; no rotation pass may start
-    first = bloch._initial_steps(bloch._need(ref_pulse, np.zeros(1), IntegratorConfig()))
+    first = bloch._initial_steps(bloch._need(ref_pulse, np.zeros(1)))
     n = bloch._MAX_MEMBER_STEPS // int(first[0]) + 1
     monkeypatch.setattr(bloch, "_rotation_pass", lambda *args: pytest.fail("a pass ran"))
     with pytest.raises(IntegrationError, match="work budget exceeded"):
@@ -380,7 +364,7 @@ def test_need_sums_the_samples_like_a_loop(ref_pulse, m):
     for om_k, de_k in zip(ref_pulse.rabi(t), ref_pulse.detuning(t)):
         angle += np.hypot(om_k, de_k + offs)
     angle *= ref_pulse.duration / (64 * math.pi)
-    assert np.array_equal(bloch._need(ref_pulse, offs, IntegratorConfig()), angle)
+    assert np.array_equal(bloch._need(ref_pulse, offs), angle)
 
 
 def test_rotation_pass_does_not_depend_on_blas_threads():
@@ -435,11 +419,14 @@ def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
     # of a chunk's 3 _STEPS sample times), and per-member vectors (at most
     # 512 bytes a member), however many steps it takes.  A pass that took
     # fresh buffers for its steps or blocks would add a term that grows
-    # with them.  max_step forces passes of 4096 and 8192 steps, as the
-    # slowest transport point takes; the cache stack spans the fit's range.
+    # with them.  A need of `steps` half-turns forces passes of 4096 and
+    # 8192 steps, as the slowest transport point takes; the cache stack
+    # spans the fit's range.
     per_chunk, per_member = 10 * 3 * bloch._STEPS * 8, 512
     offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
-    cfg = IntegratorConfig(max_step=ref_pulse.duration / steps) if steps else IntegratorConfig()
+    if steps:
+        need = bloch._need
+        monkeypatch.setattr(bloch, "_need", lambda *args: np.maximum(need(*args), steps))
     rotation_pass = bloch._rotation_pass
     grown = []
 
@@ -454,7 +441,7 @@ def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        evolve_offsets(ref_pulse, offs, config=cfg)
+        evolve_offsets(ref_pulse, offs)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -509,6 +496,5 @@ def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
     got = evolve_offsets(ref_pulse, offs)
     assert 0 < sizes[0] < offs.size
     assert 0 < sizes[-1] < offs.size
-    cfg = IntegratorConfig()
     fine = _pass(ref_pulse, offs, y0, 2**14)
-    assert np.max(np.linalg.norm(got - fine, axis=1)) <= cfg.abs_tol + cfg.rel_tol
+    assert np.max(np.linalg.norm(got - fine, axis=1)) <= bloch._ABS_TOL + bloch._REL_TOL

@@ -87,9 +87,7 @@ def test_required_sections_per_kind():
     spatial["scan"] = {"kind": "spatial", "start_um": -25.0, "stop_um": 25.0, "step_um": 0.5}
     with pytest.raises(ConfigError):
         load_config(spatial)  # geometry missing
-    spatial["geometry"] = {
-        "grad_nu_khz_per_um": 3.2, "guide_shift_nu_mhz": 9.8, "span_um": 300.0,
-    }
+    spatial["geometry"] = {"grad_nu_khz_per_um": 3.2, "span_um": 300.0}
     rc = load_config(spatial)
     assert rc.kind == "spatial"
     assert len(rc.grid) == 101
@@ -171,9 +169,7 @@ def test_domain_invariants_surface_as_config_errors():
 def test_transport_config():
     t = {
         "scan": {"kind": "transport", "inv_tau_per_ms": [0.05, 0.1, 1.0, 10.0]},
-        "geometry": {
-            "grad_nu_khz_per_um": 3.2, "guide_shift_nu_mhz": 9.8, "span_um": 300.0,
-        },
+        "geometry": {"grad_nu_khz_per_um": 3.2, "span_um": 300.0},
         "transport": {
             "d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0, "spread_khz": 32.0,
         },
@@ -181,7 +177,6 @@ def test_transport_config():
     rc = load_config(t)
     assert rc.kind == "transport"
     assert rc.transport.n_ensemble == 32
-    assert rc.transport.readout == "dressed"
     np.testing.assert_array_equal(rc.grid, [0.05, 0.1, 1.0, 10.0])
 
     bad = copy.deepcopy(t)
@@ -201,23 +196,16 @@ def test_transport_config():
 def test_transport_config_builds_the_plan():
     t = {
         "scan": {"kind": "transport", "inv_tau_per_ms": [1.0]},
-        "geometry": {"grad_nu_khz_per_um": 3.2, "guide_shift_nu_mhz": 9.8, "span_um": 300.0},
+        "geometry": {"grad_nu_khz_per_um": 3.2, "span_um": 300.0},
         "transport": {"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
-                      "spread_khz": 32.0, "switch_on": "ramp", "ramp_time_ms": 0.5},
+                      "spread_khz": 32.0},
     }
     plan = load_config(t).transport
-    assert (plan.d, plan.tau, plan.ramp_time, plan.switch_on) == (132.0, 1e-3, 0.5e-3, "ramp")
+    assert (plan.d, plan.tau) == (132.0, 1e-3)
     # in rad/s, converted as the rest of the package converts
     want = khz_to_rad_per_s(np.array([26.0, -72.0, 32.0]))
     assert (plan.omega_r, plan.delta_0, plan.spread) == tuple(want)
     assert plan.g.grad_nu == 3.2
-    # the ramp length is read in "ramp" mode only, as it always was
-    for ramp_ms in (-1.0, -1e300):
-        t["transport"].update(switch_on="dressed", ramp_time_ms=ramp_ms)
-        assert load_config(t).transport.ramp_time == ramp_ms * 1e-3
-    t["transport"]["switch_on"] = "ramp"
-    with pytest.raises(ConfigError, match="ramp_time must be positive"):
-        load_config(t)
     # the plan needs the gradient, so a transport section needs a geometry
     spectrum = cfg(transport={"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
                               "spread_khz": 32.0})
@@ -247,15 +235,12 @@ def test_convolution_method_key_is_rejected(method):
 def test_optional_sections():
     rc = load_config(
         cfg(
-            integrator={"rel_tol": 1e-8, "max_step_ms": 0.01},
             convolution={"renormalize": True},
             detection={"eps_pushout": 0.98, "eps_keep": 0.97, "p_init": 0.93},
             apply_detection=True,
             seed=7,
         )
     )
-    assert rc.integrator.rel_tol == 1e-8
-    assert rc.integrator.max_step == pytest.approx(1e-5)
     assert rc.thermal.renormalize is True
     assert rc.detection.p_init == 0.93
     assert rc.apply_detection is True

@@ -1,18 +1,17 @@
 """Exit-code contract tests over every single-leaf mutation.
 
-Every single-leaf mutation of a preset, with its optional ``integrator``
-section added at its defaults, by each of a fixed set of junk values,
-run through the preset's own command and, where it has a pulse, through
-``adiabaticity``, ends in exit 0, 2 or 3 and never in a traceback or an
-apsim RuntimeWarning; an exit 0 writes no NaN.  Grids
+Every single-leaf mutation of a preset by each of a fixed set of junk
+values, run through the preset's own command and, where it has a pulse,
+through ``adiabaticity``, ends in exit 0, 2 or 3 and never in a
+traceback or an apsim RuntimeWarning; an exit 0 writes no NaN.  Grids
 are cut to 3 points, ensembles to 4 members and pulses to 0.2 ms, so
 each run takes milliseconds.
 
-The opt-in keys no preset sets (``detection``, ``apply_detection``,
-``convolution`` and the transport section's modes) are added to each
-preset at non-default values, and each of their leaves is mutated by the
-same junk values under the same contract; the preset's own leaves, which
-the first test already mutates, are left as they are.
+The opt-in keys no preset sets (``detection``, ``apply_detection`` and
+``convolution``) are added to each preset at non-default values, and
+each of their leaves is mutated by the same junk values under the same
+contract; the preset's own leaves, which the first test already mutates,
+are left as they are.
 
 Each preset with its pulse section swapped for a valid "ap" one, or for
 one of the retired kinds "rect" and "tabulated", ends, on every command,
@@ -34,9 +33,10 @@ JUNK = {"0": 0, "-1": -1, "1e-300": 1e-300, "1e308": 1e308, "-1e308": -1e308, "n
         "0.53": 0.53, "10**400": 10**400}
 
 
-def _small(raw: dict) -> dict:
-    """The preset with its grid cut to 3 points, its ensemble to 4 and its
-    pulse to 0.2 ms."""
+def _small(preset: str) -> dict:
+    """The named preset with its grid cut to 3 points, its ensemble to 4
+    and its pulse to 0.2 ms."""
+    raw = PRESETS[preset]()
     scan = raw["scan"]
     if scan["kind"] == "transport":
         scan["inv_tau_per_ms"] = scan["inv_tau_per_ms"][-3:]
@@ -58,23 +58,10 @@ def _leaves(node, path=()):
             yield path + (key,)
 
 
-# the optional sections no preset has, at their defaults, so that their
-# leaves are mutated too (max_step_ms: inf sets no cap)
-OPTIONAL = {"integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step_ms": math.inf}}
-
-
-def _cut(preset: str) -> dict:
-    """A cut preset with the optional sections added."""
-    raw = _small(PRESETS[preset]())
-    for section, leaves in OPTIONAL.items():
-        raw.setdefault(section, dict(leaves))
-    return raw
-
-
 def _mutations():
     """Every (preset, leaf, junk, command) case."""
     for preset in preset_names():
-        raw = _cut(preset)
+        raw = _small(preset)
         commands = [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
         for path in _leaves(raw):
             for junk in JUNK:
@@ -107,24 +94,19 @@ def _assert_contract(workdir, raw: dict, path: tuple, junk: str, command: str) -
 
 @pytest.mark.parametrize("preset, path, junk, command", list(_mutations()))
 def test_single_leaf_mutation_keeps_the_exit_contract(workdir, preset, path, junk, command):
-    _assert_contract(workdir, _cut(preset), path, junk, command)
+    _assert_contract(workdir, _small(preset), path, junk, command)
 
 
 # the opt-in keys no preset sets, at values other than their defaults so
-# that the paths they switch on run; the transport modes go only where
-# there is a transport section
+# that the paths they switch on run
 OPT_IN = {"detection": {"eps_pushout": 0.9, "eps_keep": 0.95, "p_init": 0.9},
           "apply_detection": True, "convolution": {"renormalize": True}}
-TRANSPORT_OPT_IN = {"distribution": "gaussian", "switch_on": "ramp", "readout": "bare",
-                    "ramp_time_ms": 0.5}
 
 
 def _opted_in(preset: str) -> dict:
     """A cut preset with every opt-in key added."""
-    raw = _small(PRESETS[preset]())
+    raw = _small(preset)
     raw.update(json.loads(json.dumps(OPT_IN)))
-    if "transport" in raw:
-        raw["transport"].update(TRANSPORT_OPT_IN)
     return raw
 
 
@@ -133,10 +115,7 @@ def _opt_in_mutations():
     for preset in preset_names():
         raw = _opted_in(preset)
         commands = [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
-        paths = [path for path in _leaves(raw)
-                 if path[0] in OPT_IN
-                 or (path[0] == "transport" and path[1] in TRANSPORT_OPT_IN)]
-        for path in paths:
+        for path in (path for path in _leaves(raw) if path[0] in OPT_IN):
             for junk in JUNK:
                 for command in commands:
                     yield pytest.param(preset, path, junk, command,
@@ -195,7 +174,7 @@ def fit_data(workdir):
 @pytest.mark.parametrize("pulse", sorted(PULSES))
 @pytest.mark.parametrize("preset", preset_names())
 def test_pulse_section_swap_keeps_the_exit_contract(workdir, fit_data, preset, pulse, command):
-    raw = _small(PRESETS[preset]())
+    raw = _small(preset)
     raw["pulse"] = PULSES[pulse]
     cfg = workdir / "swap.json"
     cfg.write_text(json.dumps(raw))

@@ -21,7 +21,7 @@ from apsim.transport import (
 )
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
-from oracles import LinearSweepPulse, RectPulse, dressed_ground
+from oracles import LinearSweepPulse, RampedTransportPulse, RectPulse, dressed_ground
 
 
 def transfer(plan, rng_seed, **fields):
@@ -33,7 +33,7 @@ def transfer(plan, rng_seed, **fields):
 
 @pytest.fixture
 def geometry() -> TrapGeometry:
-    return TrapGeometry(grad_nu=3.2, guide_shift_nu=9.8, span=300.0)
+    return TrapGeometry(grad_nu=3.2, span=300.0)
 
 
 @pytest.fixture
@@ -119,7 +119,7 @@ def test_interaction_width_scales_linearly(plan):
     doubled = dataclasses.replace(plan, omega_r=2 * plan.omega_r)
     assert interaction_width(doubled) == pytest.approx(2 * interaction_width(plan))
     steeper = dataclasses.replace(
-        plan, g=TrapGeometry(grad_nu=6.4, guide_shift_nu=9.8, span=300.0)
+        plan, g=TrapGeometry(grad_nu=6.4, span=300.0)
     )
     assert interaction_width(steeper) == pytest.approx(interaction_width(plan) / 2)
 
@@ -180,51 +180,34 @@ def test_member_draws_stable_under_ensemble_growth(plan):
 
 
 def test_draw_distributions(plan):
-    n = 4000
-    uni = _draw_delta_r(replace(plan, n_ensemble=n), 1)
+    uni = _draw_delta_r(replace(plan, n_ensemble=4000), 1)
     half = plan.spread / 2
     assert np.all(uni >= plan.delta_0 - half) and np.all(uni <= plan.delta_0 + half)
-    gau = _draw_delta_r(replace(plan, n_ensemble=n, distribution="gaussian"), 1)
-    # variance matched to the uniform spread
-    assert np.std(gau) == pytest.approx(plan.spread / math.sqrt(12.0), rel=0.05)
 
 
 def test_ramped_switch_on_agrees_with_dressed_start(plan):
+    # a sufficiently slow real switch-on, a sin^2 ramp of the drive from
+    # the bare ground state, reproduces the ideal dressed start
     slow = replace(plan, tau=2e-3, n_ensemble=4)
-    ideal = transfer(slow, 2, switch_on="dressed")
-    ramped = transfer(slow, 2, switch_on="ramp", ramp_time=1e-3)
-    # a sufficiently slow real switch-on reproduces the ideal dressed start
-    assert ramped[0] == pytest.approx(ideal[0], abs=0.005)
-
-
-def test_ramped_pulse_holds_detuning_during_the_ramp(plan):
-    ramped = TransportPulse(replace(plan, switch_on="ramp", ramp_time=0.5e-3))
-    assert ramped.duration == plan.tau + 0.5e-3
-    t = np.array([0.0, 0.25e-3, 0.5e-3, 1.0e-3])
-    np.testing.assert_allclose(ramped.rabi(t), plan.omega_r * np.array([0.0, 0.5, 1.0, 1.0]),
-                               atol=1e-9 * plan.omega_r)
-    np.testing.assert_array_equal(ramped.detuning(t[:3]), 0.0)
-    assert ramped.detuning(1.0e-3) == TransportPulse(plan).detuning(0.5e-3)
+    draws = _draw_delta_r(slow, 2)
+    ramped = evolve_offsets(RampedTransportPulse(slow, 1e-3), draws)
+    end = draws + TransportPulse(slow).detuning(slow.tau)
+    p1 = np.mean(dressed_projection(ramped, slow.omega_r, end))
+    assert p1 == pytest.approx(transport_transfer(slow, draws)[0], abs=0.005)
 
 
 def test_bare_readout_close_for_far_final_detuning(plan):
+    # final detuning ~350 kHz >> 26 kHz drive: the bare readout (1 + w)/2
+    # nearly agrees with the dressed projection the model reads
     slow = replace(plan, tau=5e-3, n_ensemble=4)
-    dressed = transfer(slow, 0, readout="dressed")
-    bare = transfer(slow, 0, readout="bare")
-    # final detuning ~350 kHz >> 26 kHz drive: dressed and bare nearly agree
-    assert bare[0] == pytest.approx(dressed[0], abs=0.01)
-
-
-def test_transfer_option_validation(plan):
-    # the plan refuses unknown modes when it is made, before any draw
-    for bad in (dict(distribution="exotic"), dict(switch_on="instant"),
-                dict(readout="fluorescence"), dict(switch_on="ramp", ramp_time=0.0),
-                dict(switch_on="ramp", ramp_time=np.inf), dict(readout=None),
-                dict(switch_on=["ramp"])):
-        with pytest.raises(ConfigError):
-            replace(plan, **bad)
-    # the ramp length is read in "ramp" mode only
-    assert TransportPulse(replace(plan, ramp_time=-1.0)).duration == plan.tau
+    draws = _draw_delta_r(slow, 0)
+    pulse = TransportPulse(slow)
+    starts = np.array([dressed_ground(slow.omega_r, d) for d in draws])
+    final = evolve_offsets(pulse, draws, starts)
+    dressed = np.mean(dressed_projection(final, slow.omega_r, draws + pulse.detuning(slow.tau)))
+    bare = np.mean(0.5 * (1.0 + final[:, 2]))
+    assert dressed == pytest.approx(transport_transfer(slow, draws)[0], abs=1e-12)
+    assert bare == pytest.approx(dressed, abs=0.01)
 
 
 # ------------------------------------------------------------ speed curve
@@ -240,12 +223,11 @@ def test_transport_curve_layout_and_monotony(plan):
     assert np.all(scan.stderr >= 0.0)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"distribution": "gaussian", "readout": "bare"}])
-def test_curve_points_equal_single_transfers(plan, kwargs):
+def test_curve_points_equal_single_transfers(plan):
     # the curve draws its members once; each point is still the transfer
     # that draws them itself, bit for bit
     grid = [2.0, 8.0]
-    plan = replace(plan, n_ensemble=5, **kwargs)
+    plan = replace(plan, n_ensemble=5)
     scan = transport_curve(plan, grid, rng_seed=4)
     for inv_tau, p1, stderr in zip(grid, scan.p1, scan.stderr):
         assert transfer(plan, 4, tau=1e-3 / inv_tau) == (p1, stderr)
