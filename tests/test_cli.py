@@ -379,6 +379,26 @@ def test_retired_key_fails_at_load(tmp_path, caplog, section, key, value, messag
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("field, value", [
+    ("switch_on", "bogus"), ("switch_on", "Dressed"), ("switch_on", 1), ("switch_on", None),
+    ("readout", "bogus"), ("readout", "bar"), ("readout", 0.5), ("readout", ["bare"]),
+    ("distribution", "bogus"), ("distribution", "normal"), ("distribution", True),
+    ("distribution", {}),
+])
+def test_bad_transport_mode_fails_at_load(tmp_path, caplog, field, value):
+    # the transport modes are retired: a mode key fails at load whatever
+    # its value, the ones the modes once refused among them, before any of
+    # the 2^16 members is drawn
+    raw = PRESETS["transport_speed"]()
+    raw["transport"].update({"n_ensemble": 2**16, field: value})
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    assert main(["transport", "--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"unknown transport keys: ['{field}']" in caplog.text
+
+
 def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
     # "ap" is the one pulse kind; any other fails at load
     cfg = {

@@ -13,10 +13,16 @@ each of their leaves is mutated by the same junk values under the same
 contract; the preset's own leaves, which the first test already mutates,
 are left as they are.
 
+The leaves the format no longer has (the ``integrator`` section, the
+geometry's ``guide_shift_nu_mhz`` and the transport section's modes) stay
+in these sweeps where the presets once had them: each, set to any of the
+junk values, exits 2 at load.
+
 Each preset with its pulse section swapped for a valid "ap" one, or for
 one of the retired kinds "rect" and "tabulated", ends, on every command,
 in the exit code the config's rules give; and every numeric leaf of each
-preset written as a numeric string exits 2.
+preset, the retired geometry leaf among them, written as a numeric
+string exits 2.
 """
 
 import json
@@ -58,12 +64,25 @@ def _leaves(node, path=()):
             yield path + (key,)
 
 
+# leaves the format no longer has: the optional integrator section, and
+# keys of sections a preset has; each fails at load whatever its value
+RETIRED = {("integrator", "rel_tol"), ("integrator", "abs_tol"), ("integrator", "max_step_ms"),
+           ("geometry", "guide_shift_nu_mhz")}
+RETIRED_OPT_IN = {("transport", key)
+                  for key in ("distribution", "switch_on", "readout", "ramp_time_ms")}
+
+
+def _retired(raw: dict, retired: set) -> list:
+    """The retired paths that were leaves of raw's sections, in a fixed order."""
+    return sorted(path for path in retired if path[0] == "integrator" or path[0] in raw)
+
+
 def _mutations():
     """Every (preset, leaf, junk, command) case."""
     for preset in preset_names():
         raw = _small(preset)
         commands = [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
-        for path in _leaves(raw):
+        for path in [*_leaves(raw), *_retired(raw, RETIRED)]:
             for junk in JUNK:
                 for command in commands:
                     yield pytest.param(preset, path, junk, command,
@@ -77,17 +96,18 @@ def workdir(tmp_path_factory):
 
 def _assert_contract(workdir, raw: dict, path: tuple, junk: str, command: str) -> None:
     """raw with its leaf at path set to JUNK[junk], run through command,
-    exits 0, 2 or 3, and an exit 0 writes no NaN."""
+    exits 0, 2 or 3, and an exit 0 writes no NaN; a retired leaf, whose
+    section is made if raw lacks it, exits 2."""
     *outer, key = path
     node = raw
     for k in outer:
-        node = node[k]
+        node = node.setdefault(k, {})
     node[key] = JUNK[junk]
     cfg, out = workdir / "cfg.json", workdir / "out.csv"
     cfg.write_text(json.dumps(raw))  # NaN and inf as JSON's NaN/Infinity
     out.unlink(missing_ok=True)
     code = main([command, "--config", str(cfg), "--out", str(out)])
-    assert code in (0, 2, 3)
+    assert code in ((2,) if path in RETIRED | RETIRED_OPT_IN else (0, 2, 3))
     if code == 0:
         assert "nan" not in out.read_text()
 
@@ -115,7 +135,8 @@ def _opt_in_mutations():
     for preset in preset_names():
         raw = _opted_in(preset)
         commands = [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
-        for path in (path for path in _leaves(raw) if path[0] in OPT_IN):
+        paths = [path for path in _leaves(raw) if path[0] in OPT_IN]
+        for path in paths + _retired(raw, RETIRED_OPT_IN):
             for junk in JUNK:
                 for command in commands:
                     yield pytest.param(preset, path, junk, command,
@@ -185,9 +206,22 @@ def test_pulse_section_swap_keeps_the_exit_contract(workdir, fit_data, preset, p
     assert main(argv) == _expected_exit(raw, command)
 
 
+# the geometry leaf the format no longer has, at the value the presets
+# once gave it
+RETIRED_NUMERIC = {("geometry", "guide_shift_nu_mhz"): 9.8}
+
+
+def _with_retired_numeric(raw: dict) -> dict:
+    """raw with the retired numeric leaves of its sections added."""
+    for (section, key), value in RETIRED_NUMERIC.items():
+        if section in raw:
+            raw[section][key] = value
+    return raw
+
+
 def _numeric_leaves():
     for name in preset_names():
-        raw = PRESETS[name]()
+        raw = _with_retired_numeric(PRESETS[name]())
         for path in _leaves(raw):
             node = raw
             for k in path:
@@ -200,6 +234,8 @@ def _numeric_leaves():
 def test_numeric_string_is_a_config_error(workdir, preset, path):
     # the whole preset: loading fails before any of it runs
     raw = PRESETS[preset]()
+    if path in RETIRED_NUMERIC:
+        raw[path[0]][path[1]] = RETIRED_NUMERIC[path]
     *outer, key = path
     node = raw
     for k in outer:

@@ -196,6 +196,18 @@ def test_ramped_switch_on_agrees_with_dressed_start(plan):
     assert p1 == pytest.approx(transport_transfer(slow, draws)[0], abs=0.005)
 
 
+def test_ramped_pulse_holds_detuning_during_the_ramp(plan):
+    # the oracle's switch-on: the drive rises as sin^2 while the detuning
+    # waits at its start, then the move runs as TransportPulse(plan)
+    ramped = RampedTransportPulse(plan, 0.5e-3)
+    assert ramped.duration == plan.tau + 0.5e-3
+    t = np.array([0.0, 0.25e-3, 0.5e-3, 1.0e-3])
+    np.testing.assert_allclose(ramped.rabi(t), plan.omega_r * np.array([0.0, 0.5, 1.0, 1.0]),
+                               atol=1e-9 * plan.omega_r)
+    np.testing.assert_array_equal(ramped.detuning(t[:3]), 0.0)
+    assert ramped.detuning(1.0e-3) == TransportPulse(plan).detuning(0.5e-3)
+
+
 def test_bare_readout_close_for_far_final_detuning(plan):
     # final detuning ~350 kHz >> 26 kHz drive: the bare readout (1 + w)/2
     # nearly agrees with the dressed projection the model reads
@@ -223,11 +235,13 @@ def test_transport_curve_layout_and_monotony(plan):
     assert np.all(scan.stderr >= 0.0)
 
 
-def test_curve_points_equal_single_transfers(plan):
+@pytest.mark.parametrize("kwargs", [{}, {"spread": 0.0}])
+def test_curve_points_equal_single_transfers(plan, kwargs):
     # the curve draws its members once; each point is still the transfer
-    # that draws them itself, bit for bit
+    # that draws them itself, bit for bit, also when every member has the
+    # same detuning
     grid = [2.0, 8.0]
-    plan = replace(plan, n_ensemble=5)
+    plan = replace(plan, n_ensemble=5, **kwargs)
     scan = transport_curve(plan, grid, rng_seed=4)
     for inv_tau, p1, stderr in zip(grid, scan.p1, scan.stderr):
         assert transfer(plan, 4, tau=1e-3 / inv_tau) == (p1, stderr)
