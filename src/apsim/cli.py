@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import logging
 import sys
 import time
@@ -194,6 +195,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the objects alive when a command starts outlive it.  Frozen, the
+    # command's garbage collections skip them: otherwise a young
+    # collection may traverse the ~4000 import-time objects not yet
+    # promoted, about 1.5 ms.  Unfreezing hands them all to the oldest
+    # generation.
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )

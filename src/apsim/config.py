@@ -24,8 +24,9 @@ thermal     {"delta_ls_max_khz","delta_th_khz","p_max"}; required for
 geometry    {"grad_nu_khz_per_um","span_um"}; required for spatial and
             transport
 transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
-            "n_ensemble" (1..2^16, default 32: drawing the members costs
-            about 23 us each); required for transport scans, and needs a
+            "n_ensemble" (1..2^16, default 32; member i's draw depends
+            only on (seed, i), and drawing all 2^16 takes about 12 ms);
+            required for transport scans, and needs a
             geometry section.  It loads as a transport.TransportPlan, which
             checks every value before anything runs
 detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
@@ -204,8 +205,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # numpy's SeedSequence takes non-negative integers only; checked
-        # here so that a --seed override is held to it as well
+        # the seed is the SeedSequence entropy of the transport draw, a
+        # non-negative integer; checked here so that a --seed override is
+        # held to it as well
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -238,6 +240,10 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer literal past Python's int-string limit, or arrays
+            # and objects nested past the recursion limit
+            raise ConfigError(f"config cannot be parsed: {exc}") from exc
     elif isinstance(source, dict):
         raw = source
     else:

@@ -112,6 +112,25 @@ def test_missing_and_invalid_config(tmp_path):
     assert main(["spectrum", "--config", str(schema)]) == 2  # pulse/thermal missing
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("1" + "0" * 5000, "Exceeds the limit (4300 digits)"),
+    ("[" * 200000 + "]" * 200000, "maximum recursion depth exceeded"),
+], ids=["int-past-digit-limit", "arrays-nested-200000-deep"])
+def test_json_the_parser_refuses_is_config_error(tmp_path, caplog, capsys, seed, message):
+    # valid JSON that json.loads still refuses: an ERROR line and exit 2,
+    # never a traceback; json.dumps cannot write the int, so the text is
+    # written directly
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scan": {"kind": "transport", "inv_tau_per_ms": [1.0]}, "seed": '
+                    + seed + "}")
+    assert main(["transport", "--config", str(path)]) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "config cannot be parsed" in errors[0].getMessage()
+    assert message in errors[0].getMessage()
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, content", [
     ("spectrum", "--config", None),
     ("fit", "--data", None),
@@ -799,7 +818,8 @@ sys.path.insert(0, {str(Path(apsim.__file__).parents[1])!r})
 import apsim.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"])
 
 assert not loaded(), loaded()
 assert apsim.cli.main(["transport", "--config", {str(transport_cfg)!r},
@@ -823,17 +843,36 @@ assert not loaded(), loaded()
     assert json.loads((tmp_path / "f.json").read_text())["converged"] is True
 
 
+def test_main_leaves_nothing_frozen(spectrum_cfg, tmp_path):
+    # main freezes the objects alive when it starts and must hand them back
+    # to the collector however the command ends
+    import gc
+
+    assert main(["spectrum", "--config", str(spectrum_cfg), "--out",
+                 str(tmp_path / "s.csv")]) == 0
+    assert gc.get_freeze_count() == 0
+    assert main(["spectrum", "--config", str(tmp_path / "missing.json")]) == 2
+    assert gc.get_freeze_count() == 0
+
+
 def test_package_imports_no_scipy():
-    # scipy is a test dependency only: no module of the package imports it,
-    # at the top or inside a function
+    # scipy is a test dependency only, and numpy.random a test oracle only:
+    # no module of the package imports either, at the top or inside a
+    # function, nor reaches numpy.random as an attribute (numpy loads it
+    # on first access)
+    def banned(name):
+        return name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "random"]
+
     found = []
     for path in sorted(Path(apsim.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}".replace("np.", "numpy.", 1)]
             else:
                 continue
-            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+            found += [f"{path.name}: {n}" for n in names if banned(n)]
     assert not found, found

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apsim.addressing import TrapGeometry
 from apsim.bloch import evolve_offsets
@@ -179,10 +181,51 @@ def test_member_draws_stable_under_ensemble_growth(plan):
     np.testing.assert_array_equal(large[:4], small)
 
 
+def test_draw_seed_is_a_non_negative_integer(plan):
+    # as numpy's SeedSequence takes it: any integer type, never a float
+    # or a negative number
+    np.testing.assert_array_equal(_draw_delta_r(plan, np.uint64(5)), _draw_delta_r(plan, 5))
+    with pytest.raises(ValueError, match="non-negative"):
+        _draw_delta_r(plan, -1)
+    with pytest.raises(TypeError):
+        _draw_delta_r(plan, 5.0)
+
+
 def test_draw_distributions(plan):
     uni = _draw_delta_r(replace(plan, n_ensemble=4000), 1)
     half = plan.spread / 2
     assert np.all(uni >= plan.delta_0 - half) and np.all(uni <= plan.delta_0 + half)
+
+
+def _numpy_draws(plan, seed, members):
+    """Member detunings from numpy's own SeedSequence and PCG64, the oracle
+    of the package's in-package generator."""
+    from numpy.random import SeedSequence, default_rng
+
+    u = [default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).uniform() for i in members]
+    return np.array([plan.delta_0 + plan.spread * (x - 0.5) for x in u])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 10**400), n=st.integers(1, 64))
+@example(seed=0, n=1)
+@example(seed=2**96 - 1, n=64)  # three words, padded to the pool's four
+@example(seed=2**128 - 1, n=64)  # four words, none left after the pool
+def test_draws_equal_numpy_substreams(seed, n):
+    # seeds from one 32-bit word to 42 (multi-word entropy), bit for bit
+    plan = TransportPlan(d=132.0, omega_r=1.0, delta_0=khz_to_rad_per_s(-72.0),
+                         spread=khz_to_rad_per_s(32.0), g=TrapGeometry(3.2, 300.0),
+                         n_ensemble=n)
+    np.testing.assert_array_equal(_draw_delta_r(plan, seed), _numpy_draws(plan, seed, range(n)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 9, 2**32, 10**400], ids=["0", "9", "2^32", "10^400"])
+def test_draws_equal_numpy_substreams_at_the_cap(plan, seed):
+    members = [0, 1, 2**15, 2**16 - 1]
+    draws = _draw_delta_r(replace(plan, n_ensemble=2**16), seed)
+    np.testing.assert_array_equal(draws[members], _numpy_draws(plan, seed, members))
 
 
 def test_ramped_switch_on_agrees_with_dressed_start(plan):
