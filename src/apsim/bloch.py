@@ -34,6 +34,15 @@ workspace that a call allocates once and all its passes share; beyond
 it a pass allocates only the pulse samples and Magnus temporaries of one
 chunk, a chunk's step order and per-trajectory vectors.
 
+A trajectory may also have a time scale c: it then evolves under
+c (omega(t), 0, delta(t) + offset), the pulse stretched to c times its
+duration.  Every input of the Magnus vector is linear in the step width,
+so c multiplies them all.  A call sorts its trajectories by scale once; a
+pass samples each chunk once for all its scales, forms every scale's
+coefficients in one evaluation and gives each scale's contiguous columns
+their own matrix product.  With one scale, as every caller but the
+transport curve has, a pass runs as it did without scales.
+
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
 two, at least 16, that takes two steps or more per half-turn of the
@@ -45,13 +54,13 @@ same step count run together.  With coarser steps the estimate was
 found to miss the error by up to three orders of magnitude.  A pass may
 take at most 2^20 steps; a pulse that would need more raises
 IntegrationError before that pass is sampled, and so does the first
-error estimate that is not finite.  A call whose trajectories' first
-passes would take more than 2^24 steps together raises IntegrationError
-before any pass runs.
+error estimate that is not finite.  A call raises IntegrationError
+before any pass runs when the first passes of its trajectories at one
+time scale would take more than 2^24 steps together.
 
 ``evolve_offsets`` propagates a whole family of trajectories that share
-a pulse but differ by a constant detuning offset in shared passes, which
-is how detuning scans and transport ensembles run.
+a pulse but differ by a constant detuning offset, and by a time scale, in
+shared passes, which is how detuning scans and transport curves run.
 """
 
 from __future__ import annotations
@@ -84,8 +93,9 @@ _STEPS = 2**12
 _ROWS = 22
 # work budget of a pass: the most steps it may take
 _MAX_STEPS = 2**20
-# work budget of a call: the most steps its trajectories' first passes
-# may take together (2^24 take about 1.5 s on 2 CPUs)
+# work budget of a call, per time scale: the most steps the first passes
+# of its trajectories at one scale may take together (2^24 take about
+# 1.5 s on 2 CPUs)
 _MAX_MEMBER_STEPS = 2**24
 # the error estimate of each returned state meets _ABS_TOL + _REL_TOL * max |r|
 _REL_TOL = 1e-9
@@ -107,17 +117,20 @@ def _sample(pulse: PulseProgram, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _need(pulse: PulseProgram, offsets: np.ndarray) -> np.ndarray:
+def _need(pulse: PulseProgram, offsets: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Work each trajectory asks, in steps of at most half a turn: its
-    total rotation angle over pi (from the torque at 64 points)."""
+    total rotation angle over pi (from the torque at 64 points), times its
+    time scale."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
     om, de = _sample(pulse, t, np.empty((2, 64)))
     torque = np.add(de[:, None], offsets)
     np.hypot(om[:, None], torque, out=torque)
     angle = np.add.reduce(torque, axis=0)  # row by row, in sample order
-    # a very long pulse overflows to inf, which the budgets refuse
+    # a very long pulse or a very large scale overflows to inf, which the
+    # budgets refuse
     with np.errstate(over="ignore"):
         angle *= pulse.duration / (64 * math.pi)
+        angle *= scales
     return angle
 
 
@@ -149,8 +162,9 @@ def _magnus6(ax, az, bx, bz, cx, cz, out):
         theta = a1 + a3 / 12 + (-20 a1 - a3 + C1) x (a2 + C2) / 240.
 
     Writes the coefficients of theta_x (degree 2, zero cubic), theta_y and
-    theta_z (degree 3) in x, lowest power first, into out, a (3, steps, 4)
-    array: out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.
+    theta_z (degree 3) in x, lowest power first, into out, a (3, ..., 4)
+    array whose middle axes the inputs broadcast to, steps last: out[i, s]
+    @ (1, x, x^2, x^3) is theta_i of step s.
     """
     g0 = az * bx - ax * bz  # C1_y = g0 + bx x
     s0 = (ax * cz - az * cx) / 30.0  # C2_y = s0 - cx / 30 x
@@ -161,7 +175,7 @@ def _magnus6(ax, az, bx, bz, cx, cz, out):
     p2 = bx / 60.0
     e0 = -20.0 * az - cz  # (-20 a1 - a3 + C1)_z = e0 - 20 x
     ex = -20.0 * ax - cx
-    theta_x, theta_y, theta_z = out.transpose(0, 2, 1)
+    theta_x, theta_y, theta_z = np.moveaxis(out, -1, 1)
     theta_x[0] = ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0
     theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0
     theta_x[2] = (bx * f1 - 2.0 * cx / 3.0) / 240.0
@@ -308,10 +322,13 @@ def _step_order(sizes: list[int]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.ndarray):
+def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.ndarray,
+                  scales) -> np.ndarray:
     """Magnus coefficients (see _magnus6) of the steps of width h whose
-    indices, as floats, are steps, formed in rows, the chunk rows of a
-    _workspace.  Returns a (3, steps.size, 4) view into rows."""
+    indices, as floats, are steps, at each of the time scales, formed in
+    rows, the chunk rows of a _workspace: a scale multiplies every input
+    of _magnus6.  Returns a (3, len(scales), steps.size, 4) array, a view
+    into rows where it fits there."""
     c = steps.size
     t = rows[0:3].reshape(-1)[: 3 * c].reshape(c, 3)
     np.add(steps[:, None], _NODES, out=t)
@@ -320,28 +337,36 @@ def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.nda
     om, de = _sample(pulse, t, rows[3:9].reshape(-1)[: 6 * c].reshape(2, c, 3))
     k2 = math.sqrt(15.0) * h / 3.0
     k3 = 10.0 * h / 3.0
-    coef = rows[9:21].reshape(-1)[: 12 * c].reshape(3, c, 4)
-    _magnus6(
+    terms = (
         h * om[:, 1],
         h * de[:, 1],
         k2 * (om[:, 2] - om[:, 0]),
         k2 * (de[:, 2] - de[:, 0]),
         k3 * (om[:, 2] - 2.0 * om[:, 1] + om[:, 0]),
         k3 * (de[:, 2] - 2.0 * de[:, 1] + de[:, 0]),
-        coef,
     )
+    if any(scale != 1.0 for scale in scales):
+        column = np.array(scales)[:, None]
+        terms = [column * x for x in terms]
+    size = 12 * len(scales) * c
+    free = rows[9:21].reshape(-1)
+    coef = (free[:size] if size <= free.size else np.empty(size)).reshape(3, -1, c, 4)
+    _magnus6(*terms, coef)
     return coef
 
 
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int,
-                   work) -> np.ndarray:
+                   work, groups) -> np.ndarray:
     """Final states after n uniform sixth-order Magnus steps.
 
-    The pass runs in blocks of steps (_blocks), each one stack of every
-    member's steps in bit-reversed order, so that every level of _compose
-    multiplies the upper half of the stack by the lower half.  The steps
-    are sampled and turned into coefficients a chunk of _STEPS rows, whole
-    blocks, at a time; the block products multiply the state in step
+    groups is a sequence of (scale, count): count consecutive members at
+    that time scale.  The pass runs in blocks of steps (_blocks), each one
+    stack of every member's steps in bit-reversed order, so that every
+    level of _compose multiplies the upper half of the stack by the lower
+    half.  The steps are sampled and turned into every group's
+    coefficients a chunk of whole blocks, at most _STEPS rows for all
+    groups together, at a time; each group's columns of a block take their
+    own matrix product.  The block products multiply the state in step
     order.  Everything runs in work, a _workspace for at least
     offsets.size members, which the caller makes once per call and shares
     among its passes.
@@ -349,25 +374,33 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     m = offsets.size
     h = pulse.duration / n
     chunk, real, pairs = work
-    # rows x^0..x^3 of the members, with the quarter of theta folded in
-    powers = 0.25 * (h * offsets) ** np.arange(4.0)[:, None]
+    scales = [scale for scale, _ in groups]
+    # each group's columns and its rows x^0..x^3, with the quarter of theta
+    # folded in
+    cols, powers, lo = [], [], 0
+    for scale, count in groups:
+        cols.append(slice(lo, lo + count))
+        powers.append(0.25 * (scale * h * offsets[lo : lo + count]) ** np.arange(4.0)[:, None])
+        lo += count
     # the product of the blocks so far, a spare for the next and scratch
     running = np.zeros((5, m), dtype=complex)
     acc, nxt, tmp = running[0:2], running[2:4], running[4]
     acc[0] = 1.0
     sizes = _blocks(n, m)
-    group = _STEPS // sizes[0]
+    per_chunk = max(1, _STEPS // (sizes[0] * len(groups)))
     key, start = None, 0
-    for i in range(0, len(sizes), group):
-        blocks = sizes[i : i + group]
+    for i in range(0, len(sizes), per_chunk):
+        blocks = sizes[i : i + per_chunk]
         if blocks != key:
             key, order = blocks, _step_order(blocks)
-        coef = _coefficients(pulse, np.add(order, start, out=chunk[-1, : order.size]), h, chunk)
+        steps = np.add(order, start, out=chunk[-1, : order.size])
+        coefs = _coefficients(pulse, steps, h, chunk, scales)
         start += order.size
         lo = 0
         for k in blocks:
             stack = real[: 6 * k * m].reshape(6, k, m)
-            np.matmul(coef[:, lo : lo + k], powers, out=stack[:3])
+            for g, (col, power) in enumerate(zip(cols, powers)):
+                np.matmul(coefs[:, g, lo : lo + k], power, out=stack[:3, :, col])
             lo += k
             prods = pairs[: 4 * k * m].reshape(4, k, m)
             _cayley_klein(stack[:3], prods[:2], stack[3:])
@@ -377,25 +410,40 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
 
 
 def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
-                     first: np.ndarray) -> np.ndarray:
+                     first: np.ndarray, levels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each trajectory runs passes of n, 2n, 4n, ... steps from its own
     first step count (first) until its own error estimate meets the
     tolerance, and keeps the last of them.
 
-    Passes of the same step count run together.  The tolerance scale
-    max |r| is taken over the whole stack; rotations keep every |r|, so it
-    is that of the initial states.
+    counts[g] consecutive trajectories have time scale levels[g].  Passes
+    of the same step count run together, their members in trajectory
+    order when there is more than one scale, so that each scale's stay
+    contiguous.  The tolerance scale max |r| is taken over the whole
+    stack; rotations keep every |r|, so it is that of the initial states.
     """
     tol = _ABS_TOL + _REL_TOL * float(np.max(np.linalg.norm(states, axis=1)))
     work = _workspace(offsets.size)
     out = np.empty_like(states)
+    # each trajectory's group, where there is more than one
+    group_of = np.repeat(np.arange(levels.size), counts) if levels.size > 1 else None
     active = np.empty(0, dtype=int)  # trajectories with a coarse state
     coarse = np.empty((0, 3))
     n = int(first.min())
     while True:
         members = np.concatenate([active, np.flatnonzero(first == n)])
         if members.size:
-            fine = _rotation_pass(pulse, offsets[members], states[members], n, work)
+            if group_of is None:
+                fine = _rotation_pass(pulse, offsets[members], states[members], n, work,
+                                      ((levels[0], members.size),))
+            else:
+                order = np.argsort(members)
+                ranked = members[order]
+                per_level = np.bincount(group_of[ranked], minlength=levels.size)
+                fine = np.empty((members.size, 3))
+                fine[order] = _rotation_pass(
+                    pulse, offsets[ranked], states[ranked], n, work,
+                    [(levels[g], per_level[g]) for g in np.flatnonzero(per_level)],
+                )
             # a sixth-order error falls 2^6-fold per halving of the step,
             # so the n-step error is about |r_n - r_n/2| / 63
             err = np.linalg.norm(fine[: active.size] - coarse, axis=1) / 63.0
@@ -420,12 +468,14 @@ def evolve_offsets(
     pulse: PulseProgram,
     delta_offsets,
     initial_states=None,
+    scales=None,
 ) -> np.ndarray:
     """Propagate one trajectory per detuning offset, as a stacked system.
 
-    Trajectory i sees detuning pulse.detuning(t) + delta_offsets[i]; the
-    trajectories run in one rotation pass per step count (see the module
-    docstring).
+    Trajectory i sees the torque scales[i] * (rabi(t), 0, detuning(t) +
+    delta_offsets[i]) for t in [0, pulse.duration], which is the pulse
+    stretched to scales[i] * pulse.duration; the trajectories run in one
+    rotation pass per step count (see the module docstring).
 
     Parameters
     ----------
@@ -433,6 +483,8 @@ def evolve_offsets(
         Constant additions to the pulse detuning, rad/s.
     initial_states : array of shape (n, 3) or (3,), optional
         Per-trajectory start vectors; defaults to the ground state.
+    scales : array of shape (n,), optional
+        Per-trajectory time scales, finite and positive; default 1.
 
     Returns
     -------
@@ -450,16 +502,38 @@ def evolve_offsets(
             states = np.tile(states, (n, 1))
         if states.shape != (n, 3):
             raise ValueError(f"initial_states must have shape ({n}, 3)")
+    scale = np.ones(n) if scales is None else np.asarray(scales, dtype=float)
+    if scale.shape != (n,):
+        raise ValueError(f"scales must have shape ({n},)")
+    if not np.all((scale > 0.0) & (scale < np.inf)):
+        raise ValueError("time scales must be finite and positive")
     if n == 0:
         return states
-    first = _initial_steps(_need(pulse, offsets))
-    total = int(first.sum())
-    if total > _MAX_MEMBER_STEPS:
-        raise IntegrationError(
-            f"work budget exceeded: the first passes of the {n} trajectories take "
-            f"{total} steps together, more than {_MAX_MEMBER_STEPS}"
-        )
-    return _rotate_adaptive(pulse, offsets, states, first)
+    # trajectories grouped by time scale, once for the whole call
+    order = None
+    if np.all(scale == scale[0]):
+        levels, counts = scale[:1], np.array([n])
+    else:
+        order = np.argsort(scale, kind="stable")
+        offsets, states, scale = offsets[order], states[order], scale[order]
+        starts = np.flatnonzero(np.r_[True, scale[1:] != scale[:-1]])
+        levels, counts = scale[starts], np.diff(np.r_[starts, n])
+    first = _initial_steps(_need(pulse, offsets, scale))
+    # the budget holds for each time scale on its own
+    totals = np.add.reduceat(first, np.cumsum(counts) - counts)
+    for level, count, total in zip(levels, counts, totals):
+        if total > _MAX_MEMBER_STEPS:
+            at = f" at time scale {level:.6g}" if levels.size > 1 else ""
+            raise IntegrationError(
+                f"work budget exceeded: the first passes of the {count} trajectories{at} "
+                f"take {total} steps together, more than {_MAX_MEMBER_STEPS}"
+            )
+    final = _rotate_adaptive(pulse, offsets, states, first, levels, counts)
+    if order is None:
+        return final
+    out = np.empty_like(final)
+    out[order] = final
+    return out
 
 
 def detuning_spectrum(pulse, delta_c_values) -> np.ndarray:

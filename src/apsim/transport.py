@@ -13,10 +13,15 @@ The initial detuning delta_r is random across repetitions because the atom
 starts at a random position within the loading region, uniformly spread
 over it, so observed transfer probabilities are ensemble averages.  All
 members share the pulse shape and differ by a constant detuning offset,
-which lets one stacked integration evolve the whole ensemble.  The drive's
-switch-on and switch-off are taken as ideal and adiabatic: each member
-starts in its dressed ground state and is read out by its projection onto
-the final dressed state.
+which lets one stacked integration evolve the whole ensemble.  The speeds
+of a curve stack too: in normalised time s = t / tau the chirp is
+2 d grad s^2 on the first half, mirrored on the second, whatever tau, so
+a move of duration tau is the slowest move of the curve with its whole
+torque scaled by tau / tau_max.  Every (speed, member) pair of a curve
+then runs in one integration, each pair at its speed's time scale.  The
+drive's switch-on and switch-off are taken as ideal and adiabatic: each
+member starts in its dressed ground state and is read out by its
+projection onto the final dressed state.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ __all__ = [
 ]
 
 
-# work budget of a transport scan: the most ensemble members it may draw
+# work budget of a transport scan: the most ensemble members it may draw,
+# and the most (speed, member) pairs one Bloch call of a curve stacks
 _MAX_ENSEMBLE = 2**16
 
 
@@ -56,7 +62,8 @@ class TransportPlan:
     spread       : full width of the initial-detuning spread in rad/s, over
                    which the members' detunings are uniform
     g            : trap geometry providing the frequency gradient
-    tau          : transport duration in s; transport_curve sets it per speed
+    tau          : transport duration in s; transport_curve takes one per
+                   speed instead
     n_ensemble   : number of members, 1..2^16 (drawing all 2^16 takes about
                    12 ms)
     """
@@ -230,39 +237,60 @@ def _draw_delta_r(plan: TransportPlan, rng_seed: int):
     return plan.delta_0 + plan.spread * (u - 0.5)
 
 
-def transport_transfer(plan: TransportPlan, draws: np.ndarray) -> tuple[float, float]:
+def transport_transfer(plan: TransportPlan, draws: np.ndarray,
+                       taus) -> tuple[np.ndarray, np.ndarray]:
     """Mean transfer probability over the members with initial detunings
-    draws (rad/s, one per member), and its standard error; transport_curve
-    draws them once for all its points.  Each member starts in its dressed
-    ground state and is read out by its projection onto the final dressed
-    state (ideal adiabatic switch-on and switch-off).
+    draws (rad/s, one per member), and its standard error, at each
+    transport duration in taus (s); transport_curve draws the members once
+    for all its durations.  Each member starts in its dressed ground state
+    and is read out by its projection onto the final dressed state (ideal
+    adiabatic switch-on and switch-off).
+
+    Every duration passes TransportPlan's checks before any member runs.
+    In s = t / tau the chirp is 2 d grad s^2 at every speed, so member j at
+    duration tau_k is member j of the slowest move of its call with its
+    whole torque scaled by tau_k / tau_max (evolve_offsets's time scales).
+    All (duration, member) pairs run in one evolve_offsets call, or, past
+    _MAX_ENSEMBLE pairs, in calls of whole durations of at most that many
+    pairs each (or one duration), so that a call's memory stays that of
+    one full ensemble.
     """
+    plans = [replace(plan, tau=float(tau)) for tau in taus]
     n_ensemble = draws.size
     # omega_r > 0, so no norm is zero; math.hypot, since np.hypot differs
     # from it in the last bit and would move the outputs
     norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
     states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
-    final = evolve_offsets(TransportPulse(plan), draws, initial_states=states0)
-    p1 = dressed_projection(final, plan.omega_r, draws + _sweep(plan.tau, plan))
-    stderr = 0.0 if n_ensemble == 1 else float(np.std(p1, ddof=1) / math.sqrt(n_ensemble))
-    return float(np.mean(p1)), stderr
+    per_call = max(1, _MAX_ENSEMBLE // n_ensemble)
+    final = []
+    for i in range(0, len(plans), per_call):
+        batch = plans[i : i + per_call]
+        ref = max(batch, key=lambda p: p.tau)
+        scales = np.repeat([p.tau / ref.tau for p in batch], n_ensemble)
+        final.append(evolve_offsets(TransportPulse(ref), np.tile(draws, len(batch)),
+                                    np.tile(states0, (len(batch), 1)), scales=scales))
+    final = np.concatenate(final).reshape(len(plans), n_ensemble, 3)
+    ends = np.array([_sweep(p.tau, p) for p in plans])
+    p1 = dressed_projection(final, plan.omega_r, draws + ends[:, None])
+    if n_ensemble == 1:
+        return p1[:, 0], np.zeros(len(plans))
+    return np.mean(p1, axis=1), np.std(p1, axis=1, ddof=1) / math.sqrt(n_ensemble)
 
 
 def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0) -> ScanResult:
     """Transfer versus transport speed 1/tau (ms^-1).
 
-    Points are evaluated one after another, in grid order, each with the
-    plan's tau replaced by 1 / speed.  All points share the plan's
-    n_ensemble member detunings, drawn once from rng_seed, so the curve
-    varies only through the dynamics.
+    Each point is the plan with its tau replaced by 1 / speed.  All points
+    share the plan's n_ensemble member detunings, drawn once from
+    rng_seed, so the curve varies only through the dynamics, and all run
+    together in one transport_transfer call.
     """
     grid = np.atleast_1d(np.asarray(inv_tau_per_ms, dtype=float))
     if grid.size == 0:
         raise ConfigError("inv_tau grid must be non-empty")
     if np.any(grid <= 0):
         raise ConfigError("inv_tau values must be positive")
-    draws = _draw_delta_r(plan, rng_seed)
-    p1, stderr = np.array([transport_transfer(replace(plan, tau=1e-3 / v), draws) for v in grid]).T
+    p1, stderr = transport_transfer(plan, _draw_delta_r(plan, rng_seed), 1e-3 / grid)
     return ScanResult(grid, p1, stderr, TRANSPORT_UNIT)
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -179,9 +180,9 @@ def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
     rotation_pass = bloch._rotation_pass
     passes = []
 
-    def poisoned(pulse, offsets, states, n, work):
+    def poisoned(pulse, offsets, states, n, work, groups):
         passes.append(n)
-        out = rotation_pass(pulse, offsets, states, n, work)
+        out = rotation_pass(pulse, offsets, states, n, work, groups)
         return out if len(passes) == 1 else np.full_like(out, np.nan)
 
     monkeypatch.setattr(bloch, "_rotation_pass", poisoned)
@@ -193,11 +194,77 @@ def test_non_finite_error_estimate_stops_at_once(ref_pulse, monkeypatch):
 def test_member_step_budget_fires_before_any_pass(ref_pulse, monkeypatch):
     # one trajectory more than the budget holds at the pulse's first step
     # count; no rotation pass may start
-    first = bloch._initial_steps(bloch._need(ref_pulse, np.zeros(1)))
+    first = bloch._initial_steps(bloch._need(ref_pulse, np.zeros(1), 1.0))
     n = bloch._MAX_MEMBER_STEPS // int(first[0]) + 1
     monkeypatch.setattr(bloch, "_rotation_pass", lambda *args: pytest.fail("a pass ran"))
     with pytest.raises(IntegrationError, match="work budget exceeded"):
         evolve_offsets(ref_pulse, np.zeros(n))
+
+
+def _first_steps(pulse, offsets, scale):
+    """Member-steps of the first passes of the offsets at one time scale."""
+    return int(bloch._initial_steps(bloch._need(pulse, offsets, scale)).sum())
+
+
+def test_member_step_budget_holds_per_time_scale(ref_pulse, monkeypatch):
+    # two time scales whose first passes each fit the budget run, however
+    # much they take together; one scale over it stops the call before any
+    # pass, also beside a scale that fits
+    offs = khz_to_rad_per_s(np.linspace(-40.0, 40.0, 6))
+    slow, fast = _first_steps(ref_pulse, offs, 2.0), _first_steps(ref_pulse, offs, 0.5)
+    monkeypatch.setattr(bloch, "_MAX_MEMBER_STEPS", max(slow, fast))
+    assert slow + fast > bloch._MAX_MEMBER_STEPS
+    both = evolve_offsets(ref_pulse, np.r_[offs, offs], scales=np.repeat([2.0, 0.5], 6))
+    assert np.all(np.isfinite(both))
+    monkeypatch.setattr(bloch, "_MAX_MEMBER_STEPS", slow - 1)
+    monkeypatch.setattr(bloch, "_rotation_pass", lambda *args: pytest.fail("a pass ran"))
+    with pytest.raises(IntegrationError, match="work budget exceeded"):
+        evolve_offsets(ref_pulse, offs, scales=np.full(6, 2.0))
+    with pytest.raises(IntegrationError, match="at time scale 2"):
+        evolve_offsets(ref_pulse, np.r_[offs, offs], scales=np.repeat([2.0, 0.5], 6))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scales", [[1e308, 1e308], [1.0, 1e308]], ids=["one", "beside-1"])
+def test_overflowing_time_scale_is_an_integration_error(ref_pulse, scales):
+    # the scale times the rotation angle overflows to inf, which the step
+    # budget refuses, without a RuntimeWarning
+    with pytest.raises(IntegrationError, match="step budget exceeded"):
+        evolve_offsets(ref_pulse, [0.0, 1.0], scales=scales)
+
+
+@pytest.mark.parametrize("scales", [[0.0, 1.0], [1.0, -1.0], [np.nan, 1.0], [1.0, np.inf],
+                                    [1.0, 1.0, 1.0], 1.0])
+def test_scales_validation(ref_pulse, scales):
+    with pytest.raises(ValueError, match="scales"):
+        evolve_offsets(ref_pulse, [0.0, 1.0], scales=scales)
+
+
+@pytest.mark.parametrize("c", [0.37, 2.5])
+def test_time_scale_stretches_the_pulse(ref_pulse, c):
+    # a time scale c runs the pulse stretched to c times its duration
+    offs = khz_to_rad_per_s(np.array([-40.0, -7.0, 0.0, 13.0, 55.0])) - ref_pulse.delta_c
+    want = evolve_offsets(replace(ref_pulse, t_p=c * ref_pulse.t_p), offs)
+    got = evolve_offsets(ref_pulse, offs, scales=np.full(offs.size, c))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_unit_time_scales_change_nothing(ref_pulse):
+    offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, 41))
+    assert np.array_equal(evolve_offsets(ref_pulse, offs, scales=np.ones(41)),
+                          evolve_offsets(ref_pulse, offs))
+
+
+def test_mixed_time_scales_match_separate_calls(ref_pulse):
+    # trajectories at three scales, interleaved, come back in their own
+    # order, each as the call at its scale alone gives it
+    offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 9))
+    scales = np.array([2.0, 0.5, 1.0] * 3)
+    got = evolve_offsets(ref_pulse, offs, scales=scales)
+    for c in (0.5, 1.0, 2.0):
+        at = scales == c
+        alone = evolve_offsets(ref_pulse, offs[at], scales=np.full(3, c))
+        np.testing.assert_allclose(got[at], alone, rtol=0, atol=1e-13)
 
 
 def test_non_finite_pulse_raises_integration_error():
@@ -221,9 +288,11 @@ def _stack(ref_pulse):
     return offs, np.tile(GROUND, (offs.size, 1))
 
 
-def _pass(pulse, offsets, states, n):
-    """One rotation pass in a workspace of its own."""
-    return bloch._rotation_pass(pulse, offsets, states, n, bloch._workspace(offsets.size))
+def _pass(pulse, offsets, states, n, groups=None):
+    """One rotation pass in a workspace of its own; every member at time
+    scale 1 unless groups says otherwise."""
+    groups = groups or ((1.0, offsets.size),)
+    return bloch._rotation_pass(pulse, offsets, states, n, bloch._workspace(offsets.size), groups)
 
 
 def test_rotation_path_matches_dop853_oracle(ref_pulse):
@@ -354,6 +423,29 @@ def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
     np.testing.assert_allclose(got, _direct_pass(ref_pulse, offs, y0, n), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("m, n", [(7, 1500), (3, 9000)], ids=["in-workspace", "fresh-buffer"])
+def test_rotation_pass_groups_match_stretched_pulses(ref_pulse, m, n):
+    # a pass over groups of members at their own time scales gives each
+    # group the pass of the stretched pulse; three groups of one member
+    # take blocks of _STEPS steps, whose coefficients do not fit the
+    # workspace's chunk rows
+    counts = [m - 2 * (m // 3), m // 3, m // 3]
+    groups = list(zip([0.5, 1.0, 1.75], counts))
+    offs = np.linspace(-0.4, 0.4, m) * n / ref_pulse.duration
+    rng = np.random.default_rng(m)
+    y0 = rng.normal(size=(m, 3))
+    y0 /= np.linalg.norm(y0, axis=1)[:, None]
+    assert (bloch._blocks(n, m)[0] * 3 > bloch._STEPS) == (m == 3)
+    got = _pass(ref_pulse, offs, y0, n, groups)
+    lo = 0
+    for c, count in groups:
+        cut = slice(lo, lo + count)
+        stretched = replace(ref_pulse, t_p=c * ref_pulse.t_p)
+        want = _direct_pass(stretched, offs[cut], y0[cut], n)
+        np.testing.assert_allclose(got[cut], want, rtol=0, atol=1e-13)
+        lo += count
+
+
 @pytest.mark.parametrize("m", [32, 1025])
 def test_need_sums_the_samples_like_a_loop(ref_pulse, m):
     # _need picks the power-of-two first step counts, so its vectorised sum
@@ -364,7 +456,7 @@ def test_need_sums_the_samples_like_a_loop(ref_pulse, m):
     for om_k, de_k in zip(ref_pulse.rabi(t), ref_pulse.detuning(t)):
         angle += np.hypot(om_k, de_k + offs)
     angle *= ref_pulse.duration / (64 * math.pi)
-    assert np.array_equal(bloch._need(ref_pulse, offs), angle)
+    assert np.array_equal(bloch._need(ref_pulse, offs, np.ones(m)), angle)
 
 
 def test_rotation_pass_does_not_depend_on_blas_threads():
@@ -384,7 +476,7 @@ for m, n in ((1025, 1024), (32, 4096), (1, 2048), (27, 1500)):
     offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
     y0 = np.tile([0.0, 0.0, -1.0], (m, 1))
     work = bloch._workspace(m)
-    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n, work).tobytes().hex())
+    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n, work, ((1.0, m),)).tobytes().hex())
 """
     outs = []
     for threads in ("1", "2"):
@@ -430,10 +522,10 @@ def test_one_workspace_serves_every_pass(ref_pulse, monkeypatch, m, steps):
     rotation_pass = bloch._rotation_pass
     grown = []
 
-    def traced(pulse, offsets, states, n, work):
+    def traced(pulse, offsets, states, n, work, groups):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = rotation_pass(pulse, offsets, states, n, work)
+        out = rotation_pass(pulse, offsets, states, n, work, groups)
         grown.append((n, offsets.size, tracemalloc.get_traced_memory()[1] - before))
         return out
 
@@ -488,9 +580,9 @@ def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
     sizes = []
     rotation_pass = bloch._rotation_pass
 
-    def counted(pulse, offsets, states, n, work):
+    def counted(pulse, offsets, states, n, work, groups):
         sizes.append(offsets.size)
-        return rotation_pass(pulse, offsets, states, n, work)
+        return rotation_pass(pulse, offsets, states, n, work, groups)
 
     monkeypatch.setattr(bloch, "_rotation_pass", counted)
     got = evolve_offsets(ref_pulse, offs)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apsim.transport as transport
 from apsim.addressing import TrapGeometry
 from apsim.bloch import evolve_offsets
 from apsim.errors import ConfigError
@@ -27,10 +28,12 @@ from oracles import LinearSweepPulse, RampedTransportPulse, RectPulse, dressed_g
 
 
 def transfer(plan, rng_seed, **fields):
-    """transport_transfer over the members drawn from rng_seed, of the plan
-    with the given fields replaced."""
+    """(p1, stderr) of transport_transfer at the plan's own tau, over the
+    members drawn from rng_seed, of the plan with the given fields
+    replaced."""
     plan = replace(plan, **fields)
-    return transport_transfer(plan, _draw_delta_r(plan, rng_seed))
+    p1, stderr = transport_transfer(plan, _draw_delta_r(plan, rng_seed), [plan.tau])
+    return float(p1[0]), float(stderr[0])
 
 
 @pytest.fixture
@@ -236,7 +239,7 @@ def test_ramped_switch_on_agrees_with_dressed_start(plan):
     ramped = evolve_offsets(RampedTransportPulse(slow, 1e-3), draws)
     end = draws + TransportPulse(slow).detuning(slow.tau)
     p1 = np.mean(dressed_projection(ramped, slow.omega_r, end))
-    assert p1 == pytest.approx(transport_transfer(slow, draws)[0], abs=0.005)
+    assert p1 == pytest.approx(transport_transfer(slow, draws, [slow.tau])[0][0], abs=0.005)
 
 
 def test_ramped_pulse_holds_detuning_during_the_ramp(plan):
@@ -261,7 +264,7 @@ def test_bare_readout_close_for_far_final_detuning(plan):
     final = evolve_offsets(pulse, draws, starts)
     dressed = np.mean(dressed_projection(final, slow.omega_r, draws + pulse.detuning(slow.tau)))
     bare = np.mean(0.5 * (1.0 + final[:, 2]))
-    assert dressed == pytest.approx(transport_transfer(slow, draws)[0], abs=1e-12)
+    assert dressed == pytest.approx(transport_transfer(slow, draws, [slow.tau])[0][0], abs=1e-12)
     assert bare == pytest.approx(dressed, abs=0.01)
 
 
@@ -280,14 +283,64 @@ def test_transport_curve_layout_and_monotony(plan):
 
 @pytest.mark.parametrize("kwargs", [{}, {"spread": 0.0}])
 def test_curve_points_equal_single_transfers(plan, kwargs):
-    # the curve draws its members once; each point is still the transfer
-    # that draws them itself, bit for bit, also when every member has the
-    # same detuning
-    grid = [2.0, 8.0]
+    # the curve draws its members once and runs all its speeds in one
+    # stacked call; each point equals the curve of its speed alone to
+    # rounding (the stacked passes size their blocks by their own member
+    # counts), also when every member has the same detuning, and a curve
+    # of one speed is the transfer that draws the members itself, bit for
+    # bit
+    grid = [0.5, 2.0, 8.0]
     plan = replace(plan, n_ensemble=5, **kwargs)
     scan = transport_curve(plan, grid, rng_seed=4)
     for inv_tau, p1, stderr in zip(grid, scan.p1, scan.stderr):
-        assert transfer(plan, 4, tau=1e-3 / inv_tau) == (p1, stderr)
+        one = transport_curve(plan, [inv_tau], rng_seed=4)
+        assert p1 == pytest.approx(one.p1[0], rel=0, abs=1e-13)
+        assert stderr == pytest.approx(one.stderr[0], rel=0, abs=1e-13)
+        assert transfer(plan, 4, tau=1e-3 / inv_tau) == (one.p1[0], one.stderr[0])
+
+
+def test_curve_runs_in_one_call_per_ensemble_cap(plan, monkeypatch):
+    # all speeds share one evolve_offsets call until their members pass
+    # _MAX_ENSEMBLE; beyond it the speeds split into calls of at most that
+    # many members, with the same points to rounding
+    calls = []
+
+    def counted(pulse, offsets, *args, **kwargs):
+        calls.append(np.size(offsets))
+        return evolve_offsets(pulse, offsets, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "evolve_offsets", counted)
+    plan = replace(plan, n_ensemble=4)
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+    whole = transport_curve(plan, grid, rng_seed=1)
+    assert calls == [20]
+    monkeypatch.setattr(transport, "_MAX_ENSEMBLE", 9)
+    split = transport_curve(plan, grid, rng_seed=1)
+    assert calls[1:] == [8, 8, 4]
+    np.testing.assert_allclose(split.p1, whole.p1, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(split.stderr, whole.stderr, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("inv_tau", [1e-300, 1e308])
+def test_every_speed_is_checked_before_any_member_runs(plan, monkeypatch, inv_tau):
+    # a speed whose chirp 4 d / tau^2 is not finite and positive stops the
+    # curve at its plan check, wherever it sits in the grid
+    monkeypatch.setattr(transport, "evolve_offsets", lambda *args, **kw: pytest.fail("ran"))
+    grid = sorted([1.0, 2.0, inv_tau])
+    with pytest.raises(ConfigError, match="no finite positive chirp"):
+        transport_curve(replace(plan, n_ensemble=2), grid)
+
+
+@pytest.mark.parametrize("c", [0.2, 3.0])
+def test_time_scale_is_the_move_at_that_duration(plan, c):
+    # the transport chirp depends on t / tau alone, so a time scale c on
+    # the move of duration tau is the move of duration c tau
+    ref = replace(plan, n_ensemble=6)
+    draws = _draw_delta_r(ref, 5)
+    starts = np.array([dressed_ground(ref.omega_r, d) for d in draws])
+    got = evolve_offsets(TransportPulse(ref), draws, starts, scales=np.full(6, c))
+    want = evolve_offsets(TransportPulse(replace(ref, tau=c * ref.tau)), draws, starts)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_transport_curve_validation(plan):
