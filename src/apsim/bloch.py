@@ -37,11 +37,13 @@ chunk, a chunk's step order and per-trajectory vectors.
 A trajectory may also have a time scale c: it then evolves under
 c (omega(t), 0, delta(t) + offset), the pulse stretched to c times its
 duration.  Every input of the Magnus vector is linear in the step width,
-so c multiplies them all.  A call sorts its trajectories by scale once; a
-pass samples each chunk once for all its scales, forms every scale's
-coefficients in one evaluation and gives each scale's contiguous columns
-their own matrix product.  With one scale, as every caller but the
-transport curve has, a pass runs as it did without scales.
+so a step at scale c is the step of width c h.  A call sorts its
+trajectories by scale once; a pass samples each chunk once for all its
+scales, forms every scale's coefficients in one evaluation and gives
+each scale's contiguous columns their own matrix product.  With one
+scale, as every caller but the transport curve has, a call sorts
+nothing, and a scale of 1 gives the width h itself, so its passes give
+the bits they gave without scales.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -123,9 +125,20 @@ def _need(pulse: PulseProgram, offsets: np.ndarray, scales: np.ndarray) -> np.nd
     time scale."""
     t = (np.arange(64) + 0.5) * (pulse.duration / 64)
     om, de = _sample(pulse, t, np.empty((2, 64)))
-    torque = np.add(de[:, None], offsets)
-    np.hypot(om[:, None], torque, out=torque)
-    angle = np.add.reduce(torque, axis=0)  # row by row, in sample order
+    n = offsets.size
+    angle = np.empty(n)
+    # at most _STEPS trajectories at a time, so that the torque table stays
+    # within 2 MB; equal parts, since numpy would sum a lone trajectory's
+    # column pairwise instead of row by row
+    parts = max(1, -(-n // _STEPS))
+    part = max(1, -(-n // parts))
+    table = np.empty(64 * part)
+    for lo in range(0, n, part):
+        cols = offsets[lo : lo + part]
+        torque = np.add(de[:, None], cols, out=table[: 64 * cols.size].reshape(64, -1))
+        np.hypot(om[:, None], torque, out=torque)
+        # row by row, in sample order
+        np.add.reduce(torque, axis=0, out=angle[lo : lo + part])
     # a very long pulse or a very large scale overflows to inf, which the
     # budgets refuse
     with np.errstate(over="ignore"):
@@ -162,9 +175,8 @@ def _magnus6(ax, az, bx, bz, cx, cz, out):
         theta = a1 + a3 / 12 + (-20 a1 - a3 + C1) x (a2 + C2) / 240.
 
     Writes the coefficients of theta_x (degree 2, zero cubic), theta_y and
-    theta_z (degree 3) in x, lowest power first, into out, a (3, ..., 4)
-    array whose middle axes the inputs broadcast to, steps last: out[i, s]
-    @ (1, x, x^2, x^3) is theta_i of step s.
+    theta_z (degree 3) in x, lowest power first, into out, a (3, steps, 4)
+    array: out[i, s] @ (1, x, x^2, x^3) is theta_i of step s.
     """
     g0 = az * bx - ax * bz  # C1_y = g0 + bx x
     s0 = (ax * cz - az * cx) / 30.0  # C2_y = s0 - cx / 30 x
@@ -175,7 +187,7 @@ def _magnus6(ax, az, bx, bz, cx, cz, out):
     p2 = bx / 60.0
     e0 = -20.0 * az - cz  # (-20 a1 - a3 + C1)_z = e0 - 20 x
     ex = -20.0 * ax - cx
-    theta_x, theta_y, theta_z = np.moveaxis(out, -1, 1)
+    theta_x, theta_y, theta_z = out.transpose(0, 2, 1)
     theta_x[0] = ax + cx / 12.0 + (g0 * f0 - e0 * s0) / 240.0
     theta_x[1] = (g0 * f1 + bx * f0 + e0 * cx / 30.0 + 20.0 * s0) / 240.0
     theta_x[2] = (bx * f1 - 2.0 * cx / 3.0) / 240.0
@@ -285,12 +297,17 @@ def _workspace(m: int):
     _STEPS elements for a chunk of steps, and six real and four complex
     rows of max(_CHUNK, m) elements for a block.  One set serves a whole
     call, so its passes fault in no fresh pages; it is one allocation, so
-    that malloc keeps it, once freed, for the next call.  A pass's Magnus
+    that malloc keeps it, once freed, for the next call.  Each part starts
+    on a 64-byte cache line, wherever malloc placed the allocation: on the
+    heap it may start on any 16-byte boundary, and a fit's passes ran 4-8%
+    slower on a workspace 16, 32 or 48 bytes past a line.  A pass's Magnus
     temporaries, each a row of one chunk, stay outside it."""
-    size = max(_CHUNK, m)
+    size = -(-max(_CHUNK, m) // 8) * 8
     a = _ROWS * _STEPS
     b = a + 6 * size
-    buf = np.empty(b + 8 * size)
+    raw = np.empty(b + 8 * size + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    buf = raw[skip : skip + b + 8 * size]
     return buf[:a].reshape(_ROWS, _STEPS), buf[a:b], buf[b:].view(complex)
 
 
@@ -326,33 +343,34 @@ def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.nda
                   scales) -> np.ndarray:
     """Magnus coefficients (see _magnus6) of the steps of width h whose
     indices, as floats, are steps, at each of the time scales, formed in
-    rows, the chunk rows of a _workspace: a scale multiplies every input
-    of _magnus6.  Returns a (3, len(scales), steps.size, 4) array, a view
-    into rows where it fits there."""
+    rows, the chunk rows of a _workspace.  At time scale c a step is c h
+    wide, and every input of _magnus6 is linear in that width; a scale of
+    1 gives the bits of the width h itself.  The steps of all scales run
+    through _magnus6 as one flat row.  Returns a (3, len(scales),
+    steps.size, 4) array, a view into rows where it fits there."""
     c = steps.size
     t = rows[0:3].reshape(-1)[: 3 * c].reshape(c, 3)
     np.add(steps[:, None], _NODES, out=t)
     t *= h
     # rabi and detuning at the three nodes of every step
     om, de = _sample(pulse, t, rows[3:9].reshape(-1)[: 6 * c].reshape(2, c, 3))
-    k2 = math.sqrt(15.0) * h / 3.0
-    k3 = 10.0 * h / 3.0
+    # each scale's step width, and the weights of a2 and a3, as columns
+    hs = h * np.array(scales)[:, None]
+    k2 = math.sqrt(15.0) * hs / 3.0
+    k3 = 10.0 * hs / 3.0
     terms = (
-        h * om[:, 1],
-        h * de[:, 1],
+        hs * om[:, 1],
+        hs * de[:, 1],
         k2 * (om[:, 2] - om[:, 0]),
         k2 * (de[:, 2] - de[:, 0]),
         k3 * (om[:, 2] - 2.0 * om[:, 1] + om[:, 0]),
         k3 * (de[:, 2] - 2.0 * de[:, 1] + de[:, 0]),
     )
-    if any(scale != 1.0 for scale in scales):
-        column = np.array(scales)[:, None]
-        terms = [column * x for x in terms]
     size = 12 * len(scales) * c
     free = rows[9:21].reshape(-1)
-    coef = (free[:size] if size <= free.size else np.empty(size)).reshape(3, -1, c, 4)
-    _magnus6(*terms, coef)
-    return coef
+    coef = (free[:size] if size <= free.size else np.empty(size)).reshape(3, -1, 4)
+    _magnus6(*(x.reshape(-1) for x in terms), coef)
+    return coef.reshape(3, len(scales), c, 4)
 
 
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int,
@@ -502,11 +520,14 @@ def evolve_offsets(
             states = np.tile(states, (n, 1))
         if states.shape != (n, 3):
             raise ValueError(f"initial_states must have shape ({n}, 3)")
-    scale = np.ones(n) if scales is None else np.asarray(scales, dtype=float)
-    if scale.shape != (n,):
-        raise ValueError(f"scales must have shape ({n},)")
-    if not np.all((scale > 0.0) & (scale < np.inf)):
-        raise ValueError("time scales must be finite and positive")
+    if scales is None:
+        scale = np.ones(n)
+    else:
+        scale = np.asarray(scales, dtype=float)
+        if scale.shape != (n,):
+            raise ValueError(f"scales must have shape ({n},)")
+        if not np.all((scale > 0.0) & (scale < np.inf)):
+            raise ValueError("time scales must be finite and positive")
     if n == 0:
         return states
     # trajectories grouped by time scale, once for the whole call

@@ -253,7 +253,8 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray,
     All (duration, member) pairs run in one evolve_offsets call, or, past
     _MAX_ENSEMBLE pairs, in calls of whole durations of at most that many
     pairs each (or one duration), so that a call's memory stays that of
-    one full ensemble.
+    one full ensemble.  Durations of one call with the same scale run
+    once and share its result.
     """
     plans = [replace(plan, tau=float(tau)) for tau in taus]
     n_ensemble = draws.size
@@ -262,16 +263,22 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray,
     norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
     states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
     per_call = max(1, _MAX_ENSEMBLE // n_ensemble)
-    final = []
+    p1 = []
     for i in range(0, len(plans), per_call):
         batch = plans[i : i + per_call]
         ref = max(batch, key=lambda p: p.tau)
-        scales = np.repeat([p.tau / ref.tau for p in batch], n_ensemble)
-        final.append(evolve_offsets(TransportPulse(ref), np.tile(draws, len(batch)),
-                                    np.tile(states0, (len(batch), 1)), scales=scales))
-    final = np.concatenate(final).reshape(len(plans), n_ensemble, 3)
-    ends = np.array([_sweep(p.tau, p) for p in plans])
-    p1 = dressed_projection(final, plan.omega_r, draws + ends[:, None])
+        # durations with one scale (equal, or rounding to the same ratio)
+        # run once, so that every scale's work budget is that of one speed
+        levels, inverse = np.unique([p.tau / ref.tau for p in batch], return_inverse=True)
+        final = evolve_offsets(TransportPulse(ref), np.tile(draws, levels.size),
+                               np.tile(states0, (levels.size, 1)),
+                               scales=np.repeat(levels, n_ensemble))
+        # read out now, so that no call's final states outlive it
+        ends = np.array([_sweep(p.tau, p) for p in batch])
+        p1.append(dressed_projection(final.reshape(levels.size, n_ensemble, 3)[inverse],
+                                     plan.omega_r, draws + ends[:, None]))
+        del final
+    p1 = np.concatenate(p1)
     if n_ensemble == 1:
         return p1[:, 0], np.zeros(len(plans))
     return np.mean(p1, axis=1), np.std(p1, axis=1, ddof=1) / math.sqrt(n_ensemble)

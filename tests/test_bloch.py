@@ -201,6 +201,23 @@ def test_member_step_budget_fires_before_any_pass(ref_pulse, monkeypatch):
         evolve_offsets(ref_pulse, np.zeros(n))
 
 
+def test_need_builds_its_torque_table_in_parts(ref_pulse):
+    # 2 _STEPS + 1 trajectories take three equal parts of at most _STEPS
+    # columns of 64 torques each, never a lone column, which numpy would
+    # sum pairwise: every angle is the row-by-row sum it has in a wider table
+    offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, 2 * bloch._STEPS + 1))
+    tracemalloc.start()
+    try:
+        need = bloch._need(ref_pulse, offs, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * bloch._STEPS * 8 + 2 * offs.nbytes
+    wide = np.concatenate([bloch._need(ref_pulse, offs[:2], 1.0),
+                           bloch._need(ref_pulse, offs[2:], 1.0)])
+    assert np.array_equal(need, wide)
+
+
 def _first_steps(pulse, offsets, scale):
     """Member-steps of the first passes of the offsets at one time scale."""
     return int(bloch._initial_steps(bloch._need(pulse, offsets, scale)).sum())

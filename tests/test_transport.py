@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apsim.bloch as bloch
 import apsim.transport as transport
 from apsim.addressing import TrapGeometry
 from apsim.bloch import evolve_offsets
@@ -319,6 +320,19 @@ def test_curve_runs_in_one_call_per_ensemble_cap(plan, monkeypatch):
     assert calls[1:] == [8, 8, 4]
     np.testing.assert_allclose(split.p1, whole.p1, rtol=0, atol=1e-13)
     np.testing.assert_allclose(split.stderr, whole.stderr, rtol=0, atol=1e-13)
+
+
+def test_repeated_speed_runs_once_within_one_speeds_budget(plan, monkeypatch):
+    # a speed given twice runs once, so a curve of it holds the member-step
+    # budget of that speed alone, and both points are the one-speed point
+    plan = replace(plan, n_ensemble=4)
+    draws = _draw_delta_r(plan, 3)
+    one = int(bloch._initial_steps(bloch._need(TransportPulse(plan), draws, 1.0)).sum())
+    monkeypatch.setattr(bloch, "_MAX_MEMBER_STEPS", one)
+    alone = transport_curve(plan, [1.0], rng_seed=3)
+    twice = transport_curve(plan, [1.0, 2.0, 1.0], rng_seed=3)
+    assert twice.p1[0] == twice.p1[2] == alone.p1[0]
+    assert twice.stderr[0] == twice.stderr[2] == alone.stderr[0]
 
 
 @pytest.mark.parametrize("inv_tau", [1e-300, 1e308])
