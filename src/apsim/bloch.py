@@ -40,10 +40,10 @@ duration.  Every input of the Magnus vector is linear in the step width,
 so a step at scale c is the step of width c h.  A call sorts its
 trajectories by scale once; a pass samples each chunk once for all its
 scales, forms every scale's coefficients in one evaluation and gives
-each scale's contiguous columns their own matrix product.  With one
-scale, as every caller but the transport curve has, a call sorts
-nothing, and a scale of 1 gives the width h itself, so its passes give
-the bits they gave without scales.
+each scale's contiguous columns their own matrix product.  The sort is
+stable, so with one scale, as every caller but the transport curve has,
+it keeps the trajectories in their order, and a scale of 1 gives the
+width h itself.
 
 Each trajectory has its own step count (step doubling; Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  It starts at the smallest power of
@@ -435,33 +435,28 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
 
     counts[g] consecutive trajectories have time scale levels[g].  Passes
     of the same step count run together, their members in trajectory
-    order when there is more than one scale, so that each scale's stay
-    contiguous.  The tolerance scale max |r| is taken over the whole
-    stack; rotations keep every |r|, so it is that of the initial states.
+    order, so that each scale's stay contiguous.  The tolerance scale
+    max |r| is taken over the whole stack; rotations keep every |r|, so it
+    is that of the initial states.
     """
     tol = _ABS_TOL + _REL_TOL * float(np.max(np.linalg.norm(states, axis=1)))
     work = _workspace(offsets.size)
     out = np.empty_like(states)
-    # each trajectory's group, where there is more than one
-    group_of = np.repeat(np.arange(levels.size), counts) if levels.size > 1 else None
+    group_of = np.repeat(np.arange(levels.size), counts)
     active = np.empty(0, dtype=int)  # trajectories with a coarse state
     coarse = np.empty((0, 3))
     n = int(first.min())
     while True:
         members = np.concatenate([active, np.flatnonzero(first == n)])
         if members.size:
-            if group_of is None:
-                fine = _rotation_pass(pulse, offsets[members], states[members], n, work,
-                                      ((levels[0], members.size),))
-            else:
-                order = np.argsort(members)
-                ranked = members[order]
-                per_level = np.bincount(group_of[ranked], minlength=levels.size)
-                fine = np.empty((members.size, 3))
-                fine[order] = _rotation_pass(
-                    pulse, offsets[ranked], states[ranked], n, work,
-                    [(levels[g], per_level[g]) for g in np.flatnonzero(per_level)],
-                )
+            order = np.argsort(members)
+            ranked = members[order]
+            per_level = np.bincount(group_of[ranked], minlength=levels.size)
+            fine = np.empty((members.size, 3))
+            fine[order] = _rotation_pass(
+                pulse, offsets[ranked], states[ranked], n, work,
+                [(levels[g], per_level[g]) for g in np.flatnonzero(per_level)],
+            )
             # a sixth-order error falls 2^6-fold per halving of the step,
             # so the n-step error is about |r_n - r_n/2| / 63
             err = np.linalg.norm(fine[: active.size] - coarse, axis=1) / 63.0
@@ -531,14 +526,10 @@ def evolve_offsets(
     if n == 0:
         return states
     # trajectories grouped by time scale, once for the whole call
-    order = None
-    if np.all(scale == scale[0]):
-        levels, counts = scale[:1], np.array([n])
-    else:
-        order = np.argsort(scale, kind="stable")
-        offsets, states, scale = offsets[order], states[order], scale[order]
-        starts = np.flatnonzero(np.r_[True, scale[1:] != scale[:-1]])
-        levels, counts = scale[starts], np.diff(np.r_[starts, n])
+    order = np.argsort(scale, kind="stable")
+    offsets, states, scale = offsets[order], states[order], scale[order]
+    starts = np.flatnonzero(np.r_[True, scale[1:] != scale[:-1]])
+    levels, counts = scale[starts], np.diff(np.r_[starts, n])
     first = _initial_steps(_need(pulse, offsets, scale))
     # the budget holds for each time scale on its own
     totals = np.add.reduceat(first, np.cumsum(counts) - counts)
@@ -550,8 +541,6 @@ def evolve_offsets(
                 f"take {total} steps together, more than {_MAX_MEMBER_STEPS}"
             )
     final = _rotate_adaptive(pulse, offsets, states, first, levels, counts)
-    if order is None:
-        return final
     out = np.empty_like(final)
     out[order] = final
     return out

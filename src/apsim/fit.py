@@ -18,17 +18,16 @@ least-squares runs unconstrained on the two nonlinear parameters only,
 
 (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
 (1973); Inverse Problems 19, R1 (2003)).  The guess's p_max is not used.
-The optimizer is a port of MINPACK's lmder (More, "The Levenberg-Marquardt
-algorithm: implementation and theory", Lecture Notes in Mathematics 630,
-1978) with a forward-difference Jacobian: a trust region scaled by the
-running maximum of the Jacobian column norms, and More's search for the
-damping parameter, done on the singular value decomposition of the
-2-column scaled Jacobian.  A trial point whose parameters or residuals are
-not finite, whose g is zero, or whose renormalized model has no mass
-counts as a rejected step and shrinks the trust region.  Convergence means
-one of MINPACK's tests passed (relative reduction 1e-8, relative step
-1e-6, gradient cosine 1e-8); spending the budget of 2000 residual
-evaluations first returns converged=False with the best parameters found.
+The optimizer is Levenberg-Marquardt with a forward-difference Jacobian
+(Marquardt, SIAM J. Appl. Math. 11, 431 (1963)): damped Gauss-Newton
+steps, the damping scaled by the running maximum of the Jacobian column
+norms, shrunk tenfold after a step that lowers the residual and grown
+tenfold after one that does not.  A trial point whose parameters or
+residuals are not finite, whose g is zero, or whose renormalized model
+has no mass counts as a rejected step.  Convergence means a stop test
+passed (relative step 1e-6, gradient cosine 1e-8); spending the budget of
+2000 residual evaluations first returns converged=False with the best
+parameters found.
 """
 
 from __future__ import annotations
@@ -52,14 +51,13 @@ __all__ = ["FitResult", "fit_spectrum"]
 # evaluations each (step + forward-difference Jacobian in 2 parameters)
 _MAX_EVALS = 2000
 
-# MINPACK lmder settings: stop tests, initial trust-region factor
-_FTOL = 1e-8
+# stop tests on the relative step and the gradient cosine, and the range
+# of the damping
 _XTOL = 1e-6
 _GTOL = 1e-8
-_FACTOR = 100.0
+_DAMPING = (1e-12, 1e12)
 
 _EPS = float(np.finfo(float).eps)
-_DWARF = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,9 @@ class FitResult:
     n_iterations : optimizer work counter: every model evaluation, the two
                    of each forward-difference Jacobian and the last one,
                    which recovers p_max, included
-    converged    : True when a stop test passed (relative reduction,
-                   relative step or gradient cosine), False when the
-                   evaluation budget ran out first
+    converged    : True when a stop test passed (relative step or
+                   gradient cosine), False when the evaluation budget ran
+                   out first
     """
 
     params: ThermalModel
@@ -180,7 +178,7 @@ def fit_spectrum(
     # a guess without light shift starts at q = -inf: a rejected start
     with np.errstate(divide="ignore"):
         x0 = np.array([np.log(guess.delta_th), np.log(-guess.delta_ls_max)])
-    x, f, nfev, info = _lmder(residuals, x0, _MAX_EVALS - 1)
+    x, f, nfev, converged = _levenberg_marquardt(residuals, x0, _MAX_EVALS - 1)
     # one more evaluation, within the budget, recovers p_max at x; only a
     # rejected start has none
     fit = model(x)
@@ -190,7 +188,7 @@ def fit_spectrum(
         params=fit[0],
         residual_rms=float(np.sqrt(np.mean(f**2))),
         n_iterations=nfev + 1,
-        converged=info not in (0, 5),
+        converged=converged,
     )
 
 
@@ -204,141 +202,58 @@ def _jacobian(fun, x, f):
     return jac
 
 
-def _lmder(fun, x0, max_nfev):
-    """Minimise |fun(x)|^2 by MINPACK's lmder; return (x, fun(x), nfev, info).
+def _levenberg_marquardt(fun, x0, max_nfev):
+    """Minimise |fun(x)|^2 by damped Gauss-Newton steps; return
+    (x, fun(x), nfev, converged).
 
-    nfev counts every call of fun, Jacobian columns included, and never
-    exceeds max_nfev.  info follows MINPACK: 1-3 reduction or step test
-    passed, 4 gradient test, 5 budget spent, 6-8 a tolerance below
-    roundoff; 0 means the start or a Jacobian was not finite.
+    Each step solves (J^T J + lam D) s = -J^T f (Marquardt, SIAM J. Appl.
+    Math. 11, 431 (1963)), D the running largest diagonal of J^T J, 1
+    where it is 0, as the unit-diagonal system of J D^-1/2.  A trial whose
+    residuals are not finite or do not lower |f|^2 is rejected and
+    multiplies lam by 10; an accepted one divides it by 10.  lam stays
+    within _DAMPING, so the system is never singular.  Converged means the
+    gradient cosine is at most _GTOL, or a step, accepted or rejected, is
+    at most _XTOL (|x| + _XTOL) long; the budget, or a start or Jacobian
+    that is not finite, ends it unconverged.  nfev counts every call of
+    fun, Jacobian columns included, and never exceeds max_nfev.
     """
     x = np.array(x0, dtype=float)
-    n = x.size
     f = fun(x)
-    nfev = 1
-    if not np.all(np.isfinite(f)):
-        return x, f, nfev, 0
-    fnorm = float(np.linalg.norm(f))
-    par = 0.0
-    first = True
-    while True:
-        if nfev + n > max_nfev:
-            return x, f, nfev, 5
+    nfev, cost, lam = 1, float(f @ f), 1e-3
+    norms = np.zeros(x.size)
+    if not math.isfinite(cost):
+        return x, f, nfev, False
+    while nfev + x.size < max_nfev:
         jac = _jacobian(fun, x, f)
-        nfev += n
+        nfev += x.size
         if not np.all(np.isfinite(jac)):
-            return x, f, nfev, 0
-        acnorm = np.linalg.norm(jac, axis=0)
-        if first:
-            diag = np.where(acnorm == 0.0, 1.0, acnorm)
-            xnorm = float(np.linalg.norm(diag * x))
-            delta = _FACTOR * xnorm if xnorm != 0.0 else _FACTOR
-        # cosine between the residual and each Jacobian column
-        gnorm = 0.0
-        if fnorm != 0.0:
-            live = acnorm != 0.0
-            cos = np.abs(jac.T @ f)[live] / (fnorm * acnorm[live])
-            gnorm = float(np.max(cos, initial=0.0))
-        if gnorm <= _GTOL:
-            return x, f, nfev, 4
-        diag = np.maximum(diag, acnorm)
-        # scaled Jacobian J D^-1 = U S V^T: the step for damping par is
-        # D^-1 V w with w = -S U^T f / (S^2 + par)
-        u, sv, vt = np.linalg.svd(jac / diag, full_matrices=False)
-        grad = sv * (u.T @ f)
-
+            return x, f, nfev, False
+        col = np.linalg.norm(jac, axis=0)
+        # |f| times the cosine between the residual and each Jacobian column
+        cos = np.abs(f @ jac)[col > 0.0] / col[col > 0.0]
+        if np.max(cos, initial=0.0) <= _GTOL * math.sqrt(cost):
+            return x, f, nfev, True
+        norms = np.maximum(norms, col)
+        d = np.where(norms > 0.0, norms, 1.0)
+        jd = jac / d
+        a, g = jd.T @ jd, jd.T @ f
         while True:
-            par, w = _lm_parameter(sv, grad, delta, par)
-            step = (vt.T @ w) / diag
-            pnorm = float(np.linalg.norm(w))
-            if first:
-                delta = min(delta, pnorm)
+            step = np.linalg.solve(a + lam * np.eye(x.size), -g) / d
+            small = np.linalg.norm(step) <= _XTOL * (np.linalg.norm(x) + _XTOL)
             trial = x + step
             f_trial = fun(trial)
             nfev += 1
-            fnorm1 = float(np.linalg.norm(f_trial))
-            if not math.isfinite(fnorm1):
-                fnorm1 = math.inf
-            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-            # predicted reduction and scaled directional derivative
-            temp1 = float(np.linalg.norm(sv * w)) / fnorm
-            temp2 = math.sqrt(par) * pnorm / fnorm
-            prered = temp1**2 + temp2**2 / 0.5
-            dirder = -(temp1**2 + temp2**2)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            # update the trust region
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par /= temp
-            elif par == 0.0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-                par *= 0.5
-            if ratio >= 1e-4:
-                x, f, fnorm = trial, f_trial, fnorm1
-                xnorm = float(np.linalg.norm(diag * x))
-                first = False
-            # convergence tests, then tolerances below roundoff
-            reduced = abs(actred) <= _FTOL and prered <= _FTOL and 0.5 * ratio <= 1.0
-            small_step = delta <= _XTOL * xnorm
-            if reduced or small_step:
-                return x, f, nfev, 3 if reduced and small_step else 1 if reduced else 2
-            if nfev >= max_nfev:
-                return x, f, nfev, 5
-            if abs(actred) <= _EPS and prered <= _EPS and 0.5 * ratio <= 1.0:
-                return x, f, nfev, 6
-            if delta <= _EPS * xnorm:
-                return x, f, nfev, 7
-            if gnorm <= _EPS:
-                return x, f, nfev, 8
-            if ratio >= 1e-4:
+            cost_trial = float(f_trial @ f_trial)
+            # a residual that is not finite compares False: rejected
+            accepted = cost_trial < cost
+            if accepted:
+                x, f, cost, lam = trial, f_trial, cost_trial, max(0.1 * lam, _DAMPING[0])
+            else:
+                lam = min(10.0 * lam, _DAMPING[1])
+            if small:
+                return x, f, nfev, True
+            if accepted:
                 break
-
-
-def _lm_parameter(sv, grad, delta, par):
-    """More's search for the damping par whose step w has |w| near delta.
-
-    sv are the singular values of the scaled Jacobian and grad = S U^T f
-    its gradient in the right singular basis; par is the previous value,
-    the starting estimate.  Returns (par, w); par = 0 when the
-    Gauss-Newton step already lies within 1.1 delta.
-    """
-    full_rank = bool(np.all(sv > 0.0))
-    # Gauss-Newton step (minimum norm where the Jacobian is singular)
-    w = -np.divide(grad, sv * sv, out=np.zeros_like(grad), where=sv > 0.0)
-    dxnorm = float(np.linalg.norm(w))
-    fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, w
-    parl = 0.0
-    if full_rank:
-        temp2 = float(np.sum((w / sv) ** 2)) / dxnorm**2
-        parl = fp / delta / temp2
-    gnorm = float(np.linalg.norm(grad))
-    paru = gnorm / delta
-    if paru == 0.0:
-        paru = _DWARF / min(delta, 0.1)
-    par = min(max(par, parl), paru)
-    if par == 0.0:
-        par = gnorm / dxnorm
-    for it in range(1, 11):
-        if par == 0.0:
-            par = max(_DWARF, 0.001 * paru)
-        denom = sv * sv + par
-        w = -grad / denom
-        dxnorm = float(np.linalg.norm(w))
-        temp = fp
-        fp = dxnorm - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= temp < 0.0) or it == 10:
-            break
-        # Newton correction of the secular equation 1/|w| = 1/delta
-        temp2 = float(np.sum(w * w / denom)) / dxnorm**2
-        parc = fp / delta / temp2
-        if fp > 0.0:
-            parl = max(parl, par)
-        elif fp < 0.0:
-            paru = min(paru, par)
-        par = max(parl, par + parc)
-    return par, w
+            if nfev >= max_nfev:
+                return x, f, nfev, False
+    return x, f, nfev, False

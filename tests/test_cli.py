@@ -735,12 +735,13 @@ def test_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path, guess):
     assert params["p_max"] == pytest.approx(0.95, abs=1e-3)
 
 
-@pytest.mark.parametrize("delta_ls_max_khz", [-30.0, -100.0, -0.5])
+@pytest.mark.parametrize("delta_ls_max_khz", [-30.0, -100.0, -1.0, -0.5])
 def test_renormalized_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path,
                                                              delta_ls_max_khz):
     # renormalized, the data's p_max of 0.95 reads 0.95 times the truncated
-    # mass, 0.9082.  The -0.5 kHz guess once divided by a mass that had
-    # underflowed to 0 (exit 1); it still stops away from the truth
+    # mass, 0.9082.  The -1 kHz guess once stopped at -6.44 kHz, rms 0.039.
+    # The -0.5 kHz guess once divided by a mass that had underflowed to 0
+    # (exit 1); it still stops away from the truth
     cfg, data = fit_data
     cfg = dict(cfg, thermal=dict(THERMAL, delta_ls_max_khz=delta_ls_max_khz),
                convolution={"renormalize": True})
