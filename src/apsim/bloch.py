@@ -23,16 +23,17 @@ offset enters that vector only through a1_z, as a polynomial of degree
 trajectories, and one matrix product of them with the powers of every
 trajectory's offset evaluates a block of steps.  Each step becomes an
 SU(2) Cayley-Klein pair (a, b); the pairs are composed by pairwise
-reduction and rotate the initial vectors.  The blocks are powers of two
-of at most 2^12 steps, and each block's steps are sampled in
-bit-reversed order, so that every level of the reduction multiplies the
-upper half of the block by the lower half: two contiguous slices,
-whatever the number of trajectories.  The steps are sampled and their
-coefficients formed a chunk of 2^12 steps, whole blocks, at a time.  The
-chunk's samples and coefficients and the blocks' stacks lie in one
-workspace that a call allocates once and all its passes share; beyond
-it a pass allocates only the pulse samples and Magnus temporaries of one
-chunk, a chunk's step order and per-trajectory vectors.
+reduction and rotate the initial vectors.  A pass takes n = 2^p steps,
+at least 16, in equal blocks of a power of two of at most 2^12 steps,
+and each block's steps are sampled in bit-reversed order, so that every
+level of the reduction multiplies the upper half of the block by the
+lower half: two contiguous slices, whatever the number of trajectories.
+The steps are sampled and their coefficients formed a chunk of at most
+2^12 steps, whole blocks, at a time.  The chunk's samples and
+coefficients and the block's stacks lie in one workspace that a call
+allocates once and all its passes share; beyond it a pass allocates
+only the pulse samples and Magnus temporaries of one chunk, its step
+order and per-trajectory vectors.
 
 A trajectory may also have a time scale c: it then evolves under
 c (omega(t), 0, delta(t) + offset), the pulse stretched to c times its
@@ -216,12 +217,10 @@ def _cayley_klein(q, out, scratch):
     """
     r, t, u = scratch
     a, b = out
-    # |q|^2, summed over the components in order; for a single element
-    # einsum would take a dot product, which sums in another order
-    if r.size > 1:
-        np.einsum("i...,i...->...", q, q, out=r)
-    else:
-        np.add(q[0] * q[0] + q[1] * q[1], q[2] * q[2], out=r)
+    # |q|^2, summed over the components in order; on a single element
+    # einsum would take a dot product, which sums in another order, but
+    # every block holds two elements or more (see _block)
+    np.einsum("i...,i...->...", q, q, out=r)
     np.sqrt(r, out=r)
     np.tan(r, out=t)
     np.multiply(t, t, out=u)
@@ -311,32 +310,12 @@ def _workspace(m: int):
     return buf[:a].reshape(_ROWS, _STEPS), buf[a:b], buf[b:].view(complex)
 
 
-def _blocks(n: int, m: int) -> list[int]:
-    """Sizes of the blocks of a pass of n steps over m members, in step
-    order: the largest power of two with at most _STEPS steps and at most
-    _CHUNK steps x members (or one step) as often as n holds it, then one
-    block for each set bit of the rest.  Every block is a power of two
-    that divides _STEPS, and none is larger than the one before, so no
-    block crosses a multiple of _STEPS."""
-    block = 1 << (min(n, _STEPS, max(1, _CHUNK // m)).bit_length() - 1)
-    rest = n % block
-    return [block] * (n // block) + [
-        1 << j for j in reversed(range(block.bit_length() - 1)) if rest >> j & 1
-    ]
-
-
-def _step_order(sizes: list[int]) -> np.ndarray:
-    """Step index of each row of a pass taken in blocks of these sizes:
-    block after block, each block's steps in bit-reversed order."""
-    block = sizes[0]
-    perm = _bit_reversed(block)
-    lo = sizes.count(block) * block
-    parts = [(np.arange(0, lo, block)[:, None] + perm).ravel()]
-    for k in sizes[lo // block :]:
-        # the first k entries of perm are _bit_reversed(k) times block / k
-        parts.append(lo + perm[:k] // (block // k))
-        lo += k
-    return np.concatenate(parts)
+def _block(n: int, m: int) -> int:
+    """Steps of each block of a pass of n = 2^p steps over m members: the
+    largest power of two with at most _STEPS steps and at most _CHUNK
+    steps x members (or one step).  It divides n and _STEPS, so the blocks
+    of a pass are all this size and none crosses a multiple of _STEPS."""
+    return 1 << (min(n, _STEPS, max(1, _CHUNK // m)).bit_length() - 1)
 
 
 def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.ndarray,
@@ -375,19 +354,20 @@ def _coefficients(pulse: PulseProgram, steps: np.ndarray, h: float, rows: np.nda
 
 def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray, n: int,
                    work, groups) -> np.ndarray:
-    """Final states after n uniform sixth-order Magnus steps.
+    """Final states after n uniform sixth-order Magnus steps, n a power of
+    two.
 
     groups is a sequence of (scale, count): count consecutive members at
-    that time scale.  The pass runs in blocks of steps (_blocks), each one
-    stack of every member's steps in bit-reversed order, so that every
-    level of _compose multiplies the upper half of the stack by the lower
-    half.  The steps are sampled and turned into every group's
+    that time scale.  The pass runs in equal blocks of steps (_block),
+    each one stack of every member's steps in bit-reversed order, so that
+    every level of _compose multiplies the upper half of the stack by the
+    lower half.  The steps are sampled and turned into every group's
     coefficients a chunk of whole blocks, at most _STEPS rows for all
-    groups together, at a time; each group's columns of a block take their
-    own matrix product.  The block products multiply the state in step
-    order.  Everything runs in work, a _workspace for at least
-    offsets.size members, which the caller makes once per call and shares
-    among its passes.
+    groups together, at a time; the last chunk may hold fewer blocks.
+    Each group's columns of a block take their own matrix product.  The
+    block products multiply the state in step order.  Everything runs in
+    work, a _workspace for at least offsets.size members, which the caller
+    makes once per call and shares among its passes.
     """
     m = offsets.size
     h = pulse.duration / n
@@ -404,23 +384,20 @@ def _rotation_pass(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarray,
     running = np.zeros((5, m), dtype=complex)
     acc, nxt, tmp = running[0:2], running[2:4], running[4]
     acc[0] = 1.0
-    sizes = _blocks(n, m)
-    per_chunk = max(1, _STEPS // (sizes[0] * len(groups)))
-    key, start = None, 0
-    for i in range(0, len(sizes), per_chunk):
-        blocks = sizes[i : i + per_chunk]
-        if blocks != key:
-            key, order = blocks, _step_order(blocks)
-        steps = np.add(order, start, out=chunk[-1, : order.size])
+    block = _block(n, m)
+    stack = real[: 6 * block * m].reshape(6, block, m)
+    prods = pairs[: 4 * block * m].reshape(4, block, m)
+    # a full chunk's step indices, block after block, each block's in
+    # bit-reversed order; a shorter last chunk takes a prefix
+    rows = min(n, max(1, _STEPS // (block * len(groups))) * block)
+    order = (np.arange(0, rows, block)[:, None] + _bit_reversed(block)).ravel()
+    for start in range(0, n, rows):
+        size = min(rows, n - start)
+        steps = np.add(order[:size], start, out=chunk[-1, :size])
         coefs = _coefficients(pulse, steps, h, chunk, scales)
-        start += order.size
-        lo = 0
-        for k in blocks:
-            stack = real[: 6 * k * m].reshape(6, k, m)
+        for lo in range(0, size, block):
             for g, (col, power) in enumerate(zip(cols, powers)):
-                np.matmul(coefs[:, g, lo : lo + k], power, out=stack[:3, :, col])
-            lo += k
-            prods = pairs[: 4 * k * m].reshape(4, k, m)
+                np.matmul(coefs[:, g, lo : lo + block], power, out=stack[:3, :, col])
             _cayley_klein(stack[:3], prods[:2], stack[3:])
             _ck_mul(*_compose(prods), *acc, nxt, tmp)
             acc, nxt = nxt, acc
@@ -443,31 +420,31 @@ def _rotate_adaptive(pulse: PulseProgram, offsets: np.ndarray, states: np.ndarra
     work = _workspace(offsets.size)
     out = np.empty_like(states)
     group_of = np.repeat(np.arange(levels.size), counts)
-    active = np.empty(0, dtype=int)  # trajectories with a coarse state
-    coarse = np.empty((0, 3))
+    running = np.zeros(offsets.size, dtype=bool)  # trajectories with a coarse state
+    coarse = np.empty_like(states)
     n = int(first.min())
     while True:
-        members = np.concatenate([active, np.flatnonzero(first == n)])
+        members = np.flatnonzero(running | (first == n))
         if members.size:
-            order = np.argsort(members)
-            ranked = members[order]
-            per_level = np.bincount(group_of[ranked], minlength=levels.size)
-            fine = np.empty((members.size, 3))
-            fine[order] = _rotation_pass(
-                pulse, offsets[ranked], states[ranked], n, work,
+            per_level = np.bincount(group_of[members], minlength=levels.size)
+            fine = _rotation_pass(
+                pulse, offsets[members], states[members], n, work,
                 [(levels[g], per_level[g]) for g in np.flatnonzero(per_level)],
             )
+            paired = running[members]
             # a sixth-order error falls 2^6-fold per halving of the step,
             # so the n-step error is about |r_n - r_n/2| / 63
-            err = np.linalg.norm(fine[: active.size] - coarse, axis=1) / 63.0
+            err = np.linalg.norm(fine[paired] - coarse[members[paired]], axis=1) / 63.0
             if not np.all(np.isfinite(err)):
                 raise IntegrationError(
                     f"error estimate is not finite after a pass of {n} steps"
                 )
-            done = np.concatenate([err <= tol, np.zeros(members.size - active.size, bool)])
+            done = np.zeros(members.size, dtype=bool)
+            done[paired] = err <= tol
             out[members[done]] = fine[done]
-            active, coarse = members[~done], fine[~done]
-        if not active.size and n >= first.max():
+            running[members] = ~done
+            coarse[members] = fine
+        if not running.any() and n >= first.max():
             return out
         n *= 2
         if n > _MAX_STEPS:

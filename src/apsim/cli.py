@@ -4,8 +4,9 @@ Five subcommands: ``spectrum``, ``spatial``, ``transport``, ``adiabaticity``
 run the four scan kinds; ``fit`` extracts thermal parameters from a measured
 spectrum CSV.  Every subcommand takes ``--config <json>`` or ``--preset
 <name>``, an optional ``--out`` (written as CSV or JSON by extension,
-default CSV on stdout) and ``--seed`` to override the config seed.  Logs
-go to standard error only, so stdout stays pipeable.
+default CSV on stdout) and ``--seed`` to override the config seed.
+Diagnostics go to standard error only, one ``INFO`` or ``ERROR`` line
+each, so stdout stays pipeable.
 
 Exit codes: 0 success, 2 configuration, input or file failure, 3 numeric
 failure (integration or quadrature did not meet its tolerance).
@@ -17,7 +18,7 @@ import argparse
 import dataclasses
 import functools
 import gc
-import logging
+import json
 import sys
 import time
 from pathlib import Path
@@ -38,14 +39,17 @@ from .units import khz_to_rad_per_s, s_to_ms
 
 __all__ = ["main", "run_scan"]
 
-log = logging.getLogger("apsim")
-
 # A computed probability may leave [0, 1] by the convolution's accuracy:
 # its error estimate is held to 1e-6, and with renormalize=True a flat
 # plateau at p_max = 1 may read just above 1.
 # Detection accepts only [0, 1], so excursions up to this size are clipped
 # first; larger ones are errors and still fail.
 _P1_ROUNDOFF = 1e-6
+
+
+def _say(level: str, message: str) -> None:
+    """One diagnostic line on the standard error of the moment."""
+    sys.stderr.write(f"{level} {message}\n")
 
 
 def run_scan(cfg: RunConfig) -> ScanResult:
@@ -107,7 +111,7 @@ def _emit_scan(result: ScanResult, path: Path | None) -> None:
         result.to_csv(path)
     else:
         result.to_json(path)
-    log.info("wrote %s (%d rows)", path, len(result))
+    _say("INFO", f"wrote {path} ({len(result)} rows)")
 
 
 def _cmd_scan(args, kind: str) -> int:
@@ -124,10 +128,10 @@ def _cmd_scan(args, kind: str) -> int:
             raise ConfigError(
                 f"config describes a {cfg.kind!r} scan but the {kind!r} command was invoked"
             )
-    log.info("%s scan: %d grid points, seed %d", kind, len(cfg.grid), cfg.seed)
+    _say("INFO", f"{kind} scan: {len(cfg.grid)} grid points, seed {cfg.seed}")
     t0 = time.perf_counter()
     result = run_scan(cfg)
-    log.info("scan finished in %.1f s", time.perf_counter() - t0)
+    _say("INFO", f"scan finished in {time.perf_counter() - t0:.1f} s")
     _emit_scan(result, out)
     return 0
 
@@ -139,23 +143,19 @@ def _cmd_fit(args) -> int:
     if cfg.pulse is None or cfg.thermal is None:
         raise ConfigError("fit needs a config with a pulse and a thermal section")
     data = ScanResult.from_csv(Path(args.data))
-    log.info("fitting %d samples from %s", len(data), args.data)
+    _say("INFO", f"fitting {len(data)} samples from {args.data}")
     t0 = time.perf_counter()
     result = fit_spectrum(data, cfg.pulse, cfg.thermal)
-    log.info(
-        "fit %s in %.1f s (%d evaluations, rms %.2e)",
-        "converged" if result.converged else "did NOT converge",
-        time.perf_counter() - t0,
-        result.n_iterations,
-        result.residual_rms,
-    )
+    _say("INFO", f"bare-spectrum cache: {result.cache_points} grid points, "
+                 f"{result.cache_integrated} integrated")
+    _say("INFO", f"fit {'converged' if result.converged else 'did NOT converge'} in "
+                 f"{time.perf_counter() - t0:.1f} s ({result.n_iterations} evaluations, "
+                 f"rms {result.residual_rms:.2e})")
     if out is None:
-        import json as _json
-
-        sys.stdout.write(_json.dumps(result.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
     else:
         result.to_json(out)
-        log.info("wrote %s", out)
+        _say("INFO", f"wrote {out}")
     return 0
 
 
@@ -208,9 +208,6 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
-    )
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -223,10 +220,10 @@ def _main(argv) -> int:
         return _cmd_scan(args, args.command)
     # OSError: a file that cannot be read or written, such as a directory
     except (ConfigError, FitDataError, OSError) as exc:
-        log.error("%s", exc)
+        _say("ERROR", str(exc))
         return 2
     except (IntegrationError, QuadratureError) as exc:
-        log.error("numeric failure: %s", exc)
+        _say("ERROR", f"numeric failure: {exc}")
         return 3
 
 

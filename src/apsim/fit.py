@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import json
-import logging
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +73,17 @@ class FitResult:
     converged    : True when a stop test passed (relative step or
                    gradient cosine), False when the evaluation budget ran
                    out first
+    cache_points, cache_integrated :
+                   grid points of the bare-spectrum cache, and how many of
+                   them were integrated; not part of the report
     """
 
     params: ThermalModel
     residual_rms: float
     n_iterations: int
     converged: bool
+    cache_points: int
+    cache_integrated: int
 
     def to_json_dict(self) -> dict:
         """The fit report: params in kHz, as the config's thermal section."""
@@ -144,8 +148,6 @@ def fit_spectrum(
     # grid step follows the bare spectrum, not the guess
     margin = 2.0 * abs(guess.delta_ls_max) + 20.0 * guess.delta_th
     cache = SpectrumCache.from_pulse(pulse, float(deltas.min()) - margin, float(deltas.max()))
-    logging.getLogger(__name__).info("bare-spectrum cache: %d grid points, %d integrated",
-                                     cache.deltas.size, cache.integrated)
 
     y = np.asarray(data.p1, dtype=float)
 
@@ -189,6 +191,8 @@ def fit_spectrum(
         residual_rms=float(np.sqrt(np.mean(f**2))),
         n_iterations=nfev + 1,
         converged=converged,
+        cache_points=cache.deltas.size,
+        cache_integrated=cache.integrated,
     )
 
 

@@ -350,30 +350,18 @@ def test_bit_reversal_is_an_involution(k):
     assert np.array_equal(perm[perm], np.arange(k))
 
 
-def test_step_order_reverses_each_power_of_two_block():
-    sizes = bloch._blocks(1500, 32)
-    assert sizes == [1024, 256, 128, 64, 16, 8, 4]
-    order = bloch._step_order(sizes)
-    lo = 0
-    for k in sizes:
-        assert np.array_equal(order[lo : lo + k], lo + bloch._bit_reversed(k))
-        lo += k
-    assert lo == 1500
-    assert bloch._blocks(4096, 1025) == [16] * 256
-    assert bloch._blocks(3, 40000) == [1, 1, 1]
-
-
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(n=st.integers(1, 2**20), m=st.integers(1, 40000))
-def test_blocks_are_powers_of_two_within_one_chunk(n, m):
-    # every block fits one chunk of _STEPS rows and one block stack of
-    # max(_CHUNK, m) elements, and the sizes never grow, so no block
-    # crosses a chunk boundary
-    sizes = np.array(bloch._blocks(n, m))
+@given(p=st.integers(4, 20), m=st.integers(1, 40000))
+def test_blocks_are_powers_of_two_within_one_chunk(p, m):
+    # a pass takes n = 2^p >= 16 steps in blocks of one size; every block
+    # fits one chunk of _STEPS rows and one block stack of max(_CHUNK, m)
+    # elements, and no block crosses a chunk boundary
+    n = 2**p
+    block = bloch._block(n, m)
+    sizes = np.full(n // block, block)
     assert sizes.sum() == n
     assert np.all(sizes & (sizes - 1) == 0) and np.all(sizes <= bloch._STEPS)
     assert np.all(sizes * m <= max(bloch._CHUNK, m))
-    assert np.all(np.diff(sizes) <= 0)
     start = np.cumsum(sizes) - sizes
     assert np.array_equal(start // bloch._STEPS, (start + sizes - 1) // bloch._STEPS)
 
@@ -387,14 +375,14 @@ def test_pairwise_composition_matches_sequential(ref_pulse):
         pairs = np.empty((5, k, 5), dtype=complex)
         pairs[:2] = steps[:, bloch._bit_reversed(k)]
         np.testing.assert_allclose(bloch._compose(pairs), _sequential(steps), atol=1e-12)
-    # 4001 members take blocks of 8 steps (and one of 4), one member takes the
-    # 100 steps in blocks of 64, 32 and 4: the answers agree
+    # 4001 members take 128 steps in blocks of 8, one member takes them in
+    # one block: the answers agree
     offs = khz_to_rad_per_s(np.linspace(-60.0, 60.0, 4001))
     y0 = np.tile(GROUND, (offs.size, 1))
-    many = _pass(ref_pulse, offs, y0, 100)
-    assert 100 > bloch._CHUNK // offs.size
+    many = _pass(ref_pulse, offs, y0, 128)
+    assert bloch._block(128, offs.size) == 8 and bloch._block(128, 1) == 128
     for i in (0, 1234, 4000):
-        one = _pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 100)
+        one = _pass(ref_pulse, offs[i : i + 1], y0[i : i + 1], 128)
         np.testing.assert_allclose(many[i], one[0], atol=1e-12)
 
 
@@ -422,16 +410,16 @@ def _direct_pass(pulse, offsets, states, n):
     return bloch._rotate(*_sequential(pairs), states)
 
 
-@pytest.mark.parametrize("m, n, x_max", [(1, 100, 0.3), (32, 1500, 0.5), (512, 200, 1.2),
-                                         (3, 9000, 0.3)],
-                         ids=["one-member", "tail-block", "fit-range", "three-chunks"])
+@pytest.mark.parametrize("m, n, x_max", [(1, 128, 0.3), (32, 2048, 0.5), (512, 256, 1.2),
+                                         (3, 16384, 0.3)],
+                         ids=["one-member", "transport-like", "fit-range", "four-chunks"])
 def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
     # the kernel evaluates each step's Magnus vector as polynomials in
-    # x = h * offset, in blocks of steps; no n here is a power of two, so
-    # every case ends in power-of-two sub-blocks, |x| <= 1.2 is the range
-    # of the fit's cache, and 3 members take blocks of _STEPS steps, so
-    # that their 9000 steps span three chunks
-    assert n % bloch._blocks(n, m)[0]
+    # x = h * offset, in blocks of steps; |x| <= 1.2 is the range of the
+    # fit's cache, and 3 members take blocks of _STEPS steps, so that
+    # their 16384 steps span four chunks; every pass but the lone member's
+    # takes several blocks
+    assert bloch._block(n, m) < n or m == 1
     offs = np.linspace(-x_max, x_max, m) * n / ref_pulse.duration
     rng = np.random.default_rng(m)
     y0 = rng.normal(size=(m, 3))
@@ -440,7 +428,7 @@ def test_rotation_pass_matches_direct_magnus_vectors(ref_pulse, m, n, x_max):
     np.testing.assert_allclose(got, _direct_pass(ref_pulse, offs, y0, n), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("m, n", [(7, 1500), (3, 9000)], ids=["in-workspace", "fresh-buffer"])
+@pytest.mark.parametrize("m, n", [(7, 1024), (3, 8192)], ids=["in-workspace", "fresh-buffer"])
 def test_rotation_pass_groups_match_stretched_pulses(ref_pulse, m, n):
     # a pass over groups of members at their own time scales gives each
     # group the pass of the stretched pulse; three groups of one member
@@ -452,7 +440,7 @@ def test_rotation_pass_groups_match_stretched_pulses(ref_pulse, m, n):
     rng = np.random.default_rng(m)
     y0 = rng.normal(size=(m, 3))
     y0 /= np.linalg.norm(y0, axis=1)[:, None]
-    assert (bloch._blocks(n, m)[0] * 3 > bloch._STEPS) == (m == 3)
+    assert (bloch._block(n, m) * 3 > bloch._STEPS) == (m == 3)
     got = _pass(ref_pulse, offs, y0, n, groups)
     lo = 0
     for c, count in groups:
@@ -479,7 +467,8 @@ def test_need_sums_the_samples_like_a_loop(ref_pulse, m):
 def test_rotation_pass_does_not_depend_on_blas_threads():
     # the kernel multiplies by BLAS: its states must not change with the
     # number of BLAS threads, or a fixed seed would not fix the output;
-    # 1500 steps of 27 members also take the power-of-two sub-blocks
+    # the last pass, like a transport curve's, runs three time-scale
+    # groups, whose products write into strided column slices of a block
     script = f"""
 import sys
 sys.path.insert(0, {str(Path(apsim.__file__).parents[1])!r})
@@ -489,11 +478,13 @@ from apsim.pulses import APPulse
 from apsim.units import khz_to_rad_per_s
 
 pulse = APPulse.from_khz(28.0, 40.0, 0.0, 2.0)
-for m, n in ((1025, 1024), (32, 4096), (1, 2048), (27, 1500)):
+for m, n, groups in ((1025, 1024, ((1.0, 1025),)), (32, 4096, ((1.0, 32),)),
+                     (1, 2048, ((1.0, 1),)), (27, 2048, ((1.0, 27),)),
+                     (96, 4096, ((0.5, 32), (1.0, 32), (1.75, 32)))):
     offs = khz_to_rad_per_s(np.linspace(-117.0, 65.0, m))
     y0 = np.tile([0.0, 0.0, -1.0], (m, 1))
     work = bloch._workspace(m)
-    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n, work, ((1.0, m),)).tobytes().hex())
+    sys.stdout.write(bloch._rotation_pass(pulse, offs, y0, n, work, groups).tobytes().hex())
 """
     outs = []
     for threads in ("1", "2"):
@@ -572,7 +563,7 @@ def test_chunked_pass_names_the_first_non_finite_time(step):
     n = 8192
     h = 1.0e-3 / n
     t_bad = (step + bloch._NODES[0]) * h
-    assert bloch._blocks(n, 32)[0] == 1024 and n - bloch._STEPS <= step
+    assert bloch._block(n, 32) == 1024 and n - bloch._STEPS <= step
 
     class TurnsNaN:
         duration = 1.0e-3
@@ -598,6 +589,9 @@ def test_each_trajectory_is_accepted_on_its_own(ref_pulse, monkeypatch):
     rotation_pass = bloch._rotation_pass
 
     def counted(pulse, offsets, states, n, work, groups):
+        # every pass the program takes has 2^p >= 16 steps, which _block
+        # relies on
+        assert n >= 16 and n & (n - 1) == 0
         sizes.append(offsets.size)
         return rotation_pass(pulse, offsets, states, n, work, groups)
 

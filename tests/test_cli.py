@@ -1,6 +1,5 @@
 import ast
 import json
-import logging
 import math
 import re
 import subprocess
@@ -116,7 +115,7 @@ def test_missing_and_invalid_config(tmp_path):
     ("1" + "0" * 5000, "Exceeds the limit (4300 digits)"),
     ("[" * 200000 + "]" * 200000, "maximum recursion depth exceeded"),
 ], ids=["int-past-digit-limit", "arrays-nested-200000-deep"])
-def test_json_the_parser_refuses_is_config_error(tmp_path, caplog, capsys, seed, message):
+def test_json_the_parser_refuses_is_config_error(tmp_path, capsys, seed, message):
     # valid JSON that json.loads still refuses: an ERROR line and exit 2,
     # never a traceback; json.dumps cannot write the int, so the text is
     # written directly
@@ -124,11 +123,12 @@ def test_json_the_parser_refuses_is_config_error(tmp_path, caplog, capsys, seed,
     path.write_text('{"scan": {"kind": "transport", "inv_tau_per_ms": [1.0]}, "seed": '
                     + seed + "}")
     assert main(["transport", "--config", str(path)]) == 2
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert "config cannot be parsed" in errors[0].getMessage()
-    assert message in errors[0].getMessage()
-    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("ERROR ")]
+    assert len(errors) == 1
+    assert "config cannot be parsed" in errors[0]
+    assert message in errors[0]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, flag, content", [
@@ -142,7 +142,7 @@ def test_json_the_parser_refuses_is_config_error(tmp_path, caplog, capsys, seed,
     ("spectrum", "--out", "afile"),
 ], ids=["config-directory", "data-directory", "scan-out-directory", "fit-out-directory",
         "config-not-utf8", "data-not-ascii", "scan-out-parent-missing", "scan-out-parent-a-file"])
-def test_file_fault_is_config_error(fit_data, tmp_path, caplog, monkeypatch, command, flag,
+def test_file_fault_is_config_error(fit_data, tmp_path, capsys, monkeypatch, command, flag,
                                     content):
     # a directory (content None), bytes that are not text, or a path whose
     # parent (content a str) does not exist or is a file, where a file is
@@ -166,7 +166,8 @@ def test_file_fault_is_config_error(fit_data, tmp_path, caplog, monkeypatch, com
     if flag == "--out":
         _forbid_work(monkeypatch)
     assert main([command, *(str(v) for kv in args.items() for v in kv)]) == 2
-    assert [r.levelname for r in caplog.records if r.levelname == "ERROR"] == ["ERROR"]
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("ERROR ")]) == 1
 
 
 def test_argparse_failures_map_to_exit_codes(capsys):
@@ -191,7 +192,7 @@ def test_non_finite_pulse_parameter_is_config_error(tmp_path, field, value):
     assert main(["spectrum", "--config", str(path)]) == 2
 
 
-def test_step_budget_stops_overlong_pulse(tmp_path, caplog):
+def test_step_budget_stops_overlong_pulse(tmp_path, capsys):
     # a 1e6 s passage needs ~1e11 rotation steps; the budget check runs on
     # a 64-point torque estimate, before anything large is allocated
     cfg = {
@@ -204,10 +205,10 @@ def test_step_budget_stops_overlong_pulse(tmp_path, caplog):
     t0 = time.perf_counter()
     assert main(["spectrum", "--config", str(path)]) == 3
     assert time.perf_counter() - t0 < 1.0
-    assert "step budget" in caplog.text
+    assert "step budget" in capsys.readouterr().err
 
 
-def test_member_step_budget_stops_a_large_ensemble(tmp_path, caplog):
+def test_member_step_budget_stops_a_large_ensemble(tmp_path, capsys):
     # 2^16 members of 4096 first steps each ran for about 42 s; the budget
     # refuses them before any pass, after the draws (about 1.6 s)
     raw = PRESETS["transport_speed"]()
@@ -218,8 +219,9 @@ def test_member_step_budget_stops_a_large_ensemble(tmp_path, caplog):
     t0 = time.perf_counter()
     assert main(["transport", "--config", str(path)]) == 3
     assert time.perf_counter() - t0 < 5.0
-    assert "work budget exceeded" in caplog.text
-    assert "268435456 steps" in caplog.text
+    err = capsys.readouterr().err
+    assert "work budget exceeded" in err
+    assert "268435456 steps" in err
 
 
 @pytest.mark.parametrize("delta_th_khz", [1e-300, 1e-4])
@@ -237,7 +239,7 @@ def test_tiny_delta_th_runs_on_the_usual_cache(tmp_path, delta_th_khz):
     assert time.perf_counter() - t0 < 5.0
 
 
-def test_cache_budget_stops_with_its_estimate(tmp_path, caplog, monkeypatch):
+def test_cache_budget_stops_with_its_estimate(tmp_path, capsys, monkeypatch):
     import apsim.thermal
 
     # a 0.2 ms pulse: its Fourier width (5 kHz) admits the 64-interval seed
@@ -252,8 +254,9 @@ def test_cache_budget_stops_with_its_estimate(tmp_path, caplog, monkeypatch):
     path = tmp_path / "budget.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(path)]) == 3
-    assert "cache budget of 200 points" in caplog.text
-    assert re.search(r"spline error estimate \d\.\d\de-\d+ > 1\.00e-06", caplog.text)
+    err = capsys.readouterr().err
+    assert "cache budget of 200 points" in err
+    assert re.search(r"spline error estimate \d\.\d\de-\d+ > 1\.00e-06", err)
 
 
 @pytest.mark.parametrize("values_khz", [[0.0], [-10.0, 0.0, 10.0]])
@@ -276,7 +279,7 @@ def test_zero_light_shift_reads_zero(tmp_path, capsys, values_khz):
     ([100.0], {"delta_ls_max_khz": -1e-300, "delta_th_khz": 1e-300}, 0),
     ([1e290], {}, 3),
 ], ids=["shift-below-roundoff", "far-off-resonance"])
-def test_one_point_scan_with_shift_lost_in_roundoff(tmp_path, capsys, caplog, values_khz,
+def test_one_point_scan_with_shift_lost_in_roundoff(tmp_path, capsys, values_khz,
                                                     thermal, code):
     # the shift window has mass, but scan_lo + delta_ls_max == scan_lo: the
     # cache still gets a non-empty domain around the one point, and a point
@@ -290,13 +293,13 @@ def test_one_point_scan_with_shift_lost_in_roundoff(tmp_path, capsys, caplog, va
     path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(path)]) == code
     if code:
-        assert "step budget" in caplog.text
+        assert "step budget" in capsys.readouterr().err
         return
     (p1,) = ScanResult.from_csv_text(capsys.readouterr().out).p1
     assert np.isfinite(p1) and 0.0 <= p1 <= 1.0
 
 
-def test_renormalizing_zero_light_shift_is_config_error(tmp_path, caplog):
+def test_renormalizing_zero_light_shift_is_config_error(tmp_path, capsys):
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [-10.0, 0.0, 10.0]},
         "pulse": PULSE,
@@ -306,7 +309,7 @@ def test_renormalizing_zero_light_shift_is_config_error(tmp_path, caplog):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(path)]) == 2
-    assert "carries no mass" in caplog.text
+    assert "carries no mass" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, scan, grad, message", [
@@ -319,7 +322,7 @@ def test_renormalizing_zero_light_shift_is_config_error(tmp_path, caplog):
     ("spatial", {"values_um": [-1.0, 1.0]}, float("inf"), "grad_nu must be positive and finite"),
 ], ids=["huge-value", "tiny-step", "far-start", "infinite-span", "far-start-um", "steep-gradient",
         "infinite-gradient"])
-def test_grid_that_overflows_or_explodes_is_config_error(tmp_path, caplog, kind, scan, grad,
+def test_grid_that_overflows_or_explodes_is_config_error(tmp_path, capsys, kind, scan, grad,
                                                           message):
     cfg = {
         "scan": {"kind": kind, **scan},
@@ -330,14 +333,14 @@ def test_grid_that_overflows_or_explodes_is_config_error(tmp_path, caplog, kind,
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(cfg))
     assert main([kind, "--config", str(path)]) == 2
-    assert message in caplog.text
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, value", [
     ("scan", None), ("pulse", 5), ("thermal", []), ("geometry", "x"),
     ("transport", 1.0), ("detection", None), ("convolution", "grid"),
 ])
-def test_section_that_is_not_an_object_is_config_error(tmp_path, caplog, section, value):
+def test_section_that_is_not_an_object_is_config_error(tmp_path, capsys, section, value):
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [0.0]},
         "pulse": PULSE,
@@ -347,7 +350,7 @@ def test_section_that_is_not_an_object_is_config_error(tmp_path, caplog, section
     path = tmp_path / "section.json"
     path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(path)]) == 2
-    assert f"{section} must be an object" in caplog.text
+    assert f"{section} must be an object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("omega_r_khz", 1e308), ("delta_0_khz", -1e308),
@@ -362,7 +365,7 @@ def test_transport_field_overflowing_rad_per_s_is_config_error(
     assert main(["transport", "--config", str(path)]) == 2
 
 
-def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, caplog):
+def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, capsys):
     # one member past the budget is refused before any member is drawn
     cfg = json.loads(transport_cfg.read_text())
     cfg["transport"]["n_ensemble"] = 2**16 + 1
@@ -371,7 +374,7 @@ def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, caplog):
     t0 = time.perf_counter()
     assert main(["transport", "--config", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "n_ensemble must lie in 1..65536" in caplog.text
+    assert "n_ensemble must lie in 1..65536" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value, message", [
@@ -384,7 +387,7 @@ def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, caplog):
     (None, "damping", {"gamma_2_khz": 0.01}, "unknown config keys: ['damping']"),
 ], ids=["integrator", "distribution", "switch_on", "readout", "ramp_time_ms",
         "guide_shift_nu_mhz", "damping"])
-def test_retired_key_fails_at_load(tmp_path, caplog, section, key, value, message):
+def test_retired_key_fails_at_load(tmp_path, capsys, section, key, value, message):
     # the format no longer has these keys, even at their old defaults:
     # each fails at load, before any of the 2^16 members is drawn
     raw = PRESETS["transport_speed"]()
@@ -395,7 +398,7 @@ def test_retired_key_fails_at_load(tmp_path, caplog, section, key, value, messag
     t0 = time.perf_counter()
     assert main(["transport", "--config", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert message in caplog.text
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -404,7 +407,7 @@ def test_retired_key_fails_at_load(tmp_path, caplog, section, key, value, messag
     ("distribution", "bogus"), ("distribution", "normal"), ("distribution", True),
     ("distribution", {}),
 ])
-def test_bad_transport_mode_fails_at_load(tmp_path, caplog, field, value):
+def test_bad_transport_mode_fails_at_load(tmp_path, capsys, field, value):
     # the transport modes are retired: a mode key fails at load whatever
     # its value, the ones the modes once refused among them, before any of
     # the 2^16 members is drawn
@@ -415,10 +418,10 @@ def test_bad_transport_mode_fails_at_load(tmp_path, caplog, field, value):
     t0 = time.perf_counter()
     assert main(["transport", "--config", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert f"unknown transport keys: ['{field}']" in caplog.text
+    assert f"unknown transport keys: ['{field}']" in capsys.readouterr().err
 
 
-def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
+def test_rect_pulse_on_spectrum_is_config_error(tmp_path, capsys):
     # "ap" is the one pulse kind; any other fails at load
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [0.0]},
@@ -430,7 +433,7 @@ def test_rect_pulse_on_spectrum_is_config_error(tmp_path, caplog):
     t0 = time.perf_counter()
     assert main(["spectrum", "--config", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "pulse.kind must be 'ap', got 'rect'" in caplog.text
+    assert "pulse.kind must be 'ap', got 'rect'" in capsys.readouterr().err
 
 
 def test_huge_delta_c_is_replaced_by_the_grid(tmp_path, capsys):
@@ -534,7 +537,7 @@ def test_adiabaticity_accepts_spectrum_config(spectrum_cfg, capsys):
     assert len(scan) == 2001
 
 
-def test_detection_is_not_applied_to_the_adiabaticity_profile(tmp_path, capsys, caplog):
+def test_detection_is_not_applied_to_the_adiabaticity_profile(tmp_path, capsys):
     # a profile above 1 is no probability: an adiabaticity config that asks
     # for detection fails at load, and a spectrum config profiled by the
     # adiabaticity command leaves its detection behind with its grid
@@ -543,7 +546,7 @@ def test_detection_is_not_applied_to_the_adiabaticity_profile(tmp_path, capsys, 
     path.write_text(json.dumps({"scan": {"kind": "adiabaticity", "n_points": 11},
                                 "pulse": pulse, "apply_detection": True}))
     assert main(["adiabaticity", "--config", str(path)]) == 2
-    assert "apply_detection maps probabilities" in caplog.text
+    assert "apply_detection maps probabilities" in capsys.readouterr().err
     path.write_text(json.dumps({"scan": {"kind": "spectrum", "values_khz": [0.0]},
                                 "pulse": pulse, "thermal": THERMAL, "apply_detection": True}))
     assert main(["adiabaticity", "--config", str(path)]) == 0
@@ -569,14 +572,14 @@ def test_pulse_duration_off_the_ms_grid_profiles_to_its_end(tmp_path, capsys, ki
 
 
 @pytest.mark.parametrize("command", ["spectrum", "adiabaticity"])
-def test_pulse_rate_that_overflows_is_config_error(tmp_path, caplog, command):
+def test_pulse_rate_that_overflows_is_config_error(tmp_path, capsys, command):
     # omega_max pi / t_p is inf: the profile would be inf * sin(0) = NaN
     # and the spectrum all zeros
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"scan": {"kind": "spectrum", "values_khz": [0.0]},
                                 "pulse": {**PULSE, "t_p_ms": 1e-300}, "thermal": THERMAL}))
     assert main([command, "--config", str(path)]) == 2
-    assert "t_p must be finite" in caplog.text
+    assert "t_p must be finite" in capsys.readouterr().err
 
 
 def test_preset_runs(capsys):
@@ -637,7 +640,7 @@ def test_fit_subcommand_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_fit_data_is_data_error(fit_data, tmp_path, caplog, value):
+def test_non_finite_fit_data_is_data_error(fit_data, tmp_path, capsys, value):
     # NaN once ended in a traceback, inf in a report reading Infinity
     cfg, data = fit_data
     lines = data.read_text().splitlines(keepends=True)
@@ -649,10 +652,10 @@ def test_non_finite_fit_data_is_data_error(fit_data, tmp_path, caplog, value):
     path = tmp_path / "fit.json"
     path.write_text(json.dumps(cfg))
     assert main(["fit", "--config", str(path), "--data", str(bad)]) == 2
-    assert "p1 must be finite" in caplog.text
+    assert "p1 must be finite" in capsys.readouterr().err
 
 
-def test_fit_abscissa_overflowing_rad_per_s_is_data_error(fit_data, tmp_path, caplog):
+def test_fit_abscissa_overflowing_rad_per_s_is_data_error(fit_data, tmp_path, capsys):
     # 1e306 kHz is finite, and inf in rad/s
     cfg, _ = fit_data
     path = tmp_path / "fit.json"
@@ -662,7 +665,7 @@ def test_fit_abscissa_overflowing_rad_per_s_is_data_error(fit_data, tmp_path, ca
         f"{x}e305,khz,{0.1 * (x % 3)},\n" for x in range(12)
     ))
     assert main(["fit", "--config", str(path), "--data", str(data)]) == 2
-    assert "not finite in rad/s" in caplog.text
+    assert "not finite in rad/s" in capsys.readouterr().err
 
 
 def test_fit_requires_thermal_section(tmp_path):
@@ -693,15 +696,15 @@ def fit_data(tmp_path_factory):
     return cfg, data
 
 
-def test_fit_reports_its_cache_on_stderr(fit_data, tmp_path, caplog, capsys):
-    # the grid size and the points integrated go to the log, never stdout
+def test_fit_reports_its_cache_on_stderr(fit_data, tmp_path, capsys):
+    # the grid size and the points integrated go to stderr, never stdout
     cfg, data = fit_data
     path = tmp_path / "fit.json"
     path.write_text(json.dumps(cfg))
-    caplog.set_level(logging.INFO)
     assert main(["fit", "--config", str(path), "--data", str(data)]) == 0
-    json.loads(capsys.readouterr().out)
-    found = re.search(r"bare-spectrum cache: (\d+) grid points, (\d+) integrated", caplog.text)
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    found = re.search(r"bare-spectrum cache: (\d+) grid points, (\d+) integrated", captured.err)
     assert found is not None
     grid, integrated = map(int, found.groups())
     assert 0 < integrated < grid
@@ -856,13 +859,40 @@ def test_main_leaves_nothing_frozen(spectrum_cfg, tmp_path):
     assert gc.get_freeze_count() == 0
 
 
-def test_package_imports_no_scipy():
+def test_each_call_writes_to_the_stderr_it_finds(tmp_path):
+    # a diagnostic line goes to sys.stderr as it is when the line is
+    # written, so two calls in one process, each with its own stderr, each
+    # find their own line in it
+    script = f"""
+import io, json, sys
+sys.path.insert(0, {str(Path(apsim.__file__).parents[1])!r})
+from apsim.cli import main
+
+runs = []
+for name in ("first", "second"):
+    sys.stderr = io.StringIO()
+    code = main(["spectrum", "--config", {str(tmp_path)!r} + "/" + name + ".json"])
+    runs.append((code, sys.stderr.getvalue()))
+sys.stderr = sys.__stderr__
+print(json.dumps(runs))
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    for name, (code, text) in zip(("first", "second"), json.loads(run.stdout)):
+        assert code == 2
+        assert text.startswith("ERROR [Errno 2] No such file") and text.count("\n") == 1
+        assert f"{name}.json" in text
+
+
+def test_package_imports_no_scipy_or_logging():
     # scipy is a test dependency only, and numpy.random a test oracle only:
     # no module of the package imports either, at the top or inside a
     # function, nor reaches numpy.random as an attribute (numpy loads it
-    # on first access)
+    # on first access).  Nor does any import logging: the CLI writes its
+    # few diagnostic lines to stderr itself
     def banned(name):
-        return name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "random"]
+        return (name.split(".")[0] in ("scipy", "logging")
+                or name.split(".")[:2] == ["numpy", "random"])
 
     found = []
     for path in sorted(Path(apsim.__file__).parent.rglob("*.py")):

@@ -221,8 +221,10 @@ def test_optimizer_converges_where_the_residual_ignores_a_parameter(start):
 # ------------------------------------------------------------ result record
 
 def test_fit_result_json(tmp_path, ref_thermal):
-    res = FitResult(ref_thermal, 0.012, 36, True)
+    res = FitResult(ref_thermal, 0.012, 36, True, 1025, 600)
     d = res.to_json_dict()
+    # the cache sizes go to stderr, not into the report
+    assert list(d) == ["params", "residual_rms", "n_iterations", "converged"]
     assert d["params"]["delta_th_khz"] == pytest.approx(1.7)
     assert d["converged"] is True
     path = tmp_path / "fit.json"

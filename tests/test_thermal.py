@@ -39,7 +39,7 @@ def test_model_validation():
 def test_model_json_round_trip(ref_thermal):
     # a fit reports its model in the keys of the config's thermal section,
     # and the config loads the report back as the same model
-    d = FitResult(ref_thermal, 0.0, 1, True).to_json_dict()["params"]
+    d = FitResult(ref_thermal, 0.0, 1, True, 1025, 600).to_json_dict()["params"]
     assert d["delta_ls_max_khz"] == pytest.approx(-11.0)
     pulse = {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0,
              "delta_c_khz": 0.0, "t_p_ms": 2.0}

@@ -11,6 +11,7 @@ import apsim.transport as transport
 from apsim.addressing import TrapGeometry
 from apsim.bloch import evolve_offsets
 from apsim.errors import ConfigError
+from apsim.presets import preset_config
 from apsim.pulses import PulseProgram
 from apsim.scan import TRANSPORT_UNIT
 from apsim.transport import (
@@ -333,6 +334,24 @@ def test_repeated_speed_runs_once_within_one_speeds_budget(plan, monkeypatch):
     twice = transport_curve(plan, [1.0, 2.0, 1.0], rng_seed=3)
     assert twice.p1[0] == twice.p1[2] == alone.p1[0]
     assert twice.stderr[0] == twice.stderr[2] == alone.stderr[0]
+
+
+def test_every_pass_of_a_curve_takes_a_power_of_two_steps(monkeypatch):
+    # the transport_speed preset without its two slowest speeds, 10 speeds
+    # of 32 members at their own time scales: every pass it runs has
+    # 2^p >= 16 steps, which the kernel's equal blocks rely on
+    cfg = preset_config("transport_speed")
+    rotation_pass = bloch._rotation_pass
+    steps = []
+
+    def counted(pulse, offsets, states, n, work, groups):
+        assert n >= 16 and n & (n - 1) == 0
+        steps.append(n)
+        return rotation_pass(pulse, offsets, states, n, work, groups)
+
+    monkeypatch.setattr(bloch, "_rotation_pass", counted)
+    transport_curve(cfg.transport, [0.2, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0], cfg.seed)
+    assert len(steps) > 1
 
 
 @pytest.mark.parametrize("inv_tau", [1e-300, 1e308])
