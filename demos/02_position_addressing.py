@@ -9,7 +9,7 @@ enough to cover one site, sharp enough to leave a 30 um neighbor alone.
 
 import numpy as np
 
-from apsim.addressing import TrapGeometry, crosstalk, plateau_metrics
+from apsim.addressing import crosstalk, plateau_metrics
 from apsim.presets import preset_config
 from apsim.cli import run_scan
 
@@ -26,7 +26,7 @@ print(
 
 # a neighbor two sites away should be essentially untouched
 for dx in (0.0, 15.0, 30.0):
-    p = crosstalk(cfg.pulse, 0.0, dx, cfg.geometry, cfg.thermal)
+    p = crosstalk(cfg.pulse, 0.0, dx, cfg.grad_nu, cfg.thermal)
     print(f"atom at {dx:5.1f} um while addressing x=0: P1 = {p:.4f}")
 
 try:

@@ -23,7 +23,7 @@ print(f"resonant interaction width {interaction_width(plan):.2f} um")
 # mid-move sweep rate for the piecewise-parabolic trajectory: the average
 # rate grad*d/tau times the peak/average velocity ratio 2
 lz = [
-    landau_zener_oracle(plan.omega_r, 2.0 * plan.grad() * plan.d * inv_tau * 1e3)
+    landau_zener_oracle(plan.omega_r, 2.0 * plan.grad * plan.d * inv_tau * 1e3)
     for inv_tau in scan.abscissa
 ]
 

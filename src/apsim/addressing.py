@@ -23,50 +23,26 @@ from .thermal import ThermalModel, broadened_spectrum
 from .units import khz_to_rad_per_s
 
 __all__ = [
-    "TrapGeometry",
     "spatial_spectrum",
     "crosstalk",
     "plateau_metrics",
 ]
 
 
-@dataclass(frozen=True)
-class TrapGeometry:
-    """Gradient geometry of the register.
-
-    grad_nu : transition-frequency gradient in kHz per micrometer
-    span    : modeled region along the trap axis in micrometers
-    """
-
-    grad_nu: float
-    span: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.grad_nu < np.inf:
-            raise ConfigError(f"grad_nu must be positive and finite, got {self.grad_nu}")
-        if not 0 < self.span < np.inf:
-            raise ConfigError(f"span must be positive and finite, got {self.span}")
-
-
-def _check_in_span(x: float, g: TrapGeometry, name: str) -> None:
-    if abs(x) > g.span / 2:
-        raise ConfigError(
-            f"{name} = {x} um outside modeled span +-{g.span / 2} um"
-        )
-
-
-def offset_to_detuning(dx, g: TrapGeometry):
-    """Central detuning (rad/s) of an atom offset dx (um) from resonance."""
-    return khz_to_rad_per_s(g.grad_nu * np.asarray(dx, dtype=float))
+def offset_to_detuning(dx, grad_nu: float):
+    """Central detuning (rad/s) of an atom offset dx (um) from resonance in
+    a gradient of grad_nu kHz per um."""
+    return khz_to_rad_per_s(grad_nu * np.asarray(dx, dtype=float))
 
 
 def spatial_spectrum(
     pulse,
-    g: TrapGeometry,
+    grad_nu: float,
     m: ThermalModel,
     dx_grid,
 ) -> ScanResult:
-    """Broadened transfer probability versus position offset (um).
+    """Broadened transfer probability versus position offset (um) in a
+    gradient of grad_nu kHz per um.
 
     Each grid point is the full convolved spectrum evaluated at
     delta_c = offset_to_detuning(dx); the bare spectrum is batch-integrated
@@ -75,7 +51,7 @@ def spatial_spectrum(
     dx = np.atleast_1d(np.asarray(dx_grid, dtype=float))
     if dx.size == 0:
         raise ConfigError("dx_grid must be non-empty")
-    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, g))
+    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, grad_nu))
     return ScanResult(dx, np.asarray(vals, dtype=float), None, "um")
 
 
@@ -83,20 +59,18 @@ def crosstalk(
     pulse,
     target_x,
     neighbor_x,
-    g: TrapGeometry,
+    grad_nu: float,
     m: ThermalModel,
 ) -> float:
     """Transfer probability of a neighbor while the pulse addresses a target.
 
     The carrier is centered on the target site, so the neighbor sees
-    delta_c = offset_to_detuning(target_x - neighbor_x).  Positions are
-    absolute, in micrometers from the gradient's reference zero, and must
-    lie within the modeled span.
+    delta_c = offset_to_detuning(target_x - neighbor_x) in a gradient of
+    grad_nu kHz per um.  Positions are absolute, in micrometers from the
+    gradient's reference zero.
     """
-    tx, nx = float(target_x), float(neighbor_x)
-    _check_in_span(tx, g, "target_x")
-    _check_in_span(nx, g, "neighbor_x")
-    return float(broadened_spectrum(pulse, m, offset_to_detuning(tx - nx, g)))
+    dx = float(target_x) - float(neighbor_x)
+    return float(broadened_spectrum(pulse, m, offset_to_detuning(dx, grad_nu)))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def run_scan(cfg: RunConfig) -> ScanResult:
         vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid))
         result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "khz")
     elif cfg.kind == "spatial":
-        result = spatial_spectrum(cfg.pulse, cfg.geometry, cfg.thermal, cfg.grid)
+        result = spatial_spectrum(cfg.pulse, cfg.grad_nu, cfg.thermal, cfg.grid)
     elif cfg.kind == "transport":
         result = transport_curve(cfg.transport, cfg.grid, cfg.seed)
     else:  # adiabaticity profile over the pulse

@@ -19,10 +19,12 @@ pulse       {"kind": "ap", "omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p
             the swept passage pulse; required for spectrum, spatial and
             adiabaticity scans.  Spectrum and spatial scans (and fits)
             replace its delta_c by their grid
-thermal     {"delta_ls_max_khz","delta_th_khz","p_max"}; required for
-            spectrum and spatial
-geometry    {"grad_nu_khz_per_um","span_um"}; required for spatial and
-            transport
+thermal     {"delta_ls_max_khz","delta_th_khz","p_max"} plus optional
+            "renormalize" (bool, default false: divide the broadened curve
+            by the light-shift window's mass); required for spectrum and
+            spatial
+geometry    {"grad_nu_khz_per_um"}, the transition-frequency gradient,
+            positive and finite; required for spatial and transport
 transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
             "n_ensemble" (1..2^16, default 32; member i's draw depends
             only on (seed, i), and drawing all 2^16 takes about 12 ms);
@@ -34,19 +36,17 @@ detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
 apply_detection  optional bool, map scan output through the detection
             model; refused on adiabaticity scans, whose output is no
             probability
-convolution optional {"renormalize"}
 seed        optional non-negative integer, default 0
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .addressing import TrapGeometry
 from .detection import DetectionModel
 from .errors import ConfigError
 from .pulses import APPulse
@@ -58,8 +58,8 @@ __all__ = ["RunConfig", "load_config"]
 
 SCAN_KINDS = ("spectrum", "spatial", "transport", "adiabaticity")
 
-# work budget of a scan: the most grid points a range or n_points may ask
-# for, checked before the grid is allocated
+# work budget of a scan: the most grid points a range, a list or n_points
+# may ask for, checked before the grid is allocated
 _MAX_GRID_POINTS = 2**16 + 1
 
 _EPS = float(np.finfo(float).eps)
@@ -108,6 +108,8 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
     vals = d[key]
     if not isinstance(vals, list) or not vals:
         raise ConfigError(f"{section}.{key} must be a non-empty list")
+    if len(vals) > _MAX_GRID_POINTS:
+        raise ConfigError(f"{section} grid has more than {_MAX_GRID_POINTS} points")
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals):
         raise ConfigError(f"{section}.{key} must hold numbers only")
     try:
@@ -119,24 +121,34 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
     return grid
 
 
-# the sections whose keys are all required numbers: the constructor that
-# takes them, in order
+def _gradient(grad_nu: float) -> float:
+    if not 0 < grad_nu < np.inf:
+        raise ValueError(f"grad_nu must be positive and finite, got {grad_nu}")
+    return grad_nu
+
+
+# the sections whose keys are numbers, all required, and optional booleans:
+# the function that builds the section's value from the numbers, in order,
+# and the booleans, by name
 _FIELDS = {
-    "geometry": (TrapGeometry, ("grad_nu_khz_per_um", "span_um")),
-    "thermal": (ThermalModel.from_khz, ("delta_ls_max_khz", "delta_th_khz", "p_max")),
-    "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init")),
-    "pulse": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms")),
+    "geometry": (_gradient, ("grad_nu_khz_per_um",), ()),
+    "thermal": (ThermalModel.from_khz, ("delta_ls_max_khz", "delta_th_khz", "p_max"),
+                ("renormalize",)),
+    "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init"), ()),
+    "pulse": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms"),
+              ()),
 }
 
 
 def _build(d: dict, section: str, fixed: frozenset = frozenset()):
-    """The object the section d describes by its _FIELDS entry; `fixed`
+    """The value the section d describes by its _FIELDS entry; `fixed`
     names keys read elsewhere.  Domain constructors raise ValueError on
     bad values, surfaced as ConfigError (exit code 2)."""
-    build, keys = _FIELDS[section]
-    _check_keys(d, section, set(keys) | fixed)
+    build, keys, flags = _FIELDS[section]
+    _check_keys(d, section, set(keys) | fixed, set(flags))
+    given = {k: _bool(d, section, k) for k in flags if k in d}
     try:
-        return build(*(_num(d, section, k) for k in keys))
+        return build(*(_num(d, section, k) for k in keys), **given)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -197,7 +209,7 @@ class RunConfig:
     kind: str
     grid: np.ndarray
     pulse: APPulse | None = None
-    geometry: TrapGeometry | None = None
+    grad_nu: float | None = None  # kHz per um
     thermal: ThermalModel | None = None
     transport: TransportPlan | None = None
     detection: DetectionModel = field(default_factory=DetectionModel)
@@ -214,7 +226,7 @@ class RunConfig:
 
 _TOP_KEYS = {
     "scan", "pulse", "geometry", "thermal", "transport", "detection",
-    "apply_detection", "convolution", "seed",
+    "apply_detection", "seed",
 }
 
 # the top-level keys that are not sections
@@ -269,7 +281,7 @@ def load_config(source) -> RunConfig:
                           "scan has none")
 
     pulse = _pulse(raw["pulse"]) if "pulse" in raw else None
-    geometry, thermal, detection = (
+    grad_nu, thermal, detection = (
         _build(raw[name], name) if name in raw else None
         for name in ("geometry", "thermal", "detection")
     )
@@ -277,7 +289,7 @@ def load_config(source) -> RunConfig:
     if kind == "spectrum":
         grid = _grid_from_range(scan, "scan", "_khz", 1.0)
     elif kind == "spatial":
-        grid = _grid_from_range(scan, "scan", "_um", geometry.grad_nu)
+        grid = _grid_from_range(scan, "scan", "_um", grad_nu)
     elif kind == "transport":
         _check_keys(scan, "scan", {"inv_tau_per_ms"})
         grid = _num_list(scan, "scan", "inv_tau_per_ms")
@@ -300,7 +312,7 @@ def load_config(source) -> RunConfig:
             {"d_um", "omega_r_khz", "delta_0_khz", "spread_khz"},
             {"n_ensemble"},
         )
-        if geometry is None:
+        if grad_nu is None:
             raise ConfigError("a 'transport' section requires a 'geometry' section")
         for key in ("omega_r_khz", "delta_0_khz", "spread_khz"):
             # the transport plan works in rad/s; a value that overflows
@@ -312,24 +324,15 @@ def load_config(source) -> RunConfig:
             omega_r=khz_to_rad_per_s(_num(t, "transport", "omega_r_khz")),
             delta_0=khz_to_rad_per_s(_num(t, "transport", "delta_0_khz")),
             spread=khz_to_rad_per_s(_num(t, "transport", "spread_khz")),
-            g=geometry,
+            grad=khz_to_rad_per_s(grad_nu),
             n_ensemble=_int(t, "transport", "n_ensemble", 32),
         )
-
-    if "convolution" in raw:
-        c = raw["convolution"]
-        _check_keys(c, "convolution", set(), {"renormalize"})
-        if _bool(c, "convolution", "renormalize", False) and thermal is not None:
-            try:
-                thermal = replace(thermal, renormalize=True)
-            except ValueError as exc:
-                raise ConfigError(f"convolution.renormalize: {exc}") from exc
 
     return RunConfig(
         kind=kind,
         grid=grid,
         pulse=pulse,
-        geometry=geometry,
+        grad_nu=grad_nu,
         thermal=thermal,
         transport=transport,
         detection=detection or DetectionModel(),

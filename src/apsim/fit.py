@@ -106,18 +106,14 @@ class FitResult:
 
 
 def _abscissa_rad_per_s(data: ScanResult) -> np.ndarray:
-    if data.unit == "khz":
-        # a large finite kHz value may overflow in rad/s
-        with np.errstate(over="ignore"):
-            deltas = khz_to_rad_per_s(data.abscissa)
-        if not np.all(np.isfinite(deltas)):
-            raise FitDataError("fit data abscissa is not finite in rad/s")
-        return deltas
-    if data.unit == "rad/s":
-        return np.asarray(data.abscissa, dtype=float)
-    raise FitDataError(
-        f"fit needs a detuning abscissa in 'khz' or 'rad/s', got {data.unit!r}"
-    )
+    if data.unit != "khz":
+        raise FitDataError(f"fit needs a detuning abscissa in 'khz', got {data.unit!r}")
+    # a large finite kHz value may overflow in rad/s
+    with np.errstate(over="ignore"):
+        deltas = khz_to_rad_per_s(data.abscissa)
+    if not np.all(np.isfinite(deltas)):
+        raise FitDataError("fit data abscissa is not finite in rad/s")
+    return deltas
 
 
 def fit_spectrum(

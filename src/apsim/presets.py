@@ -27,7 +27,7 @@ from .config import RunConfig, load_config
 
 __all__ = ["PRESETS", "preset_config", "preset_names"]
 
-_GEOMETRY = {"grad_nu_khz_per_um": 3.2, "span_um": 300.0}
+_GEOMETRY = {"grad_nu_khz_per_um": 3.2}
 _THERMAL = {"delta_ls_max_khz": -11.0, "delta_th_khz": 1.7, "p_max": 0.95}
 _AP_PULSE = {
     "kind": "ap",

@@ -98,20 +98,15 @@ class ScanResult:
 
     def to_csv_text(self) -> str:
         """Render the scan as CSV text (trailing newline included)."""
-        buf = io.StringIO()
         if self.unit == TRANSPORT_UNIT:
-            buf.write(_TRANSPORT_HEADER + "\n")
-            for i in range(len(self)):
-                err = "" if self.stderr is None else _fmt(self.stderr[i])
-                buf.write(f"{_fmt(self.abscissa[i])},{_fmt(self.p1[i])},{err}\n")
+            header, unit = _TRANSPORT_HEADER, ""
         else:
-            buf.write(f"abscissa,{self.unit},p1,stderr\n")
-            for i in range(len(self)):
-                err = "" if self.stderr is None else _fmt(self.stderr[i])
-                buf.write(
-                    f"{_fmt(self.abscissa[i])},{self.unit},"
-                    f"{_fmt(self.p1[i])},{err}\n"
-                )
+            header, unit = f"abscissa,{self.unit},p1,stderr", f"{self.unit},"
+        buf = io.StringIO()
+        buf.write(header + "\n")
+        for i in range(len(self)):
+            err = "" if self.stderr is None else _fmt(self.stderr[i])
+            buf.write(f"{_fmt(self.abscissa[i])},{unit}{_fmt(self.p1[i])},{err}\n")
         return buf.getvalue()
 
     def to_csv(self, path: str | Path) -> None:

@@ -108,8 +108,9 @@ class ThermalModel:
             raise ValueError("the light-shift window carries no mass")
 
     @classmethod
-    def from_khz(cls, delta_ls_max_khz, delta_th_khz, p_max):
-        return cls(khz_to_rad_per_s(delta_ls_max_khz), khz_to_rad_per_s(delta_th_khz), p_max)
+    def from_khz(cls, delta_ls_max_khz, delta_th_khz, p_max, renormalize=False):
+        return cls(khz_to_rad_per_s(delta_ls_max_khz), khz_to_rad_per_s(delta_th_khz), p_max,
+                   renormalize)
 
 
 def truncated_mass(m: ThermalModel) -> float:

@@ -32,11 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .addressing import TrapGeometry
 from .bloch import evolve_offsets
 from .errors import ConfigError
 from .scan import TRANSPORT_UNIT, ScanResult
-from .units import khz_to_rad_per_s
 
 __all__ = [
     "TransportPlan",
@@ -61,7 +59,7 @@ class TransportPlan:
     delta_0      : central initial detuning in rad/s
     spread       : full width of the initial-detuning spread in rad/s, over
                    which the members' detunings are uniform
-    g            : trap geometry providing the frequency gradient
+    grad         : transition-frequency gradient in rad/s per um
     tau          : transport duration in s; transport_curve takes one per
                    speed instead
     n_ensemble   : number of members, 1..2^16 (drawing all 2^16 takes about
@@ -72,11 +70,14 @@ class TransportPlan:
     omega_r: float
     delta_0: float
     spread: float
-    g: TrapGeometry
+    grad: float
     tau: float = 1e-3
     n_ensemble: int = 32
 
     def __post_init__(self) -> None:
+        if not 0 < self.grad < np.inf:
+            raise ConfigError(
+                f"grad must be positive and finite in rad/s per um, got {self.grad}")
         if not self.d > 0:
             raise ConfigError(f"d must be positive, got {self.d}")
         if not self.tau > 0:
@@ -92,14 +93,10 @@ class TransportPlan:
         if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
             raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
 
-    def grad(self) -> float:
-        """Frequency gradient in rad/s per micrometer."""
-        return khz_to_rad_per_s(self.g.grad_nu)
-
 
 def interaction_width(plan: TransportPlan) -> float:
     """Width 2 omega_r / (d_x omega_at) in micrometers."""
-    return 2.0 * plan.omega_r / plan.grad()
+    return 2.0 * plan.omega_r / plan.grad
 
 
 def _sweep(t, plan: TransportPlan):
@@ -108,7 +105,7 @@ def _sweep(t, plan: TransportPlan):
     t = np.asarray(t, dtype=float)
     first = 0.5 * t * t
     second = plan.tau**2 / 4.0 - 0.5 * (plan.tau - t) ** 2
-    return a * plan.grad() * np.where(t <= plan.tau / 2.0, first, second)
+    return a * plan.grad * np.where(t <= plan.tau / 2.0, first, second)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import pytest
 
 from apsim.addressing import (
     PlateauMetrics,
-    TrapGeometry,
     crosstalk,
     offset_to_detuning,
     plateau_metrics,
@@ -18,58 +17,61 @@ from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
 
 @pytest.fixture
-def geometry() -> TrapGeometry:
-    return TrapGeometry(grad_nu=3.2, span=300.0)
+def grad_nu() -> float:
+    """The presets' gradient, kHz per um."""
+    return 3.2
 
 
 # ------------------------------------------------------------ unit map
 
-def test_offset_to_detuning_examples(geometry):
-    assert rad_per_s_to_khz(offset_to_detuning(1.0, geometry)) == pytest.approx(3.2)
-    assert rad_per_s_to_khz(offset_to_detuning(-10.0, geometry)) == pytest.approx(-32.0)
+def test_offset_to_detuning_examples(grad_nu):
+    assert rad_per_s_to_khz(offset_to_detuning(1.0, grad_nu)) == pytest.approx(3.2)
+    assert rad_per_s_to_khz(offset_to_detuning(-10.0, grad_nu)) == pytest.approx(-32.0)
 
 
-def test_unit_map_round_trip(geometry):
+def test_unit_map_round_trip(grad_nu):
     dx = np.array([-140.0, -3.7, 0.0, 55.5, 149.0])
-    back = rad_per_s_to_khz(offset_to_detuning(dx, geometry)) / geometry.grad_nu
+    back = rad_per_s_to_khz(offset_to_detuning(dx, grad_nu)) / grad_nu
     np.testing.assert_allclose(back, dx, rtol=1e-12, atol=1e-12)
 
 
-def test_geometry_validation():
-    with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=0.0, span=300.0)
-    with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=3.2, span=-1.0)
-    with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=np.inf, span=300.0)
-    with pytest.raises(ConfigError):
-        TrapGeometry(grad_nu=3.2, span=np.inf)
-
-
-def test_geometry_json_round_trip(geometry):
-    # the config's geometry section loads as the geometry of its fields
-    section = {"grad_nu_khz_per_um": 3.2, "span_um": 300.0}
-    cfg = {
+def _transport_config(section: dict) -> dict:
+    return {
         "scan": {"kind": "transport", "inv_tau_per_ms": [1.0]},
         "geometry": section,
         "transport": {"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
                       "spread_khz": 32.0},
     }
-    assert load_config(cfg).geometry == geometry
-    del section["span_um"]
-    with pytest.raises(ConfigError):
-        load_config(cfg)
+
+
+def test_geometry_validation():
+    for bad in (0.0, -3.2, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="grad_nu must be positive and finite"):
+            load_config(_transport_config({"grad_nu_khz_per_um": bad}))
+
+
+def test_geometry_json_round_trip(grad_nu):
+    # the config's geometry section is its one gradient, which the
+    # transport plan holds in rad/s per um
+    section = {"grad_nu_khz_per_um": 3.2}
+    rc = load_config(_transport_config(section))
+    assert rc.grad_nu == grad_nu
+    assert rc.transport.grad == khz_to_rad_per_s(grad_nu)
+    with pytest.raises(ConfigError, match=r"unknown geometry keys: \['span_um'\]"):
+        load_config(_transport_config({**section, "span_um": 300.0}))
+    with pytest.raises(ConfigError, match="missing geometry keys"):
+        load_config(_transport_config({}))
 
 
 # ------------------------------------------------------------ spatial scans
 
 def test_spatial_spectrum_is_detuning_spectrum_in_disguise(
-    ref_pulse, ref_thermal, geometry
+    ref_pulse, ref_thermal, grad_nu
 ):
     dx = np.array([-8.0, -2.0, 0.0, 3.0, 9.0])
-    scan = spatial_spectrum(ref_pulse, geometry, ref_thermal, dx)
+    scan = spatial_spectrum(ref_pulse, grad_nu, ref_thermal, dx)
     direct = broadened_spectrum(
-        ref_pulse, ref_thermal, offset_to_detuning(dx, geometry)
+        ref_pulse, ref_thermal, offset_to_detuning(dx, grad_nu)
     )
     np.testing.assert_allclose(scan.p1, direct, atol=1e-9)
     assert scan.unit == "um"
@@ -77,9 +79,9 @@ def test_spatial_spectrum_is_detuning_spectrum_in_disguise(
     np.testing.assert_array_equal(scan.abscissa, dx)
 
 
-def test_spatial_spectrum_rejects_empty_grid(ref_pulse, ref_thermal, geometry):
+def test_spatial_spectrum_rejects_empty_grid(ref_pulse, ref_thermal, grad_nu):
     with pytest.raises(ConfigError):
-        spatial_spectrum(ref_pulse, geometry, ref_thermal, [])
+        spatial_spectrum(ref_pulse, grad_nu, ref_thermal, [])
 
 
 def test_plateau_width_tracks_sweep_span(ref_pulse):
@@ -101,42 +103,35 @@ def test_plateau_width_tracks_sweep_span(ref_pulse):
 
 # ------------------------------------------------------------ crosstalk
 
-def test_crosstalk_on_target_is_high(ref_pulse, ref_thermal, geometry):
-    on_site = crosstalk(ref_pulse, 10.0, 10.0, geometry, ref_thermal)
+def test_crosstalk_on_target_is_high(ref_pulse, ref_thermal, grad_nu):
+    on_site = crosstalk(ref_pulse, 10.0, 10.0, grad_nu, ref_thermal)
     assert on_site > 0.85
 
 
-def test_crosstalk_far_neighbor_negligible(ref_pulse, ref_thermal, geometry):
+def test_crosstalk_far_neighbor_negligible(ref_pulse, ref_thermal, grad_nu):
     # 30 um at 3.2 kHz/um puts the neighbor 96 kHz away, far past the sweep
-    far = crosstalk(ref_pulse, 0.0, 30.0, geometry, ref_thermal)
+    far = crosstalk(ref_pulse, 0.0, 30.0, grad_nu, ref_thermal)
     assert far < 0.01
-    also_far = crosstalk(ref_pulse, 0.0, -30.0, geometry, ref_thermal)
+    also_far = crosstalk(ref_pulse, 0.0, -30.0, grad_nu, ref_thermal)
     assert also_far < 0.01
 
 
-def test_crosstalk_translation_covariance(ref_pulse, ref_thermal, geometry):
+def test_crosstalk_translation_covariance(ref_pulse, ref_thermal, grad_nu):
     # only the target-neighbor separation matters; dyadic shifts keep the
     # floating-point difference bit-exact, so the values must match exactly
-    base = crosstalk(ref_pulse, 4.0, 16.0, geometry, ref_thermal)
+    base = crosstalk(ref_pulse, 4.0, 16.0, grad_nu, ref_thermal)
     for shift in (13.0 / 32.0, -7.0 / 32.0, 25.0):
         moved = crosstalk(
-            ref_pulse, 4.0 + shift, 16.0 + shift, geometry, ref_thermal
+            ref_pulse, 4.0 + shift, 16.0 + shift, grad_nu, ref_thermal
         )
         assert moved == base
 
 
-def test_crosstalk_accepts_atom_positions(ref_pulse, ref_thermal, geometry):
+def test_crosstalk_accepts_atom_positions(ref_pulse, ref_thermal, grad_nu):
     # positions are numbers in um: ints and numpy scalars read as floats
-    a = crosstalk(ref_pulse, np.float32(0.0), 30, geometry, ref_thermal)
-    b = crosstalk(ref_pulse, 0.0, 30.0, geometry, ref_thermal)
+    a = crosstalk(ref_pulse, np.float32(0.0), 30, grad_nu, ref_thermal)
+    b = crosstalk(ref_pulse, 0.0, 30.0, grad_nu, ref_thermal)
     assert a == b
-
-
-def test_crosstalk_rejects_positions_outside_span(ref_pulse, ref_thermal, geometry):
-    with pytest.raises(ConfigError):
-        crosstalk(ref_pulse, 0.0, 151.0, geometry, ref_thermal)
-    with pytest.raises(ConfigError):
-        crosstalk(ref_pulse, -200.0, 0.0, geometry, ref_thermal)
 
 
 # ------------------------------------------------------------ plateau metrology

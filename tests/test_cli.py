@@ -23,7 +23,7 @@ PULSE = {
     "t_p_ms": 2.0,
 }
 THERMAL = {"delta_ls_max_khz": -11.0, "delta_th_khz": 1.7, "p_max": 0.95}
-GEOMETRY = {"grad_nu_khz_per_um": 3.2, "span_um": 300.0}
+GEOMETRY = {"grad_nu_khz_per_um": 3.2}
 
 
 @pytest.fixture
@@ -303,8 +303,7 @@ def test_renormalizing_zero_light_shift_is_config_error(tmp_path, capsys):
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [-10.0, 0.0, 10.0]},
         "pulse": PULSE,
-        "thermal": {**THERMAL, "delta_ls_max_khz": 0.0},
-        "convolution": {"renormalize": True},
+        "thermal": {**THERMAL, "delta_ls_max_khz": 0.0, "renormalize": True},
     }
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(cfg))
@@ -338,7 +337,7 @@ def test_grid_that_overflows_or_explodes_is_config_error(tmp_path, capsys, kind,
 
 @pytest.mark.parametrize("section, value", [
     ("scan", None), ("pulse", 5), ("thermal", []), ("geometry", "x"),
-    ("transport", 1.0), ("detection", None), ("convolution", "grid"),
+    ("transport", 1.0), ("detection", None),
 ])
 def test_section_that_is_not_an_object_is_config_error(tmp_path, capsys, section, value):
     cfg = {
@@ -365,6 +364,16 @@ def test_transport_field_overflowing_rad_per_s_is_config_error(
     assert main(["transport", "--config", str(path)]) == 2
 
 
+def test_gradient_overflowing_rad_per_s_is_config_error(transport_cfg, tmp_path, capsys):
+    # finite in kHz per um, but an infinite chirp in rad/s
+    cfg = json.loads(transport_cfg.read_text())
+    cfg["geometry"]["grad_nu_khz_per_um"] = 1e308
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["transport", "--config", str(path)]) == 2
+    assert "grad must be positive and finite in rad/s per um" in capsys.readouterr().err
+
+
 def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, capsys):
     # one member past the budget is refused before any member is drawn
     cfg = json.loads(transport_cfg.read_text())
@@ -385,8 +394,10 @@ def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, capsys):
     ("transport", "ramp_time_ms", 1.0, "unknown transport keys: ['ramp_time_ms']"),
     ("geometry", "guide_shift_nu_mhz", 9.8, "unknown geometry keys: ['guide_shift_nu_mhz']"),
     (None, "damping", {"gamma_2_khz": 0.01}, "unknown config keys: ['damping']"),
+    ("geometry", "span_um", 300.0, "unknown geometry keys: ['span_um']"),
+    (None, "convolution", {"renormalize": True}, "unknown config keys: ['convolution']"),
 ], ids=["integrator", "distribution", "switch_on", "readout", "ramp_time_ms",
-        "guide_shift_nu_mhz", "damping"])
+        "guide_shift_nu_mhz", "damping", "span_um", "convolution"])
 def test_retired_key_fails_at_load(tmp_path, capsys, section, key, value, message):
     # the format no longer has these keys, even at their old defaults:
     # each fails at load, before any of the 2^16 members is drawn
@@ -668,6 +679,17 @@ def test_fit_abscissa_overflowing_rad_per_s_is_data_error(fit_data, tmp_path, ca
     assert "not finite in rad/s" in capsys.readouterr().err
 
 
+def test_fit_reads_only_a_khz_abscissa(fit_data, tmp_path, capsys):
+    # the fit reads the kHz spectra that apsim writes; rad/s is a data error
+    cfg, data = fit_data
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(cfg))
+    in_rad = tmp_path / "rad.csv"
+    in_rad.write_text(data.read_text().replace("khz", "rad/s"))
+    assert main(["fit", "--config", str(path), "--data", str(in_rad)]) == 2
+    assert "fit needs a detuning abscissa in 'khz', got 'rad/s'" in capsys.readouterr().err
+
+
 def test_fit_requires_thermal_section(tmp_path):
     cfg = {"scan": {"kind": "adiabaticity", "n_points": 11}, "pulse": PULSE}
     cfg_path = tmp_path / "pulse_only.json"
@@ -746,8 +768,7 @@ def test_renormalized_fit_from_far_guess_keeps_exit_contract(fit_data, tmp_path,
     # The -0.5 kHz guess once divided by a mass that had underflowed to 0
     # (exit 1); it still stops away from the truth
     cfg, data = fit_data
-    cfg = dict(cfg, thermal=dict(THERMAL, delta_ls_max_khz=delta_ls_max_khz),
-               convolution={"renormalize": True})
+    cfg = dict(cfg, thermal=dict(THERMAL, delta_ls_max_khz=delta_ls_max_khz, renormalize=True))
     path = tmp_path / "guess.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "fit.json"
@@ -773,8 +794,7 @@ def test_detection_accepts_renormalized_unit_plateau(monkeypatch, tmp_path, caps
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [-40.0, -20.0, 0.0, 20.0]},
         "pulse": PULSE,
-        "thermal": dict(THERMAL, p_max=1.0),
-        "convolution": {"renormalize": True},
+        "thermal": dict(THERMAL, p_max=1.0, renormalize=True),
     }
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(cfg))

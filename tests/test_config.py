@@ -87,7 +87,7 @@ def test_required_sections_per_kind():
     spatial["scan"] = {"kind": "spatial", "start_um": -25.0, "stop_um": 25.0, "step_um": 0.5}
     with pytest.raises(ConfigError):
         load_config(spatial)  # geometry missing
-    spatial["geometry"] = {"grad_nu_khz_per_um": 3.2, "span_um": 300.0}
+    spatial["geometry"] = {"grad_nu_khz_per_um": 3.2}
     rc = load_config(spatial)
     assert rc.kind == "spatial"
     assert len(rc.grid) == 101
@@ -169,7 +169,7 @@ def test_domain_invariants_surface_as_config_errors():
 def test_transport_config():
     t = {
         "scan": {"kind": "transport", "inv_tau_per_ms": [0.05, 0.1, 1.0, 10.0]},
-        "geometry": {"grad_nu_khz_per_um": 3.2, "span_um": 300.0},
+        "geometry": {"grad_nu_khz_per_um": 3.2},
         "transport": {
             "d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0, "spread_khz": 32.0,
         },
@@ -196,7 +196,7 @@ def test_transport_config():
 def test_transport_config_builds_the_plan():
     t = {
         "scan": {"kind": "transport", "inv_tau_per_ms": [1.0]},
-        "geometry": {"grad_nu_khz_per_um": 3.2, "span_um": 300.0},
+        "geometry": {"grad_nu_khz_per_um": 3.2},
         "transport": {"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
                       "spread_khz": 32.0},
     }
@@ -205,7 +205,7 @@ def test_transport_config_builds_the_plan():
     # in rad/s, converted as the rest of the package converts
     want = khz_to_rad_per_s(np.array([26.0, -72.0, 32.0]))
     assert (plan.omega_r, plan.delta_0, plan.spread) == tuple(want)
-    assert plan.g.grad_nu == 3.2
+    assert plan.grad == khz_to_rad_per_s(3.2)
     # the plan needs the gradient, so a transport section needs a geometry
     spectrum = cfg(transport={"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
                               "spread_khz": 32.0})
@@ -227,15 +227,32 @@ def test_adiabaticity_config():
 
 @pytest.mark.parametrize("method", ["quad", "grid"])
 def test_convolution_method_key_is_rejected(method):
-    # there is one convolution rule; the old selector is an unknown key
-    with pytest.raises(ConfigError, match="unknown convolution keys"):
+    # there is one convolution rule; the old selector's section is gone
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['convolution'\]"):
         load_config(cfg(convolution={"method": method}))
+
+
+@pytest.mark.parametrize("scan", [
+    {"kind": "spectrum", "values_khz": [float(i) for i in range(2**16 + 2)]},
+    {"kind": "spatial", "values_um": [float(i) for i in range(2**16 + 2)]},
+    {"kind": "transport", "inv_tau_per_ms": [float(i + 1) for i in range(2**16 + 2)]},
+], ids=["values_khz", "values_um", "inv_tau_per_ms"])
+def test_grid_lists_share_the_range_budget(scan):
+    # a list holds the grid points a range may ask for, and no more
+    raw = cfg(scan=scan, geometry={"grad_nu_khz_per_um": 3.2},
+              transport={"d_um": 132.0, "omega_r_khz": 26.0, "delta_0_khz": -72.0,
+                         "spread_khz": 32.0})
+    with pytest.raises(ConfigError, match="scan grid has more than 65537 points"):
+        load_config(raw)
+    key = next(k for k in scan if k != "kind")
+    del raw["scan"][key][2**16 + 1:]
+    assert len(load_config(raw).grid) == 2**16 + 1
 
 
 def test_optional_sections():
     rc = load_config(
         cfg(
-            convolution={"renormalize": True},
+            thermal={**BASE["thermal"], "renormalize": True},
             detection={"eps_pushout": 0.98, "eps_keep": 0.97, "p_init": 0.93},
             apply_detection=True,
             seed=7,

@@ -7,21 +7,22 @@ traceback or an apsim RuntimeWarning; an exit 0 writes no NaN.  Grids
 are cut to 3 points, ensembles to 4 members and pulses to 0.2 ms, so
 each run takes milliseconds.
 
-The opt-in keys no preset sets (``detection``, ``apply_detection`` and
-``convolution``) are added to each preset at non-default values, and
-each of their leaves is mutated by the same junk values under the same
-contract; the preset's own leaves, which the first test already mutates,
-are left as they are.
+The opt-in keys no preset sets (``detection``, ``apply_detection`` and,
+where a preset has a thermal section, ``thermal.renormalize``) are added
+to each preset at non-default values, and each of their leaves is mutated
+by the same junk values under the same contract; the preset's own leaves,
+which the first test already mutates, are left as they are.
 
-The leaves the format no longer has (the ``integrator`` section, the
-geometry's ``guide_shift_nu_mhz`` and the transport section's modes) stay
-in these sweeps where the presets once had them: each, set to any of the
-junk values, exits 2 at load.
+The leaves the format no longer has (the ``integrator`` and
+``convolution`` sections, the geometry's ``guide_shift_nu_mhz`` and
+``span_um``, and the transport section's modes) stay in these sweeps
+where the presets once had them: each, set to any of the junk values,
+exits 2 at load.
 
 Each preset with its pulse section swapped for a valid "ap" one, or for
 one of the retired kinds "rect" and "tabulated", ends, on every command,
 in the exit code the config's rules give; and every numeric leaf of each
-preset, the retired geometry leaf among them, written as a numeric
+preset, the retired geometry leaves among them, written as a numeric
 string exits 2.
 """
 
@@ -64,17 +65,20 @@ def _leaves(node, path=()):
             yield path + (key,)
 
 
-# leaves the format no longer has: the optional integrator section, and
-# keys of sections a preset has; each fails at load whatever its value
+# leaves the format no longer has: the optional integrator and convolution
+# sections, and keys of sections a preset has; each fails at load whatever
+# its value
+RETIRED_SECTIONS = {"integrator", "convolution"}
 RETIRED = {("integrator", "rel_tol"), ("integrator", "abs_tol"), ("integrator", "max_step_ms"),
-           ("geometry", "guide_shift_nu_mhz")}
+           ("geometry", "guide_shift_nu_mhz"), ("geometry", "span_um")}
 RETIRED_OPT_IN = {("transport", key)
                   for key in ("distribution", "switch_on", "readout", "ramp_time_ms")}
+RETIRED_OPT_IN |= {("convolution", "renormalize")}
 
 
 def _retired(raw: dict, retired: set) -> list:
     """The retired paths that were leaves of raw's sections, in a fixed order."""
-    return sorted(path for path in retired if path[0] == "integrator" or path[0] in raw)
+    return sorted(path for path in retired if path[0] in RETIRED_SECTIONS | set(raw))
 
 
 def _mutations():
@@ -118,15 +122,20 @@ def test_single_leaf_mutation_keeps_the_exit_contract(workdir, preset, path, jun
 
 
 # the opt-in keys no preset sets, at values other than their defaults so
-# that the paths they switch on run
+# that the paths they switch on run: top-level keys, and optional keys of
+# sections a preset may have
 OPT_IN = {"detection": {"eps_pushout": 0.9, "eps_keep": 0.95, "p_init": 0.9},
-          "apply_detection": True, "convolution": {"renormalize": True}}
+          "apply_detection": True}
+OPT_IN_KEYS = {("thermal", "renormalize"): True}
 
 
 def _opted_in(preset: str) -> dict:
-    """A cut preset with every opt-in key added."""
+    """A cut preset with every opt-in key added that its sections take."""
     raw = _small(preset)
     raw.update(json.loads(json.dumps(OPT_IN)))
+    for (section, key), value in OPT_IN_KEYS.items():
+        if section in raw:
+            raw[section][key] = value
     return raw
 
 
@@ -135,7 +144,7 @@ def _opt_in_mutations():
     for preset in preset_names():
         raw = _opted_in(preset)
         commands = [raw["scan"]["kind"]] + (["adiabaticity"] if "pulse" in raw else [])
-        paths = [path for path in _leaves(raw) if path[0] in OPT_IN]
+        paths = [path for path in _leaves(raw) if path[0] in OPT_IN or path in OPT_IN_KEYS]
         for path in paths + _retired(raw, RETIRED_OPT_IN):
             for junk in JUNK:
                 for command in commands:
@@ -206,9 +215,9 @@ def test_pulse_section_swap_keeps_the_exit_contract(workdir, fit_data, preset, p
     assert main(argv) == _expected_exit(raw, command)
 
 
-# the geometry leaf the format no longer has, at the value the presets
-# once gave it
-RETIRED_NUMERIC = {("geometry", "guide_shift_nu_mhz"): 9.8}
+# the geometry leaves the format no longer has, at the values the presets
+# once gave them
+RETIRED_NUMERIC = {("geometry", "guide_shift_nu_mhz"): 9.8, ("geometry", "span_um"): 300.0}
 
 
 def _with_retired_numeric(raw: dict) -> dict:

@@ -5,10 +5,14 @@ exports in ``__all__``, and each exported name is used by the program:
 by another module of the package, by a demo, or by the benchmark, whose
 tracer names its entry points in strings such as
 "SpectrumCache.from_pulse".  A name only the tests use is not exported.
+Importing the transport or fit module loads only the modules it runs.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +71,21 @@ def test_every_exported_name_is_used_by_the_program():
             if not any(name in names for other, names in used.items() if other != path):
                 unused.append(f"apsim.{path.stem}.{name}")
     assert unused == []
+
+
+def _apsim_modules_loaded_by(module: str) -> set[str]:
+    """The apsim modules that importing `module` loads in a fresh interpreter."""
+    script = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import {module}; "
+              "import json; print(json.dumps([m for m in sys.modules if m.startswith('apsim')]))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout))
+
+
+def test_transport_and_fit_load_only_their_modules():
+    # a transport run needs neither the thermal model nor addressing, and a
+    # fit neither transport nor addressing
+    transport = _apsim_modules_loaded_by("apsim.transport")
+    assert transport & {"apsim.addressing", "apsim.thermal"} == set()
+    fit = _apsim_modules_loaded_by("apsim.fit")
+    assert fit & {"apsim.transport", "apsim.addressing"} == set()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import apsim.bloch as bloch
 import apsim.transport as transport
-from apsim.addressing import TrapGeometry
 from apsim.bloch import evolve_offsets
 from apsim.errors import ConfigError
 from apsim.presets import preset_config
@@ -38,29 +37,29 @@ def transfer(plan, rng_seed, **fields):
     return float(p1[0]), float(stderr[0])
 
 
-@pytest.fixture
-def geometry() -> TrapGeometry:
-    return TrapGeometry(grad_nu=3.2, span=300.0)
+# the presets' gradient, 3.2 kHz per um, in rad/s per um
+GRAD = khz_to_rad_per_s(3.2)
 
 
 @pytest.fixture
-def plan(geometry) -> TransportPlan:
+def plan() -> TransportPlan:
     return TransportPlan(
         d=132.0,
         omega_r=khz_to_rad_per_s(26.0),
         delta_0=khz_to_rad_per_s(-72.0),
         spread=khz_to_rad_per_s(32.0),
-        g=geometry,
+        grad=GRAD,
     )
 
 
 # ------------------------------------------------------------ plan and chirp
 
-def test_plan_validation(geometry):
-    kw = dict(d=132.0, omega_r=1.0, delta_0=0.0, spread=0.0, g=geometry)
+def test_plan_validation():
+    kw = dict(d=132.0, omega_r=1.0, delta_0=0.0, spread=0.0, grad=GRAD)
     assert TransportPlan(**kw).tau == 1e-3
     for bad in (dict(d=0.0), dict(tau=-1.0), dict(omega_r=0.0), dict(spread=-1.0),
-                dict(n_ensemble=0), dict(n_ensemble=2**16 + 1)):
+                dict(n_ensemble=0), dict(n_ensemble=2**16 + 1),
+                dict(grad=0.0), dict(grad=np.inf), dict(grad=np.nan)):
         with pytest.raises(ConfigError):
             TransportPlan(**{**kw, **bad})
 
@@ -125,9 +124,7 @@ def test_interaction_width_scales_linearly(plan):
 
     doubled = dataclasses.replace(plan, omega_r=2 * plan.omega_r)
     assert interaction_width(doubled) == pytest.approx(2 * interaction_width(plan))
-    steeper = dataclasses.replace(
-        plan, g=TrapGeometry(grad_nu=6.4, span=300.0)
-    )
+    steeper = dataclasses.replace(plan, grad=2 * plan.grad)
     assert interaction_width(steeper) == pytest.approx(interaction_width(plan) / 2)
 
 
@@ -220,7 +217,7 @@ def _numpy_draws(plan, seed, members):
 def test_draws_equal_numpy_substreams(seed, n):
     # seeds from one 32-bit word to 42 (multi-word entropy), bit for bit
     plan = TransportPlan(d=132.0, omega_r=1.0, delta_0=khz_to_rad_per_s(-72.0),
-                         spread=khz_to_rad_per_s(32.0), g=TrapGeometry(3.2, 300.0),
+                         spread=khz_to_rad_per_s(32.0), grad=GRAD,
                          n_ensemble=n)
     np.testing.assert_array_equal(_draw_delta_r(plan, seed), _numpy_draws(plan, seed, range(n)))
 
