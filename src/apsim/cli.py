@@ -14,9 +14,7 @@ failure (integration or quadrature did not meet its tolerance).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import gc
 import json
 import sys
@@ -80,12 +78,13 @@ def run_scan(cfg: RunConfig) -> ScanResult:
     return result
 
 
-def _load_run_config(args) -> RunConfig:
-    if args.preset is not None:
-        return preset_config(args.preset, seed=args.seed)
-    cfg = load_config(Path(args.config))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+def _load_run_config(opts: dict) -> RunConfig:
+    seed = opts.get("seed")
+    if "preset" in opts:
+        return preset_config(opts["preset"], seed=seed)
+    cfg = load_config(Path(opts["config"]))
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
 
 
@@ -114,9 +113,9 @@ def _emit_scan(result: ScanResult, path: Path | None) -> None:
     _say("INFO", f"wrote {path} ({len(result)} rows)")
 
 
-def _cmd_scan(args, kind: str) -> int:
-    out = _out_path(args.out, (".csv", ".json"), "--out")
-    cfg = _load_run_config(args)
+def _cmd_scan(opts: dict, kind: str) -> int:
+    out = _out_path(opts.get("out"), (".csv", ".json"), "--out")
+    cfg = _load_run_config(opts)
     if cfg.kind != kind:
         # profiling the pulse of a spectrum/spatial config is well defined,
         # so the adiabaticity command accepts those and swaps the grid; the
@@ -136,14 +135,14 @@ def _cmd_scan(args, kind: str) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    out = _out_path(args.out, (".json",), "fit --out")
-    cfg = _load_run_config(args)
+def _cmd_fit(opts: dict) -> int:
+    out = _out_path(opts.get("out"), (".json",), "fit --out")
+    cfg = _load_run_config(opts)
     # the fit's spectrum replaces the pulse's delta_c, as a spectrum scan does
     if cfg.pulse is None or cfg.thermal is None:
         raise ConfigError("fit needs a config with a pulse and a thermal section")
-    data = ScanResult.from_csv(Path(args.data))
-    _say("INFO", f"fitting {len(data)} samples from {args.data}")
+    data = ScanResult.from_csv(Path(opts["data"]))
+    _say("INFO", f"fitting {len(data)} samples from {opts['data']}")
     t0 = time.perf_counter()
     result = fit_spectrum(data, cfg.pulse, cfg.thermal)
     _say("INFO", f"bare-spectrum cache: {result.cache_points} grid points, "
@@ -159,39 +158,69 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser, with_data: bool = False) -> None:
-    src = sp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--config", help="JSON run configuration")
-    src.add_argument(
-        "--preset", choices=preset_names(), help="built-in parameter set"
-    )
-    sp.add_argument("--out", help="output path (.csv or .json); default stdout")
-    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    if with_data:
-        sp.add_argument("--data", required=True, help="spectrum CSV to fit")
+_COMMANDS = ("spectrum", "spatial", "transport", "adiabaticity", "fit")
+_FLAGS = ("--config", "--preset", "--out", "--seed", "--data")
+_USAGE = (f"usage: apsim {{{','.join(_COMMANDS)}}} "
+          "(--config FILE | --preset NAME) [--out PATH] [--seed N] [--data CSV]\n")
+_HELP = """
+Adiabatic-passage simulator for optically trapped atoms.
+
+commands:
+  spectrum       broadened transfer probability vs central detuning
+  spatial        broadened transfer probability vs position offset
+  transport      ensemble transfer vs transport speed 1/tau
+  adiabaticity   adiabaticity parameter profile over the pulse
+  fit            fit thermal parameters to a spectrum CSV
+
+options (full names only, each at most once; --flag VALUE or --flag=VALUE):
+  --config FILE  JSON run configuration
+  --preset NAME  built-in parameter set: {presets}
+  --out PATH     output path (.csv or .json; .json for fit); default stdout
+  --seed N       override the config seed
+  --data CSV     spectrum CSV to fit; fit only, and required there
+"""
 
 
-# built once: argparse takes milliseconds to build it, and main may be
-# called many times in one process
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="apsim",
-        description="Adiabatic-passage simulator for optically trapped atoms",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind, help_ in (
-        ("spectrum", "broadened transfer probability vs central detuning"),
-        ("spatial", "broadened transfer probability vs position offset"),
-        ("transport", "ensemble transfer vs transport speed 1/tau"),
-        ("adiabaticity", "adiabaticity parameter profile over the pulse"),
-    ):
-        _add_common(sub.add_parser(kind, help=help_))
-    _add_common(
-        sub.add_parser("fit", help="fit thermal parameters to a spectrum CSV"),
-        with_data=True,
-    )
-    return parser
+class _UsageError(Exception):
+    """A command line outside the grammar of the usage line."""
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command and its options, keyed by flag name without dashes."""
+    if not argv:
+        raise _UsageError("no command given")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        raise _UsageError(f"the first argument must be a command "
+                          f"({', '.join(_COMMANDS)}), got {command!r}")
+    opts: dict = {}
+    args = iter(rest)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:  # full names only: --pre is no --preset
+            raise _UsageError(f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(args, None)
+            # a next flag is no value: --out=--name takes such a path
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{flag} needs a value")
+        if flag[2:] in opts:
+            raise _UsageError(f"{flag} given more than once")
+        opts[flag[2:]] = value
+    if ("config" in opts) == ("preset" in opts):
+        raise _UsageError("give exactly one of --config and --preset")
+    if "preset" in opts and opts["preset"] not in preset_names():
+        raise _UsageError(f"unknown preset {opts['preset']!r} "
+                          f"(choose from {', '.join(preset_names())})")
+    if "seed" in opts:
+        try:
+            opts["seed"] = int(opts["seed"])
+        except ValueError:
+            raise _UsageError(f"--seed needs an integer, got {opts['seed']!r}") from None
+    if ("data" in opts) != (command == "fit"):
+        raise _UsageError("fit needs --data" if command == "fit"
+                          else f"--data is for fit only, not {command}")
+    return command, opts
 
 
 def main(argv=None) -> int:
@@ -208,16 +237,19 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE + _HELP.format(presets=", ".join(preset_names())))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        code = exc.code if exc.code is not None else 0
-        return int(code) if isinstance(code, int) else 2
+        command, opts = _parse(argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}apsim: error: {exc}\n")
+        return 2
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        return _cmd_scan(args, args.command)
+        if command == "fit":
+            return _cmd_fit(opts)
+        return _cmd_scan(opts, command)
     # OSError: a file that cannot be read or written, such as a directory
     except (ConfigError, FitDataError, OSError) as exc:
         _say("ERROR", str(exc))

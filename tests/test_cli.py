@@ -83,7 +83,7 @@ def _forbid_work(monkeypatch):
     import apsim.cli
 
     def work(*args, **kwargs):
-        raise AssertionError("the scan or fit ran before --out was checked")
+        raise AssertionError("the scan or fit ran before its arguments were checked")
 
     monkeypatch.setattr(apsim.cli, "run_scan", work)
     monkeypatch.setattr(apsim.cli, "fit_spectrum", work)
@@ -170,13 +170,65 @@ def test_file_fault_is_config_error(fit_data, tmp_path, capsys, monkeypatch, com
     assert len([line for line in err if line.startswith("ERROR ")]) == 1
 
 
-def test_argparse_failures_map_to_exit_codes(capsys):
-    assert main([]) == 2
-    assert main(["spectrum"]) == 2  # --config/--preset required
-    assert main(["--help"]) == 0
-    # the scan thread pool is gone, and its option with it
-    assert main(["transport", "--preset", "transport_speed", "--threads", "2"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    pytest.param([], id="no-arguments"),
+    pytest.param(["scatter", "--preset", "thermal_spectrum"], id="unknown-command"),
+    pytest.param(["--seed", "1", "spectrum", "--preset", "thermal_spectrum"],
+                 id="option-before-command"),
+    pytest.param(["transport", "--preset", "transport_speed", "--threads", "2"],
+                 id="unknown-flag"),
+    pytest.param(["spectrum", "--pre", "thermal_spectrum"], id="abbreviated-flag"),
+    pytest.param(["spectrum", "--preset"], id="no-value-at-end"),
+    pytest.param(["spectrum", "--out", "--preset", "thermal_spectrum"],
+                 id="no-value-before-flag"),
+    pytest.param(["spectrum", "--preset", "thermal_spectrum", "--seed", "1", "--seed", "2"],
+                 id="repeated-flag"),
+    pytest.param(["spectrum", "--preset", "thermal_spectrum", "--preset=thermal_spectrum"],
+                 id="repeated-flag-equals"),
+    pytest.param(["spectrum", "--config", "run.json", "--preset", "thermal_spectrum"],
+                 id="config-and-preset"),
+    pytest.param(["spectrum", "--seed", "1"], id="neither-config-nor-preset"),
+    pytest.param(["spectrum", "--preset", "thermal"], id="unknown-preset"),
+    pytest.param(["spectrum", "--preset", "thermal_spectrum", "--seed", "seven"],
+                 id="non-integer-seed"),
+    pytest.param(["spectrum", "--preset", "thermal_spectrum", "--seed=1.5"],
+                 id="fractional-seed"),
+    pytest.param(["spectrum", "--preset", "thermal_spectrum", "--data", "d.csv"],
+                 id="data-on-spectrum"),
+    pytest.param(["fit", "--preset", "thermal_spectrum"], id="fit-without-data"),
+    pytest.param(["spectrum", "--preset", "thermal_spectrum", "stray"], id="positional"),
+])
+def test_usage_errors_exit_2(capsys, monkeypatch, argv):
+    _forbid_work(monkeypatch)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    assert lines[0].startswith("usage: apsim ")
+    assert lines[1].startswith("apsim: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"],
+    *([command, flag] for command in ("spectrum", "spatial", "transport", "adiabaticity", "fit")
+      for flag in ("-h", "--help")),
+    ["fit", "--preset", "nope", "--help"],  # help wins over a usage error
+])
+def test_help_prints_usage_to_stdout(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: apsim {spectrum,spatial,transport,adiabaticity,fit} ")
+    assert "--preset NAME" in out and err == ""
+
+
+def test_flag_equals_value_matches_spaced_form(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["spectrum", "--preset", "thermal_spectrum", "--seed", "7",
+                 "--out", str(spaced)]) == 0
+    assert main(["spectrum", "--preset=thermal_spectrum", "--seed=7",
+                 f"--out={joined}"]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [("omega_max_khz", float("nan")),
@@ -843,7 +895,8 @@ import apsim.cli
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"])
+                  if m.split(".")[0] in ("scipy", "argparse", "gettext", "locale")
+                  or m.split(".")[:2] == ["numpy", "random"])
 
 assert not loaded(), loaded()
 assert apsim.cli.main(["transport", "--config", {str(transport_cfg)!r},
@@ -904,14 +957,15 @@ print(json.dumps(runs))
         assert f"{name}.json" in text
 
 
-def test_package_imports_no_scipy_or_logging():
+def test_package_imports_no_scipy_logging_or_argparse():
     # scipy is a test dependency only, and numpy.random a test oracle only:
     # no module of the package imports either, at the top or inside a
     # function, nor reaches numpy.random as an attribute (numpy loads it
-    # on first access).  Nor does any import logging: the CLI writes its
-    # few diagnostic lines to stderr itself
+    # on first access).  Nor does any import logging, argparse or gettext:
+    # the CLI parses its fixed grammar and writes its few diagnostic lines
+    # to stderr itself
     def banned(name):
-        return (name.split(".")[0] in ("scipy", "logging")
+        return (name.split(".")[0] in ("scipy", "logging", "argparse", "gettext")
                 or name.split(".")[:2] == ["numpy", "random"])
 
     found = []
