@@ -26,7 +26,7 @@ print(
 
 # a neighbor two sites away should be essentially untouched
 for dx in (0.0, 15.0, 30.0):
-    p = crosstalk(cfg.pulse, 0.0, dx, cfg.grad_nu, cfg.thermal)
+    p = crosstalk(cfg.pulse, 0.0, dx, cfg.grad, cfg.thermal)
     print(f"atom at {dx:5.1f} um while addressing x=0: P1 = {p:.4f}")
 
 try:

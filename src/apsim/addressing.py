@@ -6,9 +6,10 @@ Detunings are measured from the transition at the gradient's zero, so
 the homogeneous guiding-field offset never enters.  A microwave pulse at
 fixed carrier is therefore resonant only inside a slice of the register:
 central detuning and position offset are the same axis up to the factor
-d_x omega_at.  This module provides that unit map, position-domain transfer
-spectra, a crosstalk figure for neighbor sites, and plateau/edge metrology
-used to quantify addressing resolution.
+d_x omega_at, which the library takes in rad/s per um.  This module
+provides that unit map, a crosstalk figure for neighbor sites, and
+plateau/edge metrology used to quantify addressing resolution; a spatial
+spectrum is a spectrum scan over that axis (config.RunConfig.detunings).
 """
 
 from __future__ import annotations
@@ -17,60 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .scan import ScanResult
 from .thermal import ThermalModel, broadened_spectrum
-from .units import khz_to_rad_per_s
 
-__all__ = [
-    "spatial_spectrum",
-    "crosstalk",
-    "plateau_metrics",
-]
+__all__ = ["crosstalk", "plateau_metrics"]
 
 
-def offset_to_detuning(dx, grad_nu: float):
+def offset_to_detuning(dx, grad: float):
     """Central detuning (rad/s) of an atom offset dx (um) from resonance in
-    a gradient of grad_nu kHz per um."""
-    return khz_to_rad_per_s(grad_nu * np.asarray(dx, dtype=float))
+    a gradient of grad rad/s per um."""
+    return grad * np.asarray(dx, dtype=float)
 
 
-def spatial_spectrum(
-    pulse,
-    grad_nu: float,
-    m: ThermalModel,
-    dx_grid,
-) -> ScanResult:
-    """Broadened transfer probability versus position offset (um) in a
-    gradient of grad_nu kHz per um.
-
-    Each grid point is the full convolved spectrum evaluated at
-    delta_c = offset_to_detuning(dx); the bare spectrum is batch-integrated
-    once for the whole grid.
-    """
-    dx = np.atleast_1d(np.asarray(dx_grid, dtype=float))
-    if dx.size == 0:
-        raise ConfigError("dx_grid must be non-empty")
-    vals = broadened_spectrum(pulse, m, offset_to_detuning(dx, grad_nu))
-    return ScanResult(dx, np.asarray(vals, dtype=float), None, "um")
-
-
-def crosstalk(
-    pulse,
-    target_x,
-    neighbor_x,
-    grad_nu: float,
-    m: ThermalModel,
-) -> float:
+def crosstalk(pulse, target_x, neighbor_x, grad: float, m: ThermalModel) -> float:
     """Transfer probability of a neighbor while the pulse addresses a target.
 
     The carrier is centered on the target site, so the neighbor sees
     delta_c = offset_to_detuning(target_x - neighbor_x) in a gradient of
-    grad_nu kHz per um.  Positions are absolute, in micrometers from the
+    grad rad/s per um.  Positions are absolute, in micrometers from the
     gradient's reference zero.
     """
     dx = float(target_x) - float(neighbor_x)
-    return float(broadened_spectrum(pulse, m, offset_to_detuning(dx, grad_nu)))
+    return float(broadened_spectrum(pulse, m, offset_to_detuning(dx, grad)))
 
 
 @dataclass(frozen=True)

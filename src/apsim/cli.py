@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .addressing import spatial_spectrum
-from .config import RunConfig, load_config
+from .config import RunConfig, adiabaticity_grid, load_config
 from .detection import apply_detection
 from .errors import ConfigError, FitDataError, IntegrationError, QuadratureError
 from .fit import fit_spectrum
@@ -33,7 +32,6 @@ from .pulses import adiabaticity
 from .scan import ScanResult
 from .thermal import broadened_spectrum
 from .transport import transport_curve
-from .units import khz_to_rad_per_s, s_to_ms
 
 __all__ = ["main", "run_scan"]
 
@@ -52,11 +50,10 @@ def _say(level: str, message: str) -> None:
 
 def run_scan(cfg: RunConfig) -> ScanResult:
     """Execute the scan a config describes; deterministic given cfg.seed."""
-    if cfg.kind == "spectrum":
-        vals = broadened_spectrum(cfg.pulse, cfg.thermal, khz_to_rad_per_s(cfg.grid))
-        result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, "khz")
-    elif cfg.kind == "spatial":
-        result = spatial_spectrum(cfg.pulse, cfg.grad_nu, cfg.thermal, cfg.grid)
+    if cfg.kind in ("spectrum", "spatial"):
+        vals = broadened_spectrum(cfg.pulse, cfg.thermal, cfg.detunings)
+        unit = "khz" if cfg.kind == "spectrum" else "um"
+        result = ScanResult(cfg.grid, np.asarray(vals, dtype=float), None, unit)
     elif cfg.kind == "transport":
         result = transport_curve(cfg.transport, cfg.grid, cfg.seed)
     else:  # adiabaticity profile over the pulse
@@ -65,7 +62,7 @@ def run_scan(cfg: RunConfig) -> ScanResult:
         t = np.linspace(0.0, cfg.pulse.duration, len(cfg.grid))
         result = ScanResult(cfg.grid, adiabaticity(t, cfg.pulse), None, "ms")
 
-    if cfg.apply_detection:
+    if cfg.detection is not None:
         p1 = result.p1
         roundoff = (p1 >= -_P1_ROUNDOFF) & (p1 <= 1.0 + _P1_ROUNDOFF)
         p1 = apply_detection(np.where(roundoff, np.clip(p1, 0.0, 1.0), p1), cfg.detection)
@@ -121,8 +118,8 @@ def _cmd_scan(opts: dict, kind: str) -> int:
         # so the adiabaticity command accepts those and swaps the grid; the
         # detection map, which takes probabilities, goes with it
         if kind == "adiabaticity" and cfg.pulse is not None:
-            grid = np.linspace(0.0, s_to_ms(cfg.pulse.duration), 2001)
-            cfg = dataclasses.replace(cfg, kind=kind, grid=grid, apply_detection=False)
+            grid = adiabaticity_grid(cfg.pulse, 2001)
+            cfg = dataclasses.replace(cfg, kind=kind, grid=grid, detection=None)
         else:
             raise ConfigError(
                 f"config describes a {cfg.kind!r} scan but the {kind!r} command was invoked"

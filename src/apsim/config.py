@@ -2,12 +2,14 @@
 
 A run configuration names one scan (detuning spectrum, spatial spectrum,
 transport curve, or adiabaticity profile) plus the physical objects it
-needs.  The schema is strict: unknown keys anywhere are rejected, so typos
-fail loudly instead of silently running defaults, and every number must be
-a JSON number (not a string, not true/false).  All frequencies are in kHz,
-times in ms, lengths in um; the library's rad/s and seconds never leak
-into files.  This module is the only reader of the format: the domain
-classes take plain values and know no keys.
+needs; a spectrum and a spatial scan are one scan over central
+detuning, in kHz or, through the gradient, in um.  The schema is strict:
+unknown keys anywhere are rejected, so typos fail loudly instead of
+silently running defaults, and every number must be a JSON number (not a
+string, not true/false).  All frequencies are in kHz, times in ms, lengths
+in um; the library's rad/s and seconds never leak into files.  This module
+is the only reader of the format: the domain classes take plain values and
+know no keys.
 
 Top-level keys
 --------------
@@ -23,16 +25,18 @@ thermal     {"delta_ls_max_khz","delta_th_khz","p_max"} plus optional
             "renormalize" (bool, default false: divide the broadened curve
             by the light-shift window's mass); required for spectrum and
             spatial
-geometry    {"grad_nu_khz_per_um"}, the transition-frequency gradient,
-            positive and finite; required for spatial and transport
+geometry    {"grad_nu_khz_per_um"}, the transition-frequency gradient;
+            it loads in rad/s per um, the library's one gradient unit,
+            where it must be positive and finite; required for spatial and
+            transport, and checked wherever it is given
 transport   {"d_um","omega_r_khz","delta_0_khz","spread_khz"} plus optional
             "n_ensemble" (1..2^16, default 32; member i's draw depends
             only on (seed, i), and drawing all 2^16 takes about 12 ms);
-            required for transport scans, and needs a
-            geometry section.  It loads as a transport.TransportPlan, which
-            checks every value before anything runs
+            required for transport scans, and needs a geometry section.
+            It loads through TransportPlan.from_khz with the geometry's
+            gradient, and the plan checks every value before anything runs
 detection   optional {"eps_pushout","eps_keep","p_init"}, all three;
-            defaults built in
+            defaults built in; checked wherever it is given
 apply_detection  optional bool, map scan output through the detection
             model; refused on adiabaticity scans, whose output is no
             probability
@@ -42,7 +46,7 @@ seed        optional non-negative integer, default 0
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +58,7 @@ from .thermal import ThermalModel
 from .transport import TransportPlan
 from .units import khz_to_rad_per_s, ms_to_s
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig", "adiabaticity_grid", "load_config"]
 
 SCAN_KINDS = ("spectrum", "spatial", "transport", "adiabaticity")
 
@@ -121,32 +125,38 @@ def _num_list(d: dict, section: str, key: str) -> np.ndarray:
     return grid
 
 
-def _gradient(grad_nu: float) -> float:
-    if not 0 < grad_nu < np.inf:
-        raise ValueError(f"grad_nu must be positive and finite, got {grad_nu}")
-    return grad_nu
+def _gradient(grad_nu_khz_per_um: float) -> float:
+    """The gradient in rad/s per um, the one unit the library takes."""
+    grad = khz_to_rad_per_s(grad_nu_khz_per_um)
+    if not 0 < grad < np.inf:
+        raise ValueError("grad_nu_khz_per_um must be positive and finite in rad/s per um, "
+                         f"got {grad_nu_khz_per_um}")
+    return grad
 
 
-# the sections whose keys are numbers, all required, and optional booleans:
-# the function that builds the section's value from the numbers, in order,
-# and the booleans, by name
+# every section but scan: the function that builds the section's value
+# from its numbers, all required, in order, and the reader of each
+# optional key, by name
 _FIELDS = {
-    "geometry": (_gradient, ("grad_nu_khz_per_um",), ()),
+    "geometry": (_gradient, ("grad_nu_khz_per_um",), {}),
     "thermal": (ThermalModel.from_khz, ("delta_ls_max_khz", "delta_th_khz", "p_max"),
-                ("renormalize",)),
-    "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init"), ()),
+                {"renormalize": _bool}),
+    "detection": (DetectionModel, ("eps_pushout", "eps_keep", "p_init"), {}),
     "pulse": (APPulse.from_khz, ("omega_max_khz", "delta_max_khz", "delta_c_khz", "t_p_ms"),
-              ()),
+              {}),
+    "transport": (TransportPlan.from_khz, ("d_um", "omega_r_khz", "delta_0_khz", "spread_khz"),
+                  {"n_ensemble": _int}),
 }
 
 
-def _build(d: dict, section: str, fixed: frozenset = frozenset()):
+def _build(d: dict, section: str, fixed: frozenset = frozenset(), **given):
     """The value the section d describes by its _FIELDS entry; `fixed`
-    names keys read elsewhere.  Domain constructors raise ValueError on
-    bad values, surfaced as ConfigError (exit code 2)."""
-    build, keys, flags = _FIELDS[section]
-    _check_keys(d, section, set(keys) | fixed, set(flags))
-    given = {k: _bool(d, section, k) for k in flags if k in d}
+    names keys read elsewhere, and `given` holds further arguments of the
+    build function.  Domain constructors raise ValueError on bad values,
+    surfaced as ConfigError (exit code 2)."""
+    build, keys, optional = _FIELDS[section]
+    _check_keys(d, section, set(keys) | fixed, set(optional))
+    given.update({k: read(d, section, k) for k, read in optional.items() if k in d})
     try:
         return build(*(_num(d, section, k) for k in keys), **given)
     except ConfigError:
@@ -161,7 +171,19 @@ def _pulse(d: dict) -> APPulse:
     return _build(d, "pulse", frozenset({"kind"}))
 
 
-def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) -> np.ndarray:
+def _rad_per_s_per_unit(kind: str, grad: float | None) -> float:
+    """The one map from a spectrum (kHz) or spatial (um) grid to central
+    detunings, as a factor: rad/s per kHz, or the gradient per um."""
+    return khz_to_rad_per_s(1.0) if kind == "spectrum" else grad
+
+
+def adiabaticity_grid(pulse: APPulse, n: int) -> np.ndarray:
+    """n times in ms from the start to the end of the pulse, the grid of
+    an adiabaticity scan."""
+    return np.linspace(0.0, pulse.duration / ms_to_s(1.0), n)
+
+
+def _grid_from_range(d: dict, section: str, suffix: str, per_unit: float) -> np.ndarray:
     values_key = f"values{suffix}"
     range_keys = {f"start{suffix}", f"stop{suffix}", f"step{suffix}"}
     if values_key in d:
@@ -195,7 +217,7 @@ def _grid_from_range(d: dict, section: str, suffix: str, khz_per_unit: float) ->
         grid = start + step * np.arange(k + 1)
     # the scans work in rad/s, where a large finite value may overflow
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(khz_to_rad_per_s(khz_per_unit * grid))):
+        if not np.all(np.isfinite(per_unit * grid)):
             raise ConfigError(f"{section} grid is not finite in rad/s")
     if np.any(np.diff(grid) <= 0):
         raise ConfigError(f"{section} grid must increase strictly")
@@ -209,12 +231,16 @@ class RunConfig:
     kind: str
     grid: np.ndarray
     pulse: APPulse | None = None
-    grad_nu: float | None = None  # kHz per um
+    grad: float | None = None  # rad/s per um
     thermal: ThermalModel | None = None
     transport: TransportPlan | None = None
-    detection: DetectionModel = field(default_factory=DetectionModel)
-    apply_detection: bool = False
+    detection: DetectionModel | None = None  # maps the scan's output when set
     seed: int = 0
+
+    @property
+    def detunings(self) -> np.ndarray:
+        """Central detunings (rad/s) of a spectrum or spatial grid."""
+        return _rad_per_s_per_unit(self.kind, self.grad) * self.grid
 
     def __post_init__(self) -> None:
         # the seed is the SeedSequence entropy of the transport draw, a
@@ -281,15 +307,14 @@ def load_config(source) -> RunConfig:
                           "scan has none")
 
     pulse = _pulse(raw["pulse"]) if "pulse" in raw else None
-    grad_nu, thermal, detection = (
+    grad, thermal, detection = (
         _build(raw[name], name) if name in raw else None
         for name in ("geometry", "thermal", "detection")
     )
 
-    if kind == "spectrum":
-        grid = _grid_from_range(scan, "scan", "_khz", 1.0)
-    elif kind == "spatial":
-        grid = _grid_from_range(scan, "scan", "_um", grad_nu)
+    if kind in ("spectrum", "spatial"):
+        suffix = "_khz" if kind == "spectrum" else "_um"
+        grid = _grid_from_range(scan, "scan", suffix, _rad_per_s_per_unit(kind, grad))
     elif kind == "transport":
         _check_keys(scan, "scan", {"inv_tau_per_ms"})
         grid = _num_list(scan, "scan", "inv_tau_per_ms")
@@ -300,42 +325,19 @@ def load_config(source) -> RunConfig:
         n = _int(scan, "scan", "n_points")
         if not 2 <= n <= _MAX_GRID_POINTS:
             raise ConfigError(f"scan.n_points must lie in 2..{_MAX_GRID_POINTS}")
-        # native abscissa is time in ms across the pulse
-        grid = np.linspace(0.0, pulse.duration / ms_to_s(1.0), n)
+        grid = adiabaticity_grid(pulse, n)
 
-    transport = None
-    if "transport" in raw:
-        t = raw["transport"]
-        _check_keys(
-            t,
-            "transport",
-            {"d_um", "omega_r_khz", "delta_0_khz", "spread_khz"},
-            {"n_ensemble"},
-        )
-        if grad_nu is None:
-            raise ConfigError("a 'transport' section requires a 'geometry' section")
-        for key in ("omega_r_khz", "delta_0_khz", "spread_khz"):
-            # the transport plan works in rad/s; a value that overflows
-            # there would turn the dressed state into NaN
-            if not np.isfinite(khz_to_rad_per_s(_num(t, "transport", key))):
-                raise ConfigError(f"transport.{key} is not finite in rad/s: {t[key]!r}")
-        transport = TransportPlan(
-            d=_num(t, "transport", "d_um"),
-            omega_r=khz_to_rad_per_s(_num(t, "transport", "omega_r_khz")),
-            delta_0=khz_to_rad_per_s(_num(t, "transport", "delta_0_khz")),
-            spread=khz_to_rad_per_s(_num(t, "transport", "spread_khz")),
-            grad=khz_to_rad_per_s(grad_nu),
-            n_ensemble=_int(t, "transport", "n_ensemble", 32),
-        )
+    if "transport" in raw and grad is None:
+        raise ConfigError("a 'transport' section requires a 'geometry' section")
+    transport = _build(raw["transport"], "transport", grad=grad) if "transport" in raw else None
 
     return RunConfig(
         kind=kind,
         grid=grid,
         pulse=pulse,
-        grad_nu=grad_nu,
+        grad=grad,
         thermal=thermal,
         transport=transport,
-        detection=detection or DetectionModel(),
-        apply_detection=apply_detection,
+        detection=(detection or DetectionModel()) if apply_detection else None,
         seed=_int(raw, "config", "seed", 0),
     )

@@ -43,7 +43,6 @@ def _thermal_spectrum() -> dict:
         "scan": {"kind": "spectrum", "start_khz": -65.0, "stop_khz": 65.0, "step_khz": 1.0},
         "pulse": dict(_AP_PULSE),
         "thermal": dict(_THERMAL),
-        "geometry": dict(_GEOMETRY),
         "seed": 0,
     }
 

@@ -35,6 +35,7 @@ import numpy as np
 from .bloch import evolve_offsets
 from .errors import ConfigError
 from .scan import TRANSPORT_UNIT, ScanResult
+from .units import khz_to_rad_per_s
 
 __all__ = [
     "TransportPlan",
@@ -78,6 +79,10 @@ class TransportPlan:
         if not 0 < self.grad < np.inf:
             raise ConfigError(
                 f"grad must be positive and finite in rad/s per um, got {self.grad}")
+        # a non-finite value would reach the propagator as a NaN torque
+        if not np.all(np.isfinite([self.d, self.omega_r, self.delta_0, self.spread])):
+            raise ConfigError("d, omega_r, delta_0 and spread must be finite, got "
+                              f"{self.d}, {self.omega_r}, {self.delta_0}, {self.spread}")
         if not self.d > 0:
             raise ConfigError(f"d must be positive, got {self.d}")
         if not self.tau > 0:
@@ -92,6 +97,11 @@ class TransportPlan:
             raise ConfigError(f"spread must be >= 0, got {self.spread}")
         if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
             raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
+
+    @classmethod
+    def from_khz(cls, d_um, omega_r_khz, delta_0_khz, spread_khz, grad, n_ensemble=32):
+        return cls(d_um, khz_to_rad_per_s(omega_r_khz), khz_to_rad_per_s(delta_0_khz),
+                   khz_to_rad_per_s(spread_khz), grad, n_ensemble=n_ensemble)
 
 
 def interaction_width(plan: TransportPlan) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["khz_to_rad_per_s", "rad_per_s_to_khz", "ms_to_s", "s_to_ms"]
+__all__ = ["khz_to_rad_per_s", "rad_per_s_to_khz", "ms_to_s"]
 
 _TWO_PI_KHZ = 2.0 * math.pi * 1.0e3
 
@@ -30,7 +30,3 @@ def rad_per_s_to_khz(omega):
 
 def ms_to_s(t_ms):
     return t_ms * 1.0e-3
-
-
-def s_to_ms(t_s):
-    return t_s * 1.0e3

@@ -3,9 +3,10 @@
 Four pulse programs, which follow the package's pulse contract (rabi(t)
 and detuning(t) take t inside [0, duration] and return values that
 broadcast to t's shape), a DOP853 integration of the Bloch equations,
-the dressed ground state, and the light-shift density with a sampler of
-it, the Monte Carlo and quadrature references of the thermal
-convolution.
+the dressed ground state, the light-shift density with a sampler of it,
+the Monte Carlo and quadrature references of the thermal convolution,
+and a quadrature over the transport spread, the reference of the
+seeded transport ensemble.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from apsim.transport import TransportPulse
+from apsim.transport import TransportPulse, transport_transfer
 
 
 class _InvertedPulse:
@@ -148,3 +149,14 @@ def sample_light_shift(m, rng_seed, n=None):
     rng = np.random.default_rng(rng_seed)
     draws = m.delta_ls_max + rng.gamma(3.0, m.delta_th, size=n)
     return float(draws) if n is None else draws
+
+
+def gauss_legendre_transport_mean(plan, taus, nodes=8):
+    """Transfer at each duration in taus (s), averaged over initial
+    detunings uniform over the plan's spread by Gauss-Legendre quadrature:
+    the integral that transport_transfer's seeded members estimate.  Each
+    node runs as an ensemble of one."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    draws = plan.delta_0 + 0.5 * plan.spread * x
+    p1 = np.array([transport_transfer(plan, np.array([d]), taus)[0] for d in draws])
+    return w @ p1 / 2.0

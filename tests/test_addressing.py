@@ -6,10 +6,10 @@ from apsim.addressing import (
     crosstalk,
     offset_to_detuning,
     plateau_metrics,
-    spatial_spectrum,
 )
 from apsim.bloch import detuning_spectrum
-from apsim.config import load_config
+from apsim.cli import run_scan
+from apsim.config import RunConfig, load_config
 from apsim.errors import ConfigError
 from apsim.pulses import APPulse
 from apsim.thermal import broadened_spectrum
@@ -17,21 +17,21 @@ from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
 
 @pytest.fixture
-def grad_nu() -> float:
-    """The presets' gradient, kHz per um."""
-    return 3.2
+def grad() -> float:
+    """The presets' gradient, 3.2 kHz per um, in rad/s per um."""
+    return khz_to_rad_per_s(3.2)
 
 
 # ------------------------------------------------------------ unit map
 
-def test_offset_to_detuning_examples(grad_nu):
-    assert rad_per_s_to_khz(offset_to_detuning(1.0, grad_nu)) == pytest.approx(3.2)
-    assert rad_per_s_to_khz(offset_to_detuning(-10.0, grad_nu)) == pytest.approx(-32.0)
+def test_offset_to_detuning_examples(grad):
+    assert rad_per_s_to_khz(offset_to_detuning(1.0, grad)) == pytest.approx(3.2)
+    assert rad_per_s_to_khz(offset_to_detuning(-10.0, grad)) == pytest.approx(-32.0)
 
 
-def test_unit_map_round_trip(grad_nu):
+def test_unit_map_round_trip(grad):
     dx = np.array([-140.0, -3.7, 0.0, 55.5, 149.0])
-    back = rad_per_s_to_khz(offset_to_detuning(dx, grad_nu)) / grad_nu
+    back = rad_per_s_to_khz(offset_to_detuning(dx, grad)) / 3.2
     np.testing.assert_allclose(back, dx, rtol=1e-12, atol=1e-12)
 
 
@@ -45,18 +45,19 @@ def _transport_config(section: dict) -> dict:
 
 
 def test_geometry_validation():
-    for bad in (0.0, -3.2, np.inf, np.nan):
-        with pytest.raises(ConfigError, match="grad_nu must be positive and finite"):
+    # one rule, in rad/s per um: 1e308 kHz per um overflows there
+    for bad in (0.0, -3.2, np.inf, np.nan, 1e308):
+        with pytest.raises(ConfigError, match="must be positive and finite in rad/s per um"):
             load_config(_transport_config({"grad_nu_khz_per_um": bad}))
 
 
-def test_geometry_json_round_trip(grad_nu):
-    # the config's geometry section is its one gradient, which the
-    # transport plan holds in rad/s per um
+def test_geometry_json_round_trip(grad):
+    # the config's geometry section is its one gradient, which the config
+    # and the transport plan hold in rad/s per um
     section = {"grad_nu_khz_per_um": 3.2}
     rc = load_config(_transport_config(section))
-    assert rc.grad_nu == grad_nu
-    assert rc.transport.grad == khz_to_rad_per_s(grad_nu)
+    assert rc.grad == grad
+    assert rc.transport.grad == grad
     with pytest.raises(ConfigError, match=r"unknown geometry keys: \['span_um'\]"):
         load_config(_transport_config({**section, "span_um": 300.0}))
     with pytest.raises(ConfigError, match="missing geometry keys"):
@@ -65,23 +66,32 @@ def test_geometry_json_round_trip(grad_nu):
 
 # ------------------------------------------------------------ spatial scans
 
-def test_spatial_spectrum_is_detuning_spectrum_in_disguise(
-    ref_pulse, ref_thermal, grad_nu
-):
+def test_spatial_scan_is_spectrum_scan_in_disguise(ref_pulse, ref_thermal, grad):
+    # the spatial grid maps to central detunings by the gradient, and the
+    # scan is the spectrum scan at those detunings
     dx = np.array([-8.0, -2.0, 0.0, 3.0, 9.0])
-    scan = spatial_spectrum(ref_pulse, grad_nu, ref_thermal, dx)
-    direct = broadened_spectrum(
-        ref_pulse, ref_thermal, offset_to_detuning(dx, grad_nu)
-    )
-    np.testing.assert_allclose(scan.p1, direct, atol=1e-9)
+    spatial = RunConfig("spatial", dx, pulse=ref_pulse, grad=grad, thermal=ref_thermal)
+    np.testing.assert_array_equal(spatial.detunings, offset_to_detuning(dx, grad))
+    scan = run_scan(spatial)
+    direct = broadened_spectrum(ref_pulse, ref_thermal, offset_to_detuning(dx, grad))
+    np.testing.assert_array_equal(scan.p1, direct)
     assert scan.unit == "um"
     assert scan.stderr is None
     np.testing.assert_array_equal(scan.abscissa, dx)
+    khz = rad_per_s_to_khz(offset_to_detuning(dx, grad))
+    spectrum = run_scan(RunConfig("spectrum", khz, pulse=ref_pulse, thermal=ref_thermal))
+    assert spectrum.unit == "khz"
+    np.testing.assert_allclose(spectrum.p1, scan.p1, atol=1e-9)
 
 
-def test_spatial_spectrum_rejects_empty_grid(ref_pulse, ref_thermal, grad_nu):
-    with pytest.raises(ConfigError):
-        spatial_spectrum(ref_pulse, grad_nu, ref_thermal, [])
+def test_spatial_scan_rejects_empty_grid():
+    raw = {"scan": {"kind": "spatial", "values_um": []},
+           "pulse": {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0,
+                     "delta_c_khz": 0.0, "t_p_ms": 2.0},
+           "thermal": {"delta_ls_max_khz": -11.0, "delta_th_khz": 1.7, "p_max": 0.95},
+           "geometry": {"grad_nu_khz_per_um": 3.2}}
+    with pytest.raises(ConfigError, match="must be a non-empty list"):
+        load_config(raw)
 
 
 def test_plateau_width_tracks_sweep_span(ref_pulse):
@@ -103,34 +113,34 @@ def test_plateau_width_tracks_sweep_span(ref_pulse):
 
 # ------------------------------------------------------------ crosstalk
 
-def test_crosstalk_on_target_is_high(ref_pulse, ref_thermal, grad_nu):
-    on_site = crosstalk(ref_pulse, 10.0, 10.0, grad_nu, ref_thermal)
+def test_crosstalk_on_target_is_high(ref_pulse, ref_thermal, grad):
+    on_site = crosstalk(ref_pulse, 10.0, 10.0, grad, ref_thermal)
     assert on_site > 0.85
 
 
-def test_crosstalk_far_neighbor_negligible(ref_pulse, ref_thermal, grad_nu):
+def test_crosstalk_far_neighbor_negligible(ref_pulse, ref_thermal, grad):
     # 30 um at 3.2 kHz/um puts the neighbor 96 kHz away, far past the sweep
-    far = crosstalk(ref_pulse, 0.0, 30.0, grad_nu, ref_thermal)
+    far = crosstalk(ref_pulse, 0.0, 30.0, grad, ref_thermal)
     assert far < 0.01
-    also_far = crosstalk(ref_pulse, 0.0, -30.0, grad_nu, ref_thermal)
+    also_far = crosstalk(ref_pulse, 0.0, -30.0, grad, ref_thermal)
     assert also_far < 0.01
 
 
-def test_crosstalk_translation_covariance(ref_pulse, ref_thermal, grad_nu):
+def test_crosstalk_translation_covariance(ref_pulse, ref_thermal, grad):
     # only the target-neighbor separation matters; dyadic shifts keep the
     # floating-point difference bit-exact, so the values must match exactly
-    base = crosstalk(ref_pulse, 4.0, 16.0, grad_nu, ref_thermal)
+    base = crosstalk(ref_pulse, 4.0, 16.0, grad, ref_thermal)
     for shift in (13.0 / 32.0, -7.0 / 32.0, 25.0):
         moved = crosstalk(
-            ref_pulse, 4.0 + shift, 16.0 + shift, grad_nu, ref_thermal
+            ref_pulse, 4.0 + shift, 16.0 + shift, grad, ref_thermal
         )
         assert moved == base
 
 
-def test_crosstalk_accepts_atom_positions(ref_pulse, ref_thermal, grad_nu):
+def test_crosstalk_accepts_atom_positions(ref_pulse, ref_thermal, grad):
     # positions are numbers in um: ints and numpy scalars read as floats
-    a = crosstalk(ref_pulse, np.float32(0.0), 30, grad_nu, ref_thermal)
-    b = crosstalk(ref_pulse, 0.0, 30.0, grad_nu, ref_thermal)
+    a = crosstalk(ref_pulse, np.float32(0.0), 30, grad, ref_thermal)
+    b = crosstalk(ref_pulse, 0.0, 30.0, grad, ref_thermal)
     assert a == b
 
 

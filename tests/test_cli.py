@@ -369,8 +369,8 @@ def test_renormalizing_zero_light_shift_is_config_error(tmp_path, capsys):
     ("spectrum", {"start_khz": -1e308, "stop_khz": 0.0, "step_khz": 1.0}, 3.2, "65537 points"),
     ("spectrum", {"start_khz": -1e308, "stop_khz": 1e308, "step_khz": 1.0}, 3.2, "65537 points"),
     ("spatial", {"start_um": -1e308, "stop_um": 0.0, "step_um": 1.0}, 3.2, "65537 points"),
-    ("spatial", {"values_um": [-1.0, 1.0]}, 1e308, "not finite in rad/s"),
-    ("spatial", {"values_um": [-1.0, 1.0]}, float("inf"), "grad_nu must be positive and finite"),
+    ("spatial", {"values_um": [-1.0, 1.0]}, 1e308, "positive and finite in rad/s per um"),
+    ("spatial", {"values_um": [-1.0, 1.0]}, float("inf"), "positive and finite in rad/s per um"),
 ], ids=["huge-value", "tiny-step", "far-start", "infinite-span", "far-start-um", "steep-gradient",
         "infinite-gradient"])
 def test_grid_that_overflows_or_explodes_is_config_error(tmp_path, capsys, kind, scan, grad,
@@ -423,7 +423,25 @@ def test_gradient_overflowing_rad_per_s_is_config_error(transport_cfg, tmp_path,
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(cfg))
     assert main(["transport", "--config", str(path)]) == 2
-    assert "grad must be positive and finite in rad/s per um" in capsys.readouterr().err
+    assert "must be positive and finite in rad/s per um" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("spectrum", "spectrum"), ("spectrum", "adiabaticity"), ("spectrum", "fit"),
+    ("spatial", "spatial"), ("spatial", "adiabaticity"),
+])
+def test_gradient_overflowing_rad_per_s_fails_every_command(fit_data, tmp_path, capsys, kind,
+                                                           command):
+    # the geometry section loads in rad/s per um wherever it is given: a
+    # spectrum config, which reads no gradient, and a spatial grid whose
+    # one point is 0 um refuse 1e308 kHz per um as a transport config does
+    unit = "khz" if kind == "spectrum" else "um"
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"scan": {"kind": kind, f"values_{unit}": [0.0]}, "pulse": PULSE,
+                                "thermal": THERMAL, "geometry": {"grad_nu_khz_per_um": 1e308}}))
+    data = ["--data", str(fit_data[1])] if command == "fit" else []
+    assert main([command, "--config", str(path), *data]) == 2
+    assert "must be positive and finite in rad/s per um" in capsys.readouterr().err
 
 
 def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, capsys):

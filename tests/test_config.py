@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from apsim.config import RunConfig, SCAN_KINDS, load_config
+from apsim.detection import DetectionModel
 from apsim.errors import ConfigError
 from apsim.pulses import APPulse
 from apsim.units import khz_to_rad_per_s
@@ -35,7 +36,7 @@ def test_minimal_spectrum_config():
     assert rc.grid[0] == -65.0 and rc.grid[-1] == 65.0
     assert isinstance(rc.pulse, APPulse)
     assert rc.seed == 0
-    assert rc.apply_detection is False
+    assert rc.detection is None
     assert rc.thermal.renormalize is False
 
 
@@ -260,5 +261,11 @@ def test_optional_sections():
     )
     assert rc.thermal.renormalize is True
     assert rc.detection.p_init == 0.93
-    assert rc.apply_detection is True
     assert rc.seed == 7
+    # detection is one field: the model when the output is mapped, else
+    # None, with the section still checked
+    assert load_config(cfg(apply_detection=True)).detection == DetectionModel()
+    section = {"eps_pushout": 0.98, "eps_keep": 0.97, "p_init": 0.93}
+    assert load_config(cfg(detection=section)).detection is None
+    with pytest.raises(ConfigError, match=r"p_init must be in \[0, 1\]"):
+        load_config(cfg(detection={**section, "p_init": 2.0}))

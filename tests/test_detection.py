@@ -65,13 +65,15 @@ def test_parameter_validation():
 
 
 def test_json_round_trip():
-    # the config's detection section loads as the model of its fields
+    # the config's detection section loads as the model of its fields,
+    # which a config that maps its output holds
     det = DetectionModel(0.97, 0.96, 0.94)
     section = {"eps_pushout": 0.97, "eps_keep": 0.96, "p_init": 0.94}
-    cfg = {"scan": {"kind": "adiabaticity", "n_points": 2},
+    cfg = {"scan": {"kind": "spectrum", "values_khz": [0.0]},
            "pulse": {"kind": "ap", "omega_max_khz": 28.0, "delta_max_khz": 40.0,
                      "delta_c_khz": 0.0, "t_p_ms": 2.0},
-           "detection": section}
+           "thermal": {"delta_ls_max_khz": -11.0, "delta_th_khz": 1.7, "p_max": 0.95},
+           "detection": section, "apply_detection": True}
     assert load_config(cfg).detection == det
     section["eps_pushout"] = "0.97"  # a numeric string is not a number
     with pytest.raises(ConfigError, match="must be a number"):

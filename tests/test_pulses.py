@@ -6,7 +6,7 @@ import pytest
 from apsim.pulses import APPulse, PulseProgram, adiabaticity, max_adiabaticity
 from apsim.config import load_config
 from apsim.errors import ConfigError
-from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz, s_to_ms
+from apsim.units import khz_to_rad_per_s, ms_to_s, rad_per_s_to_khz
 
 from oracles import RectPulse, inverted
 
@@ -184,7 +184,7 @@ def test_json_round_trip_ap(pulse):
         "omega_max_khz": rad_per_s_to_khz(pulse.omega_max),
         "delta_max_khz": rad_per_s_to_khz(pulse.delta_max),
         "delta_c_khz": rad_per_s_to_khz(pulse.delta_c),
-        "t_p_ms": s_to_ms(pulse.t_p),
+        "t_p_ms": pulse.t_p / ms_to_s(1.0),
     })
     assert isinstance(again, APPulse)
     assert again.omega_max == pytest.approx(pulse.omega_max, rel=1e-15)

@@ -25,7 +25,13 @@ from apsim.transport import (
 )
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
-from oracles import LinearSweepPulse, RampedTransportPulse, RectPulse, dressed_ground
+from oracles import (
+    LinearSweepPulse,
+    RampedTransportPulse,
+    RectPulse,
+    dressed_ground,
+    gauss_legendre_transport_mean,
+)
 
 
 def transfer(plan, rng_seed, **fields):
@@ -62,6 +68,18 @@ def test_plan_validation():
                 dict(grad=0.0), dict(grad=np.inf), dict(grad=np.nan)):
         with pytest.raises(ConfigError):
             TransportPlan(**{**kw, **bad})
+    # a non-finite value is refused where the plan is made, not later as a
+    # NaN torque in the propagator
+    for bad in (dict(spread=np.inf), dict(omega_r=np.inf), dict(delta_0=np.nan),
+                dict(delta_0=np.inf)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            TransportPlan(**{**kw, **bad})
+
+
+def test_plan_from_khz_is_the_config_plan(plan):
+    # the config's transport section loads through from_khz
+    assert TransportPlan.from_khz(132.0, 26.0, -72.0, 32.0, GRAD) == plan
+    assert preset_config("transport_speed").transport == plan
 
 
 def test_total_sweep_is_distance_times_gradient(plan):
@@ -381,6 +399,17 @@ def test_transport_curve_validation(plan):
 
 
 # ------------------------------------------------------------ analytic crossing
+
+def test_seeded_mean_matches_quadrature_over_the_spread():
+    # the 32 seeded members estimate the mean over a uniform spread; eight
+    # Gauss-Legendre nodes give it to about 1e-7.  The 1e-6 slack covers
+    # the slow speeds, whose standard errors are 1e-16 to 1e-12
+    cfg = preset_config("transport_speed", seed=0)
+    curve = transport_curve(cfg.transport, cfg.grid, cfg.seed)
+    exact = gauss_legendre_transport_mean(cfg.transport, 1e-3 / cfg.grid)
+    assert len(curve) == 12
+    assert np.all(np.abs(curve.p1 - exact) <= 3.0 * curve.stderr + 1e-6)
+
 
 def test_landau_zener_oracle_algebra():
     # infinitely fast sweep transfers nothing
