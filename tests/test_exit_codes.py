@@ -19,6 +19,12 @@ The leaves the format no longer has (the ``integrator`` and
 where the presets once had them: each, set to any of the junk values,
 exits 2 at load.
 
+A preset without a ``geometry`` section (``thermal_spectrum``) is given
+the spatial presets' one in every sweep here: a spectrum config may carry
+the section, which no spectrum command reads but load checks on every
+command, so its leaves are mutated on ``spectrum`` and ``adiabaticity``
+too.
+
 Each preset with its pulse section swapped for a valid "ap" one, or for
 one of the retired kinds "rect" and "tabulated", ends, on every command,
 in the exit code the config's rules give; and every numeric leaf of each
@@ -40,10 +46,21 @@ JUNK = {"0": 0, "-1": -1, "1e-300": 1e-300, "1e308": 1e308, "-1e308": -1e308, "n
         "0.53": 0.53, "10**400": 10**400}
 
 
-def _small(preset: str) -> dict:
-    """The named preset with its grid cut to 3 points, its ensemble to 4
-    and its pulse to 0.2 ms."""
+# the geometry section of the spatial presets, given to a preset that has none
+GEOMETRY = {"grad_nu_khz_per_um": 3.2}
+
+
+def _preset(preset: str) -> dict:
+    """The named preset, with a geometry section if it has none."""
     raw = PRESETS[preset]()
+    raw.setdefault("geometry", dict(GEOMETRY))
+    return raw
+
+
+def _small(preset: str) -> dict:
+    """The named preset, with a geometry section, its grid cut to 3
+    points, its ensemble to 4 and its pulse to 0.2 ms."""
+    raw = _preset(preset)
     scan = raw["scan"]
     if scan["kind"] == "transport":
         scan["inv_tau_per_ms"] = scan["inv_tau_per_ms"][-3:]
@@ -230,7 +247,7 @@ def _with_retired_numeric(raw: dict) -> dict:
 
 def _numeric_leaves():
     for name in preset_names():
-        raw = _with_retired_numeric(PRESETS[name]())
+        raw = _with_retired_numeric(_preset(name))
         for path in _leaves(raw):
             node = raw
             for k in path:
@@ -242,7 +259,7 @@ def _numeric_leaves():
 @pytest.mark.parametrize("preset, path", list(_numeric_leaves()))
 def test_numeric_string_is_a_config_error(workdir, preset, path):
     # the whole preset: loading fails before any of it runs
-    raw = PRESETS[preset]()
+    raw = _preset(preset)
     if path in RETIRED_NUMERIC:
         raw[path[0]][path[1]] = RETIRED_NUMERIC[path]
     *outer, key = path
