@@ -152,15 +152,15 @@ _FIELDS = {
 def _build(d: dict, section: str, fixed: frozenset = frozenset(), **given):
     """The value the section d describes by its _FIELDS entry; `fixed`
     names keys read elsewhere, and `given` holds further arguments of the
-    build function.  Domain constructors raise ValueError on bad values,
-    surfaced as ConfigError (exit code 2)."""
+    build function.  Domain constructors raise ValueError (ConfigError is
+    one) on bad values, surfaced as ConfigError (exit code 2) that names
+    the section."""
     build, keys, optional = _FIELDS[section]
     _check_keys(d, section, set(keys) | fixed, set(optional))
     given.update({k: read(d, section, k) for k, read in optional.items() if k in d})
+    numbers = [_num(d, section, k) for k in keys]
     try:
-        return build(*(_num(d, section, k) for k in keys), **given)
-    except ConfigError:
-        raise
+        return build(*numbers, **given)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 

@@ -2,10 +2,11 @@
 
 The broadened spectrum depends on the pulse only through the bare transfer
 curve P1(delta_c), which is independent of the thermal parameters.  The
-fitter therefore batch-integrates P1 once onto a cached grid, only where
-its spline's error estimate asks for it (SpectrumCache.from_pulse), and
-re-runs only the (cheap, vectorized) convolution per optimizer step; that
-single reuse is what makes fitting interactive instead of an overnight job.
+fitter therefore batch-integrates P1 once onto a cached grid, over
+|delta_c| only, since P1 is even, and only where its spline's error
+estimate asks for it (SpectrumCache.from_pulse), and re-runs only the
+(cheap, vectorized) convolution per optimizer step; that single reuse is
+what makes fitting interactive instead of an overnight job.
 
 The model is linear in its scale: it is c g, where g is the curve at
 p_max = 1 without renormalization.  Each residual evaluation therefore

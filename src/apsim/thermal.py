@@ -26,6 +26,11 @@ Both convolutions integrate over y = (delta_ls - delta_ls_max) / delta_th
 on [0, min(r, 200)] by composite Simpson in numpy: convolve doubles the
 interval count until its Richardson error estimate is at most 1e-6, and
 convolve_on_grid, the fit's inner loop, keeps one fixed step.
+
+The bare spectrum enters as a SpectrumCache: a spline of P1 that
+from_pulse integrates only where the spline needs it, and only over
+|delta_c|.  The swept passage at delta_c = 0 has an even envelope and an
+odd sweep, so P1(delta_c) = P1(-delta_c) (from_pulse gives the argument).
 """
 
 from __future__ import annotations
@@ -244,23 +249,29 @@ class SpectrumCache:
     from one tridiagonal solve at construction; because the grid is
     uniform (equal steps within 1e-6 relative, as from_pulse builds it),
     a call finds its interval arithmetically.  Calls outside the domain
-    clamp to the edge values; build the cache wide enough to cover every
-    shifted evaluation.
+    [lo, hi] clamp to the edge values; build the cache wide enough to
+    cover every shifted evaluation.
+
+    Without domain, [lo, hi] is the grid's span.  With domain = (lo, hi),
+    the grid holds an even spectrum at |delta| over the fold of [lo, hi]
+    (see from_pulse): a call clamps delta to [lo, hi], then evaluates the
+    spline at |delta|, so calls are exactly even; and a grid that starts
+    at 0 ends evenly there, with zero slope in place of the not-a-knot
+    condition.
 
     from_pulse integrates the pulse only where the spline needs it: a
-    64-interval seed grid, then all of the first level at or below the
-    pulse's Fourier width (1/t_p in Hz), where an interval's estimate is
-    the larger |fourth difference| at its nodes over 16, about 4.8 times
-    the bound (5/384) h^4 max|f''''| (Hall & Meyer, J. Approx. Theory 16,
-    105 (1976)).  Each doubling integrates the midpoints _refined picks,
-    whose halves get the estimate |coarse spline - P1| / 16 as the error
-    is O(h^4) (de Boor, A Practical Guide to Splines, ch. IV), and fills
-    the rest from the coarse spline, keeping its estimate.  After at least
-    one doubling, it stops once no estimate exceeds _TOL, and sets
-    integrated to the number of points integrated.
+    64-interval seed grid, then all of the first level (see from_pulse),
+    where an interval's estimate is the larger |fourth difference| at its
+    nodes over 16, about 4.8 times the bound (5/384) h^4 max|f''''| (Hall
+    & Meyer, J. Approx. Theory 16, 105 (1976)).  Each doubling integrates
+    the midpoints _refined picks, whose halves get the estimate |coarse
+    spline - P1| / 16 as the error is O(h^4) (de Boor, A Practical Guide
+    to Splines, ch. IV), and fills the rest from the coarse spline, keeping
+    its estimate.  After at least one doubling, it stops once no estimate
+    exceeds _TOL, and sets integrated to the number of points integrated.
     """
 
-    def __init__(self, deltas, p1):
+    def __init__(self, deltas, p1, domain=None):
         deltas = np.asarray(deltas, dtype=float)
         p1 = np.asarray(p1, dtype=float)
         if deltas.ndim != 1 or len(deltas) < 4:
@@ -270,20 +281,44 @@ class SpectrumCache:
         steps = np.diff(deltas)
         if np.any(steps <= 0):
             raise ValueError("grid must increase strictly")
-        self.deltas = deltas
-        self.p1 = p1
-        self.lo = float(deltas[0])
-        self.hi = float(deltas[-1])
-        h = (self.hi - self.lo) / (len(deltas) - 1)
+        h = (deltas[-1] - deltas[0]) / (len(deltas) - 1)
         if np.any(np.abs(steps - h) > _UNIFORM_TOL * h):
             raise ValueError("grid must be uniform")
+        self._folded = domain is not None
+        if self._folded:
+            if not domain[1] > domain[0] or _fold(*domain) != (deltas[0], deltas[-1]):
+                raise ValueError("a folded grid must span the fold of its domain")
+            self.lo, self.hi = float(domain[0]), float(domain[1])
+        else:
+            self.lo, self.hi = float(deltas[0]), float(deltas[-1])
+        self.deltas = deltas
+        self.p1 = p1
         self._inv_h = 1.0 / h
-        self._coef = _spline_coefficients(p1, h)
+        self._coef = _spline_coefficients(p1, h, self._folded and deltas[0] == 0.0)
 
     @classmethod
     def from_pulse(cls, pulse, delta_lo: float, delta_hi: float) -> "SpectrumCache":
-        """Batch-integrate the pulse over [delta_lo, delta_hi] (rad/s) until
-        every spline error estimate is at most _TOL (see the class docstring).
+        """Batch-integrate the pulse's spectrum for calls on [delta_lo,
+        delta_hi] (rad/s) until every spline error estimate is at most _TOL
+        (see the class docstring).
+
+        Only the fold of the domain onto |delta| is integrated: P1 is even.
+        detuning_spectrum runs the pulse at delta_c = 0, where the envelope
+        is even about t_p / 2 and the sweep odd.  Mirroring the pulse in
+        time and swapping the two levels (conjugating by sigma_x) maps the
+        Hamiltonian at delta onto the one at -delta; both are real
+        symmetric, so the mirrored propagator is the transpose, and
+        |<1|U|0>|^2 is the same at delta and -delta.
+
+        The first level takes the smallest multiple of 64 intervals of the
+        folded span whose step is at most the step of the requested span's
+        first level: 128 intervals, doubled until the step is at most the
+        pulse's Fourier width (1/t_p in Hz); a first level sized by the
+        folded span alone can fall below one sample per sidelobe.  A
+        folded span that starts at 0 ends evenly there: the spline has zero
+        slope at 0, the first level's fourth differences there take the
+        reflected values p1[2] and p1[1], and the intervals at 0 are
+        refined only where their estimates ask, as inside.
 
         Raises IntegrationError when the next grid would exceed
         _MAX_CACHE_POINTS.
@@ -293,28 +328,33 @@ class SpectrumCache:
         if not delta_hi > delta_lo:
             raise ValueError("need delta_hi > delta_lo")
         span = delta_hi - delta_lo
+        a, b = _fold(delta_lo, delta_hi)
+        even = a == 0.0
         # the pulse's Fourier width, 1/t_p in Hz: no grid coarser is accepted
         fourier = 2.0 * math.pi / pulse.duration
-        seed = np.linspace(delta_lo, delta_hi, _SEED_INTERVALS + 1)
+        seed = np.linspace(a, b, _SEED_INTERVALS + 1)
         seed_p1 = detuning_spectrum(pulse, seed)
         n = 2 * _SEED_INTERVALS
         while span / n > fourier and n < _MAX_CACHE_POINTS:
             n *= 2
+        n = _SEED_INTERVALS * math.ceil((b - a) * n / (span * _SEED_INTERVALS))
         _check_budget(n, math.inf)
-        p1 = np.linspace(delta_lo, delta_hi, n + 1)
+        p1 = np.linspace(a, b, n + 1)
         new = np.arange(n + 1) % (n // _SEED_INTERVALS) != 0
         p1[new] = detuning_spectrum(pulse, p1[new])
         p1[~new] = seed_p1
         integrated = n + 1
-        fourth = np.pad(np.abs(np.convolve(p1, [1, -4, 6, -4, 1], "valid")), 2, mode="edge")
+        head = p1[2:0:-1] if even else p1[:0]
+        fourth = np.abs(np.convolve(np.concatenate([head, p1]), [1, -4, 6, -4, 1], "valid"))
+        fourth = np.pad(fourth, (2 - head.size, 2), mode="edge")
         estimate = np.maximum(fourth[:-1], fourth[1:]) / 16.0
         while True:
             _check_budget(2 * n, float(np.max(estimate)))
-            fine = np.linspace(delta_lo, delta_hi, 2 * n + 1)
-            c3, c2, c1, c0 = _spline_coefficients(p1, span / n)
-            x = 0.5 * span / n
+            fine = np.linspace(a, b, 2 * n + 1)
+            c3, c2, c1, c0 = _spline_coefficients(p1, (b - a) / n, even)
+            x = 0.5 * (b - a) / n
             spline = ((c3 * x + c2) * x + c1) * x + c0
-            run = _refined(estimate)
+            run = _refined(estimate, even)
             mid = spline.copy()
             mid[run] = detuning_spectrum(pulse, fine[1::2][run])
             integrated += int(np.count_nonzero(run))
@@ -323,7 +363,7 @@ class SpectrumCache:
             n, p1 = 2 * n, fine
             if np.max(estimate) <= _TOL:
                 break
-        cache = cls(np.linspace(delta_lo, delta_hi, n + 1), p1)
+        cache = cls(np.linspace(a, b, n + 1), p1, (delta_lo, delta_hi))
         cache.integrated = integrated
         return cache
 
@@ -340,21 +380,33 @@ class SpectrumCache:
 
     def __call__(self, delta_c):
         x = np.clip(delta_c, self.lo, self.hi)
-        i = np.clip(((x - self.lo) * self._inv_h).astype(np.intp), 0, len(self.deltas) - 2)
+        if self._folded:
+            x = np.abs(x)
+        i = np.clip(((x - self.deltas[0]) * self._inv_h).astype(np.intp), 0,
+                    len(self.deltas) - 2)
         dx = x - self.deltas[i]
         c3, c2, c1, c0 = self._coef
         out = ((c3[i] * dx + c2[i]) * dx + c1[i]) * dx + c0[i]
         return float(out) if np.ndim(delta_c) == 0 else out
 
 
-def _refined(estimate: np.ndarray) -> np.ndarray:
+def _fold(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] folded onto |delta|: [0, max |.|] when it holds 0, else the
+    image of the nearer and the farther end."""
+    a, b = sorted((abs(lo), abs(hi)))
+    return (0.0 if lo <= 0.0 <= hi else a), b
+
+
+def _refined(estimate: np.ndarray, even: bool) -> np.ndarray:
     """Mask of the midpoints the next doubling integrates: in the _MARGIN + 1
-    intervals at either end, whose fourth differences come from inside, and
-    within _MARGIN + log(e / _TOL) / log(2 + sqrt(3)) intervals of one whose
-    estimate e exceeds _TOL, which the spline spreads, damped by 2 - sqrt(3)
-    per interval, into filled neighbours."""
+    intervals at either end whose fourth differences come from inside (not
+    at an even end, where they are reflected), and within _MARGIN +
+    log(e / _TOL) / log(2 + sqrt(3)) intervals of one whose estimate e
+    exceeds _TOL, which the spline spreads, damped by 2 - sqrt(3) per
+    interval, into filled neighbours."""
     run = np.zeros(len(estimate), dtype=bool)
-    run[:_MARGIN + 1] = run[-_MARGIN - 1:] = True
+    run[-_MARGIN - 1:] = True
+    run[:_MARGIN + 1] = not even
     for k in np.flatnonzero(estimate > _TOL):
         reach = _MARGIN + int(math.log(estimate[k] / _TOL) / math.log(2.0 + math.sqrt(3.0)))
         run[max(k - reach, 0):k + reach + 1] = True
@@ -369,27 +421,29 @@ def _check_budget(intervals: int, estimate: float) -> None:
         )
 
 
-def _spline_coefficients(y: np.ndarray, h: float):
+def _spline_coefficients(y: np.ndarray, h: float, even: bool):
     """Per-interval cubics (c3, c2, c1, c0) of the not-a-knot spline
-    through y on a grid of step h, in x - x_i, highest power first."""
-    slopes = _not_a_knot_slopes(y, h)
+    through y on a grid of step h, in x - x_i, highest power first; with
+    even, the spline's slope is 0 at the first knot instead."""
+    slopes = _not_a_knot_slopes(y, h, even)
     secant = np.diff(y) / h
     t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / h
     return t / h, (secant - slopes[:-1]) / h - t, slopes[:-1], y[:-1]
 
 
-def _not_a_knot_slopes(y: np.ndarray, h: float) -> np.ndarray:
+def _not_a_knot_slopes(y: np.ndarray, h: float, even: bool) -> np.ndarray:
     """First derivatives at the knots of the not-a-knot cubic spline
     through y on a grid of step h (Thomas algorithm, no pivoting needed:
-    every pivot after the first row stays above 0.4)."""
+    every pivot after the first row stays above 0.4); with even, the first
+    row is s0 = 0, the end of a spline even about its first knot."""
     secant = np.diff(y) / h
     n = len(y)
-    # rows: s0 + 2 s1 = (5 d0 + d1) / 2;  s_{i-1} + 4 s_i + s_{i+1} =
-    # 3 (d_{i-1} + d_i);  2 s_{n-2} + s_{n-1} = (d_{n-3} + 5 d_{n-2}) / 2
+    # rows: s0 + 2 s1 = (5 d0 + d1) / 2 (or s0 = 0);  s_{i-1} + 4 s_i +
+    # s_{i+1} = 3 (d_{i-1} + d_i);  2 s_{n-2} + s_{n-1} = (d_{n-3} + 5 d_{n-2}) / 2
     sub = [0.0] + [1.0] * (n - 2) + [2.0]
     diag = [1.0] + [4.0] * (n - 2) + [1.0]
-    sup = [2.0] + [1.0] * (n - 2) + [0.0]
-    rhs = [0.5 * (5.0 * secant[0] + secant[1])]
+    sup = [0.0 if even else 2.0] + [1.0] * (n - 2) + [0.0]
+    rhs = [0.0 if even else 0.5 * (5.0 * secant[0] + secant[1])]
     rhs += (3.0 * (secant[:-1] + secant[1:])).tolist()
     rhs.append(0.5 * (secant[-2] + 5.0 * secant[-1]))
     c = [0.0] * n

@@ -96,7 +96,7 @@ class TransportPlan:
         if not self.spread >= 0:
             raise ConfigError(f"spread must be >= 0, got {self.spread}")
         if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
-            raise ConfigError(f"transport.n_ensemble must lie in 1..{_MAX_ENSEMBLE}")
+            raise ConfigError(f"n_ensemble must lie in 1..{_MAX_ENSEMBLE}, got {self.n_ensemble}")
 
     @classmethod
     def from_khz(cls, d_um, omega_r_khz, delta_0_khz, spread_khz, grad, n_ensemble=32):

@@ -457,6 +457,23 @@ def test_ensemble_budget_is_config_error(transport_cfg, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key, value, message", [
+    ("transport", "d_um", 0.0, "ERROR transport: d must be positive, got 0.0\n"),
+    ("transport", "n_ensemble", 0, "ERROR transport: n_ensemble must lie in 1..65536, got 0\n"),
+    ("detection", "eps_keep", 1.5, "ERROR detection: eps_keep must be in [0, 1], got 1.5\n"),
+], ids=["d_um", "n_ensemble", "eps_keep"])
+def test_library_config_error_names_its_section(transport_cfg, tmp_path, capsys, section, key,
+                                                 value, message):
+    # the plan and the detection model check their own values; load names
+    # the section, as it does for the pulse's and thermal model's
+    cfg = json.loads(transport_cfg.read_text())
+    cfg.setdefault(section, {"eps_pushout": 0.99, "eps_keep": 0.99, "p_init": 0.95})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["transport", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("section, key, value, message", [
     (None, "integrator", {"rel_tol": 1e-9}, "unknown config keys: ['integrator']"),
     ("transport", "distribution", "uniform", "unknown transport keys: ['distribution']"),
     ("transport", "switch_on", "dressed", "unknown transport keys: ['switch_on']"),

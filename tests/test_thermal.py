@@ -269,18 +269,32 @@ def test_cache_clamps_outside_domain(ref_cache):
 
 
 def test_cache_matches_cubic_spline(ref_cache):
-    oracle = CubicSpline(ref_cache.deltas, ref_cache.p1)
+    # the cache holds P1 at |delta| on [0, 76 kHz], the fold of its domain
+    # -76..65 kHz, with an even end at 0: zero slope there
+    knots = ref_cache.deltas
+    assert knots[0] == 0.0 and knots[-1] == -ref_cache.lo
+    oracle = CubicSpline(knots, ref_cache.p1, bc_type=((1, 0.0), "not-a-knot"))
     rng = np.random.default_rng(3)
     probe = np.concatenate(
-        [ref_cache.deltas, rng.uniform(ref_cache.lo, ref_cache.hi, 20000)]
+        [knots[knots <= ref_cache.hi], -knots, rng.uniform(ref_cache.lo, ref_cache.hi, 20000)]
     )
-    np.testing.assert_allclose(ref_cache(probe), oracle(probe), rtol=0.0, atol=1e-12)
-    assert ref_cache(float(probe[-1])) == pytest.approx(float(oracle(probe[-1])), abs=1e-12)
+    np.testing.assert_allclose(
+        ref_cache(probe), oracle(np.abs(probe)), rtol=0.0, atol=1e-12
+    )
+    assert ref_cache(float(probe[-1])) == pytest.approx(
+        float(oracle(abs(probe[-1]))), abs=1e-12
+    )
     # a short grid: the not-a-knot spline through 4 points is their cubic
     x = np.linspace(-1.0, 2.0, 4)
     cubic = lambda t: 0.3 * t**3 - t + 0.2  # noqa: E731
     probe = np.linspace(-1.0, 2.0, 37)
     np.testing.assert_allclose(SpectrumCache(x, cubic(x))(probe), cubic(probe), atol=1e-14)
+    # a folded grid on [0, 3] for calls on -3..2: zero slope at 0
+    x = np.linspace(0.0, 3.0, 7)
+    even = CubicSpline(x, np.cos(x), bc_type=((1, 0.0), "not-a-knot"))
+    probe = np.linspace(-3.0, 2.0, 41)
+    folded = SpectrumCache(x, np.cos(x), (-3.0, 2.0))
+    np.testing.assert_allclose(folded(probe), even(np.abs(probe)), rtol=0.0, atol=1e-14)
 
 
 def test_cache_validation():
@@ -292,6 +306,10 @@ def test_cache_validation():
         SpectrumCache([0.0, 1.0, 2.0, 3.5], [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         SpectrumCache([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    # a folded grid spans the fold of its domain: [0, 3] for -3..2, not -1..2
+    SpectrumCache([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0], (-3.0, 2.0))
+    with pytest.raises(ValueError, match="fold"):
+        SpectrumCache([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0], (-1.0, 2.0))
     with pytest.raises(ValueError):
         SpectrumCache.from_pulse(None, 1.0, 0.0)
 
@@ -307,10 +325,75 @@ def test_cache_meets_its_tolerance_against_fine_reference(ref_pulse, ref_cache):
     assert np.max(np.abs(ref_cache(probe) - reference(probe))) <= 1e-6
 
 
+def test_cache_meets_its_tolerance_on_fit_domains(ref_pulse):
+    # caches over fit-like domains lo..65 kHz, lo from -100 to -144 kHz,
+    # against the bare spectrum at every 0.01 kHz.  P1 is even to 1e-10
+    # (test_spectrum_symmetric_for_centered_sweep) and a call is even
+    # exactly, so one reference on [0, 144] kHz serves both signs
+    from apsim.bloch import detuning_spectrum
+
+    x = khz_to_rad_per_s(np.linspace(0.0, 144.0, 14401))
+    reference = np.concatenate(
+        [detuning_spectrum(ref_pulse, part) for part in np.array_split(x, 8)]
+    )
+    hi = khz_to_rad_per_s(65.0)
+    right = x <= hi
+    for lo_khz in np.linspace(-100.0, -144.0, 8):
+        lo = khz_to_rad_per_s(lo_khz)
+        cache = SpectrumCache.from_pulse(ref_pulse, lo, hi)
+        left = x <= -lo
+        assert np.max(np.abs(cache(-x[left]) - reference[left])) <= 1e-6
+        assert np.max(np.abs(cache(x[right]) - reference[right])) <= 1e-6
+        np.testing.assert_array_equal(cache(-x[right]), cache(x[right]))
+
+
+def _fit_domain(f_ls, f_th):
+    # the cache domain of the benchmark's fits: -65..65 kHz data, a guess
+    # of delta_ls_max = -11 f_ls and delta_th = 1.7 f_th kHz
+    guess = ThermalModel.from_khz(-11.0 * f_ls, 1.7 * f_th, 0.95)
+    margin = 2.0 * abs(guess.delta_ls_max) + 20.0 * guess.delta_th
+    return khz_to_rad_per_s(-65.0) - margin, khz_to_rad_per_s(65.0)
+
+
+@pytest.mark.parametrize(
+    "case, size, integrated",
+    [
+        pytest.param((0.7, 0.7), 641, 367, id="fit-104.2"),  # lo in kHz
+        pytest.param((1.3, 0.7), 769, 433, id="fit-117.4"),
+        pytest.param((0.7, 1.3), 769, 432, id="fit-124.6"),
+        pytest.param((1.3, 1.3), 769, 429, id="fit-137.8"),
+        pytest.param("thermal_spectrum", 641, 376, id="thermal_spectrum"),  # -76..65
+        pytest.param("site_addressing", 641, 371, id="site_addressing"),  # -91..80
+    ],
+)
+def test_cache_work_ledger(ref_pulse, monkeypatch, case, size, integrated):
+    # the grid points and integrated points of the caches the benchmark's
+    # fits and the spectrum presets build: a change in the cache's work
+    # shows here exactly, whatever the host's speed
+    if isinstance(case, str):
+        from apsim.cli import run_scan
+        from apsim.presets import preset_config
+
+        built = []
+        from_pulse = SpectrumCache.from_pulse
+
+        def recording(cls, *args):
+            built.append(from_pulse(*args))
+            return built[-1]
+
+        monkeypatch.setattr(SpectrumCache, "from_pulse", classmethod(recording))
+        run_scan(preset_config(case, seed=0))
+        (cache,) = built
+    else:
+        cache = SpectrumCache.from_pulse(ref_pulse, *_fit_domain(*case))
+    assert (cache.deltas.size, cache.integrated) == (size, integrated)
+
+
 def test_cache_integrates_each_offset_once(ref_pulse, monkeypatch):
-    # on the domain of a fit from a 30%-off guess, the far wing and the
+    # on the domain of a fit from a 30%-off guess, -124.6..65 kHz, only the
+    # fold [0, 124.6] kHz is integrated, and there the far wing and the
     # plateau are filled from the spline: every integrated offset is a grid
-    # point, integrated once, and at most 620 of the 1025 are integrated
+    # point, integrated once, and at most 440 of the 769 are integrated
     seen = []
     integrate = apsim.bloch.detuning_spectrum
 
@@ -326,40 +409,48 @@ def test_cache_integrates_each_offset_once(ref_pulse, monkeypatch):
     assert len(seen) > 1
     assert np.unique(offsets).size == offsets.size
     assert np.all(np.isin(offsets, cache.deltas))
-    assert cache.deltas.size == 1025
-    assert offsets.size == cache.integrated <= 620
+    assert cache.deltas[0] == 0.0
+    assert cache.deltas.size == 769
+    assert offsets.size == cache.integrated <= 440
 
 
 @pytest.mark.parametrize(
     "amplitude, fwhm, offset",
     [
-        (1e-2, 2.0, 256.0 + 1.0 / 3.0),  # mid-domain
+        (1e-2, 2.0, 192.0 + 1.0 / 3.0),  # mid-domain
         (1e-2, 2.0, 1.0 / 3.0),  # within a step of either end
-        (1e-2, 2.0, 512.0 - 1.0 / 3.0),
+        (1e-2, 2.0, 384.0 - 1.0 / 3.0),
         # narrower than a step and strong: the coarse spline's error spills
         # several steps into the midpoints that are filled from it
-        (0.5, 1.0, 256.0 + 1.0 / 3.0),
+        (0.5, 1.0, 192.0 + 1.0 / 3.0),
         # at an end, where the fourth differences are borrowed from inside
-        (1e-5, 1.0, 512.0 - 1.0 / 3.0),
+        (1e-5, 1.0, 384.0 - 1.0 / 3.0),
+        # at the even end, which takes reflected fourth differences and a
+        # zero slope (3e-6 and 1.3e-6 without) and no forced refinement
+        (1e-5, 1.0, 4.0 / 3.0),
+        (1e-5, 1.0, 2.0 / 3.0),
     ],
 )
 def test_cache_resolves_a_feature_on_a_flat_spectrum(
     ref_pulse, monkeypatch, amplitude, fwhm, offset
 ):
-    # a known spectrum: 0.5 plus a Gaussian whose full width at half
-    # maximum is fwhm first-level steps, centred offset steps from the
-    # domain's start, a third of a step off a node
+    # a known even spectrum: 0.5 plus Gaussians at +-centre whose full width
+    # at half maximum is fwhm first-level steps, centre offset steps from 0,
+    # a third of a step off a node.  The domain -124.6..65 kHz folds onto
+    # [0, 124.6] kHz, whose first level has 384 intervals, the fewest
+    # multiple of 64 no coarser than the requested span's 512
     lo, hi = khz_to_rad_per_s(-124.6), khz_to_rad_per_s(65.0)
-    step = (hi - lo) / 512  # the first level at or below 1 / (2 ms)
-    centre = lo + offset * step
+    step = -lo / 384
+    centre = offset * step
     sigma = fwhm * step / math.sqrt(8.0 * math.log(2.0))
 
     def spectrum(pulse, grid, *args):
-        return 0.5 + amplitude * np.exp(-0.5 * ((np.asarray(grid) - centre) / sigma) ** 2)
+        x = np.asarray(grid)[..., None] + np.array([-centre, centre])
+        return 0.5 + amplitude * np.sum(np.exp(-0.5 * (x / sigma) ** 2), axis=-1)
 
     monkeypatch.setattr(apsim.bloch, "detuning_spectrum", spectrum)
     cache = SpectrumCache.from_pulse(ref_pulse, lo, hi)
-    assert (cache.hi - cache.lo) / (cache.deltas.size - 1) <= step
+    assert cache.deltas[0] == 0.0 and cache.deltas[1] <= step
     assert cache.integrated < cache.deltas.size
     probe = np.random.default_rng(7).uniform(lo, hi, 200000)
     assert np.max(np.abs(cache(probe) - spectrum(None, probe))) <= 1e-6
@@ -390,6 +481,11 @@ def test_cache_resolves_line_narrower_than_seed_grid():
     cache = SpectrumCache.from_pulse(pulse, lo, lo + span)
     assert cache(0.0) == pytest.approx(detuning_spectrum(pulse, 0.0), abs=1e-6)
     assert cache(0.0) == pytest.approx(1.0, abs=1e-6)
+    # and its 1/t_p sidelobes over the whole domain, at 1 Hz: a first level
+    # sized by the folded span alone (0.85 of a Fourier width) under-samples
+    # them and leaves 4e-5
+    probe = np.linspace(lo, lo + span, 4001)
+    assert np.max(np.abs(cache(probe) - detuning_spectrum(pulse, probe))) <= 1e-6
 
 
 def test_cache_is_never_coarser_than_fourier_width(ref_pulse):
