@@ -32,6 +32,7 @@ from .pulses import adiabaticity
 from .scan import ScanResult
 from .thermal import broadened_spectrum
 from .transport import transport_curve
+from .units import rad_per_s_to_khz
 
 __all__ = ["main", "run_scan"]
 
@@ -143,7 +144,9 @@ def _cmd_fit(opts: dict) -> int:
     t0 = time.perf_counter()
     result = fit_spectrum(data, cfg.pulse, cfg.thermal)
     _say("INFO", f"bare-spectrum cache: {result.cache_points} grid points, "
-                 f"{result.cache_integrated} integrated")
+                 f"{result.cache_integrated} integrated, reach "
+                 f"{rad_per_s_to_khz(result.cache_reach):.4g} kHz below the data, widest trial "
+                 f"{rad_per_s_to_khz(result.widest_reach):.4g} kHz")
     _say("INFO", f"fit {'converged' if result.converged else 'did NOT converge'} in "
                  f"{time.perf_counter() - t0:.1f} s ({result.n_iterations} evaluations, "
                  f"rms {result.residual_rms:.2e})")

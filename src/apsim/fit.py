@@ -1,12 +1,12 @@
 """Least-squares extraction of thermal parameters from spectra.
 
 The broadened spectrum depends on the pulse only through the bare transfer
-curve P1(delta_c), which is independent of the thermal parameters.  The
-fitter therefore batch-integrates P1 once onto a cached grid, over
-|delta_c| only, since P1 is even, and only where its spline's error
-estimate asks for it (SpectrumCache.from_pulse), and re-runs only the
-(cheap, vectorized) convolution per optimizer step; that single reuse is
-what makes fitting interactive instead of an overnight job.
+curve P1(delta_c), which is independent of the thermal parameters, so the
+fitter integrates P1 once into a SpectrumCache and re-runs only the cheap
+convolution per optimizer step.  A trial reads P1 only on its kernel's
+support, from |delta_ls_max| below the data up to them, whatever its
+delta_th; the cache reaches 3 |delta_ls_max| of the guess below the data,
+past the widest trial of the benchmark's fits (2.61).
 
 The model is linear in its scale: it is c g, where g is the curve at
 p_max = 1 without renormalization.  Each residual evaluation therefore
@@ -74,9 +74,10 @@ class FitResult:
     converged    : True when a stop test passed (relative step or
                    gradient cosine), False when the evaluation budget ran
                    out first
-    cache_points, cache_integrated :
-                   grid points of the bare-spectrum cache, and how many of
-                   them were integrated; not part of the report
+    cache_points, cache_integrated, cache_reach, widest_reach :
+                   the cache's grid points and points integrated; how far
+                   (rad/s) it and the widest trial reach below the data; not
+                   part of the report
     """
 
     params: ThermalModel
@@ -85,6 +86,8 @@ class FitResult:
     converged: bool
     cache_points: int
     cache_integrated: int
+    cache_reach: float
+    widest_reach: float
 
     def to_json_dict(self) -> dict:
         """The fit report: params in kHz, as the config's thermal section."""
@@ -117,11 +120,7 @@ def _abscissa_rad_per_s(data: ScanResult) -> np.ndarray:
     return deltas
 
 
-def fit_spectrum(
-    data: ScanResult,
-    pulse,
-    initial_guess: ThermalModel,
-) -> FitResult:
+def fit_spectrum(data: ScanResult, pulse, initial_guess: ThermalModel) -> FitResult:
     """Fit the broadened-spectrum model to a measured detuning scan.
 
     data must contain at least 10 finite samples spanning both spectrum
@@ -140,11 +139,10 @@ def fit_spectrum(
         raise FitDataError("data is constant; nothing to fit")
 
     guess = initial_guess
-    # cache footprint: widest shift support the optimizer may explore,
-    # sized from the guess (clamped extrapolation beyond is flat); the
-    # grid step follows the bare spectrum, not the guess
-    margin = 2.0 * abs(guess.delta_ls_max) + 20.0 * guess.delta_th
-    cache = SpectrumCache.from_pulse(pulse, float(deltas.min()) - margin, float(deltas.max()))
+    # the kernel's support reaches |delta_ls_max| below the data (module docstring)
+    reach = 3.0 * abs(guess.delta_ls_max)
+    cache = SpectrumCache.from_pulse(pulse, float(deltas.min()) - reach, float(deltas.max()))
+    widest = 0.0
 
     y = np.asarray(data.p1, dtype=float)
 
@@ -159,6 +157,8 @@ def fit_spectrum(
             unit = ThermalModel(delta_ls_max, delta_th, 1.0)
         except ValueError:
             return None
+        nonlocal widest
+        widest = max(widest, -delta_ls_max)
         mass = truncated_mass(unit) if guess.renormalize else 1.0
         g = convolve_on_grid(cache, deltas, unit)
         gg = float(g @ g)
@@ -190,6 +190,8 @@ def fit_spectrum(
         converged=converged,
         cache_points=cache.deltas.size,
         cache_integrated=cache.integrated,
+        cache_reach=reach,
+        widest_reach=widest,
     )
 
 

@@ -294,13 +294,13 @@ def test_tiny_delta_th_runs_on_the_usual_cache(tmp_path, delta_th_khz):
 def test_cache_budget_stops_with_its_estimate(tmp_path, capsys, monkeypatch):
     import apsim.thermal
 
-    # a 0.2 ms pulse: its Fourier width (5 kHz) admits the 64-interval seed
-    # grid, so the 128-interval grid has an estimate when the cap stops the
-    # 256-interval one
+    # a 0.4 ms pulse: 3/4 of its Fourier width (1.875 kHz) admits 64
+    # intervals on the fold [0, 111] kHz, so the 128-interval grid has an
+    # estimate (3.9e-6) when the cap stops the 256-interval one
     monkeypatch.setattr(apsim.thermal, "_MAX_CACHE_POINTS", 200)
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [-100.0, 0.0, 100.0]},
-        "pulse": {**PULSE, "t_p_ms": 0.2},
+        "pulse": {**PULSE, "t_p_ms": 0.4},
         "thermal": THERMAL,
     }
     path = tmp_path / "budget.json"
@@ -817,6 +817,23 @@ def test_fit_reports_its_cache_on_stderr(fit_data, tmp_path, capsys):
     assert found is not None
     grid, integrated = map(int, found.groups())
     assert 0 < integrated < grid
+
+
+@pytest.mark.parametrize("guess, inside", [({}, True), ({"delta_ls_max_khz": -0.05}, False)])
+def test_fit_reports_its_reach_on_stderr(fit_data, tmp_path, capsys, guess, inside):
+    # the cache reaches 3 |delta_ls_max| of the guess below the data; a
+    # guess 220 times too narrow sends trials past it, onto clamped values
+    # (ROADMAP item 2), and the stderr line shows it
+    cfg, data = fit_data
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(dict(cfg, thermal=dict(THERMAL, **guess))))
+    assert main(["fit", "--config", str(path), "--data", str(data)]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    found = re.search(r"reach (\S+) kHz below the data, widest trial (\S+) kHz", captured.err)
+    reach, widest = map(float, found.groups())
+    assert reach == pytest.approx(-3.0 * dict(THERMAL, **guess)["delta_ls_max_khz"], rel=1e-3)
+    assert (widest <= reach) is inside and widest >= 11.0 - 0.01
 
 
 @pytest.mark.parametrize(

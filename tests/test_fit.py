@@ -10,7 +10,7 @@ import apsim.fit
 from apsim.errors import FitDataError
 from apsim.fit import FitResult, fit_spectrum
 from apsim.scan import ScanResult
-from apsim.thermal import ThermalModel, convolve_on_grid
+from apsim.thermal import SpectrumCache, ThermalModel, convolve_on_grid
 from apsim.units import khz_to_rad_per_s, rad_per_s_to_khz
 
 GRID_KHZ = np.arange(-65.0, 65.5, 1.0)
@@ -150,6 +150,27 @@ def test_optimizer_matches_least_squares(clean_data, ref_pulse, monkeypatch, see
         assert getattr(got.params, key) == pytest.approx(getattr(want.params, key), rel=1e-6)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pair", [0, 1, 2, 3])
+def test_fit_reads_only_inside_its_cache(clean_data, ref_pulse, monkeypatch, seed, pair):
+    # the cache reaches 3 |delta_ls_max| of the guess below the data: the
+    # widest trial of the benchmark's 48 fits (seeds 0-11) reached 2.61
+    reads = []
+    call = SpectrumCache.__call__
+
+    def recording(self, delta_c):
+        x = np.asarray(delta_c)
+        reads.append(self.lo <= float(np.min(x)) and float(np.max(x)) <= self.hi)
+        return call(self, delta_c)
+
+    monkeypatch.setattr(SpectrumCache, "__call__", recording)
+    data, guess = _block_fit(clean_data, seed, pair)
+    res = fit_spectrum(data, ref_pulse, guess)
+    assert res.converged and reads and all(reads)
+    assert res.cache_reach == pytest.approx(-3.0 * guess.delta_ls_max)
+    assert -res.params.delta_ls_max <= res.widest_reach <= res.cache_reach
+
+
 def test_n_iterations_counts_every_model_evaluation(clean_data, ref_pulse, monkeypatch):
     calls = []
 
@@ -212,9 +233,9 @@ def test_optimizer_converges_where_the_residual_ignores_a_parameter(start):
 # ------------------------------------------------------------ result record
 
 def test_fit_result_json(tmp_path, ref_thermal):
-    res = FitResult(ref_thermal, 0.012, 36, True, 1025, 600)
+    res = FitResult(ref_thermal, 0.012, 36, True, 641, 369, 2.1e5, 7.0e4)
     d = res.to_json_dict()
-    # the cache sizes go to stderr, not into the report
+    # the cache sizes and reaches go to stderr, not into the report
     assert list(d) == ["params", "residual_rms", "n_iterations", "converged"]
     assert d["params"]["delta_th_khz"] == pytest.approx(1.7)
     assert d["converged"] is True
