@@ -17,15 +17,7 @@ class IntegrationError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """The thermal convolution reached its interval budget before its
-    error estimate met the tolerance.
-
-    Carries the best estimate so callers can decide whether to accept it.
-    """
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+    error estimate met the tolerance; the message names both."""
 
 
 class FitDataError(ValueError):

@@ -69,19 +69,18 @@ _STEP = 0.05
 _MAX_INTERVALS = 2**14
 _BLOCK = 2**18
 
-# intervals of the first grid from_pulse samples: small, so that the Bloch
-# step budget fires before a large grid is allocated
-_SEED_INTERVALS = 64
+# from_pulse's first level takes a multiple of this many intervals.  The
+# grain is not waste: without it (ceil(span / step) intervals) the four
+# fit and preset caches took 10% fewer member-steps, but the line pulse's
+# sidelobes kept 2.4e-6 and a synthetic feature 4.1e-6, over _TOL, and a
+# renormalized fit from a -1 kHz guess stopped at a spurious -6.44 kHz
+_GRAIN = 64
 
 # work budget of from_pulse: the most grid points one cache may have
 _MAX_CACHE_POINTS = 2**16 + 1
 
 # neighbour margin of from_pulse's refinement (see _refined)
 _MARGIN = 3
-
-# relative deviation from equal steps that SpectrumCache accepts as a
-# uniform grid (np.linspace rounding is ~1e-13 of a step)
-_UNIFORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def convolve(spectrum, m: ThermalModel):
     result is at most _TOL, and returns (16 S_2n - S_n) / 15.  The estimate
     assumes a smooth integrand, as the C2 spline of SpectrumCache is.  No
     level above _MAX_INTERVALS intervals is allocated: QuadratureError
-    carries the value and the estimate instead.
+    names the estimate instead.
     """
     scale = _scale(m)
     first = _intervals(m, 2.0 * _STEP)
@@ -167,9 +166,7 @@ def convolve(spectrum, m: ThermalModel):
             if 2 * n > _MAX_INTERVALS:
                 raise QuadratureError(
                     f"convolution budget of {_MAX_INTERVALS} intervals reached "
-                    f"with error estimate {estimate:.2e} > {_TOL:.2e}",
-                    estimate=_shaped(scale * fine, delta_c),
-                    error_bound=estimate,
+                    f"with error estimate {estimate:.2e} > {_TOL:.2e}"
                 )
 
     return broadened
@@ -244,55 +241,42 @@ class SpectrumCache:
     Full Bloch integration per point is far too slow inside quadratures
     and fit loops, so the spectrum is evaluated once on a grid and
     interpolated with a not-a-knot cubic spline.  The knot slopes come
-    from one tridiagonal solve at construction; because the grid is
-    uniform (equal steps within 1e-6 relative, as from_pulse builds it),
-    a call finds its interval arithmetically.  Calls outside the domain
-    [lo, hi] clamp to the edge values; build the cache wide enough to
-    cover every shifted evaluation.
+    from one tridiagonal solve at construction.
 
-    Without domain, [lo, hi] is the grid's span.  With domain = (lo, hi),
-    the grid holds an even spectrum at |delta| over the fold of [lo, hi]
-    (see from_pulse): a call clamps delta to [lo, hi], then evaluates the
-    spline at |delta|, so calls are exactly even; and a grid that starts
-    at 0 ends evenly there, with zero slope in place of the not-a-knot
-    condition.
+    p1 holds an even spectrum on np.linspace(a, b, len(p1)), the uniform
+    grid over the fold [a, b] of domain = (lo, hi) onto |delta| (see
+    from_pulse), so a call finds its interval arithmetically.  A call
+    clamps delta to [lo, hi], then evaluates the spline at |delta|: calls
+    are exactly even, and calls outside the domain take the edge values,
+    so build the cache wide enough to cover every shifted evaluation.  A
+    grid that starts at 0 ends evenly there, with zero slope in place of
+    the not-a-knot condition.
 
-    from_pulse integrates the pulse only where the spline needs it: a
-    64-interval seed grid, then all of the first level (see from_pulse),
-    where an interval's estimate is the larger |fourth difference| at its
-    nodes over 16, about 4.8 times the bound (5/384) h^4 max|f''''| (Hall
-    & Meyer, J. Approx. Theory 16, 105 (1976)).  Each doubling integrates
-    the midpoints _refined picks, whose halves get the estimate |coarse
-    spline - P1| / 16 as the error is O(h^4) (de Boor, A Practical Guide
-    to Splines, ch. IV), and fills the rest from the coarse spline, keeping
-    its estimate.  After at least one doubling, it stops once no estimate
-    exceeds _TOL, and sets integrated to the number of points integrated.
+    from_pulse integrates the pulse only where the spline needs it: all
+    of the first level (see from_pulse), where an interval's estimate is
+    the larger |fourth difference| at its nodes over 16, about 4.8 times
+    the bound (5/384) h^4 max|f''''| (Hall & Meyer, J. Approx. Theory 16,
+    105 (1976)).  Each doubling integrates the midpoints _refined picks,
+    whose halves get the estimate |coarse spline - P1| / 16 as the error
+    is O(h^4) (de Boor, A Practical Guide to Splines, ch. IV), and fills
+    the rest from the coarse spline, keeping its estimate.  After at least
+    one doubling, it stops once no estimate exceeds _TOL, and sets
+    integrated to the number of points integrated.
     """
 
-    def __init__(self, deltas, p1, domain=None):
-        deltas = np.asarray(deltas, dtype=float)
+    def __init__(self, p1, domain):
         p1 = np.asarray(p1, dtype=float)
-        if deltas.ndim != 1 or len(deltas) < 4:
+        if p1.ndim != 1 or len(p1) < 4:
             raise ValueError("need at least 4 grid points")
-        if p1.shape != deltas.shape:
-            raise ValueError("need one p1 value per grid point")
-        steps = np.diff(deltas)
-        if np.any(steps <= 0):
-            raise ValueError("grid must increase strictly")
-        h = (deltas[-1] - deltas[0]) / (len(deltas) - 1)
-        if np.any(np.abs(steps - h) > _UNIFORM_TOL * h):
-            raise ValueError("grid must be uniform")
-        self._folded = domain is not None
-        if self._folded:
-            if not domain[1] > domain[0] or _fold(*domain) != (deltas[0], deltas[-1]):
-                raise ValueError("a folded grid must span the fold of its domain")
-            self.lo, self.hi = float(domain[0]), float(domain[1])
-        else:
-            self.lo, self.hi = float(deltas[0]), float(deltas[-1])
-        self.deltas = deltas
+        if not domain[1] > domain[0]:
+            raise ValueError("need domain[1] > domain[0]")
+        self.lo, self.hi = float(domain[0]), float(domain[1])
+        a, b = _fold(self.lo, self.hi)
+        h = (b - a) / (len(p1) - 1)
+        self.deltas = np.linspace(a, b, len(p1))
         self.p1 = p1
         self._inv_h = 1.0 / h
-        self._coef = _spline_coefficients(p1, h, self._folded and deltas[0] == 0.0)
+        self._coef = _spline_coefficients(p1, h, a == 0.0)
 
     @classmethod
     def from_pulse(cls, pulse, delta_lo: float, delta_hi: float) -> "SpectrumCache":
@@ -308,19 +292,21 @@ class SpectrumCache:
         symmetric, so the mirrored propagator is the transpose, and
         |<1|U|0>|^2 is the same at delta and -delta.
 
-        The first level takes the smallest multiple of 64 intervals of the
-        folded span whose step is at most 3/4 of the pulse's Fourier width
-        (1/t_p in Hz), whatever the requested span.  A 40 ms line pulse's
-        1/t_p sidelobes, sampled at 0.5 to 0.89 of a width as the requested
-        span's power of two fell, left errors of 2e-5 or spent the budget;
-        at this rule's 0.61 to 0.75 of a width the same spans met 1.1e-6.
-        A folded span that starts at 0 ends evenly there: the spline has
-        zero slope at 0, the first level's fourth differences there take
-        the reflected values p1[2] and p1[1], and the intervals at 0 are
-        refined only where their estimates ask, as inside.
+        The first level, integrated in one call, takes the smallest
+        multiple of _GRAIN intervals of the folded span whose step is at
+        most 3/4 of the pulse's Fourier width (1/t_p in Hz), whatever the
+        requested span.  A 40 ms line pulse's 1/t_p sidelobes, sampled at
+        0.5 to 0.89 of a width as the requested span's power of two fell,
+        left errors of 2e-5 or spent the budget; at this rule's 0.61 to
+        0.75 of a width the same spans met 1.1e-6.  A folded span that
+        starts at 0 ends evenly there: the spline has zero slope at 0, the
+        first level's fourth differences there take the reflected values
+        p1[2] and p1[1], and the intervals at 0 are refined only where
+        their estimates ask, as inside.
 
-        Raises IntegrationError when the next grid would exceed
-        _MAX_CACHE_POINTS.
+        Raises IntegrationError when the first level would exceed
+        _MAX_CACHE_POINTS, before anything is integrated, or when the next
+        doubling would.
         """
         from .bloch import detuning_spectrum
 
@@ -328,23 +314,27 @@ class SpectrumCache:
             raise ValueError("need delta_hi > delta_lo")
         a, b = _fold(delta_lo, delta_hi)
         even = a == 0.0
-        seed = np.linspace(a, b, _SEED_INTERVALS + 1)
-        seed_p1 = detuning_spectrum(pulse, seed)
         # 3/4 of the pulse's Fourier width, 2 pi / t_p in rad/s
         step = 1.5 * math.pi / pulse.duration
-        n = _SEED_INTERVALS * math.ceil(min((b - a) / step, _MAX_CACHE_POINTS) / _SEED_INTERVALS)
-        _check_budget(n, math.inf)
-        p1 = np.linspace(a, b, n + 1)
-        new = np.arange(n + 1) % (n // _SEED_INTERVALS) != 0
-        p1[new] = detuning_spectrum(pulse, p1[new])
-        p1[~new] = seed_p1
+        n = _GRAIN * float(np.ceil((b - a) / step / _GRAIN))
+        if n + 1 > _MAX_CACHE_POINTS:
+            raise IntegrationError(
+                f"spectrum cache first level needs {n + 1:.6g} points, more than "
+                f"the budget of {_MAX_CACHE_POINTS}"
+            )
+        n = int(n)
+        p1 = detuning_spectrum(pulse, np.linspace(a, b, n + 1))
         integrated = n + 1
         head = p1[2:0:-1] if even else p1[:0]
         fourth = np.abs(np.convolve(np.concatenate([head, p1]), [1, -4, 6, -4, 1], "valid"))
         fourth = np.pad(fourth, (2 - head.size, 2), mode="edge")
         estimate = np.maximum(fourth[:-1], fourth[1:]) / 16.0
         while True:
-            _check_budget(2 * n, float(np.max(estimate)))
+            if 2 * n + 1 > _MAX_CACHE_POINTS:
+                raise IntegrationError(
+                    f"spectrum cache budget of {_MAX_CACHE_POINTS} points reached "
+                    f"with spline error estimate {float(np.max(estimate)):.2e} > {_TOL:.2e}"
+                )
             fine = np.linspace(a, b, 2 * n + 1)
             c3, c2, c1, c0 = _spline_coefficients(p1, (b - a) / n, even)
             x = 0.5 * (b - a) / n
@@ -358,7 +348,7 @@ class SpectrumCache:
             n, p1 = 2 * n, fine
             if np.max(estimate) <= _TOL:
                 break
-        cache = cls(np.linspace(a, b, n + 1), p1, (delta_lo, delta_hi))
+        cache = cls(p1, (delta_lo, delta_hi))
         cache.integrated = integrated
         return cache
 
@@ -374,9 +364,7 @@ class SpectrumCache:
         return cls.from_pulse(pulse, lo, hi)
 
     def __call__(self, delta_c):
-        x = np.clip(delta_c, self.lo, self.hi)
-        if self._folded:
-            x = np.abs(x)
+        x = np.abs(np.clip(delta_c, self.lo, self.hi))
         i = np.clip(((x - self.deltas[0]) * self._inv_h).astype(np.intp), 0,
                     len(self.deltas) - 2)
         dx = x - self.deltas[i]
@@ -406,14 +394,6 @@ def _refined(estimate: np.ndarray, even: bool) -> np.ndarray:
         reach = _MARGIN + int(math.log(estimate[k] / _TOL) / math.log(2.0 + math.sqrt(3.0)))
         run[max(k - reach, 0):k + reach + 1] = True
     return run
-
-
-def _check_budget(intervals: int, estimate: float) -> None:
-    if intervals + 1 > _MAX_CACHE_POINTS:
-        raise IntegrationError(
-            f"spectrum cache budget of {_MAX_CACHE_POINTS} points reached "
-            f"with spline error estimate {estimate:.2e} > {_TOL:.2e}"
-        )
 
 
 def _spline_coefficients(y: np.ndarray, h: float, even: bool):

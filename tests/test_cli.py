@@ -244,9 +244,13 @@ def test_non_finite_pulse_parameter_is_config_error(tmp_path, field, value):
     assert main(["spectrum", "--config", str(path)]) == 2
 
 
+FIRST_LEVEL_BUDGET = r"spectrum cache first level needs [\d.e+]+ points, more than the budget of 65537"
+
+
 def test_step_budget_stops_overlong_pulse(tmp_path, capsys):
-    # a 1e6 s passage needs ~1e11 rotation steps; the budget check runs on
-    # a 64-point torque estimate, before anything large is allocated
+    # a 1e6 s passage: the cache's first level, 3/4 of a 1 uHz Fourier
+    # width apart on [0, 11] kHz, would need 1.5e10 points, so the cache's
+    # budget stops it before any Bloch work
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": [0.0]},
         "pulse": {**PULSE, "t_p_ms": 1e9},
@@ -257,7 +261,41 @@ def test_step_budget_stops_overlong_pulse(tmp_path, capsys):
     t0 = time.perf_counter()
     assert main(["spectrum", "--config", str(path)]) == 3
     assert time.perf_counter() - t0 < 1.0
-    assert "step budget" in capsys.readouterr().err
+    assert re.search(FIRST_LEVEL_BUDGET, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("pulse, values_khz, message", [
+    # a 300 ms pulse on the fold [0, 211] kHz, 3/4 of a 3.3 Hz width
+    # apart: a first level of 84417 points, over the cache's budget
+    ({"t_p_ms": 300.0}, [-200.0, 0.0, 200.0], FIRST_LEVEL_BUDGET),
+    # on the fold [0, 41] kHz: 16449 points, whose first passes would take
+    # 2^30 steps, over the Bloch work budget
+    ({"t_p_ms": 300.0}, [-30.0, -10.0, 0.0, 10.0, 30.0], "work budget exceeded"),
+    # a 1e9 kHz sweep over 2 ms needs ~6e9 rotation steps, over the Bloch
+    # step budget, which runs on a 64-point torque estimate
+    ({"delta_max_khz": 1e9}, [-30.0, -10.0, 0.0, 10.0, 30.0], "step budget exceeded"),
+], ids=["first-level", "work", "step"])
+def test_doomed_spectrum_fails_before_any_pass(tmp_path, capsys, monkeypatch, pulse,
+                                               values_khz, message):
+    # the cache's first level is refused whole, by the cache's budget or by
+    # a Bloch budget, before any rotation pass
+    import apsim.bloch
+
+    def no_pass(*args):
+        raise AssertionError("a rotation pass ran")
+
+    monkeypatch.setattr(apsim.bloch, "_rotation_pass", no_pass)
+    cfg = {
+        "scan": {"kind": "spectrum", "values_khz": values_khz},
+        "pulse": {**PULSE, **pulse},
+        "thermal": THERMAL,
+    }
+    path = tmp_path / "doomed.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--config", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_member_step_budget_stops_a_large_ensemble(tmp_path, capsys):
@@ -335,7 +373,8 @@ def test_one_point_scan_with_shift_lost_in_roundoff(tmp_path, capsys, values_khz
                                                     thermal, code):
     # the shift window has mass, but scan_lo + delta_ls_max == scan_lo: the
     # cache still gets a non-empty domain around the one point, and a point
-    # too far off resonance for the step budget ends in its numeric error
+    # so far off resonance that the domain around it is 4.5e279 rad/s wide
+    # ends in the cache's first-level budget
     cfg = {
         "scan": {"kind": "spectrum", "values_khz": values_khz},
         "pulse": PULSE,
@@ -345,7 +384,7 @@ def test_one_point_scan_with_shift_lost_in_roundoff(tmp_path, capsys, values_khz
     path.write_text(json.dumps(cfg))
     assert main(["spectrum", "--config", str(path)]) == code
     if code:
-        assert "step budget" in capsys.readouterr().err
+        assert re.search(FIRST_LEVEL_BUDGET, capsys.readouterr().err)
         return
     (p1,) = ScanResult.from_csv_text(capsys.readouterr().out).p1
     assert np.isfinite(p1) and 0.0 <= p1 <= 1.0
