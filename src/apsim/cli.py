@@ -31,7 +31,7 @@ from .presets import preset_config, preset_names
 from .pulses import adiabaticity
 from .scan import ScanResult
 from .thermal import broadened_spectrum
-from .transport import transport_curve
+from .transport import TransportScan, transport_curve
 from .units import rad_per_s_to_khz
 
 __all__ = ["main", "run_scan"]
@@ -129,6 +129,8 @@ def _cmd_scan(opts: dict, kind: str) -> int:
     t0 = time.perf_counter()
     result = run_scan(cfg)
     _say("INFO", f"scan finished in {time.perf_counter() - t0:.1f} s")
+    if isinstance(result, TransportScan):
+        _say("INFO", result.interpolant_summary())
     _emit_scan(result, out)
     return 0
 

@@ -17,11 +17,24 @@ which lets one stacked integration evolve the whole ensemble.  The speeds
 of a curve stack too: in normalised time s = t / tau the chirp is
 2 d grad s^2 on the first half, mirrored on the second, whatever tau, so
 a move of duration tau is the slowest move of the curve with its whole
-torque scaled by tau / tau_max.  Every (speed, member) pair of a curve
-then runs in one integration, each pair at its speed's time scale.  The
-drive's switch-on and switch-off are taken as ideal and adiabatic: each
-member starts in its dressed ground state and is read out by its
-projection onto the final dressed state.
+torque scaled by tau / tau_max, and the speeds of a curve run in one
+integration, each at its time scale.  The drive's switch-on and
+switch-off are taken as ideal and adiabatic: each member starts in its
+dressed ground state and is read out by its projection onto the final
+dressed state.
+
+At one speed the transfer is a smooth function of the initial detuning,
+so a member need not be integrated on its own.  Each speed integrates 9
+Chebyshev-Lobatto (Clenshaw-Curtis) nodes spanning the members'
+detunings, and evaluates every member on the barycentric interpolant of
+the 9 and on that of the nested 5 (Berrut & Trefethen, SIAM Review 46,
+501 (2004)).  Where the two differ by at most 1e-6 on every member, the
+members take the 9-node values; the members of the other speeds are
+integrated, all of them in one more integration.  The estimate follows
+the members' error without bounding it: the transfer carries a small
+part that oscillates across the spread, which neither interpolant
+resolves, and on the preset's seeds 0-4 members missed by up to 2.8
+times the estimate (1.03e-7 at most), their means by at most 0.35 times.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ __all__ = [
     "TransportPlan",
     "interaction_width",
     "transport_transfer",
+    "TransportScan",
     "transport_curve",
     "landau_zener_oracle",
 ]
@@ -49,6 +63,12 @@ __all__ = [
 # work budget of a transport scan: the most ensemble members it may draw,
 # and the most (speed, member) pairs one Bloch call of a curve stacks
 _MAX_ENSEMBLE = 2**16
+# Chebyshev-Lobatto nodes of each speed's interpolant over the spread; the
+# nested half of them estimates its error
+_NODES = 9
+# the largest estimate with which a speed reads its members off the
+# interpolant; the package's quadrature tolerance
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -244,16 +264,10 @@ def _draw_delta_r(plan: TransportPlan, rng_seed: int):
     return plan.delta_0 + plan.spread * (u - 0.5)
 
 
-def transport_transfer(plan: TransportPlan, draws: np.ndarray,
-                       taus) -> tuple[np.ndarray, np.ndarray]:
-    """Mean transfer probability over the members with initial detunings
-    draws (rad/s, one per member), and its standard error, at each
-    transport duration in taus (s); transport_curve draws the members once
-    for all its durations.  Each member starts in its dressed ground state
-    and is read out by its projection onto the final dressed state (ideal
-    adiabatic switch-on and switch-off).
+def _transfer(plan: TransportPlan, offsets: np.ndarray, plans) -> np.ndarray:
+    """Transfer of the members with initial detunings offsets (rad/s) at
+    the duration of each of plans, (len(plans), offsets.size).
 
-    Every duration passes TransportPlan's checks before any member runs.
     In s = t / tau the chirp is 2 d grad s^2 at every speed, so member j at
     duration tau_k is member j of the slowest move of its call with its
     whole torque scaled by tau_k / tau_max (evolve_offsets's time scales).
@@ -263,13 +277,12 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray,
     one full ensemble.  Durations of one call with the same scale run
     once and share its result.
     """
-    plans = [replace(plan, tau=float(tau)) for tau in taus]
-    n_ensemble = draws.size
+    n = offsets.size
     # omega_r > 0, so no norm is zero; math.hypot, since np.hypot differs
     # from it in the last bit and would move the outputs
-    norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
-    states0 = np.stack([plan.omega_r / norm, np.zeros(n_ensemble), draws / norm], axis=1)
-    per_call = max(1, _MAX_ENSEMBLE // n_ensemble)
+    norm = np.array([math.hypot(plan.omega_r, d) for d in offsets])
+    states0 = np.stack([plan.omega_r / norm, np.zeros(n), offsets / norm], axis=1)
+    per_call = max(1, _MAX_ENSEMBLE // n)
     p1 = []
     for i in range(0, len(plans), per_call):
         batch = plans[i : i + per_call]
@@ -277,21 +290,111 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray,
         # durations with one scale (equal, or rounding to the same ratio)
         # run once, so that every scale's work budget is that of one speed
         levels, inverse = np.unique([p.tau / ref.tau for p in batch], return_inverse=True)
-        final = evolve_offsets(TransportPulse(ref), np.tile(draws, levels.size),
+        final = evolve_offsets(TransportPulse(ref), np.tile(offsets, levels.size),
                                np.tile(states0, (levels.size, 1)),
-                               scales=np.repeat(levels, n_ensemble))
+                               scales=np.repeat(levels, n))
         # read out now, so that no call's final states outlive it
         ends = np.array([_sweep(p.tau, p) for p in batch])
-        p1.append(dressed_projection(final.reshape(levels.size, n_ensemble, 3)[inverse],
-                                     plan.omega_r, draws + ends[:, None]))
+        p1.append(dressed_projection(final.reshape(levels.size, n, 3)[inverse],
+                                     plan.omega_r, offsets + ends[:, None]))
         del final
-    p1 = np.concatenate(p1)
+    return np.concatenate(p1)
+
+
+def _interpolate(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomials through values (k, n) at the Chebyshev-Lobatto
+    points nodes (n,), in order along the interval, evaluated at x:
+    (k, x.size).  Barycentric form (Berrut & Trefethen, SIAM Review 46,
+    501 (2004)): the weights are (-1)^j, halved at the ends; a point of x
+    on a node takes that node's value."""
+    weights = (-1.0) ** np.arange(nodes.size)
+    weights[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        c = weights / diff
+    on_node = hit.any(axis=1)
+    c[on_node] = hit[on_node]
+    return values @ c.T / c.sum(axis=1)
+
+
+def _read_off(plan: TransportPlan, draws: np.ndarray, plans) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's transfer at the duration of each of plans, read off
+    the interpolant of _NODES Chebyshev-Lobatto nodes over [min(draws),
+    max(draws)], (len(plans), draws.size), and each duration's estimate:
+    the largest difference over the members between that interpolant and
+    the one of the nested half of the nodes.  All nodes run in one
+    _transfer."""
+    lo, hi = draws.min(), draws.max()
+    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0.0, np.pi, _NODES))
+    nodes[[0, -1]] = lo, hi
+    at_nodes = _transfer(plan, nodes, plans)
+    fine = _interpolate(nodes, at_nodes, draws)
+    coarse = _interpolate(nodes[::2], at_nodes[:, ::2], draws)
+    return fine, np.max(np.abs(fine - coarse), axis=1)
+
+
+def transport_transfer(plan: TransportPlan, draws: np.ndarray,
+                       taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean transfer probability over the members with initial detunings
+    draws (rad/s, one per member), its standard error, and the
+    interpolation error estimate, at each transport duration in taus (s);
+    transport_curve draws the members once for all its durations.  Each
+    member starts in its dressed ground state and is read out by its
+    projection onto the final dressed state (ideal adiabatic switch-on and
+    switch-off).
+
+    Every duration passes TransportPlan's checks before any member runs.
+    A duration whose estimate (_read_off) is at most _TOL takes its
+    members' values off the interpolant and returns the estimate; the
+    others integrate their members, all of them in one _transfer, and
+    return NaN.  With at most _NODES members, or draws that span no
+    interval, every duration integrates its members.
+    """
+    draws = np.asarray(draws, dtype=float)
+    if draws.size == 0:
+        raise ValueError("draws must hold at least one member detuning")
+    plans = [replace(plan, tau=float(tau)) for tau in taus]
+    if not plans:
+        raise ValueError("taus must hold at least one duration")
+    n_ensemble = draws.size
+    p1 = np.empty((len(plans), n_ensemble))
+    estimate = np.full(len(plans), np.nan)
+    direct = np.arange(len(plans))
+    if n_ensemble > _NODES and draws.min() < draws.max():
+        fine, err = _read_off(plan, draws, plans)
+        accept = err <= _TOL
+        p1[accept], estimate[accept] = fine[accept], err[accept]
+        direct = np.flatnonzero(~accept)
+    if direct.size:
+        p1[direct] = _transfer(plan, draws, [plans[k] for k in direct])
     if n_ensemble == 1:
-        return p1[:, 0], np.zeros(len(plans))
-    return np.mean(p1, axis=1), np.std(p1, axis=1, ddof=1) / math.sqrt(n_ensemble)
+        return p1[:, 0], np.zeros(len(plans)), estimate
+    return (np.mean(p1, axis=1), np.std(p1, axis=1, ddof=1) / math.sqrt(n_ensemble),
+            estimate)
 
 
-def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0) -> ScanResult:
+@dataclass(frozen=True)
+class TransportScan(ScanResult):
+    """A transport curve, and at each speed the estimate of the
+    interpolant its members were read off, NaN where they were integrated
+    (transport_transfer)."""
+
+    estimate: np.ndarray | None = None
+
+    def interpolant_summary(self) -> str:
+        """One line: the speeds read off the interpolant, its node count
+        and the largest accepted estimate."""
+        read = np.isfinite(self.estimate)
+        line = (f"{np.count_nonzero(read)} of {len(self)} speeds read their members off a "
+                f"{_NODES}-node interpolant")
+        if not read.any():
+            return line
+        speeds = ", ".join(f"{v:.4g}" for v in self.abscissa[read])
+        return f"{line} ({speeds} /ms), largest accepted estimate {np.max(self.estimate[read]):.2e}"
+
+
+def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0) -> TransportScan:
     """Transfer versus transport speed 1/tau (ms^-1).
 
     Each point is the plan with its tau replaced by 1 / speed.  All points
@@ -304,8 +407,8 @@ def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0) -> S
         raise ConfigError("inv_tau grid must be non-empty")
     if np.any(grid <= 0):
         raise ConfigError("inv_tau values must be positive")
-    p1, stderr = transport_transfer(plan, _draw_delta_r(plan, rng_seed), 1e-3 / grid)
-    return ScanResult(grid, p1, stderr, TRANSPORT_UNIT)
+    p1, stderr, estimate = transport_transfer(plan, _draw_delta_r(plan, rng_seed), 1e-3 / grid)
+    return TransportScan(grid, p1, stderr, TRANSPORT_UNIT, estimate)
 
 
 def landau_zener_oracle(omega: float, sweep_rate: float) -> float:

@@ -298,20 +298,61 @@ def test_doomed_spectrum_fails_before_any_pass(tmp_path, capsys, monkeypatch, pu
     assert re.search(message, capsys.readouterr().err)
 
 
-def test_member_step_budget_stops_a_large_ensemble(tmp_path, capsys):
-    # 2^16 members of 4096 first steps each ran for about 42 s; the budget
-    # refuses them before any pass, after the draws (about 1.6 s)
+def _large_ensemble(tmp_path, inv_tau):
+    """A transport_speed config of 2^16 members at one speed."""
     raw = PRESETS["transport_speed"]()
-    raw["scan"]["inv_tau_per_ms"] = [0.2]
+    raw["scan"]["inv_tau_per_ms"] = [inv_tau]
     raw["transport"]["n_ensemble"] = 2**16
     path = tmp_path / "large.json"
     path.write_text(json.dumps(raw))
+    return path
+
+
+def test_large_ensemble_reads_its_members_off_the_interpolant(tmp_path, capsys):
+    # 2^16 members at 0.2 /ms would take 2^28 first steps, over the member-
+    # step budget; read off 9 nodes (estimate 2e-13) they finish in about
+    # 0.3 s, most of it the draws
+    path = _large_ensemble(tmp_path, 0.2)
+    t0 = time.perf_counter()
+    assert main(["transport", "--config", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    scan = ScanResult.from_csv_text(captured.out)
+    assert scan.p1[0] == pytest.approx(0.99999999999928, abs=1e-14)
+    assert "1 of 1 speeds read their members off a 9-node interpolant (0.2 /ms)" in captured.err
+
+
+def test_member_step_budget_stops_a_large_ensemble(tmp_path, capsys):
+    # at 2 /ms the 9-node estimate fails (about 9e-6), so the 2^16 members
+    # are integrated, and their 2^25 first steps are refused before any
+    # of their passes, after the draws and the nodes
+    path = _large_ensemble(tmp_path, 2.0)
     t0 = time.perf_counter()
     assert main(["transport", "--config", str(path)]) == 3
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert "work budget exceeded" in err
-    assert "268435456 steps" in err
+    assert "33554432 steps" in err
+
+
+def test_transport_reports_its_interpolant_on_stderr(tmp_path, capsys):
+    # which speeds read their members off the interpolant, its node count
+    # and the largest accepted estimate go to stderr; stdout and --out
+    # hold the CSV alone
+    from apsim.cli import run_scan
+    from apsim.presets import preset_config
+
+    assert main(["transport", "--preset", "transport_speed"]) == 0
+    captured = capsys.readouterr()
+    want = run_scan(preset_config("transport_speed", seed=0)).to_csv_text()
+    assert captured.out == want
+    line = ("INFO 5 of 12 speeds read their members off a 9-node interpolant "
+            "(0.05, 0.1, 0.2, 0.5, 1 /ms), largest accepted estimate 8.90e-08\n")
+    assert line in captured.err
+    out = tmp_path / "speed.csv"
+    assert main(["transport", "--preset", "transport_speed", "--out", str(out)]) == 0
+    assert out.read_text() == want
+    assert line in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta_th_khz", [1e-300, 1e-4])

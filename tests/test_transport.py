@@ -39,7 +39,7 @@ def transfer(plan, rng_seed, **fields):
     members drawn from rng_seed, of the plan with the given fields
     replaced."""
     plan = replace(plan, **fields)
-    p1, stderr = transport_transfer(plan, _draw_delta_r(plan, rng_seed), [plan.tau])
+    p1, stderr, _ = transport_transfer(plan, _draw_delta_r(plan, rng_seed), [plan.tau])
     return float(p1[0]), float(stderr[0])
 
 
@@ -396,6 +396,109 @@ def test_transport_curve_validation(plan):
         transport_curve(plan, [])
     with pytest.raises(ConfigError):
         transport_curve(plan, [0.0, 1.0])
+
+
+# ------------------------------------------------------------ interpolant over the spread
+
+def _speeds(plan, grid):
+    return [replace(plan, tau=1e-3 / inv_tau) for inv_tau in grid]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_interpolant_meets_the_tolerance_at_every_speed(seed):
+    # the audit: at all 12 preset speeds, a speed whose estimate is within
+    # the tolerance reads every member off the 9-node interpolant within
+    # 1e-6 of its direct integration.  The estimate measures the members'
+    # error, it does not bound it: the transfer carries a small part that
+    # oscillates across the spread, which neither interpolant resolves, so
+    # members miss by up to 2.8 estimates at seeds 0-4, while the mean and
+    # the standard error stay within 0.35 of one
+    cfg = preset_config("transport_speed", seed=seed)
+    plan, plans = cfg.transport, _speeds(cfg.transport, cfg.grid)
+    draws = _draw_delta_r(plan, seed)
+    fine, estimate = transport._read_off(plan, draws, plans)
+    direct = transport._transfer(plan, draws, plans)
+    accept = estimate <= transport._TOL
+    np.testing.assert_array_equal(cfg.grid[accept], [0.05, 0.1, 0.2, 0.5, 1.0])
+    assert np.all(np.abs(fine - direct)[accept] <= 1e-6)
+    for stat in (np.mean, lambda p: np.std(p, ddof=1) / math.sqrt(p.size)):
+        moved = [abs(stat(f) - stat(d)) for f, d in zip(fine[accept], direct[accept])]
+        assert np.all(moved <= estimate[accept])
+    # the curve takes the interpolated members where the estimate is
+    # accepted, the integrated ones elsewhere, and reports which
+    curve = transport_curve(plan, cfg.grid, seed)
+    np.testing.assert_array_equal(curve.estimate[accept], estimate[accept])
+    assert np.all(np.isnan(curve.estimate[~accept]))
+    np.testing.assert_array_equal(curve.p1[accept], fine.mean(axis=1)[accept])
+    np.testing.assert_allclose(curve.p1[~accept], direct.mean(axis=1)[~accept], rtol=0, atol=1e-13)
+
+
+def test_wide_spread_fails_the_estimate_and_takes_its_members(plan):
+    # over a 256 kHz spread the transfer at 1 /ms is too rough for 9 nodes
+    # (estimate 2.3e-5), so that speed integrates its members; 0.2 /ms
+    # still reads them off the interpolant
+    wide = replace(plan, spread=khz_to_rad_per_s(256.0))
+    draws = _draw_delta_r(wide, 0)
+    p1, stderr, estimate = transport_transfer(wide, draws, [5e-3, 1e-3])
+    assert np.isnan(estimate[1]) and estimate[0] <= transport._TOL
+    members = transport._transfer(wide, draws, [wide])[0]
+    assert p1[1] == np.mean(members)
+    assert stderr[1] == np.std(members, ddof=1) / math.sqrt(members.size)
+
+
+@pytest.mark.parametrize("n_ensemble, spread_khz", [(1, 32.0), (2, 32.0), (9, 32.0), (32, 0.0)])
+def test_small_or_pointlike_ensemble_integrates_its_members(plan, n_ensemble, spread_khz):
+    # at most 9 members, or members that all start at one detuning, take
+    # no interpolant: the output is that of evolve_offsets on the members,
+    # bit for bit
+    plan = replace(plan, n_ensemble=n_ensemble, spread=khz_to_rad_per_s(spread_khz))
+    draws = _draw_delta_r(plan, 2)
+    p1, stderr, estimate = transport_transfer(plan, draws, [plan.tau])
+    norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
+    starts = np.stack([plan.omega_r / norm, np.zeros(draws.size), draws / norm], axis=1)
+    final = evolve_offsets(TransportPulse(plan), draws, starts)
+    members = dressed_projection(final, plan.omega_r, draws + TransportPulse(plan).detuning(plan.tau))
+    assert np.isnan(estimate[0])
+    assert p1[0] == np.mean(members)
+    want = 0.0 if n_ensemble == 1 else np.std(members, ddof=1) / math.sqrt(n_ensemble)
+    assert stderr[0] == want
+
+
+@pytest.mark.parametrize("grid, calls, passes, member_steps", [
+    ([0.2, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0], [90, 224], 11, 419712),
+    (None, [108, 224], 13, 1083264),
+], ids=["bench", "preset"])
+def test_transport_work_ledger(monkeypatch, grid, calls, passes, member_steps):
+    # the evolve_offsets calls, rotation passes and member-steps of the
+    # seed-0 curves on the benchmark's grid and the full preset: the nodes
+    # of every speed in one call, the members of the speeds whose estimate
+    # fails in a second.  A change in the transport's work shows here
+    # exactly, whatever the host's speed.  Integrating every member took
+    # one call of 320 and 384 members, 864256 and 3223552 member-steps
+    cfg = preset_config("transport_speed", seed=0)
+    evolve, rotation_pass = transport.evolve_offsets, bloch._rotation_pass
+    sizes, steps = [], []
+
+    def calling(pulse, offsets, *args, **kwargs):
+        sizes.append(np.size(offsets))
+        return evolve(pulse, offsets, *args, **kwargs)
+
+    def stepping(pulse, offsets, states, n, *args):
+        steps.append(offsets.size * n)
+        return rotation_pass(pulse, offsets, states, n, *args)
+
+    monkeypatch.setattr(transport, "evolve_offsets", calling)
+    monkeypatch.setattr(bloch, "_rotation_pass", stepping)
+    transport_curve(cfg.transport, cfg.grid if grid is None else grid, cfg.seed)
+    assert (sizes, len(steps), sum(steps)) == (calls, passes, member_steps)
+
+
+def test_empty_draws_or_durations_are_refused(plan):
+    draws = _draw_delta_r(plan, 0)
+    with pytest.raises(ValueError, match="draws must hold at least one"):
+        transport_transfer(plan, np.array([]), [plan.tau])
+    with pytest.raises(ValueError, match="taus must hold at least one"):
+        transport_transfer(plan, draws, [])
 
 
 # ------------------------------------------------------------ analytic crossing
