@@ -492,6 +492,8 @@ def evolve_offsets(
             states = np.tile(states, (n, 1))
         if states.shape != (n, 3):
             raise ValueError(f"initial_states must have shape ({n}, 3)")
+        if not np.all(np.isfinite(states)):
+            raise ValueError("initial_states must be finite")
     if scales is None:
         scale = np.ones(n)
     else:

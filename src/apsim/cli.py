@@ -77,12 +77,12 @@ def run_scan(cfg: RunConfig) -> ScanResult:
 
 
 def _load_run_config(opts: dict) -> RunConfig:
-    seed = opts.get("seed")
     if "preset" in opts:
-        return preset_config(opts["preset"], seed=seed)
-    cfg = load_config(Path(opts["config"]))
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        cfg = preset_config(opts["preset"])
+    else:
+        cfg = load_config(Path(opts["config"]))
+    if "seed" in opts:
+        cfg = dataclasses.replace(cfg, seed=opts["seed"])
     return cfg
 
 

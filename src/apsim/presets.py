@@ -88,12 +88,10 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
-def preset_config(name: str, seed: int | None = None) -> RunConfig:
-    """Validated RunConfig for a named preset, optionally reseeded."""
+def preset_config(name: str) -> RunConfig:
+    """Validated RunConfig for a named preset."""
     try:
         raw = PRESETS[name]()
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; have {preset_names()}") from None
-    if seed is not None:
-        raw["seed"] = seed
     return load_config(raw)

@@ -16,12 +16,13 @@ members share the pulse shape and differ by a constant detuning offset,
 which lets one stacked integration evolve the whole ensemble.  The speeds
 of a curve stack too: in normalised time s = t / tau the chirp is
 2 d grad s^2 on the first half, mirrored on the second, whatever tau, so
-a move of duration tau is the slowest move of the curve with its whole
-torque scaled by tau / tau_max, and the speeds of a curve run in one
-integration, each at its time scale.  The drive's switch-on and
-switch-off are taken as ideal and adiabatic: each member starts in its
-dressed ground state and is read out by its projection onto the final
-dressed state.
+a move of duration tau is the plan's own move, of duration plan.tau, with
+its whole torque scaled by tau / plan.tau, and ends at the same detuning
+d grad.  A curve's durations are time scales of that one move, and its
+speeds run in one integration, each at its time scale.  The drive's
+switch-on and switch-off are taken as ideal and adiabatic: each member
+starts in its dressed ground state and is read out by its projection onto
+the final dressed state.
 
 At one speed the transfer is a smooth function of the initial detuning,
 so a member need not be integrated on its own.  Each speed integrates 9
@@ -81,8 +82,8 @@ class TransportPlan:
     spread       : full width of the initial-detuning spread in rad/s, over
                    which the members' detunings are uniform
     grad         : transition-frequency gradient in rad/s per um
-    tau          : transport duration in s; transport_curve takes one per
-                   speed instead
+    tau          : duration in s of the plan's own move, the unit a curve's
+                   durations are scaled to (transport_transfer)
     n_ensemble   : number of members, 1..2^16 (drawing all 2^16 takes about
                    12 ms)
     """
@@ -264,41 +265,33 @@ def _draw_delta_r(plan: TransportPlan, rng_seed: int):
     return plan.delta_0 + plan.spread * (u - 0.5)
 
 
-def _transfer(plan: TransportPlan, offsets: np.ndarray, plans) -> np.ndarray:
+def _transfer(plan: TransportPlan, offsets: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Transfer of the members with initial detunings offsets (rad/s) at
-    the duration of each of plans, (len(plans), offsets.size).
+    each of the durations taus (s), (taus.size, offsets.size).
 
-    In s = t / tau the chirp is 2 d grad s^2 at every speed, so member j at
-    duration tau_k is member j of the slowest move of its call with its
-    whole torque scaled by tau_k / tau_max (evolve_offsets's time scales).
-    All (duration, member) pairs run in one evolve_offsets call, or, past
-    _MAX_ENSEMBLE pairs, in calls of whole durations of at most that many
-    pairs each (or one duration), so that a call's memory stays that of
-    one full ensemble.  Durations of one call with the same scale run
-    once and share its result.
+    Duration tau runs as the time scale tau / plan.tau of the plan's own
+    move (evolve_offsets's time scales), and every member ends at its
+    total sweep d grad.  Each distinct scale runs once.  All (scale,
+    member) pairs run in one evolve_offsets call, or, past _MAX_ENSEMBLE
+    pairs, in calls of whole scales of at most that many pairs each (or
+    one scale), so that a call's memory stays that of one full ensemble.
     """
     n = offsets.size
-    # omega_r > 0, so no norm is zero; math.hypot, since np.hypot differs
-    # from it in the last bit and would move the outputs
-    norm = np.array([math.hypot(plan.omega_r, d) for d in offsets])
+    # omega_r > 0, so no norm is zero
+    norm = np.hypot(plan.omega_r, offsets)
     states0 = np.stack([plan.omega_r / norm, np.zeros(n), offsets / norm], axis=1)
+    levels, inverse = np.unique(taus / plan.tau, return_inverse=True)
+    ends = offsets + _sweep(plan.tau, plan)
     per_call = max(1, _MAX_ENSEMBLE // n)
     p1 = []
-    for i in range(0, len(plans), per_call):
-        batch = plans[i : i + per_call]
-        ref = max(batch, key=lambda p: p.tau)
-        # durations with one scale (equal, or rounding to the same ratio)
-        # run once, so that every scale's work budget is that of one speed
-        levels, inverse = np.unique([p.tau / ref.tau for p in batch], return_inverse=True)
-        final = evolve_offsets(TransportPulse(ref), np.tile(offsets, levels.size),
-                               np.tile(states0, (levels.size, 1)),
-                               scales=np.repeat(levels, n))
+    for i in range(0, levels.size, per_call):
+        batch = levels[i : i + per_call]
+        final = evolve_offsets(TransportPulse(plan), np.tile(offsets, batch.size),
+                               np.tile(states0, (batch.size, 1)), scales=np.repeat(batch, n))
         # read out now, so that no call's final states outlive it
-        ends = np.array([_sweep(p.tau, p) for p in batch])
-        p1.append(dressed_projection(final.reshape(levels.size, n, 3)[inverse],
-                                     plan.omega_r, offsets + ends[:, None]))
+        p1.append(dressed_projection(final.reshape(batch.size, n, 3), plan.omega_r, ends))
         del final
-    return np.concatenate(p1)
+    return np.concatenate(p1)[inverse]
 
 
 def _interpolate(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -318,17 +311,18 @@ def _interpolate(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.nda
     return values @ c.T / c.sum(axis=1)
 
 
-def _read_off(plan: TransportPlan, draws: np.ndarray, plans) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's transfer at the duration of each of plans, read off
+def _read_off(plan: TransportPlan, draws: np.ndarray,
+              taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's transfer at each of the durations taus (s), read off
     the interpolant of _NODES Chebyshev-Lobatto nodes over [min(draws),
-    max(draws)], (len(plans), draws.size), and each duration's estimate:
+    max(draws)], (taus.size, draws.size), and each duration's estimate:
     the largest difference over the members between that interpolant and
     the one of the nested half of the nodes.  All nodes run in one
     _transfer."""
     lo, hi = draws.min(), draws.max()
     nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0.0, np.pi, _NODES))
     nodes[[0, -1]] = lo, hi
-    at_nodes = _transfer(plan, nodes, plans)
+    at_nodes = _transfer(plan, nodes, taus)
     fine = _interpolate(nodes, at_nodes, draws)
     coarse = _interpolate(nodes[::2], at_nodes[:, ::2], draws)
     return fine, np.max(np.abs(fine - coarse), axis=1)
@@ -340,9 +334,10 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray,
     draws (rad/s, one per member), its standard error, and the
     interpolation error estimate, at each transport duration in taus (s);
     transport_curve draws the members once for all its durations.  Each
-    member starts in its dressed ground state and is read out by its
-    projection onto the final dressed state (ideal adiabatic switch-on and
-    switch-off).
+    duration runs as a time scale of the plan's own move, so plan.tau is
+    only the unit the durations are scaled to.  Each member starts in its
+    dressed ground state and is read out by its projection onto the final
+    dressed state (ideal adiabatic switch-on and switch-off).
 
     Every duration passes TransportPlan's checks before any member runs.
     A duration whose estimate (_read_off) is at most _TOL takes its
@@ -354,22 +349,26 @@ def transport_transfer(plan: TransportPlan, draws: np.ndarray,
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise ValueError("draws must hold at least one member detuning")
-    plans = [replace(plan, tau=float(tau)) for tau in taus]
-    if not plans:
+    if not np.all(np.isfinite(draws)):
+        raise ValueError("draws must be finite member detunings in rad/s")
+    taus = np.asarray(taus, dtype=float)
+    if taus.size == 0:
         raise ValueError("taus must hold at least one duration")
+    for tau in taus:
+        replace(plan, tau=tau)  # each duration passes the plan's checks
     n_ensemble = draws.size
-    p1 = np.empty((len(plans), n_ensemble))
-    estimate = np.full(len(plans), np.nan)
-    direct = np.arange(len(plans))
+    p1 = np.empty((taus.size, n_ensemble))
+    estimate = np.full(taus.size, np.nan)
+    direct = np.arange(taus.size)
     if n_ensemble > _NODES and draws.min() < draws.max():
-        fine, err = _read_off(plan, draws, plans)
+        fine, err = _read_off(plan, draws, taus)
         accept = err <= _TOL
         p1[accept], estimate[accept] = fine[accept], err[accept]
         direct = np.flatnonzero(~accept)
     if direct.size:
-        p1[direct] = _transfer(plan, draws, [plans[k] for k in direct])
+        p1[direct] = _transfer(plan, draws, taus[direct])
     if n_ensemble == 1:
-        return p1[:, 0], np.zeros(len(plans)), estimate
+        return p1[:, 0], np.zeros(taus.size), estimate
     return (np.mean(p1, axis=1), np.std(p1, axis=1, ddof=1) / math.sqrt(n_ensemble),
             estimate)
 
@@ -397,7 +396,7 @@ class TransportScan(ScanResult):
 def transport_curve(plan: TransportPlan, inv_tau_per_ms, rng_seed: int = 0) -> TransportScan:
     """Transfer versus transport speed 1/tau (ms^-1).
 
-    Each point is the plan with its tau replaced by 1 / speed.  All points
+    Each point is the plan's move run at duration 1 / speed.  All points
     share the plan's n_ensemble member detunings, drawn once from
     rng_seed, so the curve varies only through the dynamics, and all run
     together in one transport_transfer call.

@@ -251,7 +251,7 @@ def test_criterion_09_interaction_width_value():
 def test_criterion_10_preset_determinism(transport_scan):
     mismatched = []
     for name in preset_names():
-        cfg = preset_config(name, seed=0)
+        cfg = preset_config(name)
         first = (
             transport_scan[0] if name == "transport_speed" else run_scan(cfg)
         )

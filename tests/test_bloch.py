@@ -145,11 +145,16 @@ def test_offsets_custom_initial_states(ref_pulse):
     np.testing.assert_allclose(out[0], single, atol=1e-9)
 
 
-def test_offsets_validation(ref_pulse):
+def test_offsets_validation(ref_pulse, monkeypatch):
     with pytest.raises(ValueError):
         evolve_offsets(ref_pulse, [np.inf])
     with pytest.raises(ValueError):
         evolve_offsets(ref_pulse, [0.0, 1.0], initial_states=np.zeros((3, 3)))
+    # a non-finite start is refused before any pass runs
+    monkeypatch.setattr(bloch, "_rotation_pass", lambda *args: pytest.fail("ran"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="initial_states must be finite"):
+            evolve_offsets(ref_pulse, [0.0], initial_states=[bad, 0.0, 0.0])
 
 
 def test_spectrum_symmetric_for_centered_sweep(ref_pulse):

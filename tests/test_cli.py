@@ -344,7 +344,7 @@ def test_transport_reports_its_interpolant_on_stderr(tmp_path, capsys):
 
     assert main(["transport", "--preset", "transport_speed"]) == 0
     captured = capsys.readouterr()
-    want = run_scan(preset_config("transport_speed", seed=0)).to_csv_text()
+    want = run_scan(preset_config("transport_speed")).to_csv_text()
     assert captured.out == want
     line = ("INFO 5 of 12 speeds read their members off a 9-node interpolant "
             "(0.05, 0.1, 0.2, 0.5, 1 /ms), largest accepted estimate 8.90e-08\n")

@@ -390,7 +390,7 @@ def test_cache_work_ledger(ref_pulse, ref_cache, ref_thermal, monkeypatch, case,
     monkeypatch.setattr(apsim.bloch, "evolve_offsets", calling)
     monkeypatch.setattr(apsim.bloch, "_rotation_pass", stepping)
     if isinstance(case, str):
-        run_scan(preset_config(case, seed=0))
+        run_scan(preset_config(case))
     else:
         grid = np.arange(-65.0, 65.5, 1.0)
         clean = convolve_on_grid(ref_cache, khz_to_rad_per_s(grid), ref_thermal)

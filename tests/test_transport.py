@@ -400,10 +400,6 @@ def test_transport_curve_validation(plan):
 
 # ------------------------------------------------------------ interpolant over the spread
 
-def _speeds(plan, grid):
-    return [replace(plan, tau=1e-3 / inv_tau) for inv_tau in grid]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_interpolant_meets_the_tolerance_at_every_speed(seed):
     # the audit: at all 12 preset speeds, a speed whose estimate is within
@@ -413,11 +409,11 @@ def test_interpolant_meets_the_tolerance_at_every_speed(seed):
     # oscillates across the spread, which neither interpolant resolves, so
     # members miss by up to 2.8 estimates at seeds 0-4, while the mean and
     # the standard error stay within 0.35 of one
-    cfg = preset_config("transport_speed", seed=seed)
-    plan, plans = cfg.transport, _speeds(cfg.transport, cfg.grid)
+    cfg = preset_config("transport_speed")
+    plan, taus = cfg.transport, 1e-3 / cfg.grid
     draws = _draw_delta_r(plan, seed)
-    fine, estimate = transport._read_off(plan, draws, plans)
-    direct = transport._transfer(plan, draws, plans)
+    fine, estimate = transport._read_off(plan, draws, taus)
+    direct = transport._transfer(plan, draws, taus)
     accept = estimate <= transport._TOL
     np.testing.assert_array_equal(cfg.grid[accept], [0.05, 0.1, 0.2, 0.5, 1.0])
     assert np.all(np.abs(fine - direct)[accept] <= 1e-6)
@@ -441,7 +437,7 @@ def test_wide_spread_fails_the_estimate_and_takes_its_members(plan):
     draws = _draw_delta_r(wide, 0)
     p1, stderr, estimate = transport_transfer(wide, draws, [5e-3, 1e-3])
     assert np.isnan(estimate[1]) and estimate[0] <= transport._TOL
-    members = transport._transfer(wide, draws, [wide])[0]
+    members = transport._transfer(wide, draws, np.array([wide.tau]))[0]
     assert p1[1] == np.mean(members)
     assert stderr[1] == np.std(members, ddof=1) / math.sqrt(members.size)
 
@@ -475,7 +471,7 @@ def test_transport_work_ledger(monkeypatch, grid, calls, passes, member_steps):
     # fails in a second.  A change in the transport's work shows here
     # exactly, whatever the host's speed.  Integrating every member took
     # one call of 320 and 384 members, 864256 and 3223552 member-steps
-    cfg = preset_config("transport_speed", seed=0)
+    cfg = preset_config("transport_speed")
     evolve, rotation_pass = transport.evolve_offsets, bloch._rotation_pass
     sizes, steps = [], []
 
@@ -493,12 +489,41 @@ def test_transport_work_ledger(monkeypatch, grid, calls, passes, member_steps):
     assert (sizes, len(steps), sum(steps)) == (calls, passes, member_steps)
 
 
+def test_plan_tau_is_only_the_unit_of_the_durations(monkeypatch):
+    # a curve's durations run as time scales of the plan's own move, so the
+    # plan's tau moves the scales, not the moves: the preset's seed-0 speeds
+    # give the same transfer, stderr and estimate to rounding, and take the
+    # same member-steps, whatever tau the plan carries
+    cfg = preset_config("transport_speed")
+    draws, taus = _draw_delta_r(cfg.transport, cfg.seed), 1e-3 / cfg.grid
+    rotation_pass, steps = bloch._rotation_pass, []
+
+    def stepping(pulse, offsets, states, n, *args):
+        steps.append(offsets.size * n)
+        return rotation_pass(pulse, offsets, states, n, *args)
+
+    monkeypatch.setattr(bloch, "_rotation_pass", stepping)
+    runs = []
+    for tau in (1e-3, 1e-4, 2e-2):
+        steps.clear()
+        runs.append((transport_transfer(replace(cfg.transport, tau=tau), draws, taus), sum(steps)))
+    (want, want_steps), *others = runs
+    for got, got_steps in others:
+        assert got_steps == want_steps == 1083264
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
 def test_empty_draws_or_durations_are_refused(plan):
     draws = _draw_delta_r(plan, 0)
     with pytest.raises(ValueError, match="draws must hold at least one"):
         transport_transfer(plan, np.array([]), [plan.tau])
     with pytest.raises(ValueError, match="taus must hold at least one"):
         transport_transfer(plan, draws, [])
+    # a non-finite draw is refused before the nodes or the starts are built
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="draws must be finite"):
+            transport_transfer(plan, np.r_[draws, bad], [plan.tau])
 
 
 # ------------------------------------------------------------ analytic crossing
@@ -507,7 +532,7 @@ def test_seeded_mean_matches_quadrature_over_the_spread():
     # the 32 seeded members estimate the mean over a uniform spread; eight
     # Gauss-Legendre nodes give it to about 1e-7.  The 1e-6 slack covers
     # the slow speeds, whose standard errors are 1e-16 to 1e-12
-    cfg = preset_config("transport_speed", seed=0)
+    cfg = preset_config("transport_speed")
     curve = transport_curve(cfg.transport, cfg.grid, cfg.seed)
     exact = gauss_legendre_transport_mean(cfg.transport, 1e-3 / cfg.grid)
     assert len(curve) == 12
