@@ -7,8 +7,8 @@ shape: a constant drive may return its constant.  Nothing clamps or
 checks t; the callers sample inside the pulse.  The one kind a config
 can build, ``APPulse``, also has ``rabi_dot(t)`` and ``detuning_dot(t)``
 (rad/s^2) under the same contract, for ``adiabaticity``, which checks
-the range of t.  The transport drive (``transport.TransportPulse``) is
-the other program the package runs.
+the range of t.  A transport move (``transport.TransportPlan``) is the
+other program the package runs.
 
 ``APPulse`` is the swept passage pulse
 

@@ -226,9 +226,11 @@ def broadened_spectrum(pulse, m: ThermalModel, delta_c_values):
     bare spectrum into a SpectrumCache that covers the grid plus the shift
     support, with a spline error of at most _TOL, then convolves.  When the
     shift window carries no mass (delta_ls_max = 0) the result is zero and
-    no cache is built.
+    no cache is built.  An empty or non-finite grid is refused first.
     """
     deltas = np.asarray(delta_c_values, dtype=float)
+    if deltas.size == 0 or not np.all(np.isfinite(deltas)):
+        raise ValueError("delta_c_values must be a non-empty grid of finite detunings in rad/s")
     if truncated_mass(m) == 0.0:
         return np.zeros_like(deltas)
     cache = SpectrumCache.for_scan(pulse, float(np.min(deltas)), float(np.max(deltas)), m)

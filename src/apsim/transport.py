@@ -19,10 +19,11 @@ of a curve stack too: in normalised time s = t / tau the chirp is
 a move of duration tau is the plan's own move, of duration plan.tau, with
 its whole torque scaled by tau / plan.tau, and ends at the same detuning
 d grad.  A curve's durations are time scales of that one move, and its
-speeds run in one integration, each at its time scale.  The drive's
-switch-on and switch-off are taken as ideal and adiabatic: each member
-starts in its dressed ground state and is read out by its projection onto
-the final dressed state.
+speeds run in one integration, each at its time scale.  The plan is
+that move's pulse program (pulses.PulseProgram), of duration tau.  The
+drive's switch-on and switch-off are taken as ideal and adiabatic: each
+member starts in its dressed ground state and is read out by its
+projection onto the final dressed state.
 
 At one speed the transfer is a smooth function of the initial detuning,
 so a member need not be integrated on its own.  Each speed integrates 9
@@ -74,7 +75,8 @@ _TOL = 1e-6
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """One transport move under constant drive, and the ensemble that runs it.
+    """One transport move under constant drive, and the ensemble that runs
+    it; the plan is the move's pulse program, of duration tau.
 
     d            : transport distance in um (the package's length unit)
     omega_r      : constant Rabi frequency in rad/s
@@ -82,10 +84,10 @@ class TransportPlan:
     spread       : full width of the initial-detuning spread in rad/s, over
                    which the members' detunings are uniform
     grad         : transition-frequency gradient in rad/s per um
-    tau          : duration in s of the plan's own move, the unit a curve's
-                   durations are scaled to (transport_transfer)
-    n_ensemble   : number of members, 1..2^16 (drawing all 2^16 takes about
-                   12 ms)
+    tau          : duration in s of the plan's own move and pulse program,
+                   the unit a curve's durations are scaled to (transport_transfer)
+    n_ensemble   : integer number of members, 1..2^16 (drawing all 2^16
+                   takes about 12 ms)
     """
 
     d: float
@@ -116,7 +118,10 @@ class TransportPlan:
             raise ConfigError(f"omega_r must be positive, got {self.omega_r}")
         if not self.spread >= 0:
             raise ConfigError(f"spread must be >= 0, got {self.spread}")
-        if not 1 <= self.n_ensemble <= _MAX_ENSEMBLE:
+        # a float would draw ceil(n_ensemble) members, and True one
+        if isinstance(self.n_ensemble, bool) or not hasattr(self.n_ensemble, "__index__"):
+            raise ConfigError(f"n_ensemble must be an integer, got {self.n_ensemble!r}")
+        if not 1 <= operator.index(self.n_ensemble) <= _MAX_ENSEMBLE:
             raise ConfigError(f"n_ensemble must lie in 1..{_MAX_ENSEMBLE}, got {self.n_ensemble}")
 
     @classmethod
@@ -124,40 +129,26 @@ class TransportPlan:
         return cls(d_um, khz_to_rad_per_s(omega_r_khz), khz_to_rad_per_s(delta_0_khz),
                    khz_to_rad_per_s(spread_khz), grad, n_ensemble=n_ensemble)
 
+    @property
+    def duration(self) -> float:
+        return self.tau
+
+    def rabi(self, t):
+        return self.omega_r
+
+    def detuning(self, t):
+        """The chirp accumulated by time t in [0, tau], vectorized; each
+        member adds its initial detuning delta_r as its offset."""
+        a = 4.0 * self.d / self.tau**2
+        t = np.asarray(t, dtype=float)
+        first = 0.5 * t * t
+        second = self.tau**2 / 4.0 - 0.5 * (self.tau - t) ** 2
+        return a * self.grad * np.where(t <= self.tau / 2.0, first, second)
+
 
 def interaction_width(plan: TransportPlan) -> float:
     """Width 2 omega_r / (d_x omega_at) in micrometers."""
     return 2.0 * plan.omega_r / plan.grad
-
-
-def _sweep(t, plan: TransportPlan):
-    """Detuning accumulated by time t in [0, tau], vectorized."""
-    a = 4.0 * plan.d / plan.tau**2
-    t = np.asarray(t, dtype=float)
-    first = 0.5 * t * t
-    second = plan.tau**2 / 4.0 - 0.5 * (plan.tau - t) ** 2
-    return a * plan.grad * np.where(t <= plan.tau / 2.0, first, second)
-
-
-@dataclass(frozen=True)
-class TransportPulse:
-    """Constant drive plus the transport chirp, as a pulse program.
-
-    The drive is on at omega_r for the whole move.  The detuning starts at
-    0; each member's initial detuning delta_r is its trajectory's offset.
-    """
-
-    plan: TransportPlan
-
-    @property
-    def duration(self) -> float:
-        return self.plan.tau
-
-    def rabi(self, t):
-        return self.plan.omega_r
-
-    def detuning(self, t):
-        return _sweep(t, self.plan)
 
 
 def dressed_projection(states, omega, delta):
@@ -281,12 +272,12 @@ def _transfer(plan: TransportPlan, offsets: np.ndarray, taus: np.ndarray) -> np.
     norm = np.hypot(plan.omega_r, offsets)
     states0 = np.stack([plan.omega_r / norm, np.zeros(n), offsets / norm], axis=1)
     levels, inverse = np.unique(taus / plan.tau, return_inverse=True)
-    ends = offsets + _sweep(plan.tau, plan)
+    ends = offsets + plan.detuning(plan.tau)
     per_call = max(1, _MAX_ENSEMBLE // n)
     p1 = []
     for i in range(0, levels.size, per_call):
         batch = levels[i : i + per_call]
-        final = evolve_offsets(TransportPulse(plan), np.tile(offsets, batch.size),
+        final = evolve_offsets(plan, np.tile(offsets, batch.size),
                                np.tile(states0, (batch.size, 1)), scales=np.repeat(batch, n))
         # read out now, so that no call's final states outlive it
         p1.append(dressed_projection(final.reshape(batch.size, n, 3), plan.omega_r, ends))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from apsim.transport import TransportPulse, transport_transfer
+from apsim.transport import transport_transfer
 
 
 class _InvertedPulse:
@@ -88,8 +88,8 @@ class RampedTransportPulse:
     """The transport pulse of plan led by a sin^2 switch-on of its drive.
 
     For the first ramp seconds the drive rises as omega_r sin^2(pi t /
-    (2 ramp)) with the detuning held at its start; then the move runs as
-    TransportPulse(plan).  Started in the bare ground state, it is the real
+    (2 ramp)) with the detuning held at its start; then the plan's move
+    runs.  Started in the bare ground state, it is the real
     switch-on that the transport model's dressed start idealizes.
     """
 
@@ -105,7 +105,7 @@ class RampedTransportPulse:
         return self.plan.omega_r * np.where(t < self.ramp, rise, 1.0)
 
     def detuning(self, t):
-        return TransportPulse(self.plan).detuning(np.maximum(t - self.ramp, 0.0))
+        return self.plan.detuning(np.maximum(t - self.ramp, 0.0))
 
 
 def dop853_final(pulse, offsets, states, rel_tol=1e-12, abs_tol=1e-14):

@@ -15,6 +15,7 @@ from apsim.scan import ScanResult
 from apsim.thermal import (
     SpectrumCache,
     ThermalModel,
+    broadened_spectrum,
     convolve,
     convolve_on_grid,
     truncated_mass,
@@ -311,6 +312,14 @@ def test_cache_validation():
             SpectrumCache([0.0, 0.0, 0.0, 0.0], domain)
     with pytest.raises(ValueError):
         SpectrumCache.from_pulse(None, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("grid", [[], [np.nan, 0.0], [np.inf]])
+def test_broadened_spectrum_refuses_empty_or_non_finite_grid(ref_thermal, monkeypatch, grid):
+    # the grid is refused by name where it enters, before any cache is built
+    monkeypatch.setattr(SpectrumCache, "from_pulse", lambda *a: pytest.fail("built a cache"))
+    with pytest.raises(ValueError, match="delta_c_values must be a non-empty grid of finite"):
+        broadened_spectrum(None, ref_thermal, grid)
 
 
 def test_cache_meets_its_tolerance_against_fine_reference(ref_pulse, ref_cache):

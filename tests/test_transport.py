@@ -15,7 +15,6 @@ from apsim.pulses import PulseProgram
 from apsim.scan import TRANSPORT_UNIT
 from apsim.transport import (
     TransportPlan,
-    TransportPulse,
     _draw_delta_r,
     dressed_projection,
     interaction_width,
@@ -68,6 +67,11 @@ def test_plan_validation():
                 dict(grad=0.0), dict(grad=np.inf), dict(grad=np.nan)):
         with pytest.raises(ConfigError):
             TransportPlan(**{**kw, **bad})
+    # a float would draw ceil(n_ensemble) members, and True one
+    for bad in (2.5, 32.0, True, False, "32", None):
+        with pytest.raises(ConfigError, match="n_ensemble must be an integer"):
+            TransportPlan(**kw, n_ensemble=bad)
+    assert TransportPlan(**kw, n_ensemble=np.int64(3)).n_ensemble == 3
     # a non-finite value is refused where the plan is made, not later as a
     # NaN torque in the propagator
     for bad in (dict(spread=np.inf), dict(omega_r=np.inf), dict(delta_0=np.nan),
@@ -84,48 +88,44 @@ def test_plan_from_khz_is_the_config_plan(plan):
 
 def test_total_sweep_is_distance_times_gradient(plan):
     # 132 um at 3.2 kHz/um: the full chirp spans 422.4 kHz regardless of tau
-    pulse = TransportPulse(plan)
-    total = pulse.detuning(plan.tau) - pulse.detuning(0.0)
+    total = plan.detuning(plan.tau) - plan.detuning(0.0)
     assert rad_per_s_to_khz(total) == pytest.approx(422.4, rel=1e-12)
     faster = replace(plan, tau=plan.tau / 7.0)
-    total_fast = TransportPulse(faster).detuning(faster.tau)
+    total_fast = faster.detuning(faster.tau)
     assert total_fast == pytest.approx(total, rel=1e-12)
 
 
 def test_chirp_shape(plan):
     # accelerate-decelerate move: halfway in time covers half the sweep,
     # quarter covers one eighth (x = a t^2 / 2 with a = 4 d / tau^2)
-    pulse = TransportPulse(plan)
-    total = pulse.detuning(plan.tau)
-    assert pulse.detuning(plan.tau / 2) == pytest.approx(total / 2, rel=1e-12)
-    assert pulse.detuning(plan.tau / 4) == pytest.approx(total / 8, rel=1e-12)
-    assert pulse.detuning(0.0) == 0.0
+    total = plan.detuning(plan.tau)
+    assert plan.detuning(plan.tau / 2) == pytest.approx(total / 2, rel=1e-12)
+    assert plan.detuning(plan.tau / 4) == pytest.approx(total / 8, rel=1e-12)
+    assert plan.detuning(0.0) == 0.0
 
 
 def test_chirp_continuous_and_monotone(plan):
     t = np.linspace(0.0, plan.tau, 4001)
-    d = TransportPulse(plan).detuning(t)
+    d = plan.detuning(t)
     steps = np.diff(d)
     assert np.all(steps >= 0.0)
     assert np.max(steps) < khz_to_rad_per_s(1.0)
 
 
-def test_transport_pulse_is_pulse_program(plan):
-    pulse = TransportPulse(plan)
-    assert isinstance(pulse, PulseProgram)
-    assert pulse.duration == plan.tau
-    assert pulse.rabi(plan.tau / 3) == plan.omega_r
+def test_transport_plan_is_pulse_program(plan):
+    assert isinstance(plan, PulseProgram)
+    assert plan.duration == plan.tau
+    assert plan.rabi(plan.tau / 3) == plan.omega_r
     # rate peaks at the handover between acceleration and deceleration,
     # which the middle one of 101 equal intervals contains
-    rates = np.diff(pulse.detuning(np.linspace(0.0, plan.tau, 102)))
+    rates = np.diff(plan.detuning(np.linspace(0.0, plan.tau, 102)))
     assert np.argmax(rates) == 50
 
 
 def test_pulse_detuning_crosses_resonance_once(plan):
     # the member's initial detuning is its offset, added to the chirp
-    pulse = TransportPulse(plan)
     t = np.linspace(0.0, plan.tau, 2001)
-    sign = np.sign(khz_to_rad_per_s(-72.0) + pulse.detuning(t))
+    sign = np.sign(khz_to_rad_per_s(-72.0) + plan.detuning(t))
     flips = np.count_nonzero(np.diff(sign))
     assert flips == 1
 
@@ -178,9 +178,8 @@ def test_ensemble_of_one_matches_direct_integration(plan):
     assert stderr == 0.0
     # reproduce the single member by hand: same draw, same dynamics
     draw = _draw_delta_r(replace(plan, n_ensemble=1), 3)[0]
-    pulse = TransportPulse(plan)
-    final = evolve_offsets(pulse, [draw], dressed_ground(plan.omega_r, draw))
-    end = draw + pulse.detuning(plan.tau)
+    final = evolve_offsets(plan, [draw], dressed_ground(plan.omega_r, draw))
+    end = draw + plan.detuning(plan.tau)
     want = dressed_projection(final, plan.omega_r, end)
     assert p1 == pytest.approx(want[0], abs=1e-9)
 
@@ -254,21 +253,21 @@ def test_ramped_switch_on_agrees_with_dressed_start(plan):
     slow = replace(plan, tau=2e-3, n_ensemble=4)
     draws = _draw_delta_r(slow, 2)
     ramped = evolve_offsets(RampedTransportPulse(slow, 1e-3), draws)
-    end = draws + TransportPulse(slow).detuning(slow.tau)
+    end = draws + slow.detuning(slow.tau)
     p1 = np.mean(dressed_projection(ramped, slow.omega_r, end))
     assert p1 == pytest.approx(transport_transfer(slow, draws, [slow.tau])[0][0], abs=0.005)
 
 
 def test_ramped_pulse_holds_detuning_during_the_ramp(plan):
     # the oracle's switch-on: the drive rises as sin^2 while the detuning
-    # waits at its start, then the move runs as TransportPulse(plan)
+    # waits at its start, then the plan's move runs
     ramped = RampedTransportPulse(plan, 0.5e-3)
     assert ramped.duration == plan.tau + 0.5e-3
     t = np.array([0.0, 0.25e-3, 0.5e-3, 1.0e-3])
     np.testing.assert_allclose(ramped.rabi(t), plan.omega_r * np.array([0.0, 0.5, 1.0, 1.0]),
                                atol=1e-9 * plan.omega_r)
     np.testing.assert_array_equal(ramped.detuning(t[:3]), 0.0)
-    assert ramped.detuning(1.0e-3) == TransportPulse(plan).detuning(0.5e-3)
+    assert ramped.detuning(1.0e-3) == plan.detuning(0.5e-3)
 
 
 def test_bare_readout_close_for_far_final_detuning(plan):
@@ -276,10 +275,9 @@ def test_bare_readout_close_for_far_final_detuning(plan):
     # nearly agrees with the dressed projection the model reads
     slow = replace(plan, tau=5e-3, n_ensemble=4)
     draws = _draw_delta_r(slow, 0)
-    pulse = TransportPulse(slow)
     starts = np.array([dressed_ground(slow.omega_r, d) for d in draws])
-    final = evolve_offsets(pulse, draws, starts)
-    dressed = np.mean(dressed_projection(final, slow.omega_r, draws + pulse.detuning(slow.tau)))
+    final = evolve_offsets(slow, draws, starts)
+    dressed = np.mean(dressed_projection(final, slow.omega_r, draws + slow.detuning(slow.tau)))
     bare = np.mean(0.5 * (1.0 + final[:, 2]))
     assert dressed == pytest.approx(transport_transfer(slow, draws, [slow.tau])[0][0], abs=1e-12)
     assert bare == pytest.approx(dressed, abs=0.01)
@@ -343,7 +341,7 @@ def test_repeated_speed_runs_once_within_one_speeds_budget(plan, monkeypatch):
     # budget of that speed alone, and both points are the one-speed point
     plan = replace(plan, n_ensemble=4)
     draws = _draw_delta_r(plan, 3)
-    one = int(bloch._initial_steps(bloch._need(TransportPulse(plan), draws, 1.0)).sum())
+    one = int(bloch._initial_steps(bloch._need(plan, draws, 1.0)).sum())
     monkeypatch.setattr(bloch, "_MAX_MEMBER_STEPS", one)
     alone = transport_curve(plan, [1.0], rng_seed=3)
     twice = transport_curve(plan, [1.0, 2.0, 1.0], rng_seed=3)
@@ -386,8 +384,8 @@ def test_time_scale_is_the_move_at_that_duration(plan, c):
     ref = replace(plan, n_ensemble=6)
     draws = _draw_delta_r(ref, 5)
     starts = np.array([dressed_ground(ref.omega_r, d) for d in draws])
-    got = evolve_offsets(TransportPulse(ref), draws, starts, scales=np.full(6, c))
-    want = evolve_offsets(TransportPulse(replace(ref, tau=c * ref.tau)), draws, starts)
+    got = evolve_offsets(ref, draws, starts, scales=np.full(6, c))
+    want = evolve_offsets(replace(ref, tau=c * ref.tau), draws, starts)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -452,8 +450,8 @@ def test_small_or_pointlike_ensemble_integrates_its_members(plan, n_ensemble, sp
     p1, stderr, estimate = transport_transfer(plan, draws, [plan.tau])
     norm = np.array([math.hypot(plan.omega_r, d) for d in draws])
     starts = np.stack([plan.omega_r / norm, np.zeros(draws.size), draws / norm], axis=1)
-    final = evolve_offsets(TransportPulse(plan), draws, starts)
-    members = dressed_projection(final, plan.omega_r, draws + TransportPulse(plan).detuning(plan.tau))
+    final = evolve_offsets(plan, draws, starts)
+    members = dressed_projection(final, plan.omega_r, draws + plan.detuning(plan.tau))
     assert np.isnan(estimate[0])
     assert p1[0] == np.mean(members)
     want = 0.0 if n_ensemble == 1 else np.std(members, ddof=1) / math.sqrt(n_ensemble)
